@@ -265,7 +265,7 @@ mod tests {
     use ssr_core::generic::GenericRanking;
     use ssr_core::ring::RingOfTraps;
     use ssr_core::tree::TreeRanking;
-    use ssr_engine::JumpSimulation;
+    use ssr_engine::CountSimulation;
 
     fn simulated_mean<P: ssr_engine::InteractionSchema>(
         p: &P,
@@ -274,7 +274,9 @@ mod tests {
     ) -> f64 {
         let total: u64 = (0..trials)
             .map(|t| {
-                let mut s = JumpSimulation::new(p, start.to_vec(), 31_000 + t).unwrap();
+                let mut s = CountSimulation::new(p, start.to_vec(), 31_000 + t)
+                    .unwrap()
+                    .with_batching(false);
                 s.run_until_silent(u64::MAX).unwrap().interactions
             })
             .sum();

@@ -23,7 +23,7 @@ use ssr_core::{GenericRanking, LooseLeaderElection, TreeRanking};
 use ssr_engine::engine::{make_engine, Engine, EngineKind};
 use ssr_engine::fenwick::Fenwick;
 use ssr_engine::rng::Xoshiro256;
-use ssr_engine::{run_with_plan, CountSimulation, FaultPlan, JumpSimulation, Protocol, Simulation};
+use ssr_engine::{run_with_plan, CountSimulation, FaultPlan, Protocol, Simulation};
 use ssr_topology::{BalancedTree, CubicGraph};
 use std::hint::black_box;
 
@@ -49,7 +49,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
     for kind in [EngineKind::Jump, EngineKind::Count] {
         group.bench_function(format!("{kind}_productive_2M"), |b| {
             b.iter_batched(
-                || make_engine(kind, &p, vec![0; n], 7).unwrap(),
+                || make_engine(kind, &p, vec![0; n], 7, 1).unwrap(),
                 |mut engine| black_box(run_productive(engine.as_mut(), budget)),
                 criterion::BatchSize::SmallInput,
             )
@@ -74,7 +74,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
                 || {
                     let mut rng = Xoshiro256::seed_from_u64(11);
                     let cfg = ssr_engine::init::uniform_random(n, p.num_states(), &mut rng);
-                    make_engine(kind, &p, cfg, 11).unwrap()
+                    make_engine(kind, &p, cfg, 11, 1).unwrap()
                 },
                 |mut engine| black_box(run_productive(engine.as_mut(), budget)),
                 criterion::BatchSize::SmallInput,
@@ -116,7 +116,7 @@ fn bench_engines_to_silence(c: &mut Criterion) {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                let mut e = make_engine(kind, &p, vec![0; n], seed).unwrap();
+                let mut e = make_engine(kind, &p, vec![0; n], seed, 1).unwrap();
                 black_box(e.run_until_silent(u64::MAX).unwrap().interactions)
             })
         });
@@ -134,7 +134,7 @@ fn bench_engines_to_silence(c: &mut Criterion) {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                let mut e = make_engine(kind, &p, vec![0; n], seed).unwrap();
+                let mut e = make_engine(kind, &p, vec![0; n], seed, 1).unwrap();
                 black_box(e.run_until_silent(u64::MAX).unwrap().interactions)
             })
         });
@@ -152,7 +152,7 @@ fn bench_engines_to_silence(c: &mut Criterion) {
             let mut seed = 100;
             b.iter(|| {
                 seed += 1;
-                let mut e = make_engine(kind, &p, vec![0; n], seed).unwrap();
+                let mut e = make_engine(kind, &p, vec![0; n], seed, 1).unwrap();
                 black_box(e.run_until_silent(u64::MAX).unwrap().interactions)
             })
         });
@@ -167,7 +167,11 @@ fn bench_jump_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(10_000));
     group.bench_function("productive_steps_ag_n1024", |b| {
         b.iter_batched(
-            || JumpSimulation::new(&p, vec![0; n], 7).unwrap(),
+            || {
+                CountSimulation::new(&p, vec![0; n], 7)
+                    .unwrap()
+                    .with_batching(false)
+            },
             |mut sim| {
                 for _ in 0..10_000 {
                     black_box(sim.step_productive());
@@ -399,7 +403,7 @@ fn bench_service(c: &mut Criterion) {
     let n = 1 << 20;
     let p = TreeRanking::new(n);
     let shape = SnapshotShape::of(&p);
-    let mut engine = make_engine(EngineKind::Count, &p, vec![0; n], 9).unwrap();
+    let mut engine = make_engine(EngineKind::Count, &p, vec![0; n], 9, 1).unwrap();
     for _ in 0..32 {
         engine.advance();
     }

@@ -1,18 +1,18 @@
 //! Criterion benches: full stabilisation runs, one per paper protocol.
 //!
 //! These are the micro-scale counterparts of the experiment binaries —
-//! one fixed population per protocol, stacked adversarial start, jump-chain
-//! simulation to silence. Regenerates the relative ordering of the paper's
+//! one fixed population per protocol, stacked adversarial start, exact
+//! jump-chain simulation (the count engine with batching off) to silence. Regenerates the relative ordering of the paper's
 //! summary table (tree ≪ line ≲ ring ≈ A_G) as wall-clock numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::{JumpSimulation, InteractionSchema};
+use ssr_engine::{CountSimulation, InteractionSchema};
 use std::hint::black_box;
 
 fn run_to_silence<P: InteractionSchema>(p: &P, seed: u64) -> u64 {
     let n = ssr_engine::Protocol::population_size(p);
-    let mut sim = JumpSimulation::new(p, vec![0; n], seed).unwrap();
+    let mut sim = CountSimulation::new(p, vec![0; n], seed).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap().interactions
 }
 
@@ -79,7 +79,9 @@ fn bench_kdistant_recovery(c: &mut Criterion) {
                     ssr_engine::init::DuplicatePlacement::Random,
                     &mut rng,
                 );
-                let mut sim = JumpSimulation::new(&ring, cfg, seed).unwrap();
+                let mut sim = CountSimulation::new(&ring, cfg, seed)
+                    .unwrap()
+                    .with_batching(false);
                 black_box(sim.run_until_silent(u64::MAX).unwrap().interactions)
             })
         });

@@ -28,7 +28,10 @@ use std::process::ExitCode;
 const MAX_REGRESSION: f64 = 2.0;
 
 /// Entry used to normalise out raw machine speed before comparing runs
-/// from (possibly) different hardware.
+/// from (possibly) different hardware: 10 000 productive steps of `A_G`
+/// at n = 1024 on the count engine's exact mode (batching off). The id
+/// keeps its historical `jump_simulator` group name so recorded baselines
+/// stay comparable.
 const CALIBRATION_ID: &str = "jump_simulator/productive_steps_ag_n1024";
 
 #[derive(Debug, Clone, Copy)]

@@ -184,7 +184,7 @@ fn measure_checkpoint_cost(sizes: &[usize]) {
     for &n in sizes {
         let p = TreeRanking::new(n);
         let shape = SnapshotShape::of(&p);
-        let mut engine = make_engine(EngineKind::Count, &p, vec![0; n], 9).unwrap();
+        let mut engine = make_engine(EngineKind::Count, &p, vec![0; n], 9, 1).unwrap();
         for _ in 0..64 {
             engine.advance();
         }

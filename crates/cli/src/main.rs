@@ -28,7 +28,7 @@ use ssr_core::{elect_leader, GenericRanking, LineOfTraps, RingOfTraps, TreeRanki
 use ssr_engine::init::{self, DuplicatePlacement};
 use ssr_engine::rng::{derive_seed, Xoshiro256};
 use ssr_engine::{
-    run_with_plan, EngineKind, FaultPlan, Init, InteractionSchema, JumpSimulation, Protocol,
+    run_with_plan, CountSimulation, EngineKind, FaultPlan, Init, InteractionSchema, Protocol,
     Scenario, State,
 };
 use ssr_service::{daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec};
@@ -285,8 +285,9 @@ fn cmd_exact(a: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let times: Vec<f64> = (0..trials)
         .map(|t| {
-            let mut sim = JumpSimulation::new(p.as_ref(), start.clone(), 50_000 + t)
-                .expect("valid start");
+            let mut sim = CountSimulation::new(p.as_ref(), start.clone(), 50_000 + t)
+                .expect("valid start")
+                .with_batching(false);
             sim.run_until_silent(u64::MAX).expect("stable").interactions as f64
         })
         .collect();

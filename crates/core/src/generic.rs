@@ -16,13 +16,13 @@
 //!
 //! ```
 //! use ssr_core::generic::GenericRanking;
-//! use ssr_engine::{JumpSimulation, Protocol};
+//! use ssr_engine::{CountSimulation, Protocol};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = GenericRanking::new(50);
 //! assert_eq!(p.transition(7, 7), Some((7, 8)));
 //! assert_eq!(p.transition(49, 49), Some((49, 0)));
-//! let mut sim = JumpSimulation::new(&p, vec![0; 50], 1)?;
+//! let mut sim = CountSimulation::new(&p, vec![0; 50], 1)?.with_batching(false);
 //! sim.run_until_silent(u64::MAX)?;
 //! assert!(sim.counts().iter().all(|&c| c == 1));
 //! # Ok(())
@@ -98,7 +98,7 @@ mod tests {
     use ssr_engine::init;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::{JumpSimulation, Simulation};
+    use ssr_engine::{CountSimulation, Simulation};
 
     #[test]
     fn contract_holds() {
@@ -123,7 +123,7 @@ mod tests {
             let p = GenericRanking::new(n);
             for trial in 0..5 {
                 let cfg = init::uniform_random(n, n, &mut rng);
-                let mut sim = JumpSimulation::new(&p, cfg, trial).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(sim.counts().iter().all(|&c| c == 1), "n={n}");
             }
@@ -148,7 +148,9 @@ mod tests {
             let trials = 10;
             let total: f64 = (0..trials)
                 .map(|t| {
-                    let mut s = JumpSimulation::new(&p, vec![0; n], 100 + t).unwrap();
+                    let mut s = CountSimulation::new(&p, vec![0; n], 100 + t)
+                        .unwrap()
+                        .with_batching(false);
                     s.run_until_silent(u64::MAX).unwrap().parallel_time
                 })
                 .sum();

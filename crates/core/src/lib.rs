@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use ssr_core::tree::TreeRanking;
-//! use ssr_engine::{init, JumpSimulation, Protocol};
+//! use ssr_engine::{init, CountSimulation, Protocol};
 //! use ssr_engine::rng::Xoshiro256;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,7 +36,7 @@
 //! let protocol = TreeRanking::new(n);
 //! let mut rng = Xoshiro256::seed_from_u64(1);
 //! let start = init::uniform_random(n, protocol.num_states(), &mut rng);
-//! let mut sim = JumpSimulation::new(&protocol, start, 2)?;
+//! let mut sim = CountSimulation::new(&protocol, start, 2)?.with_batching(false);
 //! let report = sim.run_until_silent(u64::MAX)?;
 //! println!("self-stabilised in parallel time {:.1}", report.parallel_time);
 //! # Ok(())

@@ -32,12 +32,12 @@
 //!
 //! ```
 //! use ssr_core::line::LineOfTraps;
-//! use ssr_engine::{JumpSimulation, Protocol};
+//! use ssr_engine::{CountSimulation, Protocol};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = LineOfTraps::new(72); // m = 1: one line of 3 traps, plus X
 //! assert_eq!(p.num_states(), 73);
-//! let mut sim = JumpSimulation::new(&p, vec![p.x_state(); 72], 1)?;
+//! let mut sim = CountSimulation::new(&p, vec![p.x_state(); 72], 1)?.with_batching(false);
 //! sim.run_until_silent(u64::MAX)?;
 //! assert!(sim.is_silent());
 //! # Ok(())
@@ -481,7 +481,7 @@ mod tests {
     use ssr_engine::init::{self, DuplicatePlacement};
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::JumpSimulation;
+    use ssr_engine::CountSimulation;
 
     #[test]
     fn line_m_thresholds() {
@@ -554,7 +554,9 @@ mod tests {
         for n in [6usize, 20, 72] {
             let p = LineOfTraps::new(n);
             let mut sim =
-                JumpSimulation::new(&p, vec![p.x_state(); n], n as u64).unwrap();
+                CountSimulation::new(&p, vec![p.x_state(); n], n as u64)
+                    .unwrap()
+                    .with_batching(false);
             sim.run_until_silent(u64::MAX).unwrap();
             assert!(sim.counts()[..n].iter().all(|&c| c == 1), "n={n}");
             assert_eq!(sim.counts()[n], 0);
@@ -568,12 +570,12 @@ mod tests {
             let p = LineOfTraps::new(n);
             for trial in 0..4 {
                 let cfg = init::uniform_random(n, n + 1, &mut rng);
-                let mut sim = JumpSimulation::new(&p, cfg, trial).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(sim.is_silent(), "n={n} trial={trial}");
             }
             let cfg = init::k_distant(n, n / 3, DuplicatePlacement::Stacked, &mut rng);
-            let mut sim = JumpSimulation::new(&p, cfg, 99).unwrap();
+            let mut sim = CountSimulation::new(&p, cfg, 99).unwrap().with_batching(false);
             sim.run_until_silent(u64::MAX).unwrap();
             assert!(sim.is_silent());
         }
@@ -660,7 +662,9 @@ mod tests {
         // stabilisation every line's settled vectors equal its actual
         // occupancy, with zero further release.
         let p = LineOfTraps::new(24);
-        let mut sim = JumpSimulation::new(&p, vec![p.x_state(); 24], 3).unwrap();
+        let mut sim = CountSimulation::new(&p, vec![p.x_state(); 24], 3)
+            .unwrap()
+            .with_batching(false);
         sim.run_until_silent(u64::MAX).unwrap();
         let counts = sim.counts();
         for l in 0..p.num_lines() {
@@ -683,7 +687,7 @@ mod tests {
 mod routing_tests {
     use super::*;
     use ssr_engine::protocol::validate_ranking_contract;
-    use ssr_engine::JumpSimulation;
+    use ssr_engine::CountSimulation;
 
     #[test]
     fn ablation_routings_satisfy_contract() {
@@ -712,7 +716,9 @@ mod routing_tests {
         // line 0 through X + X and percolates from there.
         for mode in [RoutingMode::NextLine, RoutingMode::SelfLoop] {
             let p = LineOfTraps::new(24).with_routing(mode);
-            let mut sim = JumpSimulation::new(&p, vec![p.x_state(); 24], 3).unwrap();
+            let mut sim = CountSimulation::new(&p, vec![p.x_state(); 24], 3)
+                .unwrap()
+                .with_batching(false);
             sim.run_until_silent(u64::MAX)
                 .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
             assert!(sim.is_silent(), "{mode:?}");

@@ -216,10 +216,12 @@ mod tests {
         // engines run a never-silent protocol: advance a productive-step
         // budget and check convergence, as the naive tests do with raw
         // interactions.
-        use ssr_engine::JumpSimulation;
+        use ssr_engine::CountSimulation;
         let n = 50;
         let p = LooseLeaderElection::new(n);
-        let mut sim = JumpSimulation::new(&p, vec![p.leader_state(); n], 23).unwrap();
+        let mut sim = CountSimulation::new(&p, vec![p.leader_state(); n], 23)
+            .unwrap()
+            .with_batching(false);
         for _ in 0..200 * n {
             sim.step_productive();
         }

@@ -22,14 +22,14 @@
 //!
 //! ```
 //! use ssr_core::ring::RingOfTraps;
-//! use ssr_engine::{init, JumpSimulation};
+//! use ssr_engine::{init, CountSimulation};
 //! use ssr_engine::rng::Xoshiro256;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = RingOfTraps::new(30);        // m = 5: 5 traps of size 6
 //! let mut rng = Xoshiro256::seed_from_u64(3);
 //! let cfg = init::k_distant(30, 4, init::DuplicatePlacement::Random, &mut rng);
-//! let mut sim = JumpSimulation::new(&p, cfg, 7)?;
+//! let mut sim = CountSimulation::new(&p, cfg, 7)?.with_batching(false);
 //! let report = sim.run_until_silent(u64::MAX)?;
 //! assert!(sim.is_silent());
 //! println!("4-distant start ranked in parallel time {:.0}", report.parallel_time);
@@ -186,7 +186,7 @@ mod tests {
     use ssr_engine::observer::{FnObserver, TransitionEvent};
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::{JumpSimulation, Simulation};
+    use ssr_engine::{CountSimulation, Simulation};
 
     #[test]
     fn ring_m_choices() {
@@ -247,7 +247,9 @@ mod tests {
             let p = RingOfTraps::new(n);
             for k in [0usize, 1, 3, n / 2] {
                 let cfg = init::k_distant(n, k, DuplicatePlacement::Random, &mut rng);
-                let mut sim = JumpSimulation::new(&p, cfg, (n + k) as u64).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, (n + k) as u64)
+                    .unwrap()
+                    .with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(
                     sim.counts().iter().all(|&c| c == 1),
@@ -260,7 +262,7 @@ mod tests {
     #[test]
     fn stabilises_from_stacked_start() {
         let p = RingOfTraps::new(20);
-        let mut sim = JumpSimulation::new(&p, vec![0; 20], 5).unwrap();
+        let mut sim = CountSimulation::new(&p, vec![0; 20], 5).unwrap().with_batching(false);
         sim.run_until_silent(u64::MAX).unwrap();
         assert!(sim.counts().iter().all(|&c| c == 1));
     }
@@ -388,7 +390,7 @@ mod tests {
     #[test]
     fn final_configuration_fully_stabilises_every_trap() {
         let p = RingOfTraps::new(30);
-        let mut sim = JumpSimulation::new(&p, vec![7; 30], 2).unwrap();
+        let mut sim = CountSimulation::new(&p, vec![7; 30], 2).unwrap().with_batching(false);
         sim.run_until_silent(u64::MAX).unwrap();
         for v in p.trap_views(sim.counts()) {
             assert!(v.is_fully_stabilised());
@@ -398,7 +400,9 @@ mod tests {
     #[test]
     fn zero_distant_start_is_silent_immediately() {
         let p = RingOfTraps::new(12);
-        let mut sim = JumpSimulation::new(&p, init::perfect_ranking(12), 1).unwrap();
+        let mut sim = CountSimulation::new(&p, init::perfect_ranking(12), 1)
+            .unwrap()
+            .with_batching(false);
         let rep = sim.run_until_silent(10).unwrap();
         assert_eq!(rep.interactions, 0);
     }

@@ -32,12 +32,12 @@
 //!
 //! ```
 //! use ssr_core::tree::TreeRanking;
-//! use ssr_engine::{JumpSimulation, Protocol};
+//! use ssr_engine::{CountSimulation, Protocol};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = TreeRanking::new(100);
 //! assert_eq!(p.num_extra_states(), 2 * p.buffer_half());
-//! let mut sim = JumpSimulation::new(&p, vec![0; 100], 9)?;
+//! let mut sim = CountSimulation::new(&p, vec![0; 100], 9)?.with_batching(false);
 //! sim.run_until_silent(u64::MAX)?;
 //! assert!(sim.is_silent());
 //! # Ok(())
@@ -321,7 +321,7 @@ mod tests {
     use ssr_engine::init;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::{JumpSimulation, Simulation};
+    use ssr_engine::{CountSimulation, Simulation};
 
     #[test]
     fn contract_holds_various_n_and_k() {
@@ -428,7 +428,7 @@ mod tests {
             let p = TreeRanking::new(n);
             for (name, make) in &starts {
                 let cfg = make(&p);
-                let mut sim = JumpSimulation::new(&p, cfg, n as u64).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, n as u64).unwrap().with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(
                     sim.counts()[..n].iter().all(|&c| c == 1),
@@ -445,7 +445,7 @@ mod tests {
             let p = TreeRanking::new(n);
             for trial in 0..5 {
                 let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-                let mut sim = JumpSimulation::new(&p, cfg, trial).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(sim.is_silent(), "n={n} trial={trial}");
             }
@@ -497,7 +497,7 @@ mod modified_tests {
     use ssr_engine::init;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::JumpSimulation;
+    use ssr_engine::CountSimulation;
 
     #[test]
     fn modified_variant_satisfies_contract() {
@@ -533,7 +533,7 @@ mod modified_tests {
             let p = TreeRanking::new(n).as_modified();
             for trial in 0..4 {
                 let cfg = init::uniform_random(n, Protocol::num_states(&p), &mut rng);
-                let mut sim = JumpSimulation::new(&p, cfg, trial).unwrap();
+                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
                 // Generous O(n log n)-parallel cap, in interactions.
                 let cap = 200 * (n as u64) * (n as u64) * (n.ilog2() as u64 + 1);
                 let mut outcome = None;
@@ -570,7 +570,9 @@ mod modified_tests {
             let total: u64 = (0..trials)
                 .map(|t| {
                     let mut s =
-                        JumpSimulation::new(p, vec![0; n], seed0 + t).unwrap();
+                        CountSimulation::new(p, vec![0; n], seed0 + t)
+                            .unwrap()
+                            .with_batching(false);
                     s.run_until_silent(u64::MAX).unwrap().interactions
                 })
                 .sum();

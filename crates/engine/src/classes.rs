@@ -1,15 +1,12 @@
-//! Compiled interaction schema and live weight state, shared by the jump
-//! and count engines.
+//! Compiled interaction schema and live weight state of the count engine.
 //!
 //! A protocol's declarative [`InteractionSchema`] is compiled once per
 //! engine construction into a [`CompiledSchema`] (flags, the equal-rank
 //! membership bitset, the sparse-pair index), and the engine keeps one
 //! [`ClassState`]: the occupancy counts plus every per-class weight
-//! structure, updated incrementally on each count change. Both engines
-//! sample the next productive ordered state pair through
-//! [`ClassState::sample_pair`] with the same single-RNG-draw discipline, so
-//! "jump and count are trace-identical per seed" is structural rather than
-//! a convention two copies must uphold by hand.
+//! structure, updated incrementally on each count change. Every exact step
+//! samples the next productive ordered state pair through
+//! [`ClassState::sample_pair`] with a single-RNG-draw discipline.
 //!
 //! The class weight decomposition over occupancy counts `c_s` (with `R`/`E`
 //! the number of agents in rank/extra states):
@@ -1081,7 +1078,7 @@ pub(crate) struct ClassState {
     /// Upper bound on the occupancy of any rank state with an equal-rank
     /// rule; grows eagerly on updates, shrinks only on
     /// [`refresh_max_eq`](Self::refresh_max_eq). Drives the count engine's
-    /// equal-rank batch cap; harmless bookkeeping for the jump engine.
+    /// equal-rank batch cap; harmless bookkeeping in exact mode.
     pub max_eq_bound: u64,
 }
 

@@ -6,14 +6,15 @@
 //! determined by the per-state occupancy vector. [`CountSimulation`]
 //! exploits this twice:
 //!
-//! 1. **Exact mode** — the same embedded jump chain as
-//!    [`JumpSimulation`](crate::jump::JumpSimulation): sample a productive
+//! 1. **Exact mode** — the embedded jump chain: sample a productive
 //!    ordered state pair proportionally to its weight, apply the rewrite to
 //!    the counts, and account for the skipped null interactions with a
-//!    geometric draw. Given the same seed, the exact mode consumes the RNG
-//!    draw-for-draw identically to the jump simulator and therefore walks
-//!    the *identical* trajectory (the cross-engine test suite asserts
-//!    this).
+//!    geometric draw. This is *exactly* the naive simulator's process,
+//!    without spending time on nulls. With batching off
+//!    ([`CountSimulation::with_batching`]) the engine only ever takes exact
+//!    steps; that configuration is the `jump` engine kind
+//!    ([`EngineKind::Jump`](crate::engine::EngineKind::Jump)), and
+//!    `tests/exact_chain_golden.rs` pins its per-seed trajectories.
 //! 2. **Batch mode** — far from silence, consecutive productive steps are
 //!    *statistically exchangeable*: with the class weights frozen, a batch
 //!    of `B` steps splits multinomially first across the declared
@@ -121,7 +122,7 @@
 //! [`InteractionSchema`]: crate::protocol::InteractionSchema
 
 use crate::classes::{chain_split, ClassState};
-use crate::engine::{ByzOverlay, CappedAdvance, CountObserver};
+use crate::engine::{ByzOverlay, CappedAdvance, CountObserver, NullCountObserver};
 use crate::error::{ConfigError, StabilisationTimeout};
 use crate::init;
 use crate::protocol::{CrossDirection, InteractionSchema, State};
@@ -653,10 +654,11 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         })
     }
 
-    /// Enable or disable batch mode. With batching off the engine consumes
-    /// its RNG draw-for-draw identically to
-    /// [`JumpSimulation`](crate::jump::JumpSimulation) and reproduces the
-    /// exact same trajectory per seed.
+    /// Enable or disable batch mode. With batching off the engine is the
+    /// exact jump chain — every quantum is one productive interaction —
+    /// and reports itself as the `jump` engine. Exact mode never
+    /// dispatches to the worker pool, so it needs no
+    /// [`with_threads`](Self::with_threads).
     pub fn with_batching(mut self, batching: bool) -> Self {
         self.batching = batching;
         self
@@ -740,12 +742,8 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     }
 
     /// Execute one productive interaction (plus the geometric number of
-    /// preceding nulls), exactly as the jump simulator would — the
-    /// sampling logic is literally shared
-    /// ([`ClassState::sample_pair`](crate::classes::ClassState)), so
-    /// identical RNG consumption and identical trajectories per seed are
-    /// structural. Returns the ordered state pair rewritten, or `None` if
-    /// the configuration is silent.
+    /// preceding nulls) of the exact jump chain. Returns the ordered state
+    /// pair rewritten, or `None` if the configuration is silent.
     pub fn step_productive(&mut self) -> Option<((State, State), (State, State))> {
         let w = self.state.productive_pairs();
         if w == 0 {
@@ -765,8 +763,8 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
 
     /// Sample the productive pair for an already-scheduled chain event,
     /// apply the transition (subject to Byzantine vetoes) and return the
-    /// rewrite. Mirrors the jump engine's helper draw-for-draw so the two
-    /// engines stay trace-identical in exact mode.
+    /// rewrite. Shared by [`step_productive`](Self::step_productive) and
+    /// the capped stepper so both consume the RNG identically.
     fn sample_and_apply(&mut self) -> ((State, State), (State, State)) {
         let (si, sr) = self.state.sample_pair(&mut self.rng);
         let (mut si2, mut sr2) = self.protocol.transition(si, sr).unwrap_or_else(|| {
@@ -1279,9 +1277,10 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     }
 
     /// Run until silent or until more than `max_interactions` have
-    /// elapsed. Semantics match the jump simulator. `u64::MAX` means
-    /// *unbounded* (the internal clock is `u128` and can legitimately
-    /// pass `u64::MAX` at `n ≥ 2³¹`).
+    /// elapsed. Semantics match the naive simulator: success is reported
+    /// only when the last productive interaction falls within the cap.
+    /// `u64::MAX` means *unbounded* (the internal clock is `u128` and can
+    /// legitimately pass `u64::MAX` at `n ≥ 2³¹`).
     ///
     /// # Errors
     ///
@@ -1290,32 +1289,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         &mut self,
         max_interactions: u64,
     ) -> Result<StabilisationReport, StabilisationTimeout> {
-        let cap = if max_interactions == u64::MAX {
-            u128::MAX
-        } else {
-            max_interactions as u128
-        };
-        loop {
-            if self.is_silent() {
-                if self.interactions <= cap {
-                    return Ok(StabilisationReport {
-                        interactions: self.interactions(),
-                        interactions_wide: self.interactions,
-                        productive_interactions: self.productive,
-                        parallel_time: self.parallel_time(),
-                    });
-                }
-                return Err(StabilisationTimeout {
-                    interactions: max_interactions,
-                });
-            }
-            if self.interactions >= cap {
-                return Err(StabilisationTimeout {
-                    interactions: self.interactions(),
-                });
-            }
-            self.advance_chain();
-        }
+        self.run_until_silent_observed(max_interactions, &mut NullCountObserver)
     }
 
     /// Like [`run_until_silent`](Self::run_until_silent), reporting every
@@ -1326,10 +1300,10 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     /// # Errors
     ///
     /// Returns [`StabilisationTimeout`] when the cap is exceeded first.
-    pub fn run_until_silent_observed(
+    pub fn run_until_silent_observed<O: CountObserver + ?Sized>(
         &mut self,
         max_interactions: u64,
-        observer: &mut dyn CountObserver,
+        observer: &mut O,
     ) -> Result<StabilisationReport, StabilisationTimeout> {
         let cap = if max_interactions == u64::MAX {
             u128::MAX
@@ -1462,8 +1436,14 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
 }
 
 impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_, P> {
+    /// `"jump"` in exact mode (batching off), `"count"` otherwise — the
+    /// names [`EngineKind`](crate::engine::EngineKind) parses.
     fn engine_name(&self) -> &'static str {
-        "count"
+        if self.batching {
+            "count"
+        } else {
+            "jump"
+        }
     }
 
     fn population_size(&self) -> usize {
@@ -1548,8 +1528,9 @@ impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_
                     .saturating_add(gap)
                     .saturating_add(1);
                 if next > cap {
-                    // Exact truncation by memorylessness — mirrors the
-                    // jump engine.
+                    // Exact truncation: by memorylessness the time to the
+                    // next productive interaction, measured from the cap,
+                    // is again geometric under whatever weights then hold.
                     self.interactions = cap;
                     return CappedAdvance::CapReached;
                 }
@@ -1622,8 +1603,8 @@ impl<P: InteractionSchema + ?Sized> std::fmt::Debug for CountSimulation<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jump::JumpSimulation;
     use crate::protocol::{ClassSpec, Protocol};
+    use crate::sim::Simulation;
 
     struct Ag {
         n: usize,
@@ -1655,22 +1636,93 @@ mod tests {
         }
     }
 
+    fn exact(p: &Ag, config: Vec<State>, seed: u64) -> CountSimulation<'_, Ag> {
+        CountSimulation::new(p, config, seed).unwrap().with_batching(false)
+    }
+
+    /// The exact chain and the naive chain are the same process: compare
+    /// mean stabilisation times from a stacked start over many trials.
     #[test]
-    fn exact_mode_is_trace_identical_to_jump() {
-        let p = Ag { n: 200 };
-        let mut jump = JumpSimulation::new(&p, vec![0; 200], 77).unwrap();
-        let mut count =
-            CountSimulation::new(&p, vec![0; 200], 77).unwrap().with_batching(false);
-        loop {
-            let j = jump.step_productive();
-            let c = count.step_productive();
-            assert_eq!(j, c);
-            assert_eq!(jump.interactions(), count.interactions());
-            assert_eq!(jump.counts(), count.counts());
-            if j.is_none() {
-                break;
-            }
+    fn exact_mode_mean_time_matches_naive_simulator() {
+        let p = Ag { n: 12 };
+        let trials = 300;
+        let mean = |naive: bool| -> f64 {
+            let total: u64 = (0..trials)
+                .map(|t| {
+                    if naive {
+                        let mut s = Simulation::new(&p, vec![0; 12], 2000 + t).unwrap();
+                        s.run_until_silent(u64::MAX).unwrap().interactions
+                    } else {
+                        let mut s = exact(&p, vec![0; 12], 1000 + t);
+                        s.run_until_silent(u64::MAX).unwrap().interactions
+                    }
+                })
+                .sum();
+            total as f64 / trials as f64
+        };
+        let me = mean(false);
+        let mn = mean(true);
+        let rel = (me - mn).abs() / mn;
+        assert!(
+            rel < 0.15,
+            "exact mean {me:.0} vs naive mean {mn:.0} (rel diff {rel:.3})"
+        );
+    }
+
+    #[test]
+    fn exact_mode_silent_start_reports_zero() {
+        let p = Ag { n: 8 };
+        let mut sim = exact(&p, (0..8).collect(), 5);
+        let rep = sim.run_until_silent(10).unwrap();
+        assert_eq!(rep.interactions, 0);
+        assert_eq!(rep.productive_interactions, 0);
+    }
+
+    #[test]
+    fn productive_pairs_counts_equal_rule_weight() {
+        let p = Ag { n: 6 };
+        // counts: 3 agents in state 0, 2 in state 1, 1 in state 2.
+        let sim = CountSimulation::from_counts(&p, vec![3, 2, 1, 0, 0, 0], 1).unwrap();
+        // 3·2 + 2·1 = 8 productive ordered pairs.
+        assert_eq!(sim.productive_pairs(), 8);
+    }
+
+    /// A non-ranking sparse-pair protocol: rule (0,1) → (0,2) drains
+    /// state 1; silence simply means no productive pair remains.
+    struct Sparse;
+    impl Protocol for Sparse {
+        fn name(&self) -> &str {
+            "sparse"
         }
+        fn population_size(&self) -> usize {
+            4
+        }
+        fn num_states(&self) -> usize {
+            3
+        }
+        fn num_rank_states(&self) -> usize {
+            3
+        }
+        fn transition(&self, i: State, r: State) -> Option<(State, State)> {
+            (i == 0 && r == 1).then_some((0, 2))
+        }
+    }
+    impl InteractionSchema for Sparse {
+        fn interaction_classes(&self) -> Vec<ClassSpec> {
+            vec![ClassSpec::pair(0, 1)]
+        }
+    }
+
+    #[test]
+    fn exact_mode_runs_sparse_pair_protocol_to_silence() {
+        crate::protocol::validate_interaction_schema(&Sparse).unwrap();
+        let mut sim = CountSimulation::from_counts(&Sparse, vec![2, 2, 0], 7)
+            .unwrap()
+            .with_batching(false);
+        assert_eq!(sim.productive_pairs(), 4); // 2·2 ordered (0,1) pairs
+        let rep = sim.run_until_silent(u64::MAX).unwrap();
+        assert_eq!(rep.productive_interactions, 2);
+        assert_eq!(sim.counts(), &[2, 0, 2]);
     }
 
     #[test]
@@ -1755,7 +1807,7 @@ mod tests {
     }
 
     #[test]
-    fn timeout_semantics_match_jump() {
+    fn timeout_semantics() {
         let p = Ag { n: 64 };
         let mut sim = CountSimulation::new(&p, vec![0; 64], 3).unwrap();
         let err = sim.run_until_silent(2).unwrap_err();
@@ -1801,23 +1853,6 @@ mod tests {
             .collect();
         assert_eq!(cont, replay, "restored run must replay the original");
         assert_eq!(counts_a, sim.counts());
-    }
-
-    #[test]
-    fn observed_and_unobserved_runs_are_identical() {
-        use crate::engine::NullCountObserver;
-        // Both entry points must share the batch/exact decision schedule,
-        // otherwise the same seed yields different trajectories.
-        let p = Ag { n: 2048 };
-        let mut plain = CountSimulation::new(&p, vec![0; 2048], 13).unwrap();
-        let rp = plain.run_until_silent(u64::MAX).unwrap();
-        let mut observed = CountSimulation::new(&p, vec![0; 2048], 13).unwrap();
-        let ro = observed
-            .run_until_silent_observed(u64::MAX, &mut NullCountObserver)
-            .unwrap();
-        assert_eq!(rp.interactions, ro.interactions);
-        assert_eq!(rp.productive_interactions, ro.productive_interactions);
-        assert_eq!(plain.counts(), observed.counts());
     }
 
     #[test]
@@ -2061,8 +2096,8 @@ mod tests {
     }
 
     /// Declaring a class non-exchangeable must force exact stepping
-    /// whenever it has weight, and the run must still be trace-identical
-    /// to the jump chain per seed.
+    /// whenever it has weight, and the batching engine must then walk the
+    /// exact-mode trajectory per seed.
     struct Frozen {
         n: usize,
     }
@@ -2093,13 +2128,15 @@ mod tests {
     fn non_exchangeable_class_forces_exact_stepping() {
         let p = Frozen { n: 4096 };
         let mut count = CountSimulation::new(&p, vec![0; 4096], 19).unwrap();
-        let mut jump = JumpSimulation::new(&p, vec![0; 4096], 19).unwrap();
+        let mut exact = CountSimulation::new(&p, vec![0; 4096], 19)
+            .unwrap()
+            .with_batching(false);
         for _ in 0..5_000 {
             assert_eq!(count.advance_chain(), Some(1));
-            jump.step_productive();
+            exact.step_productive();
         }
-        assert_eq!(count.interactions(), jump.interactions());
-        assert_eq!(count.counts(), jump.counts());
+        assert_eq!(count.interactions(), exact.interactions());
+        assert_eq!(count.counts(), exact.counts());
     }
 
     /// Sparse-only annihilation: `(1,2) → (0,0)` and `(2,1) → (0,0)`.

@@ -1,29 +1,27 @@
 //! The unified [`Engine`] abstraction over all simulators.
 //!
-//! Three engines simulate the *same* stochastic process — the paper's
-//! uniform random scheduler driving a population protocol — at three
-//! different cost models:
+//! Two engines simulate the *same* stochastic process — the paper's
+//! uniform random scheduler driving a population protocol — at different
+//! cost models; the count engine has two modes:
 //!
-//! | Engine | Memory | Cost per unit | Best regime |
-//! |--------|--------|---------------|-------------|
+//! | Engine (kind) | Memory | Cost per unit | Best regime |
+//! |---------------|--------|---------------|-------------|
 //! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, per-agent observers, external schedulers |
-//! | [`JumpSimulation`](crate::jump::JumpSimulation) (`jump`) | `O(#states)` | `O(log #states)` per *productive* interaction | long runs near silence, `n` up to ~10⁵–10⁶ |
-//! | [`CountSimulation`](crate::count::CountSimulation) (`count`) | `O(#states)` | amortised sub-productive-interaction stepping via batching | `n = 10⁶…10⁹`, far-from-silent regimes |
+//! | [`CountSimulation`](crate::count::CountSimulation), exact mode (`jump`) | `O(#states)` | `O(log #states)` per *productive* interaction; nulls skipped exactly | long runs near silence, `n` below [`EngineKind::AUTO_COUNT_THRESHOLD`] |
+//! | [`CountSimulation`](crate::count::CountSimulation), batched mode (`count`) | `O(#states)` | amortised sub-productive-interaction stepping via batching, exact steps near silence | `n = 10⁴…10⁹`, far-from-silent regimes |
 //!
 //! The trait is object-safe, so experiment drivers can select an engine at
-//! runtime (`--engine auto|naive|jump|count` in the CLI) and treat all
-//! three uniformly: stepping, running to silence with a cap, count-level
+//! runtime (`--engine auto|naive|jump|count` in the CLI) and treat them
+//! uniformly: stepping, running to silence with a cap, count-level
 //! observer hooks, transient-fault injection, and snapshot/restore.
-//! [`EngineKind::Auto`] picks the count engine at large `n` and the jump
-//! engine below, per protocol instance — heterogeneous sweeps get the
-//! right engine at every grid point.
+//! [`EngineKind::Auto`] picks batched mode at large `n` and exact mode
+//! below, per protocol instance — heterogeneous sweeps get the right
+//! engine at every grid point.
 //!
 //! # Examples
 //!
 //! ```
-//! use ssr_engine::engine::Engine;
-//! use ssr_engine::count::CountSimulation;
-//! use ssr_engine::jump::JumpSimulation;
+//! use ssr_engine::engine::{make_engine, Engine, EngineKind};
 //! use ssr_engine::protocol::{ClassSpec, InteractionSchema, Protocol, State};
 //!
 //! struct Ag { n: usize }
@@ -44,21 +42,18 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = Ag { n: 64 };
-//! let mut engines: Vec<Box<dyn Engine>> = vec![
-//!     Box::new(JumpSimulation::new(&p, vec![0; 64], 7)?),
-//!     Box::new(CountSimulation::new(&p, vec![0; 64], 7)?),
-//! ];
-//! for e in &mut engines {
-//!     let report = Engine::run_until_silent(e.as_mut(), u64::MAX)?;
+//! for kind in EngineKind::ALL {
+//!     let mut e = make_engine(kind, &p, vec![0; 64], 7, 1)?;
+//!     let report = e.run_until_silent(u64::MAX)?;
 //!     assert!(e.is_silent());
+//!     assert_eq!(e.engine_name(), kind.name());
 //!     assert!(report.interactions >= report.productive_interactions);
 //! }
-//! // Same seed ⇒ the jump and count engines walk the identical chain.
-//! assert_eq!(engines[0].interactions(), engines[1].interactions());
 //! # Ok(())
 //! # }
 //! ```
 
+use crate::count::CountSimulation;
 use crate::error::StabilisationTimeout;
 use crate::protocol::State;
 use crate::rng::Xoshiro256;
@@ -67,12 +62,13 @@ use crate::sim::StabilisationReport;
 /// Observer hook at the granularity every engine can afford: occupancy
 /// *counts*, not agent identities.
 ///
-/// The naive and jump engines invoke it once per productive interaction
-/// with `multiplicity == 1`, passing the post-transition counts. The
-/// count engine's batch mode coalesces a group of identical rewrites into
-/// a single call with the group size as `multiplicity`; all groups of one
-/// batch share the same post-**batch** counts and interaction clock
-/// (intermediate configurations inside a batch are not materialised).
+/// The naive engine and the count engine's exact steps invoke it once per
+/// productive interaction with `multiplicity == 1`, passing the
+/// post-transition counts. The count engine's batch mode coalesces a
+/// group of identical rewrites into a single call with the group size as
+/// `multiplicity`; all groups of one batch share the same post-**batch**
+/// counts and interaction clock (intermediate configurations inside a
+/// batch are not materialised).
 pub trait CountObserver {
     /// Called after productive interaction(s) have been applied.
     ///
@@ -146,8 +142,9 @@ pub struct EngineSnapshot {
     pub(crate) productive: u64,
     pub(crate) rng: Xoshiro256,
     /// Count-engine batching control state; `None` for snapshots taken
-    /// from other engines (the count engine then restores canonical
-    /// control state derived from the counts).
+    /// from the naive engine or written by older `jump` engines (the count
+    /// engine then restores canonical control state derived from the
+    /// counts, which exact mode never reads).
     pub(crate) count_ctl: Option<CountControl>,
 }
 
@@ -181,7 +178,7 @@ pub enum CappedAdvance {
     CapReached,
 }
 
-/// Byzantine occupancy overlay shared by the counts-based engines.
+/// Byzantine occupancy overlay of the count engine.
 ///
 /// `counts[s]` is the number of *stuck-at* agents currently in state `s`.
 /// Agents are anonymous in the counts representation, so whether a sampled
@@ -223,8 +220,8 @@ impl ByzOverlay {
     /// Decide whether the initiator / responder of a sampled productive
     /// pair `(si, sr)` are Byzantine. Consumes exactly two RNG draws when
     /// either state holds Byzantine mass and none otherwise, so the veto
-    /// is a deterministic function of (rng, counts) — identical across the
-    /// jump and count engines.
+    /// is a deterministic function of (rng, counts) — identical in the
+    /// count engine's exact and batched steps.
     pub(crate) fn veto(
         &self,
         rng: &mut Xoshiro256,
@@ -321,10 +318,9 @@ pub trait Engine {
     /// silent (nothing was executed).
     ///
     /// The quantum differs per engine: the naive engine executes one
-    /// scheduler draw (`Some(0)` for a null), the jump engine one
-    /// productive interaction plus its preceding nulls (`Some(1)`), and
-    /// the count engine either one productive interaction or — far from
-    /// silence — a whole batch (`Some(k)`).
+    /// scheduler draw (`Some(0)` for a null), the count engine one
+    /// productive interaction plus its preceding nulls (`Some(1)`) or — in
+    /// batched mode, far from silence — a whole batch (`Some(k)`).
     fn advance(&mut self) -> Option<u64>;
 
     /// Run until silent or until at least `max_interactions` have elapsed.
@@ -443,9 +439,10 @@ pub enum EngineKind {
     Auto,
     /// Step-by-step simulation over an agent vector.
     Naive,
-    /// Exact null-skipping jump chain over counts.
+    /// The exact null-skipping jump chain over counts: the count engine
+    /// with batching off.
     Jump,
-    /// Jump chain plus far-from-silence batching over counts.
+    /// The count engine with far-from-silence batching on.
     Count,
 }
 
@@ -456,9 +453,9 @@ impl EngineKind {
     /// [`Auto`]: EngineKind::Auto
     pub const ALL: [EngineKind; 3] = [EngineKind::Naive, EngineKind::Jump, EngineKind::Count];
 
-    /// Population size from which [`Auto`](EngineKind::Auto) prefers the
-    /// count engine: below it the jump engine's lower per-step constant
-    /// wins, above it batching dominates.
+    /// Population size from which [`Auto`](EngineKind::Auto) turns the
+    /// count engine's batching on: below 4096 it chooses batching off
+    /// (exact mode); above it batching dominates.
     pub const AUTO_COUNT_THRESHOLD: usize = 4096;
 
     /// Parse `"auto"`, `"naive"`, `"jump"` or `"count"`.
@@ -513,31 +510,18 @@ impl std::fmt::Display for EngineKind {
 /// Build a boxed engine of the requested kind over a shared protocol
 /// ([`EngineKind::Auto`] resolves against the protocol's population size).
 ///
-/// # Errors
-///
-/// Propagates configuration validation errors from the engine constructor.
-pub fn make_engine<'a, P>(
-    kind: EngineKind,
-    protocol: &'a P,
-    config: Vec<State>,
-    seed: u64,
-) -> Result<Box<dyn Engine + 'a>, crate::error::ConfigError>
-where
-    P: crate::protocol::InteractionSchema + ?Sized + 'a,
-{
-    make_engine_threaded(kind, protocol, config, seed, 1)
-}
-
-/// [`make_engine`] with a worker-thread budget for the count engine's
-/// parallel batch splits (0 = one per available core; other kinds ignore
-/// it). Count-engine trajectories are bit-identical for a fixed seed
-/// regardless of `threads` — see
+/// `threads` is the worker-thread budget for the count engine's parallel
+/// batch splits (0 = one per available core). Only the batched `count`
+/// kind uses it: `naive` has no splits, and `jump` — count with batching
+/// off — never dispatches to the pool, so it spawns no workers. Count
+/// trajectories are bit-identical for a fixed seed regardless of
+/// `threads` — see
 /// [`CountSimulation::with_threads`](crate::count::CountSimulation::with_threads).
 ///
 /// # Errors
 ///
 /// Propagates configuration validation errors from the engine constructor.
-pub fn make_engine_threaded<'a, P>(
+pub fn make_engine<'a, P>(
     kind: EngineKind,
     protocol: &'a P,
     config: Vec<State>,
@@ -550,19 +534,22 @@ where
     Ok(match kind.resolve(protocol.population_size()) {
         EngineKind::Auto => unreachable!("resolve returns a concrete kind"),
         EngineKind::Naive => Box::new(crate::sim::Simulation::new(protocol, config, seed)?),
-        EngineKind::Jump => Box::new(crate::jump::JumpSimulation::new(protocol, config, seed)?),
-        EngineKind::Count => Box::new(
-            crate::count::CountSimulation::new(protocol, config, seed)?.with_threads(threads),
-        ),
+        EngineKind::Jump => {
+            Box::new(CountSimulation::new(protocol, config, seed)?.with_batching(false))
+        }
+        EngineKind::Count => {
+            Box::new(CountSimulation::new(protocol, config, seed)?.with_threads(threads))
+        }
     })
 }
 
 /// Build a boxed engine directly from per-state occupancy counts, skipping
-/// the agent vector entirely. The count and jump engines consume the
-/// counts as-is (`O(#states)` construction); the naive engine expands them
-/// into a state-sorted agent vector. At `n = 10⁹` this is what keeps a
-/// scenario's peak memory at the counts footprint instead of an extra
-/// `4n`-byte agent array.
+/// the agent vector entirely. The count engine, in either mode, consumes
+/// the counts as-is (`O(#states)` construction); the naive engine expands
+/// them into a state-sorted agent vector, so its trajectory differs from a
+/// [`make_engine`] run over the original agent order. At `n = 10⁹` this
+/// is what keeps a scenario's peak memory at the counts footprint instead
+/// of an extra `4n`-byte agent array.
 ///
 /// # Errors
 ///
@@ -585,12 +572,11 @@ where
             seed,
         )?),
         EngineKind::Jump => {
-            Box::new(crate::jump::JumpSimulation::from_counts(protocol, counts, seed)?)
+            Box::new(CountSimulation::from_counts(protocol, counts, seed)?.with_batching(false))
         }
-        EngineKind::Count => Box::new(
-            crate::count::CountSimulation::from_counts(protocol, counts, seed)?
-                .with_threads(threads),
-        ),
+        EngineKind::Count => {
+            Box::new(CountSimulation::from_counts(protocol, counts, seed)?.with_threads(threads))
+        }
     })
 }
 
@@ -652,13 +638,13 @@ mod tests {
     #[test]
     fn factory_resolves_auto() {
         let small = Ag { n: 24 };
-        let e = make_engine(EngineKind::Auto, &small, vec![0; 24], 3).unwrap();
+        let e = make_engine(EngineKind::Auto, &small, vec![0; 24], 3, 1).unwrap();
         assert_eq!(e.engine_name(), "jump");
         let big = Ag {
             n: EngineKind::AUTO_COUNT_THRESHOLD,
         };
         let cfg = vec![0; big.n];
-        let e = make_engine(EngineKind::Auto, &big, cfg, 3).unwrap();
+        let e = make_engine(EngineKind::Auto, &big, cfg, 3, 1).unwrap();
         assert_eq!(e.engine_name(), "count");
     }
 
@@ -666,7 +652,7 @@ mod tests {
     fn factory_builds_all_kinds_and_they_stabilise() {
         let p = Ag { n: 24 };
         for kind in EngineKind::ALL {
-            let mut e = make_engine(kind, &p, vec![0; 24], 9).unwrap();
+            let mut e = make_engine(kind, &p, vec![0; 24], 9, 1).unwrap();
             assert_eq!(e.engine_name(), kind.name());
             assert_eq!(e.population_size(), 24);
             let rep = e.run_until_silent(u64::MAX).unwrap();
@@ -681,17 +667,17 @@ mod tests {
     fn advance_semantics_per_engine() {
         let p = Ag { n: 16 };
         // Naive: every call executes exactly one interaction.
-        let mut naive = make_engine(EngineKind::Naive, &p, vec![0; 16], 3).unwrap();
+        let mut naive = make_engine(EngineKind::Naive, &p, vec![0; 16], 3, 1).unwrap();
         let before = naive.interactions();
         let quantum = naive.advance().unwrap();
         assert!(quantum <= 1);
         assert_eq!(naive.interactions(), before + 1);
         // Jump: every call executes exactly one productive interaction.
-        let mut jump = make_engine(EngineKind::Jump, &p, vec![0; 16], 3).unwrap();
+        let mut jump = make_engine(EngineKind::Jump, &p, vec![0; 16], 3, 1).unwrap();
         assert_eq!(jump.advance(), Some(1));
         assert_eq!(jump.productive_interactions(), 1);
         // Silent engines return None and never advance.
-        let mut silent = make_engine(EngineKind::Count, &p, (0..16).collect(), 3).unwrap();
+        let mut silent = make_engine(EngineKind::Count, &p, (0..16).collect(), 3, 1).unwrap();
         assert_eq!(silent.advance(), None);
         assert_eq!(silent.interactions(), 0);
     }
@@ -700,7 +686,7 @@ mod tests {
     fn observers_see_all_productive_mass() {
         let p = Ag { n: 12 };
         for kind in EngineKind::ALL {
-            let mut e = make_engine(kind, &p, vec![0; 12], 5).unwrap();
+            let mut e = make_engine(kind, &p, vec![0; 12], 5, 1).unwrap();
             let mut seen = 0u64;
             let mut obs = FnCountObserver(|_i, _b, _a, mult, _c: &[u32]| seen += mult);
             let rep = e.run_until_silent_observed(u64::MAX, &mut obs).unwrap();
@@ -713,7 +699,7 @@ mod tests {
     fn fault_injection_and_recovery_through_the_trait() {
         let p = Ag { n: 10 };
         for kind in EngineKind::ALL {
-            let mut e = make_engine(kind, &p, (0..10).collect(), 7).unwrap();
+            let mut e = make_engine(kind, &p, (0..10).collect(), 7, 1).unwrap();
             assert!(e.is_silent());
             e.inject_state_fault(0, 4);
             assert!(!e.is_silent(), "{kind}");
@@ -726,7 +712,7 @@ mod tests {
     fn snapshot_restore_replays_exactly_per_engine() {
         let p = Ag { n: 12 };
         for kind in EngineKind::ALL {
-            let mut e = make_engine(kind, &p, vec![0; 12], 11).unwrap();
+            let mut e = make_engine(kind, &p, vec![0; 12], 11, 1).unwrap();
             for _ in 0..5 {
                 e.advance();
             }
@@ -745,12 +731,12 @@ mod tests {
     #[test]
     fn cross_engine_snapshot_restore_continues_the_configuration() {
         let p = Ag { n: 10 };
-        let mut jump = make_engine(EngineKind::Jump, &p, vec![0; 10], 13).unwrap();
+        let mut jump = make_engine(EngineKind::Jump, &p, vec![0; 10], 13, 1).unwrap();
         jump.advance();
         let snap = jump.snapshot();
         // A count-only snapshot restores into the naive engine too (agents
         // are reconstructed from counts; anonymity makes that equivalent).
-        let mut naive = make_engine(EngineKind::Naive, &p, vec![0; 10], 13).unwrap();
+        let mut naive = make_engine(EngineKind::Naive, &p, vec![0; 10], 13, 1).unwrap();
         naive.restore(&snap);
         assert_eq!(naive.counts(), snap.counts());
         assert_eq!(naive.interactions(), snap.interactions());

@@ -57,8 +57,8 @@
 //! Experiment EF in `exp_faults` uses the one-shot machinery to connect
 //! Theorem 1's `O(k·n^{3/2})` bound to an operational fault-tolerance
 //! statement; experiment AD in `exp_adversary` drives timed plans through
-//! the jump and count engines and cross-validates their recovery-time
-//! distributions.
+//! the count engine's exact and batched modes and cross-validates their
+//! recovery-time distributions.
 //!
 //! # Examples
 //!
@@ -87,7 +87,7 @@
 //! let p = Ag { n: 32 };
 //! // Start perfect, hit 4 agents at parallel time ~16, watch it recover.
 //! let plan = FaultPlan::new().burst_at(512, 4);
-//! let mut engine = make_engine(EngineKind::Jump, &p, (0..32).collect(), 7)?;
+//! let mut engine = make_engine(EngineKind::Jump, &p, (0..32).collect(), 7, 1)?;
 //! let outcome = run_with_plan(engine.as_mut(), &plan, 99, u64::MAX);
 //! assert!(outcome.silent);
 //! assert_eq!(outcome.bursts.len(), 1);
@@ -234,9 +234,8 @@ pub struct RecoveryReport {
 /// Start the protocol in its silent perfect ranking, corrupt `faults`
 /// uniformly random agents, and run until the population is silent again
 /// on the engine [`EngineKind::Auto`] selects for the population size —
-/// the exact jump chain below the count threshold (where per-seed results
-/// are unchanged from the historical jump-only implementation), the
-/// batched count engine above it.
+/// the exact jump chain below the count threshold, the batched count
+/// engine above it.
 ///
 /// This is the operational restatement of the paper's `k`-distant
 /// experiment: `faults` random corruptions produce a configuration that
@@ -757,8 +756,8 @@ pub fn run_with_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::count::CountSimulation;
     use crate::engine::make_engine;
-    use crate::jump::JumpSimulation;
     use crate::protocol::{ClassSpec, Protocol};
 
     struct Ag {
@@ -875,9 +874,9 @@ mod tests {
     }
 
     #[test]
-    fn recovery_is_seed_compatible_with_the_jump_path() {
+    fn recovery_is_seed_compatible_with_the_exact_chain() {
         // Below the auto-count threshold the generalised runner must
-        // reproduce the historical jump-only implementation bit for bit.
+        // reproduce a plain exact-chain run bit for bit.
         let p = Ag { n: 32 };
         for (f, seed) in [(3usize, 7u64), (10, 99)] {
             let rep = recovery_after_faults(&p, f, seed, u64::MAX).unwrap();
@@ -885,7 +884,9 @@ mod tests {
             let mut counts = vec![1u32; 32];
             let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x5eed_f417);
             let applied = perturb_counts(&mut counts, 32, f, &mut rng);
-            let mut sim = JumpSimulation::from_counts(&p, counts, seed).unwrap();
+            let mut sim = CountSimulation::from_counts(&p, counts, seed)
+                .unwrap()
+                .with_batching(false);
             let reference = sim.run_until_silent(u64::MAX).unwrap();
             assert_eq!(rep.faults_applied, applied);
             assert_eq!(rep.recovered, reference);
@@ -931,13 +932,15 @@ mod tests {
         let p = Ag { n: 24 };
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
-        let mut engine = make_engine(EngineKind::Jump, &p, vec![0; 24], 5).unwrap();
+        let mut engine = make_engine(EngineKind::Jump, &p, vec![0; 24], 5, 1).unwrap();
         let outcome = run_with_plan(engine.as_mut(), &plan, 1, u64::MAX);
         assert!(outcome.silent);
         assert_eq!(outcome.faults_injected, 0);
         assert!(outcome.bursts.is_empty());
         // The trajectory is the engine's own: same as a direct run.
-        let mut reference = JumpSimulation::new(&p, vec![0; 24], 5).unwrap();
+        let mut reference = CountSimulation::new(&p, vec![0; 24], 5)
+            .unwrap()
+            .with_batching(false);
         let rep = reference.run_until_silent(u64::MAX).unwrap();
         assert_eq!(outcome.report, rep);
     }
@@ -946,7 +949,7 @@ mod tests {
     fn mid_run_burst_is_recorded_and_recovered() {
         let p = Ag { n: 32 };
         let plan = FaultPlan::new().burst_at(5_000, 6);
-        let mut engine = make_engine(EngineKind::Jump, &p, (0..32).collect(), 3).unwrap();
+        let mut engine = make_engine(EngineKind::Jump, &p, (0..32).collect(), 3, 1).unwrap();
         let outcome = run_with_plan(engine.as_mut(), &plan, 17, u64::MAX);
         assert!(outcome.silent);
         assert_eq!(outcome.faults_injected, 6);
@@ -965,7 +968,7 @@ mod tests {
         // engine skips the nulls to get there) and the run must recover.
         let p = Ag { n: 16 };
         let plan = FaultPlan::new().burst_at(100_000, 3);
-        let mut engine = make_engine(EngineKind::Jump, &p, (0..16).collect(), 7).unwrap();
+        let mut engine = make_engine(EngineKind::Jump, &p, (0..16).collect(), 7, 1).unwrap();
         let outcome = run_with_plan(engine.as_mut(), &plan, 23, u64::MAX);
         assert!(outcome.silent);
         assert_eq!(outcome.bursts.len(), 1);
@@ -976,7 +979,7 @@ mod tests {
     fn byzantine_run_reports_availability_instead_of_timing_out() {
         let p = Ag { n: 16 };
         let plan = FaultPlan::new().byzantine(2);
-        let mut engine = make_engine(EngineKind::Jump, &p, vec![0; 16], 11).unwrap();
+        let mut engine = make_engine(EngineKind::Jump, &p, vec![0; 16], 11, 1).unwrap();
         let horizon = 200_000u64;
         let outcome = run_with_plan(engine.as_mut(), &plan, 5, horizon);
         // Two agents stuck in state 0 keep producing (0,0) rewrites with
@@ -992,7 +995,7 @@ mod tests {
     fn unbounded_persistent_plan_is_rejected() {
         let p = Ag { n: 8 };
         let plan = FaultPlan::new().rate(0.01);
-        let mut engine = make_engine(EngineKind::Jump, &p, vec![0; 8], 1).unwrap();
+        let mut engine = make_engine(EngineKind::Jump, &p, vec![0; 8], 1, 1).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_with_plan(engine.as_mut(), &plan, 1, u64::MAX)
         }));
@@ -1003,7 +1006,7 @@ mod tests {
     fn churn_conserves_population_and_counts_events() {
         let p = Ag { n: 24 };
         let plan = FaultPlan::new().churn(1e-3);
-        let mut engine = make_engine(EngineKind::Jump, &p, vec![0; 24], 13).unwrap();
+        let mut engine = make_engine(EngineKind::Jump, &p, vec![0; 24], 13, 1).unwrap();
         let outcome = run_with_plan(engine.as_mut(), &plan, 29, 2_000_000);
         assert_eq!(engine.counts().iter().map(|&c| c as u64).sum::<u64>(), 24);
         assert!(outcome.churn_events > 0);

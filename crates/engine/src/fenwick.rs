@@ -1,10 +1,9 @@
 //! Fenwick (binary indexed) tree over `u64` weights with O(log n) point
 //! updates and O(log n) weighted sampling.
 //!
-//! The jump-chain simulator keeps one Fenwick tree of per-state productive
-//! weights `c_s(c_s − 1)` and one of raw occupancies `c_s`; both need fast
-//! "sample an index proportional to weight" queries, which the classic
-//! Fenwick descend provides.
+//! The fault injector walks one over the occupancy counts `c_s` to pick
+//! burst victims, a "sample an index proportional to weight" query that
+//! the classic Fenwick descend answers.
 //!
 //! # Examples
 //!

@@ -22,35 +22,35 @@
 //! split batches), and exhaustive validation
 //! ([`protocol::validate_interaction_schema`]).
 //!
-//! ## The engine hierarchy
+//! ## The engines
 //!
-//! Three interchangeable engines simulate the identical stochastic process
+//! Two interchangeable engines simulate the identical stochastic process
 //! behind the unified [`Engine`](engine::Engine) trait (select one at
 //! runtime with [`engine::EngineKind`] — `Auto` resolves per population
 //! size — through the [`Scenario`](runner::Scenario) builder,
 //! [`engine::make_engine`], or `--engine auto|naive|jump|count` in the
-//! CLI):
+//! CLI). The count engine runs in one of two modes:
 //!
-//! | Engine | Memory | Cost model | Use when |
-//! |--------|--------|-----------|----------|
+//! | Engine (kind) | Memory | Cost model | Use when |
+//! |---------------|--------|-----------|----------|
 //! | [`Simulation`] (`naive`) | `O(n)` agent vector | O(1) per *interaction*, nulls included | small `n`; agent-level observers; external [`Scheduler`]s |
-//! | [`JumpSimulation`] (`jump`) | `O(#states)` counts | O(log #states) per *productive* interaction; nulls skipped exactly | long runs near silence; `n ≲ 10⁶` |
-//! | [`CountSimulation`] (`count`) | `O(#states)` counts (block sums over derived leaves — ≈ `1.1n` bytes of weight overhead beyond the counts) | amortised **sub-productive-interaction**: far from silence a whole batch of exchangeable steps costs O(occupied) binomial draws, across *every* exchangeable class, fanned out over a thread pool with seed-derived per-task RNG streams | `n = 10⁶…10⁹`; scale experiments |
+//! | [`CountSimulation`], exact mode (`jump`) | `O(#states)` counts | O(log #states) per *productive* interaction; nulls skipped exactly | long runs near silence; `n` below 4096 under `Auto` |
+//! | [`CountSimulation`], batched mode (`count`) | `O(#states)` counts (block sums over derived leaves — ≈ `1.1n` bytes of weight overhead beyond the counts) | amortised **sub-productive-interaction**: far from silence a whole batch of exchangeable steps costs O(occupied) binomial draws, across *every* exchangeable class, fanned out over a thread pool with seed-derived per-task RNG streams | `n = 10⁴…10⁹`; scale experiments |
 //!
 //! The naive engine is the literal model — use it as ground truth and for
-//! anything that needs agent identities. The jump engine simulates the
-//! embedded chain of productive interactions with geometric null gaps —
-//! *exactly* the same process, orders of magnitude faster once the
-//! configuration approaches silence. The count engine additionally batches
-//! statistically-exchangeable productive steps via per-class multinomial
-//! splitting when far from silence — equal-rank mass through a binary
-//! weight tree, extra–extra and rank–extra mass through two-population
-//! splits — and falls back to exact jump-chain stepping (same RNG
-//! consumption, identical per-seed trajectory) near silence; its
-//! stabilisation-time distribution is KS-indistinguishable from the other
-//! two (asserted in `tests/cross_simulator.rs`). Batch splits are
-//! conditionally independent given the class totals, so the count engine
-//! fans them out over a small thread pool
+//! anything that needs agent identities. The count engine's exact mode
+//! ([`CountSimulation::with_batching`](count::CountSimulation::with_batching)
+//! off) simulates the embedded chain of productive interactions with
+//! geometric null gaps — *exactly* the same process, orders of magnitude
+//! faster once the configuration approaches silence. Batched mode
+//! additionally batches statistically-exchangeable productive steps via
+//! per-class multinomial splitting when far from silence — equal-rank
+//! mass through a binary weight tree, extra–extra and rank–extra mass
+//! through two-population splits — and falls back to exact steps near
+//! silence; its stabilisation-time distribution is KS-indistinguishable
+//! from the exact chain (asserted in `tests/cross_simulator.rs`). Batch
+//! splits are conditionally independent given the class totals, so
+//! batched mode fans them out over a small thread pool
 //! ([`CountSimulation::with_threads`](count::CountSimulation::with_threads),
 //! threaded through [`Scenario::threads`](runner::Scenario::threads) and
 //! `--threads` in the CLI) — with per-task RNG streams derived from the
@@ -73,20 +73,19 @@
 //!   graceful non-convergence reporting ([`RunOutcome`]: availability,
 //!   `k`-excursions, per-burst recovery times).
 //! * [`sim`] — the naive step-by-step simulator with observer hooks.
-//! * [`jump`] — the exact jump-chain simulator (skips null interactions,
-//!   same stochastic process, orders of magnitude faster near silence).
-//! * [`count`] — the count-based batched simulator (O(#states) memory,
-//!   amortised sub-interaction stepping far from silence).
+//! * [`count`] — the count-based simulator (O(#states) memory): the exact
+//!   jump chain, plus amortised sub-interaction batching far from silence.
 //! * [`init`] — initial-configuration generators (`k`-distant, uniform
 //!   random, stacked, …).
-//! * [`observer`] — invariant checkers and time-series recorders.
+//! * [`observer`] — the naive simulator's agent-level observer hook and
+//!   the fault-plan [`RecoveryTracker`].
 //! * [`rng`], [`fenwick`] — deterministic RNG and weighted sampling.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use ssr_engine::protocol::{ClassSpec, InteractionSchema, Protocol, State};
-//! use ssr_engine::jump::JumpSimulation;
+//! use ssr_engine::count::CountSimulation;
 //!
 //! /// The generic state-optimal ranking protocol A_G.
 //! struct Ag { n: usize }
@@ -107,7 +106,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let protocol = Ag { n: 100 };
-//! let mut sim = JumpSimulation::new(&protocol, vec![0; 100], 1)?;
+//! let mut sim = CountSimulation::new(&protocol, vec![0; 100], 1)?.with_batching(false);
 //! let report = sim.run_until_silent(u64::MAX)?;
 //! println!("stabilised in parallel time {:.1}", report.parallel_time);
 //! # Ok(())
@@ -130,7 +129,6 @@ pub mod error;
 pub mod faults;
 pub mod fenwick;
 pub mod init;
-pub mod jump;
 pub mod observer;
 pub mod protocol;
 pub mod rng;
@@ -141,8 +139,8 @@ pub mod wire;
 
 pub use count::CountSimulation;
 pub use engine::{
-    make_engine, make_engine_from_counts, make_engine_threaded, CappedAdvance, CountObserver,
-    Engine, EngineKind, EngineSnapshot,
+    make_engine, make_engine_from_counts, CappedAdvance, CountObserver, Engine, EngineKind,
+    EngineSnapshot,
 };
 pub use error::{ConfigError, StabilisationTimeout};
 pub use faults::{
@@ -150,12 +148,11 @@ pub use faults::{
     RecoveryReport, RunOutcome,
 };
 pub use observer::RecoveryTracker;
-pub use jump::JumpSimulation;
 pub use protocol::{
     validate_interaction_schema, ClassSpec, CrossDirection, InteractionClass, InteractionSchema,
     Protocol, State,
 };
-pub use runner::{run_trials, Init, Scenario, TrialConfig, TrialResults};
+pub use runner::{Init, Scenario, TrialResults};
 pub use schedule::{ClusteredScheduler, Scheduler, UniformScheduler, ZipfScheduler};
 pub use sim::{Simulation, StabilisationReport};
 pub use wire::{SnapshotDecodeError, SnapshotShape, SNAPSHOT_WIRE_VERSION};

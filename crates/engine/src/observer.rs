@@ -3,11 +3,10 @@
 //! Observers are invoked on every **productive** interaction (null
 //! interactions cannot change any quantity derived from the configuration,
 //! so nothing is lost by skipping them) and receive the post-transition
-//! occupancy counts. They power the invariant tests for the paper's Facts
-//! and Lemmas, and the time-series recordings in the experiment binaries.
+//! occupancy counts.
 //!
 //! The [`Observer`] trait here is the naive simulator's agent-level hook.
-//! The engine-level, counts-only hook shared by all three engines is
+//! The engine-level, counts-only hook shared by every engine is
 //! [`CountObserver`](crate::engine::CountObserver); this module provides
 //! its main production implementation, [`RecoveryTracker`], which
 //! integrates availability and `k`-distance excursions for the adversary
@@ -80,168 +79,6 @@ impl<F: FnMut(u64, &TransitionEvent, &[u32])> Observer for FnObserver<F> {
     #[inline]
     fn on_transition(&mut self, step: u64, event: &TransitionEvent, counts: &[u32]) {
         (self.0)(step, event, counts)
-    }
-}
-
-/// Checks a configuration invariant after every productive interaction and
-/// records the first violation instead of panicking, so tests can assert on
-/// it with context.
-pub struct InvariantChecker<F> {
-    check: F,
-    violation: Option<(u64, String)>,
-    name: &'static str,
-}
-
-impl<F: FnMut(&[u32]) -> Result<(), String>> InvariantChecker<F> {
-    /// Create a checker with a diagnostic name.
-    pub fn new(name: &'static str, check: F) -> Self {
-        InvariantChecker {
-            check,
-            violation: None,
-            name,
-        }
-    }
-
-    /// First violation, if any: `(step, message)`.
-    pub fn violation(&self) -> Option<&(u64, String)> {
-        self.violation.as_ref()
-    }
-
-    /// Panic with context if the invariant was ever violated.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a violation was recorded.
-    pub fn assert_held(&self) {
-        if let Some((step, msg)) = &self.violation {
-            panic!(
-                "invariant '{}' violated at interaction {step}: {msg}",
-                self.name
-            );
-        }
-    }
-}
-
-impl<F: FnMut(&[u32]) -> Result<(), String>> Observer for InvariantChecker<F> {
-    fn on_transition(&mut self, step: u64, _event: &TransitionEvent, counts: &[u32]) {
-        if self.violation.is_none() {
-            if let Err(msg) = (self.check)(counts) {
-                self.violation = Some((step, msg));
-            }
-        }
-    }
-}
-
-impl<F> std::fmt::Debug for InvariantChecker<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InvariantChecker")
-            .field("name", &self.name)
-            .field("violation", &self.violation)
-            .finish()
-    }
-}
-
-/// Records `(interaction, value)` samples of a scalar metric, at most once
-/// every `resolution` interactions (metrics derived from the configuration
-/// only change on productive steps, so this loses nothing between samples).
-pub struct TimeSeries<F> {
-    metric: F,
-    resolution: u64,
-    last_recorded: Option<u64>,
-    samples: Vec<(u64, f64)>,
-}
-
-impl<F: FnMut(&[u32]) -> f64> TimeSeries<F> {
-    /// Record at most one sample per `resolution` interactions.
-    pub fn new(resolution: u64, metric: F) -> Self {
-        TimeSeries {
-            metric,
-            resolution: resolution.max(1),
-            last_recorded: None,
-            samples: Vec::new(),
-        }
-    }
-
-    /// The recorded `(interaction, value)` samples.
-    pub fn samples(&self) -> &[(u64, f64)] {
-        &self.samples
-    }
-
-    /// Consume the recorder, returning its samples.
-    pub fn into_samples(self) -> Vec<(u64, f64)> {
-        self.samples
-    }
-}
-
-impl<F: FnMut(&[u32]) -> f64> Observer for TimeSeries<F> {
-    fn on_transition(&mut self, step: u64, _event: &TransitionEvent, counts: &[u32]) {
-        let due = match self.last_recorded {
-            None => true,
-            Some(last) => step - last >= self.resolution,
-        };
-        if due {
-            self.samples.push((step, (self.metric)(counts)));
-            self.last_recorded = Some(step);
-        }
-    }
-}
-
-impl<F> std::fmt::Debug for TimeSeries<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimeSeries")
-            .field("resolution", &self.resolution)
-            .field("samples", &self.samples.len())
-            .finish()
-    }
-}
-
-/// Bounded log of the most recent productive interactions (ring buffer) —
-/// post-mortem debugging for tests and examples without unbounded memory.
-#[derive(Debug, Clone)]
-pub struct EventLog {
-    capacity: usize,
-    events: std::collections::VecDeque<(u64, TransitionEvent)>,
-    total: u64,
-}
-
-impl EventLog {
-    /// Keep at most `capacity` recent events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "event log needs positive capacity");
-        EventLog {
-            capacity,
-            events: std::collections::VecDeque::with_capacity(capacity),
-            total: 0,
-        }
-    }
-
-    /// Recorded `(interaction, event)` pairs, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(u64, TransitionEvent)> {
-        self.events.iter()
-    }
-
-    /// Total productive interactions observed (including evicted ones).
-    pub fn total_observed(&self) -> u64 {
-        self.total
-    }
-
-    /// The most recent event, if any.
-    pub fn last(&self) -> Option<&(u64, TransitionEvent)> {
-        self.events.back()
-    }
-}
-
-impl Observer for EventLog {
-    fn on_transition(&mut self, step: u64, event: &TransitionEvent, _counts: &[u32]) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back((step, *event));
-        self.total += 1;
     }
 }
 
@@ -453,89 +290,9 @@ impl CountObserver for RecoveryTracker {
     }
 }
 
-/// Chains two observers, invoking both.
-#[derive(Debug)]
-pub struct Pair<A, B>(pub A, pub B);
-
-impl<A: Observer, B: Observer> Observer for Pair<A, B> {
-    #[inline]
-    fn on_transition(&mut self, step: u64, event: &TransitionEvent, counts: &[u32]) {
-        self.0.on_transition(step, event, counts);
-        self.1.on_transition(step, event, counts);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev() -> TransitionEvent {
-        TransitionEvent {
-            initiator: 0,
-            responder: 1,
-            before: (0, 0),
-            after: (0, 1),
-        }
-    }
-
-    #[test]
-    fn invariant_checker_records_first_violation_only() {
-        let mut calls = 0;
-        let mut chk = InvariantChecker::new("test", |_c: &[u32]| {
-            calls += 1;
-            Err("boom".to_string())
-        });
-        chk.on_transition(5, &ev(), &[1, 1]);
-        chk.on_transition(9, &ev(), &[1, 1]);
-        let (step, msg) = chk.violation().unwrap();
-        assert_eq!(*step, 5);
-        assert_eq!(msg, "boom");
-    }
-
-    #[test]
-    #[should_panic(expected = "invariant 'k'")]
-    fn assert_held_panics_on_violation() {
-        let mut chk = InvariantChecker::new("k", |_c: &[u32]| Err("x".into()));
-        chk.on_transition(1, &ev(), &[]);
-        chk.assert_held();
-    }
-
-    #[test]
-    fn invariant_checker_passes_clean() {
-        let mut chk = InvariantChecker::new("ok", |_c: &[u32]| Ok(()));
-        chk.on_transition(1, &ev(), &[]);
-        chk.assert_held();
-        assert!(chk.violation().is_none());
-    }
-
-    #[test]
-    fn time_series_respects_resolution() {
-        let mut ts = TimeSeries::new(10, |c: &[u32]| c.iter().sum::<u32>() as f64);
-        for step in [1u64, 2, 3, 11, 12, 30] {
-            ts.on_transition(step, &ev(), &[2, 3]);
-        }
-        let steps: Vec<u64> = ts.samples().iter().map(|&(s, _)| s).collect();
-        assert_eq!(steps, vec![1, 11, 30]);
-        assert!(ts.samples().iter().all(|&(_, v)| v == 5.0));
-    }
-
-    #[test]
-    fn event_log_bounds_memory_and_counts_all() {
-        let mut log = EventLog::new(3);
-        for step in 1..=10u64 {
-            log.on_transition(step, &ev(), &[]);
-        }
-        assert_eq!(log.total_observed(), 10);
-        let steps: Vec<u64> = log.events().map(|&(s, _)| s).collect();
-        assert_eq!(steps, vec![8, 9, 10]);
-        assert_eq!(log.last().unwrap().0, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive capacity")]
-    fn event_log_rejects_zero_capacity() {
-        EventLog::new(0);
-    }
 
     #[test]
     fn recovery_tracker_integrates_availability_and_recovery() {
@@ -587,20 +344,5 @@ mod tests {
         tr.finalize(100);
         assert!(tr.availability() < 1e-12);
         assert_eq!(tr.max_k(), 2);
-    }
-
-    #[test]
-    fn pair_invokes_both() {
-        let mut a = 0u64;
-        let mut b = 0u64;
-        {
-            let mut p = Pair(
-                FnObserver::new(|_, _: &TransitionEvent, _: &[u32]| a += 1),
-                FnObserver::new(|_, _: &TransitionEvent, _: &[u32]| b += 1),
-            );
-            p.on_transition(1, &ev(), &[]);
-            p.on_transition(2, &ev(), &[]);
-        }
-        assert_eq!((a, b), (2, 2));
     }
 }

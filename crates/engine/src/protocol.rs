@@ -10,10 +10,10 @@
 //!
 //! # The interaction schema
 //!
-//! The fast engines (`jump`, `count`) never sample null interactions: they
-//! need to know the exact set of *productive* ordered state pairs, its
-//! total weight under the current occupancy counts, and which parts of it
-//! can be batched. Protocols declare this once, declaratively, through
+//! The count engine (kinds `jump` and `count`) never samples null
+//! interactions: it needs to know the exact set of *productive* ordered
+//! state pairs, its total weight under the current occupancy counts, and
+//! which parts of it can be batched. Protocols declare this once, declaratively, through
 //! [`InteractionSchema::interaction_classes`]: a list of [`ClassSpec`]s,
 //! each naming one [`InteractionClass`] with an exchangeability flag.
 //!
@@ -33,7 +33,7 @@
 //! [`validate_interaction_schema`] checks both exhaustively against the
 //! transition function for small instances and is used throughout the test
 //! suites. One schema drives everything downstream: exact productive-pair
-//! sampling in the jump engine, per-class batching in the count engine, and
+//! sampling in exact mode, per-class batching in batched mode, and
 //! the validators.
 //!
 //! # The ranking contract

@@ -190,8 +190,9 @@ impl Xoshiro256 {
     /// Number of consecutive failures before the first success of a
     /// Bernoulli(`p`) process (a geometric variate with support `{0,1,...}`).
     ///
-    /// Used by the jump-chain simulator to account for skipped null
-    /// interactions. `p` is clamped to `(0, 1]`; `p >= 1` always returns 0.
+    /// Used by the fault executor to draw the gaps between background
+    /// fault and churn events. `p` is clamped to `(0, 1]`; `p >= 1` always
+    /// returns 0.
     /// Saturates at `u64::MAX`; callers whose mean `(1-p)/p` can approach
     /// that (the count engine near silence at `n ≥ 2³¹`) must use
     /// [`geometric_wide`](Self::geometric_wide) instead.

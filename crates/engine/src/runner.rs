@@ -47,58 +47,13 @@
 //! assert_eq!(results.success_rate(), 1.0);
 //! ```
 
-use crate::engine::{make_engine_from_counts, make_engine_threaded, Engine, EngineKind};
+use crate::engine::{make_engine, make_engine_from_counts, Engine, EngineKind};
 use crate::error::{ConfigError, StabilisationTimeout};
 use crate::faults::{run_with_plan, FaultPlan, RunOutcome};
 use crate::init::{self, DuplicatePlacement};
 use crate::protocol::{InteractionSchema, State};
 use crate::rng::{derive_seed, Xoshiro256};
 use crate::sim::StabilisationReport;
-
-/// Parameters for a batch of independent trials (the flat, non-builder
-/// form consumed by [`run_trials`]; [`Scenario`] is the richer interface).
-#[derive(Debug, Clone)]
-pub struct TrialConfig {
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Per-trial interaction cap.
-    pub max_interactions: u64,
-    /// Base seed; trial `t` uses `derive_seed(base_seed, t)`.
-    pub base_seed: u64,
-    /// Worker threads (0 = one per available core).
-    pub threads: usize,
-}
-
-impl TrialConfig {
-    /// Config with the given number of trials and permissive defaults
-    /// (unbounded interactions, seed 0, auto thread count).
-    pub fn new(trials: usize) -> Self {
-        TrialConfig {
-            trials,
-            max_interactions: u64::MAX,
-            base_seed: 0,
-            threads: 0,
-        }
-    }
-
-    /// Set the per-trial interaction cap.
-    pub fn with_max_interactions(mut self, max: u64) -> Self {
-        self.max_interactions = max;
-        self
-    }
-
-    /// Set the base seed.
-    pub fn with_base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Set the number of worker threads (0 = auto).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
 
 /// Results of a batch of trials, in trial order.
 #[derive(Debug, Clone)]
@@ -144,16 +99,6 @@ impl TrialResults {
             .iter()
             .filter_map(|r| r.as_ref().ok().map(|rep| rep.interactions))
             .collect()
-    }
-}
-
-impl FromIterator<Result<StabilisationReport, StabilisationTimeout>> for TrialResults {
-    fn from_iter<I: IntoIterator<Item = Result<StabilisationReport, StabilisationTimeout>>>(
-        iter: I,
-    ) -> Self {
-        TrialResults {
-            reports: iter.into_iter().collect(),
-        }
     }
 }
 
@@ -385,7 +330,7 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
                 engine_threads,
             );
         }
-        make_engine_threaded(
+        make_engine(
             self.engine,
             self.protocol,
             self.trial_config(trial),
@@ -560,32 +505,6 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
     }
 }
 
-/// Run `cfg.trials` independent trials of `protocol`, in parallel, with
-/// automatic engine selection. `make_config(seed)` builds the initial
-/// configuration for a trial; it receives a seed derived from the trial
-/// index so configurations are independent yet reproducible.
-///
-/// Convenience wrapper over [`Scenario`] for closure-shaped callers; use
-/// the builder directly to pick an engine or inject faults.
-///
-/// # Panics
-///
-/// Panics if `make_config` returns an invalid configuration for the
-/// protocol.
-pub fn run_trials<P, F>(protocol: &P, make_config: F, cfg: &TrialConfig) -> TrialResults
-where
-    P: InteractionSchema + Sync + ?Sized,
-    F: Fn(u64) -> Vec<State> + Sync,
-{
-    Scenario::new(protocol)
-        .init(Init::Custom(&make_config))
-        .trials(cfg.trials)
-        .max_interactions(cfg.max_interactions)
-        .base_seed(cfg.base_seed)
-        .threads(cfg.threads)
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,11 +540,15 @@ mod tests {
         }
     }
 
+    /// A stacked `A_G` scenario with `trials` trials from `base_seed`.
+    fn stacked(p: &Ag, trials: usize, base_seed: u64) -> Scenario<'_, Ag> {
+        Scenario::new(p).init(Init::Stacked).trials(trials).base_seed(base_seed)
+    }
+
     #[test]
     fn all_trials_succeed_and_are_ordered() {
         let p = Ag { n: 10 };
-        let cfg = TrialConfig::new(12).with_base_seed(5);
-        let res = run_trials(&p, |_s| vec![0; 10], &cfg);
+        let res = stacked(&p, 12, 5).run();
         assert_eq!(res.len(), 12);
         assert_eq!(res.success_rate(), 1.0);
         assert_eq!(res.parallel_times().len(), 12);
@@ -634,19 +557,15 @@ mod tests {
     #[test]
     fn deterministic_across_thread_counts() {
         let p = Ag { n: 10 };
-        let base = TrialConfig::new(8).with_base_seed(42);
-        let seq = run_trials(&p, |_s| vec![0; 10], &base.clone().with_threads(1));
-        let par = run_trials(&p, |_s| vec![0; 10], &base.with_threads(4));
+        let seq = stacked(&p, 8, 42).threads(1).run();
+        let par = stacked(&p, 8, 42).threads(4).run();
         assert_eq!(seq.interaction_counts(), par.interaction_counts());
     }
 
     #[test]
     fn timeouts_counted_in_success_rate() {
         let p = Ag { n: 10 };
-        let cfg = TrialConfig::new(10)
-            .with_base_seed(1)
-            .with_max_interactions(1);
-        let res = run_trials(&p, |_s| vec![0; 10], &cfg);
+        let res = stacked(&p, 10, 1).max_interactions(1).run();
         assert_eq!(res.success_rate(), 0.0);
         assert!(res.parallel_times().is_empty());
     }
@@ -666,37 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn scenario_count_matches_jump_exactly_per_trial() {
-        // Per-trial seeds are derived identically, and the count engine's
-        // exact mode walks the jump engine's chain — at n = 8 the batch
-        // threshold is never reached, so results are bit-identical.
-        let p = Ag { n: 8 };
-        let run = |kind| {
-            Scenario::new(&p)
-                .engine(kind)
-                .init(Init::Stacked)
-                .trials(6)
-                .base_seed(17)
-                .run()
-                .interaction_counts()
-        };
-        assert_eq!(run(EngineKind::Jump), run(EngineKind::Count));
-    }
-
-    #[test]
     fn auto_is_jump_below_threshold() {
         // Below the auto threshold the default engine must reproduce the
-        // jump engine's exact per-trial results.
+        // exact-mode per-trial results.
         let p = Ag { n: 12 };
-        let run = |kind| {
-            Scenario::new(&p)
-                .engine(kind)
-                .init(Init::Stacked)
-                .trials(5)
-                .base_seed(23)
-                .run()
-                .interaction_counts()
-        };
+        let run = |kind| stacked(&p, 5, 23).engine(kind).run().interaction_counts();
         assert_eq!(run(EngineKind::Auto), run(EngineKind::Jump));
     }
 
@@ -789,18 +682,14 @@ mod tests {
     #[test]
     fn config_seed_feeds_generator() {
         let p = Ag { n: 8 };
-        let cfg = TrialConfig::new(3).with_base_seed(9);
-        // Build k-distant style configs from the provided seed; just check
-        // different trials get different seeds by recording them.
+        // Record the seed each trial's custom generator receives: different
+        // trials must get different seeds.
         let seen = std::sync::Mutex::new(Vec::new());
-        let _ = run_trials(
-            &p,
-            |seed| {
-                seen.lock().unwrap().push(seed);
-                vec![0; 8]
-            },
-            &cfg,
-        );
+        let make = |seed| {
+            seen.lock().unwrap().push(seed);
+            vec![0; 8]
+        };
+        let _ = Scenario::new(&p).init(Init::Custom(&make)).trials(3).base_seed(9).run();
         let seen = seen.into_inner().unwrap();
         let distinct: std::collections::HashSet<_> = seen.iter().collect();
         assert_eq!(distinct.len(), 3);
@@ -809,8 +698,7 @@ mod tests {
     #[test]
     fn empty_batch() {
         let p = Ag { n: 8 };
-        let cfg = TrialConfig::new(0);
-        let res = run_trials(&p, |_s| vec![0; 8], &cfg);
+        let res = stacked(&p, 0, 0).run();
         assert!(res.is_empty());
         assert_eq!(res.success_rate(), 0.0);
     }

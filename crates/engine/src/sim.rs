@@ -6,9 +6,10 @@
 //! O(1) test, and it exposes [`Observer`] hooks on productive interactions
 //! for invariant checking.
 //!
-//! For long runs dominated by null interactions prefer
-//! [`crate::jump::JumpSimulation`], which simulates the identical Markov
-//! chain while skipping nulls exactly.
+//! For long runs dominated by null interactions prefer the count engine's
+//! exact mode ([`CountSimulation`](crate::count::CountSimulation) with
+//! batching off, the `jump` engine kind), which simulates the identical
+//! Markov chain while skipping nulls exactly.
 //!
 //! # Examples
 //!
@@ -257,7 +258,7 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
     /// interaction clock. Returns the event if it was productive.
     #[inline]
     fn apply_pair(&mut self, i: usize, r: usize) -> Option<TransitionEvent> {
-        // Saturate like the jump/count clocks: a bare `+= 1` wraps in
+        // Saturate like the count clock: a bare `+= 1` wraps in
         // release at u64::MAX (reachable near silence at extreme n).
         self.interactions = self.interactions.saturating_add(1);
         let si = self.agents[i];
@@ -575,7 +576,7 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
     }
 
     fn restore(&mut self, snapshot: &crate::engine::EngineSnapshot) {
-        // Count-only snapshots (from the jump/count engines) reconstruct an
+        // Count-only snapshots (from the count engine) reconstruct an
         // agent vector from counts; agents are anonymous, so the resulting
         // process is the same.
         let agents = snapshot

@@ -301,6 +301,88 @@ fn cache_respects_engine_identity() {
     assert_eq!(stats.completed, 2);
 }
 
+/// An `engine jump` spec at n = 1056: below the auto threshold, so the
+/// `jump` kind is a distinct cache identity.
+fn jump_job() -> JobSpec {
+    let mut spec = tree_job(1056, 5);
+    spec.engine = ssr_engine::EngineKind::Jump;
+    spec
+}
+
+/// FNV-1a, the snapshot wire format's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Rewrite a wire snapshot into the layout older daemons wrote for `jump`
+/// jobs: no count-control block (flags bit 1 clear, 32 bytes shorter),
+/// re-checksummed.
+fn without_count_control(blob: &[u8]) -> Vec<u8> {
+    const FLAGS: usize = 6 + 2 + 8 + 8 + 4;
+    const CTL: usize = 8 + 8 + 8 + 4 + 4;
+    assert_eq!(blob[FLAGS] & 2, 2, "snapshot carries count control");
+    let mut legacy = blob[..blob.len() - 8 - CTL].to_vec();
+    legacy[FLAGS] &= !2;
+    let check = fnv1a(&legacy);
+    legacy.extend_from_slice(&check.to_le_bytes());
+    legacy
+}
+
+/// The `EngineKind` discriminants feed the content key, so existing
+/// cache entries of `jump` jobs stay addressable.
+#[test]
+fn jump_spec_key_is_stable() {
+    assert_eq!(jump_job().key().unwrap().hex(), "2cc6534ed38d28aa57974e105fcf1efe");
+}
+
+/// A checkpoint in the layout older daemons wrote for `jump` jobs
+/// decodes, restores onto the exact-mode count engine, and finishes
+/// bit-identical to an uninterrupted run.
+#[test]
+fn legacy_jump_checkpoint_resumes_bit_identically() {
+    let spec = jump_job();
+    let key = spec.key().unwrap();
+    let dir = temp_dir("legacy-jump");
+    let store = CheckpointStore::open(dir.join("checkpoints")).unwrap();
+    let plain = RunConfig {
+        threads: 1,
+        checkpoint_every: 0,
+        interrupt_after: None,
+    };
+    let (expected, _) = completed(run_job(&spec, &store, &plain).unwrap());
+    assert_eq!(
+        (expected.interactions_wide, expected.productive),
+        (3_802_118, 6_224)
+    );
+    assert_eq!(expected.parallel_time.to_bits(), 0x40ac_20fb_26c9_b26d);
+
+    let kill = RunConfig {
+        threads: 1,
+        checkpoint_every: 20_000,
+        interrupt_after: Some(1),
+    };
+    match run_job(&spec, &store, &kill).unwrap() {
+        RunDisposition::Interrupted { checkpoints } => assert_eq!(checkpoints, 1),
+        other => panic!("expected interruption, got {other:?}"),
+    }
+    let (clock, blob) = store.latest(key).unwrap();
+    let legacy = without_count_control(&blob);
+    // Byte for byte the checkpoint the stand-alone jump engine wrote.
+    assert_eq!((clock, legacy.len()), (20_022, 4_493));
+    assert_eq!(fnv1a(&legacy), 0xb698_c1e3_ba69_adfe);
+    store.save(key, clock, &legacy).unwrap();
+
+    let (resumed, was_resumed) = completed(run_job(&spec, &store, &plain).unwrap());
+    assert!(was_resumed);
+    assert_eq!(resumed, expected);
+    assert_eq!(
+        resumed.parallel_time.to_bits(),
+        expected.parallel_time.to_bits()
+    );
+}
+
 /// Restoring a checkpoint into a *different* job must be impossible: the
 /// store is keyed, and even a hand-moved blob is rejected by the wire
 /// layer's schema-hash check.

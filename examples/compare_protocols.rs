@@ -9,16 +9,8 @@
 
 use ssr::prelude::*;
 
-fn measure<P: InteractionSchema + Sync>(p: &P, n: usize, trials: usize) -> Summary {
-    let cfg = TrialConfig::new(trials).with_base_seed(7);
-    let results = run_trials(
-        p,
-        |seed| {
-            let mut rng = Xoshiro256::seed_from_u64(seed);
-            init::uniform_random(n, p.num_states(), &mut rng)
-        },
-        &cfg,
-    );
+fn measure<P: InteractionSchema + Sync>(p: &P, trials: usize) -> Summary {
+    let results = Scenario::new(p).init(Init::Uniform).trials(trials).base_seed(7).run();
     Summary::of(&results.parallel_times())
 }
 
@@ -41,10 +33,10 @@ fn main() {
     ]);
 
     let rows: Vec<(&str, usize, Summary)> = vec![
-        ("generic A_G", generic.num_extra_states(), measure(&generic, n, trials)),
-        ("ring of traps", ring.num_extra_states(), measure(&ring, n, trials)),
-        ("line of traps", line.num_extra_states(), measure(&line, n, trials)),
-        ("tree of ranks", tree.num_extra_states(), measure(&tree, n, trials)),
+        ("generic A_G", generic.num_extra_states(), measure(&generic, trials)),
+        ("ring of traps", ring.num_extra_states(), measure(&ring, trials)),
+        ("line of traps", line.num_extra_states(), measure(&line, trials)),
+        ("tree of ranks", tree.num_extra_states(), measure(&tree, trials)),
     ];
 
     let baseline = rows[0].2.median;

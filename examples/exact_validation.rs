@@ -15,8 +15,9 @@ use ssr::prelude::*;
 fn simulated_mean<P: InteractionSchema>(p: &P, start: &[State], trials: u64) -> (f64, f64) {
     let times: Vec<f64> = (0..trials)
         .map(|t| {
-            let mut sim = JumpSimulation::new(p, start.to_vec(), 80_000 + t)
-                .expect("valid start configuration");
+            let mut sim = CountSimulation::new(p, start.to_vec(), 80_000 + t)
+                .expect("valid start configuration")
+                .with_batching(false);
             sim.run_until_silent(u64::MAX).expect("stable").interactions as f64
         })
         .collect();

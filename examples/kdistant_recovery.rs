@@ -28,15 +28,11 @@ fn main() {
     ]);
 
     for &k in &ks {
-        let cfg = TrialConfig::new(trials).with_base_seed(k as u64);
-        let results = run_trials(
-            &protocol,
-            |seed| {
-                let mut rng = Xoshiro256::seed_from_u64(seed);
-                init::k_distant(n, k, init::DuplicatePlacement::Random, &mut rng)
-            },
-            &cfg,
-        );
+        let results = Scenario::new(&protocol)
+            .init(Init::KDistant(k))
+            .trials(trials)
+            .base_seed(k as u64)
+            .run();
         let s = Summary::of(&results.parallel_times());
         table.add_row(vec![
             k.to_string(),

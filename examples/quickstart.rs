@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Adversarial start: all agents in rank state 0.
     let start = vec![0; n];
-    let mut sim = JumpSimulation::new(&protocol, start, 42)?;
+    let mut sim = CountSimulation::new(&protocol, start, 42)?.with_batching(false);
     let report = sim.run_until_silent(u64::MAX)?;
 
     assert!(sim.is_silent());

@@ -14,9 +14,10 @@
 //! This crate re-exports the whole workspace:
 //!
 //! * [`engine`] — the population-protocol model behind the unified
-//!   [`Engine`](engine::Engine) trait: the naive per-agent simulator, the
-//!   exact jump-chain simulator, and the count-based batched simulator
-//!   (O(#states) memory, scales to populations of 10⁷+), all driven by the
+//!   [`Engine`](engine::Engine) trait: the naive per-agent simulator and
+//!   the count-based simulator (O(#states) memory; an exact jump-chain
+//!   mode and a batched mode that scales to populations of 10⁷+), all
+//!   driven by the
 //!   declarative [`InteractionSchema`](engine::InteractionSchema);
 //!   configuration generators; the [`Scenario`](engine::Scenario) trial
 //!   runner; the adversary subsystem (timed [`FaultPlan`](engine::FaultPlan)s
@@ -39,7 +40,7 @@
 //! let protocol = TreeRanking::new(n);
 //!
 //! // Adversarial start: every agent stacked in the same state.
-//! let mut sim = JumpSimulation::new(&protocol, vec![0; n], 42)?;
+//! let mut sim = CountSimulation::new(&protocol, vec![0; n], 42)?.with_batching(false);
 //! let report = sim.run_until_silent(u64::MAX)?;
 //!
 //! assert!(sim.is_silent());
@@ -72,12 +73,11 @@ pub mod prelude {
         TreeRanking, LEADER_RANK,
     };
     pub use ssr_engine::{
-        init, make_engine, make_engine_from_counts, make_engine_threaded,
-        recovery_after_faults, rng::Xoshiro256, run_trials, run_with_plan,
-        validate_interaction_schema, BurstRecord, ClassSpec, ClusteredScheduler,
-        CountSimulation, CrossDirection, Engine, EngineKind, FaultPlan, Init,
-        InteractionClass, InteractionSchema, JumpSimulation, Protocol, RunOutcome, Scenario,
-        Scheduler, Simulation, State, TrialConfig, UniformScheduler, ZipfScheduler,
+        init, make_engine, make_engine_from_counts, recovery_after_faults, rng::Xoshiro256,
+        run_with_plan, validate_interaction_schema, BurstRecord, ClassSpec, ClusteredScheduler,
+        CountSimulation, CrossDirection, Engine, EngineKind, FaultPlan, Init, InteractionClass,
+        InteractionSchema, Protocol, RunOutcome, Scenario, Scheduler, Simulation, State,
+        UniformScheduler, ZipfScheduler,
     };
     pub use ssr_topology::{BalancedTree, CubicGraph, TrapChain};
 }

@@ -1,52 +1,12 @@
 //! Adversary-subsystem campaign through the public `ssr` surface: timed
-//! fault plans produce the identical schedule on every engine, the jump
-//! and exact-mode count engines agree draw for draw through mixed plans,
-//! the batched count engine is bit-identical across worker-thread counts,
+//! fault plans produce the identical schedule on every engine, the
+//! batched count engine is bit-identical across worker-thread counts,
 //! and non-convergent runs (Byzantine agents, churn) degrade gracefully
 //! into a [`RunOutcome`] instead of erroring.
 
 use ssr::prelude::*;
 
 const FAULT_SEED: u64 = 0xFA17_0001;
-
-/// A plan mixing every timed fault process the subsystem supports:
-/// two one-shot bursts, background rate corruption, and churn.
-fn mixed_plan(n: usize) -> FaultPlan {
-    FaultPlan::new()
-        .burst_at(6 * n as u128, 3)
-        .burst_at(18 * n as u128, 2)
-        .rate(1.0 / (40.0 * n as f64))
-        .churn(1.0 / (80.0 * n as f64))
-}
-
-/// The jump engine and the count engine with batching disabled simulate
-/// the embedded productive chain with the same RNG consumption, so a
-/// fault plan driven by its own seeded stream must leave them in
-/// bit-identical trajectories: equal outcomes (availability, excursions,
-/// burst records) and equal final configurations — on the tree protocol,
-/// whose schema exercises every interaction-class kind.
-#[test]
-fn jump_and_exact_count_are_trace_identical_under_a_mixed_plan() {
-    let n = 96;
-    let p = TreeRanking::new(n);
-    let mut rng = Xoshiro256::seed_from_u64(41);
-    let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-    let horizon = 400 * n as u64;
-    let plan = mixed_plan(n);
-
-    let mut jump = JumpSimulation::new(&p, cfg.clone(), 7).unwrap();
-    let jump_out = run_with_plan(&mut jump, &plan, FAULT_SEED, horizon);
-
-    let mut count = CountSimulation::new(&p, cfg, 7).unwrap().with_batching(false);
-    let count_out = run_with_plan(&mut count, &plan, FAULT_SEED, horizon);
-
-    assert_eq!(jump_out, count_out);
-    assert_eq!(Engine::counts(&jump), Engine::counts(&count));
-    assert!(
-        jump_out.faults_injected >= 5,
-        "two bursts plus background corruption injected faults"
-    );
-}
 
 /// The fault process draws from a stream separate from the engine RNG,
 /// so every engine — including the naive per-agent simulator — sees the
@@ -62,7 +22,7 @@ fn fault_schedules_are_identical_on_every_engine() {
 
     let mut outs = Vec::new();
     for kind in [EngineKind::Naive, EngineKind::Jump, EngineKind::Count] {
-        let mut e = make_engine(kind, &p, init::perfect_ranking(n), 3).unwrap();
+        let mut e = make_engine(kind, &p, init::perfect_ranking(n), 3, 1).unwrap();
         outs.push(run_with_plan(e.as_mut(), &plan, FAULT_SEED, horizon));
     }
     let schedule =
@@ -92,7 +52,7 @@ fn batched_count_run_is_bit_identical_across_thread_counts() {
 
     let run = |threads: usize| {
         let mut e =
-            make_engine_threaded(EngineKind::Count, &p, cfg.clone(), 23, threads).unwrap();
+            make_engine(EngineKind::Count, &p, cfg.clone(), 23, threads).unwrap();
         let out = run_with_plan(e.as_mut(), &plan, FAULT_SEED, horizon);
         (out, e.counts().to_vec(), e.interactions_wide())
     };
@@ -115,7 +75,7 @@ fn byzantine_agents_hold_their_state_through_batched_runs() {
     let horizon = 3_000_000; // far past A_G's stacked-start stabilisation
     let plan = FaultPlan::new().byzantine(b);
 
-    let mut e = make_engine(EngineKind::Count, &p, vec![0; n], 29).unwrap();
+    let mut e = make_engine(EngineKind::Count, &p, vec![0; n], 29, 1).unwrap();
     let out = run_with_plan(e.as_mut(), &plan, FAULT_SEED, horizon);
 
     assert!(e.counts()[0] >= b, "byzantine agents left state 0");
@@ -136,7 +96,7 @@ fn churn_conserves_the_population() {
     let horizon = 800 * n as u64;
     let plan = FaultPlan::new().churn(1.0 / (30.0 * n as f64));
 
-    let mut e = make_engine(EngineKind::Jump, &p, init::perfect_ranking(n), 31).unwrap();
+    let mut e = make_engine(EngineKind::Jump, &p, init::perfect_ranking(n), 31, 1).unwrap();
     let out = run_with_plan(e.as_mut(), &plan, FAULT_SEED, horizon);
 
     assert_eq!(e.counts().iter().map(|&c| c as u64).sum::<u64>(), n as u64);

@@ -1,8 +1,9 @@
-//! The naive, jump-chain and count-batched simulators realise the same
-//! Markov chain: identical silence semantics and statistically
-//! indistinguishable stabilisation-time distributions (pairwise KS tests
-//! across all three engines), plus bit-identical jump↔count trajectories
-//! per seed when batching is off.
+//! The naive simulator and the count engine's exact (`jump`) and batched
+//! (`count`) modes realise the same Markov chain: identical silence
+//! semantics and statistically indistinguishable stabilisation-time
+//! distributions (pairwise KS tests across all three engine kinds). The
+//! exact mode's per-seed trajectories are pinned in
+//! `tests/exact_chain_golden.rs`.
 
 // Audited: tests cast tiny bounded f64/u64 values (n <= 10^4) to usize/u32.
 #![allow(clippy::cast_possible_truncation)]
@@ -22,7 +23,9 @@ fn mean_time<P: InteractionSchema>(
                 let mut s = Simulation::new(p, cfg.to_vec(), seed0 + t).unwrap();
                 s.run_until_silent(u64::MAX).unwrap().interactions
             } else {
-                let mut s = JumpSimulation::new(p, cfg.to_vec(), seed0 + t).unwrap();
+                let mut s = CountSimulation::new(p, cfg.to_vec(), seed0 + t)
+                    .unwrap()
+                    .with_batching(false);
                 s.run_until_silent(u64::MAX).unwrap().interactions
             }
         })
@@ -84,7 +87,9 @@ fn distributions_pass_ks_test() {
                     let mut s = Simulation::new(&p, cfg.clone(), seed0 + t).unwrap();
                     s.run_until_silent(u64::MAX).unwrap().interactions as f64
                 } else {
-                    let mut s = JumpSimulation::new(&p, cfg.clone(), seed0 + t).unwrap();
+                    let mut s = CountSimulation::new(&p, cfg.clone(), seed0 + t)
+                        .unwrap()
+                        .with_batching(false);
                     s.run_until_silent(u64::MAX).unwrap().interactions as f64
                 }
             })
@@ -111,33 +116,10 @@ fn both_simulators_reach_the_same_silent_support() {
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
         let mut a = Simulation::new(&p, cfg.clone(), 11).unwrap();
         a.run_until_silent(u64::MAX).unwrap();
-        let mut b = JumpSimulation::new(&p, cfg, 12).unwrap();
+        let mut b = CountSimulation::new(&p, cfg, 12).unwrap().with_batching(false);
         b.run_until_silent(u64::MAX).unwrap();
         let counts_a = init::counts(a.agents(), p.num_states());
         assert_eq!(counts_a, b.counts(), "silent support must be unique");
-    }
-}
-
-/// Same seed ⇒ the count engine (exact mode) and the jump engine walk the
-/// *identical* chain on `A_G`: same productive counts, same interaction
-/// clock, same final configuration — not merely the same distribution.
-#[test]
-fn count_and_jump_are_trace_identical_on_ag() {
-    let n = 300;
-    let p = GenericRanking::new(n);
-    for seed in [1u64, 42, 9000] {
-        let mut jump = JumpSimulation::new(&p, vec![0; n], seed).unwrap();
-        let mut count = CountSimulation::new(&p, vec![0; n], seed)
-            .unwrap()
-            .with_batching(false);
-        let rj = jump.run_until_silent(u64::MAX).unwrap();
-        let rc = count.run_until_silent(u64::MAX).unwrap();
-        assert_eq!(
-            rj.productive_interactions, rc.productive_interactions,
-            "seed {seed}: productive counts must be identical"
-        );
-        assert_eq!(rj.interactions, rc.interactions, "seed {seed}");
-        assert_eq!(jump.counts(), count.counts(), "seed {seed}");
     }
 }
 
@@ -153,7 +135,7 @@ fn count_vs_jump_ks_test_at_n1000() {
     let sample = |kind: EngineKind, seed0: u64| -> Vec<f64> {
         (0..trials)
             .map(|t| {
-                let mut e = make_engine(kind, &p, vec![0; n], seed0 + t).unwrap();
+                let mut e = make_engine(kind, &p, vec![0; n], seed0 + t, 1).unwrap();
                 e.run_until_silent(u64::MAX).unwrap().interactions as f64
             })
             .collect()
@@ -178,7 +160,7 @@ fn count_vs_naive_ks_test() {
     let sample = |kind: EngineKind, seed0: u64| -> Vec<f64> {
         (0..trials)
             .map(|t| {
-                let mut e = make_engine(kind, &p, vec![0u32; 14], seed0 + t).unwrap();
+                let mut e = make_engine(kind, &p, vec![0u32; 14], seed0 + t, 1).unwrap();
                 e.run_until_silent(u64::MAX).unwrap().interactions as f64
             })
             .collect()
@@ -210,7 +192,7 @@ fn tree_count_vs_jump_ks_test_on_batched_extra_classes() {
             .map(|t| {
                 let mut rng = Xoshiro256::seed_from_u64(seed0 + t);
                 let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-                let mut e = make_engine(kind, &p, cfg, seed0 + t).unwrap();
+                let mut e = make_engine(kind, &p, cfg, seed0 + t, 1).unwrap();
                 e.run_until_silent(u64::MAX).unwrap().interactions as f64
             })
             .collect()
@@ -238,7 +220,7 @@ fn line_count_vs_jump_ks_test_on_batched_cross_class() {
         (0..trials)
             .map(|t| {
                 let mut e =
-                    make_engine(kind, &p, vec![p.x_state(); n], seed0 + t).unwrap();
+                    make_engine(kind, &p, vec![p.x_state(); n], seed0 + t, 1).unwrap();
                 e.run_until_silent(u64::MAX).unwrap().interactions as f64
             })
             .collect()
@@ -252,31 +234,6 @@ fn line_count_vs_jump_ks_test_on_batched_cross_class() {
         r.statistic,
         r.p_value
     );
-}
-
-/// With batching off, the count engine walks the jump engine's chain on
-/// the tree protocol too — the multi-class exact sampler (equal-rank +
-/// extra–extra + symmetric cross all live) is draw-for-draw shared.
-#[test]
-fn count_and_jump_are_trace_identical_on_tree() {
-    let n = 300;
-    let p = TreeRanking::new(n);
-    for seed in [2u64, 77, 4242] {
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-        let mut jump = JumpSimulation::new(&p, cfg.clone(), seed).unwrap();
-        let mut count = CountSimulation::new(&p, cfg, seed)
-            .unwrap()
-            .with_batching(false);
-        let rj = jump.run_until_silent(u64::MAX).unwrap();
-        let rc = count.run_until_silent(u64::MAX).unwrap();
-        assert_eq!(
-            rj.productive_interactions, rc.productive_interactions,
-            "seed {seed}: productive counts must be identical"
-        );
-        assert_eq!(rj.interactions, rc.interactions, "seed {seed}");
-        assert_eq!(jump.counts(), count.counts(), "seed {seed}");
-    }
 }
 
 /// The parallel batched path is not a second implementation: the split
@@ -355,7 +312,7 @@ fn tree_count_parallel_vs_jump_ks_test() {
                     EngineKind::Count => Box::new(
                         CountSimulation::new(&p, cfg, seed0 + t).unwrap().with_threads(4),
                     ),
-                    _ => make_engine(kind, &p, cfg, seed0 + t).unwrap(),
+                    _ => make_engine(kind, &p, cfg, seed0 + t, 1).unwrap(),
                 };
                 e.run_until_silent(u64::MAX).unwrap().interactions as f64
             })
@@ -382,7 +339,7 @@ fn all_three_engines_reach_the_same_silent_support() {
         let counts: Vec<Vec<u32>> = EngineKind::ALL
             .iter()
             .map(|&kind| {
-                let mut e = make_engine(kind, &p, cfg.clone(), 31).unwrap();
+                let mut e = make_engine(kind, &p, cfg.clone(), 31, 1).unwrap();
                 e.run_until_silent(u64::MAX).unwrap();
                 e.counts().to_vec()
             })
@@ -390,14 +347,6 @@ fn all_three_engines_reach_the_same_silent_support() {
         assert_eq!(counts[0], counts[1], "n = {n}");
         assert_eq!(counts[1], counts[2], "n = {n}");
     }
-}
-
-/// Spread start for the loose protocol: followers laid out round-robin
-/// over all τ + 1 timer values, no leader — the regime where almost all
-/// productive weight sits in the enumerated sparse pairs.
-fn loose_spread_start(p: &LooseLeaderElection, n: usize) -> Vec<State> {
-    let timers = p.timer_max() + 1;
-    (0..n).map(|i| p.follower_state(i as u32 % timers)).collect()
 }
 
 /// Followers round-robin over the `width` timer values starting at `lo`,
@@ -409,30 +358,6 @@ fn loose_band_start(p: &LooseLeaderElection, n: usize, lo: u32, width: u32) -> V
     (0..n)
         .map(|i| p.follower_state(lo + i as u32 % width))
         .collect()
-}
-
-/// With batching off, the count engine walks the jump engine's chain on
-/// the loose protocol too: the exact sampler is draw-for-draw shared even
-/// when nearly all the productive weight lives in the sparse-pair class
-/// (loose protocols are never silent, so this compares fixed-length
-/// prefixes instead of full runs).
-#[test]
-fn count_and_jump_are_trace_identical_on_loose() {
-    let n = 512;
-    let p = LooseLeaderElection::new(n);
-    for seed in [3u64, 5151] {
-        let cfg = loose_spread_start(&p, n);
-        let mut jump = JumpSimulation::new(&p, cfg.clone(), seed).unwrap();
-        let mut count = CountSimulation::new(&p, cfg, seed)
-            .unwrap()
-            .with_batching(false);
-        for _ in 0..20_000 {
-            jump.step_productive();
-            count.advance_chain();
-        }
-        assert_eq!(jump.interactions(), count.interactions(), "seed {seed}");
-        assert_eq!(jump.counts(), count.counts(), "seed {seed}");
-    }
 }
 
 /// KS test of the batched count engine against the exact jump chain on
@@ -453,7 +378,9 @@ fn loose_count_vs_jump_ks_test_on_sparse_batches() {
     let jump_sample: Vec<f64> = (0..trials)
         .map(|t| {
             let mut s =
-                JumpSimulation::new(&p, loose_band_start(&p, n, 1, 8), 140_000 + t).unwrap();
+                CountSimulation::new(&p, loose_band_start(&p, n, 1, 8), 140_000 + t)
+                    .unwrap()
+                    .with_batching(false);
             while p.leader_count(s.counts()) == 0 {
                 s.step_productive();
                 assert!(s.interactions() < budget, "no leader within budget");
@@ -526,7 +453,7 @@ fn jump_simulator_skips_but_never_undercounts() {
     let n = 20;
     for seed in 0..20 {
         let p = GenericRanking::new(n);
-        let mut s = JumpSimulation::new(&p, vec![0; n], seed).unwrap();
+        let mut s = CountSimulation::new(&p, vec![0; n], seed).unwrap().with_batching(false);
         let rep = s.run_until_silent(u64::MAX).unwrap();
         assert!(rep.productive_interactions >= (n - 1) as u64);
         assert!(rep.interactions >= rep.productive_interactions);

@@ -208,7 +208,9 @@ fn ecdf_and_bootstrap_summarise_real_stabilisation_times() {
     let p = TreeRanking::new(32);
     let times: Vec<f64> = (0..60u64)
         .map(|s| {
-            let mut sim = JumpSimulation::new(&p, vec![0; 32], 700 + s).unwrap();
+            let mut sim = CountSimulation::new(&p, vec![0; 32], 700 + s)
+                .unwrap()
+                .with_batching(false);
             sim.run_until_silent(u64::MAX).unwrap().parallel_time
         })
         .collect();

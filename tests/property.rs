@@ -111,7 +111,7 @@ proptest! {
     #[test]
     fn jump_clock_dominates(n in 4usize..40, seed in any::<u64>()) {
         let p = GenericRanking::new(n);
-        let mut sim = JumpSimulation::new(&p, vec![0; n], seed).unwrap();
+        let mut sim = CountSimulation::new(&p, vec![0; n], seed).unwrap().with_batching(false);
         let rep = sim.run_until_silent(u64::MAX).unwrap();
         prop_assert!(rep.interactions >= rep.productive_interactions);
         prop_assert!(sim.counts().iter().all(|&c| c == 1));

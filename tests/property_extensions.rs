@@ -210,7 +210,7 @@ proptest! {
             .byzantine(byz)
             .churn(0.002)
             .rate(0.002);
-        let mut e = make_engine(EngineKind::Jump, &p, vec![0; n], seed).unwrap();
+        let mut e = make_engine(EngineKind::Jump, &p, vec![0; n], seed, 1).unwrap();
         let out = run_with_plan(e.as_mut(), &plan, seed ^ 0xAD17, horizon_pt * n as u64);
         prop_assert!(e.counts()[0] >= byz);
         prop_assert_eq!(e.counts().iter().map(|&c| u64::from(c)).sum::<u64>(), n as u64);

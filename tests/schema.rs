@@ -151,25 +151,3 @@ fn schema_hash_distinct_across_core_protocols() {
         TreeRanking::new(16).schema_hash()
     );
 }
-
-/// The schema is what the engines consume, so a protocol passing
-/// validation must run identically (per seed, batching off) on the jump
-/// and count engines — spot-checked here for the sparse-pair protocol
-/// (loose), closing the loop between validator and engines.
-#[test]
-fn validated_sparse_schema_runs_trace_identical_on_both_engines() {
-    let n = 40;
-    let p = LooseLeaderElection::new(n);
-    let mut jump = JumpSimulation::new(&p, vec![p.leader_state(); n], 3).unwrap();
-    let mut count = CountSimulation::new(&p, vec![p.leader_state(); n], 3)
-        .unwrap()
-        .with_batching(false);
-    for _ in 0..50_000 {
-        let j = jump.step_productive();
-        let c = count.step_productive();
-        assert_eq!(j, c);
-        assert!(j.is_some(), "loose protocols never go silent");
-    }
-    assert_eq!(jump.counts(), count.counts());
-    assert_eq!(jump.interactions(), count.interactions());
-}

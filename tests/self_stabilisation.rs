@@ -62,7 +62,9 @@ fn every_protocol_ranks_from_every_start() {
     for n in [12usize, 40, 90] {
         for p in protocols(n) {
             for (name, cfg) in starts(p.as_ref(), &mut rng) {
-                let mut sim = JumpSimulation::new(p.as_ref(), cfg, 5).unwrap();
+                let mut sim = CountSimulation::new(p.as_ref(), cfg, 5)
+                    .unwrap()
+                    .with_batching(false);
                 sim.run_until_silent(u64::MAX)
                     .unwrap_or_else(|e| panic!("{} n={n} start={name}: {e}", p.name()));
                 assert!(
@@ -100,7 +102,7 @@ fn silence_is_verified_exhaustively_and_stable() {
 fn stabilisation_times_are_reported_consistently() {
     let n = 24;
     for p in protocols(n) {
-        let mut sim = JumpSimulation::new(p.as_ref(), vec![0; n], 3).unwrap();
+        let mut sim = CountSimulation::new(p.as_ref(), vec![0; n], 3).unwrap().with_batching(false);
         let rep = sim.run_until_silent(u64::MAX).unwrap();
         assert!(rep.interactions >= rep.productive_interactions);
         assert!((rep.parallel_time - rep.interactions as f64 / n as f64).abs() < 1e-9);
@@ -112,19 +114,19 @@ fn stabilisation_times_are_reported_consistently() {
 fn tiny_populations_work() {
     // The smallest populations each construction supports.
     let p = GenericRanking::new(2);
-    let mut sim = JumpSimulation::new(&p, vec![0, 0], 1).unwrap();
+    let mut sim = CountSimulation::new(&p, vec![0, 0], 1).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = RingOfTraps::new(2);
-    let mut sim = JumpSimulation::new(&p, vec![1, 1], 1).unwrap();
+    let mut sim = CountSimulation::new(&p, vec![1, 1], 1).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = LineOfTraps::new(3);
-    let mut sim = JumpSimulation::new(&p, vec![p.x_state(); 3], 1).unwrap();
+    let mut sim = CountSimulation::new(&p, vec![p.x_state(); 3], 1).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = TreeRanking::new(2);
-    let mut sim = JumpSimulation::new(&p, vec![p.x(1), p.x(1)], 1).unwrap();
+    let mut sim = CountSimulation::new(&p, vec![p.x(1), p.x(1)], 1).unwrap().with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 }
 

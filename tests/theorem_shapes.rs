@@ -6,15 +6,7 @@
 use ssr::prelude::*;
 
 fn median_time<P: InteractionSchema + Sync>(p: &P, trials: usize, seed: u64) -> f64 {
-    let cfg = TrialConfig::new(trials).with_base_seed(seed);
-    let res = run_trials(
-        p,
-        |s| {
-            let mut rng = Xoshiro256::seed_from_u64(s);
-            init::uniform_random(p.population_size(), p.num_states(), &mut rng)
-        },
-        &cfg,
-    );
+    let res = Scenario::new(p).init(Init::Uniform).trials(trials).base_seed(seed).run();
     Summary::of(&res.parallel_times()).median
 }
 
@@ -37,15 +29,7 @@ fn tree_beats_baseline_by_a_wide_margin() {
 fn small_k_recovery_beats_arbitrary_start() {
     let n = 506;
     let p = RingOfTraps::new(n);
-    let cfg = TrialConfig::new(8).with_base_seed(3);
-    let kd = run_trials(
-        &p,
-        |s| {
-            let mut rng = Xoshiro256::seed_from_u64(s);
-            init::k_distant(n, 1, init::DuplicatePlacement::Random, &mut rng)
-        },
-        &cfg,
-    );
+    let kd = Scenario::new(&p).init(Init::KDistant(1)).trials(8).base_seed(3).run();
     let t_k1 = Summary::of(&kd.parallel_times()).median;
     let t_arb = median_time(&p, 8, 4);
     assert!(
