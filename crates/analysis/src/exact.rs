@@ -265,7 +265,7 @@ mod tests {
     use ssr_core::generic::GenericRanking;
     use ssr_core::ring::RingOfTraps;
     use ssr_core::tree::TreeRanking;
-    use ssr_engine::CountSimulation;
+    use ssr_engine::{CountSimulation, Engine};
 
     fn simulated_mean<P: ssr_engine::InteractionSchema>(
         p: &P,

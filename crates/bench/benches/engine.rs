@@ -174,7 +174,7 @@ fn bench_jump_throughput(c: &mut Criterion) {
             },
             |mut sim| {
                 for _ in 0..10_000 {
-                    black_box(sim.step_productive());
+                    black_box(sim.advance());
                 }
                 sim
             },
@@ -211,7 +211,7 @@ fn bench_count_batching(c: &mut Criterion) {
                 },
                 |mut sim| {
                     while sim.productive_interactions() < budget
-                        && sim.advance_chain().is_some()
+                        && sim.advance().is_some()
                     {}
                     black_box(sim.productive_interactions())
                 },
@@ -268,7 +268,7 @@ fn bench_count_batching(c: &mut Criterion) {
                 },
                 |mut sim| {
                     while sim.productive_interactions() < budget
-                        && sim.advance_chain().is_some()
+                        && sim.advance().is_some()
                     {}
                     black_box(sim.productive_interactions())
                 },
@@ -305,8 +305,8 @@ fn bench_primitives(c: &mut Criterion) {
         let spread: Vec<u32> = (0..n).map(|i| (i % timers) as u32).collect();
         let mut sim = CountSimulation::new(&p, spread, 9).unwrap();
         b.iter(|| {
-            sim.inject_fault(10, 20);
-            sim.inject_fault(20, 10);
+            sim.inject_state_fault(10, 20);
+            sim.inject_state_fault(20, 10);
             black_box(sim.interactions())
         })
     });

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::{CountSimulation, InteractionSchema};
+use ssr_engine::{CountSimulation, Engine, InteractionSchema};
 use std::hint::black_box;
 
 fn run_to_silence<P: InteractionSchema>(p: &P, seed: u64) -> u64 {

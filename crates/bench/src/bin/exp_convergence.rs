@@ -15,7 +15,6 @@
 use ssr_analysis::Table;
 use ssr_bench::{print_header, uniform_start};
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::observer::NullObserver;
 use ssr_engine::{init, Protocol, Simulation};
 
 /// Distance trace of one naive-simulation run at multiplicative
@@ -33,7 +32,7 @@ fn trace<P: Protocol, M: Fn(&[u32]) -> u64>(
     let mut checkpoint = (n as u64).max(16);
     while !sim.is_silent() && sim.parallel_time() < max_parallel {
         let budget = checkpoint.saturating_sub(sim.interactions());
-        sim.run_for(budget, &mut NullObserver);
+        sim.run_for(budget);
         out.push((sim.parallel_time(), metric(sim.counts())));
         checkpoint *= 2;
     }

@@ -45,9 +45,9 @@ fn release_time(n: usize, surplus: usize, target: usize, seed: u64) -> f64 {
     let mut sim = Simulation::new(&p, cfg, seed).unwrap();
     let mut ejected = 0usize;
     loop {
-        if let Some(ev) = sim.step() {
+        if let Some((before, after)) = sim.step() {
             // A gate-0 firing ejects the responder to the next trap's gate.
-            if ev.before == (gate0, gate0) && ev.after.0 == top0 {
+            if before == (gate0, gate0) && after.0 == top0 {
                 ejected += 1;
                 if ejected >= target {
                     return sim.parallel_time();

@@ -21,9 +21,8 @@ use std::time::Instant;
 use ssr_analysis::{Summary, Table};
 use ssr_bench::{print_header, trials};
 use ssr_core::LooseLeaderElection;
-use ssr_engine::observer::NullObserver;
 use ssr_engine::rng::Xoshiro256;
-use ssr_engine::{init, CountSimulation, Protocol, Simulation, State};
+use ssr_engine::{init, CountSimulation, Engine, Protocol, Simulation, State};
 
 /// Parallel time until the population first has exactly one leader.
 fn convergence_time(p: &LooseLeaderElection, start: Vec<State>, seed: u64, cap: u64) -> f64 {
@@ -33,7 +32,7 @@ fn convergence_time(p: &LooseLeaderElection, start: Vec<State>, seed: u64, cap: 
             return sim.parallel_time();
         }
         assert!(sim.interactions() < cap, "no convergence within cap");
-        sim.run_for(64, &mut NullObserver);
+        sim.run_for(64);
     }
 }
 
@@ -55,7 +54,7 @@ fn count_drive(
     let start = Instant::now();
     let mut quanta = 0u64;
     while sim.interactions() < budget {
-        if sim.advance_chain().is_none() {
+        if sim.advance().is_none() {
             break;
         }
         quanta += 1;
@@ -73,7 +72,7 @@ fn holding_time(p: &LooseLeaderElection, seed: u64, budget: u64) -> Option<f64> 
     start[0] = p.leader_state();
     let mut sim = Simulation::new(p, start, seed).unwrap();
     while sim.interactions() < budget {
-        sim.run_for(64, &mut NullObserver);
+        sim.run_for(64);
         if p.leader_count(sim.counts()) != 1 {
             return Some(sim.parallel_time());
         }

@@ -19,8 +19,8 @@ use ssr_bench::{
     verdict,
 };
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::observer::{FnObserver, TransitionEvent};
-use ssr_engine::{init, Protocol, Simulation};
+use ssr_engine::engine::FnCountObserver;
+use ssr_engine::{init, Engine, Protocol, Simulation};
 
 /// Lemma 21 probe: start from a perfect ranking with one agent replaced by
 /// a red `X₁` seed; measure the parallel time until every agent has left
@@ -30,9 +30,9 @@ fn epidemic_time(n: usize, seed: u64) -> f64 {
     let mut cfg: Vec<u32> = init::perfect_ranking(n);
     cfg[n - 1] = p.x(1);
     let mut sim = Simulation::new(&p, cfg, seed).unwrap();
-    let mut swept_at: Option<u64> = None;
+    let mut swept_at: Option<u128> = None;
     {
-        let mut obs = FnObserver::new(|step, _e: &TransitionEvent, counts: &[u32]| {
+        let mut obs = FnCountObserver(|step, _before, _after, _mult, counts: &[u32]| {
             if swept_at.is_none() && counts[..n].iter().all(|&c| c == 0) {
                 swept_at = Some(step);
             }

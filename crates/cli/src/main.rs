@@ -28,8 +28,8 @@ use ssr_core::{elect_leader, GenericRanking, LineOfTraps, RingOfTraps, TreeRanki
 use ssr_engine::init::{self, DuplicatePlacement};
 use ssr_engine::rng::{derive_seed, Xoshiro256};
 use ssr_engine::{
-    run_with_plan, CountSimulation, EngineKind, FaultPlan, Init, InteractionSchema, Protocol,
-    Scenario, State,
+    run_with_plan, CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema,
+    Protocol, Scenario, State,
 };
 use ssr_service::{daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec};
 

@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use ssr_core::generic::GenericRanking;
-//! use ssr_engine::{CountSimulation, Protocol};
+//! use ssr_engine::{CountSimulation, Engine, Protocol};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = GenericRanking::new(50);
@@ -98,7 +98,7 @@ mod tests {
     use ssr_engine::init;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::{CountSimulation, Simulation};
+    use ssr_engine::{CountSimulation, Engine, Simulation};
 
     #[test]
     fn contract_holds() {

@@ -24,6 +24,7 @@
 //! # }
 //! ```
 
+use ssr_engine::engine::Engine;
 use ssr_engine::error::StabilisationTimeout;
 use ssr_engine::protocol::{Protocol, State};
 use ssr_engine::sim::{Simulation, StabilisationReport};

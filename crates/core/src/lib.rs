@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use ssr_core::tree::TreeRanking;
-//! use ssr_engine::{init, CountSimulation, Protocol};
+//! use ssr_engine::{init, CountSimulation, Engine, Protocol};
 //! use ssr_engine::rng::Xoshiro256;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {

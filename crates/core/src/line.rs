@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use ssr_core::line::LineOfTraps;
-//! use ssr_engine::{CountSimulation, Protocol};
+//! use ssr_engine::{CountSimulation, Engine, Protocol};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = LineOfTraps::new(72); // m = 1: one line of 3 traps, plus X
@@ -481,7 +481,7 @@ mod tests {
     use ssr_engine::init::{self, DuplicatePlacement};
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::CountSimulation;
+    use ssr_engine::{CountSimulation, Engine};
 
     #[test]
     fn line_m_thresholds() {
@@ -687,7 +687,7 @@ mod tests {
 mod routing_tests {
     use super::*;
     use ssr_engine::protocol::validate_ranking_contract;
-    use ssr_engine::CountSimulation;
+    use ssr_engine::{CountSimulation, Engine};
 
     #[test]
     fn ablation_routings_satisfy_contract() {

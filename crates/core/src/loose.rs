@@ -39,7 +39,6 @@
 //! ```
 //! use ssr_core::loose::LooseLeaderElection;
 //! use ssr_engine::{Protocol, Simulation};
-//! use ssr_engine::observer::NullObserver;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = 64;
@@ -47,7 +46,7 @@
 //! // Adversarial start: everyone believes they are the leader.
 //! let start = vec![p.leader_state(); n];
 //! let mut sim = Simulation::new(&p, start, 7)?;
-//! sim.run_for(200 * n as u64, &mut NullObserver);
+//! sim.run_for(200 * n as u64);
 //! assert_eq!(p.leader_count(sim.counts()), 1);
 //! # Ok(())
 //! # }
@@ -198,9 +197,8 @@ impl InteractionSchema for LooseLeaderElection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssr_engine::observer::NullObserver;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::Simulation;
+    use ssr_engine::{Engine, Simulation};
 
     #[test]
     fn schema_is_exact() {
@@ -223,7 +221,7 @@ mod tests {
             .unwrap()
             .with_batching(false);
         for _ in 0..200 * n {
-            sim.step_productive();
+            sim.advance();
         }
         assert_eq!(p.leader_count(sim.counts()), 1, "duels must leave one leader");
     }
@@ -236,14 +234,14 @@ mod tests {
         let mut sim = CountSimulation::new(&p, vec![p.timer_max(); n], 29).unwrap();
         let mut productive = 0u64;
         while productive < 4_000 * n as u64 {
-            productive += sim.advance_chain().expect("loose protocols never go silent");
+            productive += sim.advance().expect("loose protocols never go silent");
         }
         assert_eq!(p.leader_count(sim.counts()), 1);
     }
 
     fn run_for(p: &LooseLeaderElection, start: Vec<State>, seed: u64, budget: u64) -> Vec<u32> {
         let mut sim = Simulation::new(p, start, seed).unwrap();
-        sim.run_for(budget, &mut NullObserver);
+        sim.run_for(budget);
         sim.counts().to_vec()
     }
 
@@ -349,7 +347,7 @@ mod tests {
         start[0] = p.leader_state();
         let mut sim = Simulation::new(&p, start, 17).unwrap();
         for _ in 0..200 {
-            sim.run_for(50 * n as u64, &mut NullObserver);
+            sim.run_for(50 * n as u64);
             assert_eq!(p.leader_count(sim.counts()), 1, "leader lost");
         }
     }
@@ -359,7 +357,7 @@ mod tests {
         let n = 30;
         let p = LooseLeaderElection::new(n);
         let mut sim = Simulation::new(&p, vec![0; n], 19).unwrap();
-        sim.run_for(10_000, &mut NullObserver);
+        sim.run_for(10_000);
         assert!(!sim.is_silent(), "loose protocols churn forever");
     }
 

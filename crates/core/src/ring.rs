@@ -22,7 +22,7 @@
 //!
 //! ```
 //! use ssr_core::ring::RingOfTraps;
-//! use ssr_engine::{init, CountSimulation};
+//! use ssr_engine::{init, CountSimulation, Engine};
 //! use ssr_engine::rng::Xoshiro256;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -183,7 +183,7 @@ impl InteractionSchema for RingOfTraps {
 mod tests {
     use super::*;
     use ssr_engine::init::{self, DuplicatePlacement};
-    use ssr_engine::observer::{FnObserver, TransitionEvent};
+    use ssr_engine::engine::{Engine, FnCountObserver};
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
     use ssr_engine::{CountSimulation, Simulation};
@@ -282,7 +282,7 @@ mod tests {
         let mut tidy_seen = false;
         let mut violations = Vec::new();
         {
-            let mut obs = FnObserver::new(|step, _e: &TransitionEvent, counts: &[u32]| {
+            let mut obs = FnCountObserver(|step, _before, _after, _mult, counts: &[u32]| {
                 if !tidy_seen {
                     tidy_seen = p.is_tidy(counts);
                     if tidy_seen {
@@ -313,7 +313,7 @@ mod tests {
         let mut was_tidy = false;
         let mut broke = false;
         {
-            let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, counts: &[u32]| {
+            let mut obs = FnCountObserver(|_clock, _before, _after, _mult, counts: &[u32]| {
                 let tidy = p.is_tidy(counts);
                 if was_tidy && !tidy {
                     broke = true;
@@ -344,7 +344,7 @@ mod tests {
             .collect();
         let mut violated = false;
         {
-            let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, counts: &[u32]| {
+            let mut obs = FnCountObserver(|_clock, _before, _after, _mult, counts: &[u32]| {
                 for (s, &c) in counts.iter().enumerate() {
                     let (_, b) = chain.locate(s as u32);
                     if b == 0 {
@@ -373,7 +373,7 @@ mod tests {
         let mut was_full = vec![false; m];
         let mut violated = false;
         {
-            let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, counts: &[u32]| {
+            let mut obs = FnCountObserver(|_clock, _before, _after, _mult, counts: &[u32]| {
                 for (t, was) in was_full.iter_mut().enumerate() {
                     let full = TrapView::read(&chain, t, counts).is_full();
                     if *was && !full {

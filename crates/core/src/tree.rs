@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use ssr_core::tree::TreeRanking;
-//! use ssr_engine::{CountSimulation, Protocol};
+//! use ssr_engine::{CountSimulation, Engine, Protocol};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = TreeRanking::new(100);
@@ -321,7 +321,7 @@ mod tests {
     use ssr_engine::init;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::{CountSimulation, Simulation};
+    use ssr_engine::{CountSimulation, Engine, Simulation};
 
     #[test]
     fn contract_holds_various_n_and_k() {
@@ -497,7 +497,7 @@ mod modified_tests {
     use ssr_engine::init;
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
-    use ssr_engine::CountSimulation;
+    use ssr_engine::{CountSimulation, Engine};
 
     #[test]
     fn modified_variant_satisfies_contract() {
@@ -546,7 +546,7 @@ mod modified_tests {
                         outcome = Some("leaf overload");
                         break;
                     }
-                    sim.step_productive();
+                    sim.advance();
                 }
                 assert!(
                     outcome.is_some(),

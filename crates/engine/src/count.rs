@@ -42,10 +42,9 @@
 //!    All `B` null gaps are accounted at once with a single
 //!    negative-binomial draw. Weights are frozen for the duration of one
 //!    batch; the batch size is capped so no class weight can drift by more
-//!    than ~25% within a batch (see [`CountSimulation::advance_chain`]),
-//!    which keeps the stabilisation-time distribution statistically
-//!    indistinguishable from the exact chain (KS-tested in
-//!    `tests/cross_simulator.rs`). For the sparse class the cap is
+//!    than ~25% within a batch, which keeps the stabilisation-time
+//!    distribution statistically indistinguishable from the exact chain
+//!    (KS-tested in `tests/cross_simulator.rs`). For the sparse class the cap is
 //!    **per-pair relative**: the batch size is bounded by the incremental
 //!    drift scales so each pair (a,b)'s expected draws stay under
 //!    `min(c_a, c_b)/8` and each state's gross sparse drain under
@@ -60,7 +59,10 @@
 //! exchangeable and the safe batch size is large enough to pay for the
 //! split overhead; otherwise the engine falls back to exact stepping for
 //! that step. Correctness near silence is therefore always the exact jump
-//! chain.
+//! chain. Both modes live in one stepping method,
+//! [`Engine::advance_to`](crate::engine::Engine::advance_to), which decides
+//! between a batch and an exact step once per quantum; the run loops are
+//! the ones the [`Engine`](crate::engine::Engine) trait provides.
 //!
 //! ## Parallel per-class splits on a persistent worker pool
 //!
@@ -91,6 +93,7 @@
 //!
 //! ```
 //! use ssr_engine::count::CountSimulation;
+//! use ssr_engine::engine::Engine;
 //! use ssr_engine::protocol::{ClassSpec, InteractionSchema, Protocol, State};
 //!
 //! struct Ag { n: usize }
@@ -122,12 +125,11 @@
 //! [`InteractionSchema`]: crate::protocol::InteractionSchema
 
 use crate::classes::{chain_split, ClassState};
-use crate::engine::{ByzOverlay, CappedAdvance, CountObserver, NullCountObserver};
-use crate::error::{ConfigError, StabilisationTimeout};
+use crate::engine::{ByzOverlay, CappedAdvance, CountObserver};
+use crate::error::ConfigError;
 use crate::init;
 use crate::protocol::{CrossDirection, InteractionSchema, State};
 use crate::rng::{derive_seed, Xoshiro256};
-use crate::sim::StabilisationReport;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -741,30 +743,9 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         self.productive_pairs() == 0
     }
 
-    /// Execute one productive interaction (plus the geometric number of
-    /// preceding nulls) of the exact jump chain. Returns the ordered state
-    /// pair rewritten, or `None` if the configuration is silent.
-    pub fn step_productive(&mut self) -> Option<((State, State), (State, State))> {
-        let w = self.state.productive_pairs();
-        if w == 0 {
-            return None;
-        }
-        debug_assert!(w as u128 <= self.ordered_pairs);
-        let p = w as f64 / self.ordered_pairs as f64;
-        // Near silence at n ≥ 2³¹ the geometric mean n(n−1)/w exceeds
-        // u64::MAX, so the draw and the +1 must both happen at u128 width.
-        self.interactions = self
-            .interactions
-            .saturating_add(self.rng.geometric_wide(p))
-            .saturating_add(1);
-        self.productive += 1;
-        Some(self.sample_and_apply())
-    }
-
     /// Sample the productive pair for an already-scheduled chain event,
     /// apply the transition (subject to Byzantine vetoes) and return the
-    /// rewrite. Shared by [`step_productive`](Self::step_productive) and
-    /// the capped stepper so both consume the RNG identically.
+    /// rewrite: the exact step's half after its null gap is drawn.
     fn sample_and_apply(&mut self) -> ((State, State), (State, State)) {
         let (si, sr) = self.state.sample_pair(&mut self.rng);
         let (mut si2, mut sr2) = self.protocol.transition(si, sr).unwrap_or_else(|| {
@@ -914,32 +895,17 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         None
     }
 
-    /// Decide the next quantum: `Some(b)` = batch of `b`, `None` = one
-    /// exact step. Shared by the observed and unobserved run loops so
-    /// both consume the RNG identically for a given seed.
-    fn decide_batch(&mut self) -> Option<u64> {
-        if !self.batching {
-            return None;
-        }
-        if self.exact_steps_until_recheck == 0 {
-            if let Some(b) = self.batch_size() {
-                return Some(b);
-            }
-            self.exact_steps_until_recheck = EXACT_RECHECK_INTERVAL;
-        }
-        self.exact_steps_until_recheck -= 1;
-        None
-    }
-
-    /// [`decide_batch`](Self::decide_batch) with an absolute clock cap:
-    /// the safe batch size is additionally clipped so the batch's expected
-    /// clock drift stays well inside the cap (a scheduled fault must not
-    /// be overrun by a whole batch). Near the cap the clipped size drops
-    /// below [`MIN_BATCH`] and the engine exact-steps the final approach,
-    /// where truncation at the cap is exact by memorylessness. A capped
-    /// run's recheck-counter evolution can differ from an uncapped run's —
-    /// it is still deterministic per seed and thread-count invariant.
-    fn decide_batch_capped(&mut self, cap: u128) -> Option<u64> {
+    /// Decide the next quantum before an absolute clock cap: `Some(b)` =
+    /// batch of `b`, `None` = one exact step. The safe batch size is
+    /// clipped so the batch's expected clock drift stays well inside the
+    /// cap (a scheduled fault must not be overrun by a whole batch). Near
+    /// the cap the clipped size drops below [`MIN_BATCH`] and the engine
+    /// exact-steps the final approach, where truncation at the cap is
+    /// exact by memorylessness. A capped run's recheck-counter evolution
+    /// can differ from an uncapped (`cap == u128::MAX`) run's — it is still
+    /// deterministic per seed and thread-count invariant.
+    #[inline]
+    fn decide_batch(&mut self, cap: u128) -> Option<u64> {
         if !self.batching {
             return None;
         }
@@ -1265,128 +1231,6 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         applied_total
     }
 
-    /// Advance the chain by one quantum: a whole batch when the
-    /// configuration is far from silence, one exact productive interaction
-    /// otherwise. Returns the number of productive interactions applied,
-    /// or `None` if silent.
-    pub fn advance_chain(&mut self) -> Option<u64> {
-        match self.decide_batch() {
-            Some(b) => Some(self.step_batch(b)),
-            None => self.step_productive().map(|_| 1),
-        }
-    }
-
-    /// Run until silent or until more than `max_interactions` have
-    /// elapsed. Semantics match the naive simulator: success is reported
-    /// only when the last productive interaction falls within the cap.
-    /// `u64::MAX` means *unbounded* (the internal clock is `u128` and can
-    /// legitimately pass `u64::MAX` at `n ≥ 2³¹`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is exceeded first.
-    pub fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        self.run_until_silent_observed(max_interactions, &mut NullCountObserver)
-    }
-
-    /// Like [`run_until_silent`](Self::run_until_silent), reporting every
-    /// productive rewrite to `observer`. Batched steps coalesce identical
-    /// rewrites into one call with their multiplicity; all groups of one
-    /// batch are reported with the same post-batch counts and clock.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is exceeded first.
-    pub fn run_until_silent_observed<O: CountObserver + ?Sized>(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut O,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        let cap = if max_interactions == u64::MAX {
-            u128::MAX
-        } else {
-            max_interactions as u128
-        };
-        loop {
-            if self.is_silent() {
-                if self.interactions <= cap {
-                    return Ok(StabilisationReport {
-                        interactions: self.interactions(),
-                        interactions_wide: self.interactions,
-                        productive_interactions: self.productive,
-                        parallel_time: self.parallel_time(),
-                    });
-                }
-                return Err(StabilisationTimeout {
-                    interactions: max_interactions,
-                });
-            }
-            if self.interactions >= cap {
-                return Err(StabilisationTimeout {
-                    interactions: self.interactions(),
-                });
-            }
-            match self.decide_batch() {
-                Some(b) => {
-                    self.step_batch(b);
-                    let groups = std::mem::take(&mut self.group_scratch);
-                    for g in &groups {
-                        observer.on_productive(
-                            self.interactions(),
-                            g.before,
-                            g.after,
-                            g.applied,
-                            &self.state.counts,
-                        );
-                    }
-                    self.group_scratch = groups;
-                }
-                None => {
-                    if let Some((before, after)) = self.step_productive() {
-                        observer.on_productive(
-                            self.interactions(),
-                            before,
-                            after,
-                            1,
-                            &self.state.counts,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Move one agent from state `from` to state `to` (transient-fault
-    /// injection). All sampling weights are kept consistent; the
-    /// interaction clock is not advanced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is unoccupied or either state id is out of range.
-    pub fn inject_fault(&mut self, from: State, to: State) {
-        assert!(
-            (from as usize) < self.state.counts.len()
-                && (to as usize) < self.state.counts.len(),
-            "state out of range"
-        );
-        let reserved = self
-            .byz
-            .as_ref()
-            .map_or(0, |byz| byz.counts[from as usize]);
-        assert!(
-            self.state.counts[from as usize] > reserved,
-            "state {from} has no non-Byzantine occupant"
-        );
-        if from == to {
-            return;
-        }
-        self.state.update_count(from, -1);
-        self.state.update_count(to, 1);
-    }
-
     /// Consume the simulation and return the final occupancy counts.
     pub fn into_counts(self) -> Vec<u32> {
         self.state.counts
@@ -1470,32 +1314,10 @@ impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_
         CountSimulation::is_silent(self)
     }
 
-    /// One batch far from silence (`Some(k)`), one exact productive
-    /// interaction otherwise (`Some(1)`), `None` when silent.
-    fn advance(&mut self) -> Option<u64> {
-        self.advance_chain()
-    }
-
-    fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        CountSimulation::run_until_silent(self, max_interactions)
-    }
-
-    fn run_until_silent_observed(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut dyn crate::engine::CountObserver,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        CountSimulation::run_until_silent_observed(self, max_interactions, observer)
-    }
-
-    fn advance_to(
-        &mut self,
-        cap: u128,
-        observer: &mut dyn crate::engine::CountObserver,
-    ) -> CappedAdvance {
+    /// One batch far from silence, one exact productive interaction
+    /// (plus its geometric null gap) otherwise.
+    #[inline(always)]
+    fn advance_to(&mut self, cap: u128, observer: &mut dyn CountObserver) -> CappedAdvance {
         let w = self.state.productive_pairs();
         if w == 0 {
             return CappedAdvance::Silent;
@@ -1503,44 +1325,39 @@ impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_
         if self.interactions >= cap {
             return CappedAdvance::CapReached;
         }
-        match self.decide_batch_capped(cap) {
-            Some(b) => {
-                let applied = self.step_batch(b);
-                let groups = std::mem::take(&mut self.group_scratch);
-                for g in &groups {
-                    observer.on_productive(
-                        self.interactions(),
-                        g.before,
-                        g.after,
-                        g.applied,
-                        &self.state.counts,
-                    );
-                }
-                self.group_scratch = groups;
-                CappedAdvance::Applied(applied)
+        if let Some(b) = self.decide_batch(cap) {
+            let applied = self.step_batch(b);
+            for g in &self.group_scratch {
+                observer.on_productive(
+                    self.interactions,
+                    g.before,
+                    g.after,
+                    g.applied,
+                    &self.state.counts,
+                );
             }
-            None => {
-                debug_assert!(w as u128 <= self.ordered_pairs);
-                let p = w as f64 / self.ordered_pairs as f64;
-                let gap = self.rng.geometric_wide(p);
-                let next = self
-                    .interactions
-                    .saturating_add(gap)
-                    .saturating_add(1);
-                if next > cap {
-                    // Exact truncation: by memorylessness the time to the
-                    // next productive interaction, measured from the cap,
-                    // is again geometric under whatever weights then hold.
-                    self.interactions = cap;
-                    return CappedAdvance::CapReached;
-                }
-                self.interactions = next;
-                self.productive += 1;
-                let (before, after) = self.sample_and_apply();
-                observer.on_productive(self.interactions(), before, after, 1, &self.state.counts);
-                CappedAdvance::Applied(1)
-            }
+            return CappedAdvance::Applied(applied);
         }
+        debug_assert!(w as u128 <= self.ordered_pairs);
+        let p = w as f64 / self.ordered_pairs as f64;
+        // Near silence at n ≥ 2³¹ the geometric mean n(n−1)/w exceeds
+        // u64::MAX, so the draw and the +1 must both happen at u128 width.
+        let next = self
+            .interactions
+            .saturating_add(self.rng.geometric_wide(p))
+            .saturating_add(1);
+        if next > cap {
+            // Exact truncation: by memorylessness the time to the next
+            // productive interaction, measured from the cap, is again
+            // geometric under whatever weights then hold.
+            self.interactions = cap;
+            return CappedAdvance::CapReached;
+        }
+        self.interactions = next;
+        self.productive += 1;
+        let (before, after) = self.sample_and_apply();
+        observer.on_productive(self.interactions, before, after, 1, &self.state.counts);
+        CappedAdvance::Applied(1)
     }
 
     fn set_byzantine(&mut self, byz: &[u32]) {
@@ -1556,7 +1373,24 @@ impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_
     }
 
     fn inject_state_fault(&mut self, from: State, to: State) {
-        CountSimulation::inject_fault(self, from, to);
+        assert!(
+            (from as usize) < self.state.counts.len()
+                && (to as usize) < self.state.counts.len(),
+            "state out of range"
+        );
+        let reserved = self
+            .byz
+            .as_ref()
+            .map_or(0, |byz| byz.counts[from as usize]);
+        assert!(
+            self.state.counts[from as usize] > reserved,
+            "state {from} has no non-Byzantine occupant"
+        );
+        if from == to {
+            return;
+        }
+        self.state.update_count(from, -1);
+        self.state.update_count(to, 1);
     }
 
     fn snapshot(&self) -> crate::engine::EngineSnapshot {
@@ -1603,6 +1437,7 @@ impl<P: InteractionSchema + ?Sized> std::fmt::Debug for CountSimulation<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::protocol::{ClassSpec, Protocol};
     use crate::sim::Simulation;
 
@@ -1737,10 +1572,9 @@ mod tests {
 
     #[test]
     fn wide_clock_survives_snapshot_roundtrip() {
-        use crate::engine::Engine;
         let p = Ag { n: 8 };
         let mut sim = CountSimulation::new(&p, vec![0; 8], 9).unwrap();
-        sim.step_productive();
+        sim.advance();
         let mut snap = Engine::snapshot(&sim);
         let wide = u64::MAX as u128 + 12_345;
         snap.interactions = wide;
@@ -1751,21 +1585,36 @@ mod tests {
         let snap2 = Engine::snapshot(&sim);
         assert_eq!(snap2.interactions_wide(), wide);
         assert_eq!(snap2.interactions(), u64::MAX);
-        sim.step_productive();
+        sim.advance();
         assert!(sim.interactions_wide() > wide);
+    }
+
+    /// `Engine::report()` — and with it every run loop's report — must
+    /// read the full-width clock, not the saturating `u64` one.
+    #[test]
+    fn report_parallel_time_uses_the_wide_clock() {
+        let p = Ag { n: 8 };
+        let mut sim = CountSimulation::new(&p, (0..8).collect(), 1).unwrap();
+        let mut snap = sim.snapshot();
+        snap.interactions = 1 << 70;
+        sim.restore(&snap);
+        let report = sim.report();
+        assert_eq!(report.interactions_wide, 1 << 70);
+        assert_eq!(report.parallel_time, (1u128 << 70) as f64 / 8.0);
+        assert_eq!(sim.run_until_silent(u64::MAX).unwrap(), report);
     }
 
     #[test]
     fn batching_engages_far_from_silence() {
         let p = Ag { n: 4096 };
         let mut sim = CountSimulation::new(&p, vec![0; 4096], 6).unwrap();
-        let applied = sim.advance_chain().unwrap();
+        let applied = sim.advance().unwrap();
         assert!(
             applied >= MIN_BATCH,
             "stacked start must batch, applied {applied}"
         );
         // Batched and exact stepping agree on conservation throughout.
-        while sim.advance_chain().is_some() {
+        while sim.advance().is_some() {
             assert_eq!(sim.counts().iter().map(|&c| c as u64).sum::<u64>(), 4096);
         }
         assert!(sim.is_silent());
@@ -1819,7 +1668,7 @@ mod tests {
         let p = Ag { n: 32 };
         let mut sim = CountSimulation::new(&p, (0..32).collect(), 11).unwrap();
         assert!(sim.is_silent());
-        sim.inject_fault(3, 9);
+        sim.inject_state_fault(3, 9);
         assert!(!sim.is_silent());
         sim.run_until_silent(u64::MAX).unwrap();
         assert!(sim.counts().iter().all(|&c| c == 1));
@@ -1827,19 +1676,18 @@ mod tests {
 
     #[test]
     fn snapshot_restore_replays_exactly_while_batching() {
-        use crate::engine::Engine;
         // n large enough that batch mode is active at snapshot time; the
         // snapshot must carry the batch-scheduling state so the restored
         // run replays the original continuation draw-for-draw.
         let p = Ag { n: 4096 };
         let mut sim = CountSimulation::new(&p, vec![0; 4096], 77).unwrap();
         for _ in 0..5 {
-            sim.advance_chain();
+            sim.advance();
         }
         let snap = Engine::snapshot(&sim);
         let cont: Vec<(u64, u64)> = (0..40)
             .map(|_| {
-                sim.advance_chain();
+                sim.advance();
                 (sim.interactions(), sim.productive_interactions())
             })
             .collect();
@@ -1847,7 +1695,7 @@ mod tests {
         Engine::restore(&mut sim, &snap);
         let replay: Vec<(u64, u64)> = (0..40)
             .map(|_| {
-                sim.advance_chain();
+                sim.advance();
                 (sim.interactions(), sim.productive_interactions())
             })
             .collect();
@@ -1864,7 +1712,7 @@ mod tests {
         let mut sim = CountSimulation::new(&p, vec![0; 8192], 3).unwrap();
         let mut batched_quanta = 0u64;
         let mut total_quanta = 0u64;
-        while let Some(applied) = sim.advance_chain() {
+        while let Some(applied) = sim.advance() {
             total_quanta += 1;
             if applied > 1 {
                 batched_quanta += 1;
@@ -1911,13 +1759,13 @@ mod tests {
             let mut s = CountSimulation::from_counts(&p, counts.clone(), 23)
                 .unwrap()
                 .with_threads(threads);
-            let first = s.advance_chain().unwrap();
+            let first = s.advance().unwrap();
             assert!(
                 first >= POOL_MIN_DRAWS_PER_WORKER * threads as u64,
                 "first batch must clear the pool threshold (applied {first})"
             );
             for _ in 0..40 {
-                s.advance_chain();
+                s.advance();
             }
             (s.interactions(), s.productive_interactions(), s.into_counts())
         };
@@ -1955,17 +1803,16 @@ mod tests {
     /// engine from counts) and keep producing the serial trajectory.
     #[test]
     fn pool_survives_snapshot_restore() {
-        use crate::engine::Engine;
         let n = 1 << 15;
         let p = Ag { n };
         let mut s = CountSimulation::new(&p, vec![0; n], 11).unwrap().with_threads(3);
         for _ in 0..5 {
-            s.advance_chain();
+            s.advance();
         }
         let snap = Engine::snapshot(&s);
         let cont: Vec<u64> = (0..30)
             .map(|_| {
-                s.advance_chain();
+                s.advance();
                 s.productive_interactions()
             })
             .collect();
@@ -1973,7 +1820,7 @@ mod tests {
         assert_eq!(s.threads(), 3, "thread budget lost across restore");
         let replay: Vec<u64> = (0..30)
             .map(|_| {
-                s.advance_chain();
+                s.advance();
                 s.productive_interactions()
             })
             .collect();
@@ -2055,12 +1902,12 @@ mod tests {
         // all productive weight is extra–extra, none equal-rank.
         let start = vec![p.extra(0); n];
         let mut sim = CountSimulation::new(&p, start, 21).unwrap();
-        let first = sim.advance_chain().unwrap();
+        let first = sim.advance().unwrap();
         assert!(
             first >= MIN_BATCH,
             "extra–extra start must batch, applied {first}"
         );
-        while sim.advance_chain().is_some() {
+        while sim.advance().is_some() {
             assert_eq!(
                 sim.counts().iter().map(|&c| c as u64).sum::<u64>(),
                 n as u64
@@ -2132,8 +1979,8 @@ mod tests {
             .unwrap()
             .with_batching(false);
         for _ in 0..5_000 {
-            assert_eq!(count.advance_chain(), Some(1));
-            exact.step_productive();
+            assert_eq!(count.advance(), Some(1));
+            exact.advance();
         }
         assert_eq!(count.interactions(), exact.interactions());
         assert_eq!(count.counts(), exact.counts());
@@ -2179,7 +2026,7 @@ mod tests {
         let n = 4096;
         let p = Annihilate { n };
         let mut sim = CountSimulation::from_counts(&p, annihilate_counts(n), 21).unwrap();
-        let first = sim.advance_chain().unwrap();
+        let first = sim.advance().unwrap();
         // W = 2c², pair scale = c, partner floor = 2c/2 = c ⇒ b = c/4.
         // The old global 2·partner-sum rein (scale 4c) allowed only c/16;
         // anything clearly above that proves the per-pair cap is in
@@ -2189,7 +2036,7 @@ mod tests {
             first >= c / 8 && first <= c / 4 + 1,
             "first batch {first} outside the per-pair-cap regime (c = {c})"
         );
-        while sim.advance_chain().is_some() {
+        while sim.advance().is_some() {
             assert_eq!(
                 sim.counts().iter().map(|&c| c as u64).sum::<u64>(),
                 n as u64
@@ -2236,7 +2083,7 @@ mod tests {
         let mut sim = CountSimulation::from_counts(&p, annihilate_counts(n), 3).unwrap();
         let mut total_quanta = 0u64;
         let mut last_batched_c = u64::MAX;
-        while let Some(applied) = sim.advance_chain() {
+        while let Some(applied) = sim.advance() {
             total_quanta += 1;
             if applied > 1 {
                 // Smallest population at which a batch still fired (counts
@@ -2311,13 +2158,13 @@ mod tests {
             let mut sim = CountSimulation::from_counts(&p, counts.clone(), 29)
                 .unwrap()
                 .with_threads(threads);
-            let first = sim.advance_chain().unwrap();
+            let first = sim.advance().unwrap();
             assert!(
                 first >= POOL_MIN_DRAWS_PER_WORKER * threads as u64,
                 "first batch must clear the pool threshold (applied {first})"
             );
             for _ in 0..40 {
-                sim.advance_chain();
+                sim.advance();
             }
             (
                 sim.interactions(),
@@ -2334,17 +2181,16 @@ mod tests {
     /// original continuation if `CountControl` carries them.
     #[test]
     fn sparse_snapshot_restore_replays_exactly_while_batching() {
-        use crate::engine::Engine;
         let n = 4096;
         let p = Annihilate { n };
         let mut sim = CountSimulation::from_counts(&p, annihilate_counts(n), 99).unwrap();
         for _ in 0..3 {
-            sim.advance_chain();
+            sim.advance();
         }
         let snap = Engine::snapshot(&sim);
         let cont: Vec<(u64, u64)> = (0..25)
             .map(|_| {
-                sim.advance_chain();
+                sim.advance();
                 (sim.interactions(), sim.productive_interactions())
             })
             .collect();
@@ -2352,7 +2198,7 @@ mod tests {
         Engine::restore(&mut sim, &snap);
         let replay: Vec<(u64, u64)> = (0..25)
             .map(|_| {
-                sim.advance_chain();
+                sim.advance();
                 (sim.interactions(), sim.productive_interactions())
             })
             .collect();

@@ -6,7 +6,7 @@
 //!
 //! | Engine (kind) | Memory | Cost per unit | Best regime |
 //! |---------------|--------|---------------|-------------|
-//! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, per-agent observers, external schedulers |
+//! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, agent-vector snapshots, external schedulers |
 //! | [`CountSimulation`](crate::count::CountSimulation), exact mode (`jump`) | `O(#states)` | `O(log #states)` per *productive* interaction; nulls skipped exactly | long runs near silence, `n` below [`EngineKind::AUTO_COUNT_THRESHOLD`] |
 //! | [`CountSimulation`](crate::count::CountSimulation), batched mode (`count`) | `O(#states)` | amortised sub-productive-interaction stepping via batching, exact steps near silence | `n = 10⁴…10⁹`, far-from-silent regimes |
 //!
@@ -17,6 +17,13 @@
 //! [`EngineKind::Auto`] picks batched mode at large `n` and exact mode
 //! below, per protocol instance — heterogeneous sweeps get the right
 //! engine at every grid point.
+//!
+//! An engine implements exactly one stepping method,
+//! [`Engine::advance_to`]. [`Engine::advance`], [`Engine::run_until_silent`]
+//! and [`Engine::run_until_silent_observed`] are provided on top of it —
+//! one run loop, shared by every engine — and report every productive
+//! rewrite through the one observer family, [`CountObserver`], whose clock
+//! argument is the full-width `u128` interaction clock.
 //!
 //! # Examples
 //!
@@ -60,7 +67,8 @@ use crate::rng::Xoshiro256;
 use crate::sim::StabilisationReport;
 
 /// Observer hook at the granularity every engine can afford: occupancy
-/// *counts*, not agent identities.
+/// *counts*, not agent identities. This is the only observer family; every
+/// engine reports through it from [`Engine::advance_to`].
 ///
 /// The naive engine and the count engine's exact steps invoke it once per
 /// productive interaction with `multiplicity == 1`, passing the
@@ -72,13 +80,14 @@ use crate::sim::StabilisationReport;
 pub trait CountObserver {
     /// Called after productive interaction(s) have been applied.
     ///
-    /// `interactions` is the engine's total interaction clock (nulls
-    /// included) after the call's rewrites; `before`/`after` are the
-    /// rewritten ordered state pairs; `counts` the post-transition
+    /// `interactions` is the engine's full-width interaction clock
+    /// ([`Engine::interactions_wide`], nulls included) after the call's
+    /// rewrites — exact past `u64::MAX` at `n ≥ 2³¹`; `before`/`after` are
+    /// the rewritten ordered state pairs; `counts` the post-transition
     /// occupancy.
     fn on_productive(
         &mut self,
-        interactions: u64,
+        interactions: u128,
         before: (State, State),
         after: (State, State),
         multiplicity: u64,
@@ -94,7 +103,7 @@ impl CountObserver for NullCountObserver {
     #[inline]
     fn on_productive(
         &mut self,
-        _interactions: u64,
+        _interactions: u128,
         _before: (State, State),
         _after: (State, State),
         _multiplicity: u64,
@@ -107,13 +116,13 @@ impl CountObserver for NullCountObserver {
 #[derive(Debug)]
 pub struct FnCountObserver<F>(pub F);
 
-impl<F: FnMut(u64, (State, State), (State, State), u64, &[u32])> CountObserver
+impl<F: FnMut(u128, (State, State), (State, State), u64, &[u32])> CountObserver
     for FnCountObserver<F>
 {
     #[inline]
     fn on_productive(
         &mut self,
-        interactions: u64,
+        interactions: u128,
         before: (State, State),
         after: (State, State),
         multiplicity: u64,
@@ -315,42 +324,87 @@ pub trait Engine {
 
     /// Advance the engine by its natural quantum and return the number of
     /// productive interactions applied, or `None` if the configuration is
-    /// silent (nothing was executed).
+    /// silent (nothing was executed): [`advance_to`](Engine::advance_to)
+    /// with no cap and no observer.
     ///
     /// The quantum differs per engine: the naive engine executes one
     /// scheduler draw (`Some(0)` for a null), the count engine one
     /// productive interaction plus its preceding nulls (`Some(1)`) or — in
     /// batched mode, far from silence — a whole batch (`Some(k)`).
-    fn advance(&mut self) -> Option<u64>;
+    #[inline]
+    fn advance(&mut self) -> Option<u64> {
+        match self.advance_to(u128::MAX, &mut NullCountObserver) {
+            CappedAdvance::Applied(k) => Some(k),
+            CappedAdvance::Silent | CappedAdvance::CapReached => None,
+        }
+    }
 
-    /// Run until silent or until at least `max_interactions` have elapsed.
+    /// Run until silent or until at least `max_interactions` have elapsed
+    /// (`u64::MAX` means unbounded: the count engine's clock can pass it
+    /// at `n ≥ 2³¹`).
     ///
     /// # Errors
     ///
     /// Returns [`StabilisationTimeout`] when the cap is exceeded before a
     /// silent configuration is reached.
+    #[inline]
     fn run_until_silent(
         &mut self,
         max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout>;
+    ) -> Result<StabilisationReport, StabilisationTimeout> {
+        self.run_until_silent_observed(max_interactions, &mut NullCountObserver)
+    }
 
     /// Like [`run_until_silent`](Engine::run_until_silent), invoking
     /// `observer` on productive interactions (batched engines may coalesce
     /// identical rewrites into one call with multiplicity > 1).
     ///
+    /// This is the one run loop: stop at the cap unless already silent,
+    /// otherwise advance one uncapped quantum, and end the run when that
+    /// quantum finds the configuration silent. Success is reported only
+    /// when the last productive interaction falls within the cap — a
+    /// batch's null tail may carry the count engine's clock past it. The
+    /// loop and the engines' `advance_to` are force-inlined so the
+    /// unobserved run reaches [`NullCountObserver`] through a constant
+    /// vtable, which the optimiser removes.
+    ///
     /// # Errors
     ///
     /// Returns [`StabilisationTimeout`] when the cap is exceeded first.
+    #[inline(always)]
     fn run_until_silent_observed(
         &mut self,
         max_interactions: u64,
         observer: &mut dyn CountObserver,
-    ) -> Result<StabilisationReport, StabilisationTimeout>;
+    ) -> Result<StabilisationReport, StabilisationTimeout> {
+        let cap = if max_interactions == u64::MAX {
+            u128::MAX
+        } else {
+            max_interactions as u128
+        };
+        loop {
+            if self.interactions_wide() >= cap && !self.is_silent() {
+                return Err(StabilisationTimeout {
+                    interactions: self.interactions(),
+                });
+            }
+            if self.advance_to(u128::MAX, observer) == CappedAdvance::Silent {
+                if self.interactions_wide() <= cap {
+                    return Ok(self.report());
+                }
+                return Err(StabilisationTimeout {
+                    interactions: max_interactions,
+                });
+            }
+        }
+    }
 
     /// Advance by one natural quantum, but never *start* work at or past
-    /// `cap` (an absolute interaction-clock value).
+    /// `cap` (an absolute interaction-clock value). This is the one
+    /// stepping method an engine implements; [`advance`](Engine::advance)
+    /// and the run loops are provided on top of it.
     ///
-    /// This is the primitive behind timed fault execution
+    /// It is also the primitive behind timed fault execution
     /// ([`run_with_plan`](crate::faults::run_with_plan)): a caller that
     /// must apply a fault at clock time `t` calls `advance_to(t, ..)` in a
     /// loop; the engine executes productive interactions falling before
@@ -413,9 +467,10 @@ pub trait Engine {
     /// Panics if the snapshot's shape does not match this protocol.
     fn restore(&mut self, snapshot: &EngineSnapshot);
 
-    /// Parallel time elapsed: interactions / n.
+    /// Parallel time elapsed: interactions / n, from the full-width clock
+    /// so it stays exact past `u64::MAX` interactions.
     fn parallel_time(&self) -> f64 {
-        self.interactions() as f64 / self.population_size() as f64
+        self.interactions_wide() as f64 / self.population_size() as f64
     }
 
     /// Build the report for the current (silent) configuration.

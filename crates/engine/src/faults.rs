@@ -962,6 +962,25 @@ mod tests {
         assert!(outcome.report.interactions_wide >= 5_000);
     }
 
+    /// Past `u64::MAX` the tracker must still see the clock move: the
+    /// observer receives the full-width clock, so a burst's recovery time
+    /// is measured rather than read as zero.
+    #[test]
+    fn burst_recovery_is_measured_past_u64_max() {
+        let p = Ag { n: 32 };
+        let mut engine = make_engine(EngineKind::Jump, &p, (0..32).collect(), 3, 1).unwrap();
+        let clock = (1u128 << 64) + 1_000;
+        let mut snap = engine.snapshot();
+        snap.interactions = clock;
+        engine.restore(&snap);
+        let plan = FaultPlan::new().burst_at(clock + 100, 3);
+        let outcome = run_with_plan(engine.as_mut(), &plan, 17, u64::MAX);
+        assert!(outcome.silent);
+        let burst = outcome.bursts[0];
+        assert!(burst.k_after > 0, "the burst must leave a gap to recover");
+        assert!(burst.recovery.is_some_and(|r| r > 0), "{burst:?}");
+    }
+
     #[test]
     fn burst_into_an_already_silent_run_fires_exactly_at_its_time() {
         // Start silent; the plan's burst at t must still fire at t (the

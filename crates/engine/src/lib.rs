@@ -86,6 +86,7 @@
 //! ```
 //! use ssr_engine::protocol::{ClassSpec, InteractionSchema, Protocol, State};
 //! use ssr_engine::count::CountSimulation;
+//! use ssr_engine::engine::Engine;
 //!
 //! /// The generic state-optimal ranking protocol A_G.
 //! struct Ag { n: usize }

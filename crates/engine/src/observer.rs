@@ -1,86 +1,19 @@
-//! Observation hooks.
+//! Observers of productive interactions.
 //!
-//! Observers are invoked on every **productive** interaction (null
-//! interactions cannot change any quantity derived from the configuration,
-//! so nothing is lost by skipping them) and receive the post-transition
-//! occupancy counts.
-//!
-//! The [`Observer`] trait here is the naive simulator's agent-level hook.
-//! The engine-level, counts-only hook shared by every engine is
-//! [`CountObserver`](crate::engine::CountObserver); this module provides
-//! its main production implementation, [`RecoveryTracker`], which
-//! integrates availability and `k`-distance excursions for the adversary
-//! subsystem ([`run_with_plan`](crate::faults::run_with_plan)).
+//! Every engine reports productive rewrites through one hook,
+//! [`CountObserver`], from its single stepping method
+//! [`Engine::advance_to`](crate::engine::Engine::advance_to).
+//! Observers see only **productive** interactions (null interactions cannot
+//! change any quantity derived from the configuration, so nothing is lost
+//! by skipping them) together with the post-transition occupancy counts
+//! and the full-width interaction clock. This module provides the main
+//! production implementation, [`RecoveryTracker`], which integrates
+//! availability and `k`-distance excursions for the adversary subsystem
+//! ([`run_with_plan`](crate::faults::run_with_plan)).
 
 use crate::engine::CountObserver;
 use crate::faults::BurstRecord;
 use crate::protocol::State;
-
-/// A single productive interaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransitionEvent {
-    /// Index of the initiating agent.
-    pub initiator: usize,
-    /// Index of the responding agent.
-    pub responder: usize,
-    /// States before the interaction `(initiator, responder)`.
-    pub before: (State, State),
-    /// States after the interaction `(initiator, responder)`.
-    pub after: (State, State),
-}
-
-/// Receives productive interactions from [`crate::sim::Simulation`].
-pub trait Observer {
-    /// Called after a productive interaction has been applied.
-    ///
-    /// `step` is the total interaction count (nulls included) and `counts`
-    /// the post-transition per-state occupancy.
-    fn on_transition(&mut self, step: u64, event: &TransitionEvent, counts: &[u32]);
-}
-
-/// Ignores everything; compiles away in the hot loop.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    #[inline]
-    fn on_transition(&mut self, _step: u64, _event: &TransitionEvent, _counts: &[u32]) {}
-}
-
-/// Adapts a closure into an [`Observer`].
-///
-/// # Examples
-///
-/// ```
-/// use ssr_engine::observer::{FnObserver, Observer, TransitionEvent};
-///
-/// let mut productive = 0u64;
-/// {
-///     let mut obs = FnObserver::new(|_step, _ev: &TransitionEvent, _c: &[u32]| {
-///         productive += 1;
-///     });
-///     obs.on_transition(3, &TransitionEvent {
-///         initiator: 0, responder: 1, before: (0, 0), after: (0, 1),
-///     }, &[1, 1]);
-/// }
-/// assert_eq!(productive, 1);
-/// ```
-#[derive(Debug)]
-pub struct FnObserver<F>(F);
-
-impl<F: FnMut(u64, &TransitionEvent, &[u32])> FnObserver<F> {
-    /// Wrap a closure.
-    pub fn new(f: F) -> Self {
-        FnObserver(f)
-    }
-}
-
-impl<F: FnMut(u64, &TransitionEvent, &[u32])> Observer for FnObserver<F> {
-    #[inline]
-    fn on_transition(&mut self, step: u64, event: &TransitionEvent, counts: &[u32]) {
-        (self.0)(step, event, counts)
-    }
-}
 
 /// Integrates steady-state observables for a fault-plan run: time-weighted
 /// availability (fraction of interaction time with `k`-distance zero),
@@ -95,9 +28,7 @@ impl<F: FnMut(u64, &TransitionEvent, &[u32])> Observer for FnObserver<F> {
 /// Count-engine batch groups all report the post-batch clock and counts,
 /// so a batch integrates as a single step — availability inside a batch is
 /// resolved at batch granularity (exact-stepping engines resolve it per
-/// interaction). The observer clock argument is `u64`; beyond `u64::MAX`
-/// interactions the plan executor advances the tracker from the engine's
-/// wide clock instead, so nothing saturates in practice.
+/// interaction).
 #[derive(Debug)]
 pub struct RecoveryTracker {
     counts: Vec<u32>,
@@ -259,13 +190,13 @@ impl RecoveryTracker {
 impl CountObserver for RecoveryTracker {
     fn on_productive(
         &mut self,
-        interactions: u64,
+        interactions: u128,
         before: (State, State),
         after: (State, State),
         multiplicity: u64,
         _counts: &[u32],
     ) {
-        self.advance(interactions as u128);
+        self.advance(interactions);
         if before == after {
             return;
         }

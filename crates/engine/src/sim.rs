@@ -3,8 +3,13 @@
 //! This is a literal implementation of the paper's probabilistic model. It
 //! tracks per-state occupancy counts incrementally so that silence — by the
 //! ranking contract, "all agents in pairwise-distinct rank states" — is an
-//! O(1) test, and it exposes [`Observer`] hooks on productive interactions
-//! for invariant checking.
+//! O(1) test. Like every engine it steps through
+//! [`Engine::advance_to`](crate::engine::Engine::advance_to) and reports
+//! productive interactions to a
+//! [`CountObserver`]; its own surface adds
+//! the agent vector, single [`step`](Simulation::step)s, and runs under
+//! external [`Scheduler`](crate::schedule::Scheduler)s, which the uniform
+//! [`Engine`](crate::engine::Engine) model does not cover.
 //!
 //! For long runs dominated by null interactions prefer the count engine's
 //! exact mode ([`CountSimulation`](crate::count::CountSimulation) with
@@ -14,6 +19,7 @@
 //! # Examples
 //!
 //! ```
+//! use ssr_engine::engine::Engine;
 //! use ssr_engine::protocol::{Protocol, State};
 //! use ssr_engine::sim::Simulation;
 //!
@@ -38,9 +44,9 @@
 //! # }
 //! ```
 
+use crate::engine::{CappedAdvance, CountObserver, EngineSnapshot};
 use crate::error::{ConfigError, StabilisationTimeout};
 use crate::init;
-use crate::observer::{NullObserver, Observer, TransitionEvent};
 use crate::protocol::{Protocol, State};
 use crate::rng::Xoshiro256;
 
@@ -195,9 +201,11 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
         }
     }
 
-    /// Execute one scheduler step. Returns the event if it was productive.
+    /// Execute one scheduler step. Returns the rewritten ordered state
+    /// pair, `((initiator, responder) before, (initiator, responder)
+    /// after)`, if it was productive.
     #[inline]
-    pub fn step(&mut self) -> Option<TransitionEvent> {
+    pub fn step(&mut self) -> Option<((State, State), (State, State))> {
         let n = self.protocol.population_size();
         debug_assert!(n >= 2, "population protocols need at least two agents");
         let (i, r) = self.rng.ordered_pair(n);
@@ -214,7 +222,7 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
     pub fn step_scheduled<S: crate::schedule::Scheduler>(
         &mut self,
         scheduler: &mut S,
-    ) -> Option<TransitionEvent> {
+    ) -> Option<((State, State), (State, State))> {
         debug_assert_eq!(
             scheduler.population(),
             self.protocol.population_size(),
@@ -255,9 +263,9 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
     }
 
     /// Apply one interaction to the explicit agent pair, advancing the
-    /// interaction clock. Returns the event if it was productive.
+    /// interaction clock. Returns the rewrite if it was productive.
     #[inline]
-    fn apply_pair(&mut self, i: usize, r: usize) -> Option<TransitionEvent> {
+    fn apply_pair(&mut self, i: usize, r: usize) -> Option<((State, State), (State, State))> {
         // Saturate like the count clock: a bare `+= 1` wraps in
         // release at u64::MAX (reachable near silence at extreme n).
         self.interactions = self.interactions.saturating_add(1);
@@ -295,69 +303,15 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
                     self.update_count(sr, -1);
                     self.update_count(sr2, 1);
                 }
-                Some(TransitionEvent {
-                    initiator: i,
-                    responder: r,
-                    before: (si, sr),
-                    after: (si2, sr2),
-                })
+                Some(((si, sr), (si2, sr2)))
             }
         }
     }
 
-    /// Run until silent or until `max_interactions` have been executed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is hit first.
-    pub fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        self.run_until_silent_observed(max_interactions, &mut NullObserver)
-    }
-
-    /// Like [`run_until_silent`], invoking `observer` on every productive
-    /// interaction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is hit first.
-    ///
-    /// [`run_until_silent`]: Simulation::run_until_silent
-    pub fn run_until_silent_observed<O: Observer>(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut O,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        loop {
-            if self.is_silent() {
-                debug_assert!(self.verify_silent());
-                return Ok(StabilisationReport {
-                    interactions: self.interactions,
-                    interactions_wide: self.interactions as u128,
-                    productive_interactions: self.productive,
-                    parallel_time: self.parallel_time(),
-                });
-            }
-            if self.interactions >= max_interactions {
-                return Err(StabilisationTimeout {
-                    interactions: self.interactions,
-                });
-            }
-            if let Some(event) = self.step() {
-                observer.on_transition(self.interactions, &event, &self.counts);
-            }
-        }
-    }
-
-    /// Execute exactly `budget` further interactions (silent or not),
-    /// invoking `observer` on productive ones.
-    pub fn run_for<O: Observer>(&mut self, budget: u64, observer: &mut O) {
+    /// Execute exactly `budget` further interactions (silent or not).
+    pub fn run_for(&mut self, budget: u64) {
         for _ in 0..budget {
-            if let Some(event) = self.step() {
-                observer.on_transition(self.interactions, &event, &self.counts);
-            }
+            self.step();
         }
     }
 
@@ -386,47 +340,6 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
     pub fn into_agents(self) -> Vec<State> {
         self.agents
     }
-
-    /// Capture the complete simulation state (configuration, clocks and
-    /// RNG) so a trajectory can be branched or replayed later.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            agents: self.agents.clone(),
-            counts: self.counts.clone(),
-            duplicate_rank_agents: self.duplicate_rank_agents,
-            extra_agents: self.extra_agents,
-            interactions: self.interactions,
-            productive: self.productive,
-            rng: self.rng.clone(),
-        }
-    }
-
-    /// Restore a snapshot previously taken from a simulation of the same
-    /// protocol instance. Restoring and re-running reproduces the exact
-    /// same trajectory (the RNG state is part of the snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's shape does not match this protocol.
-    pub fn restore(&mut self, snapshot: &Snapshot) {
-        assert_eq!(
-            snapshot.agents.len(),
-            self.protocol.population_size(),
-            "snapshot population mismatch"
-        );
-        assert_eq!(
-            snapshot.counts.len(),
-            self.protocol.num_states(),
-            "snapshot state-space mismatch"
-        );
-        self.agents.clone_from(&snapshot.agents);
-        self.counts.clone_from(&snapshot.counts);
-        self.duplicate_rank_agents = snapshot.duplicate_rank_agents;
-        self.extra_agents = snapshot.extra_agents;
-        self.interactions = snapshot.interactions;
-        self.productive = snapshot.productive;
-        self.rng = snapshot.rng.clone();
-    }
 }
 
 impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
@@ -454,55 +367,30 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
         Simulation::is_silent(self)
     }
 
-    /// One scheduler draw: `Some(1)` if it was productive, `Some(0)` for a
-    /// null interaction, `None` when already silent.
-    fn advance(&mut self) -> Option<u64> {
+    /// One scheduler draw: `Applied(1)` if it was productive,
+    /// `Applied(0)` for a null interaction. The naive clock moves one draw
+    /// at a time, so it never passes `cap`.
+    #[inline(always)]
+    fn advance_to(&mut self, cap: u128, observer: &mut dyn CountObserver) -> CappedAdvance {
         if Simulation::is_silent(self) {
-            return None;
-        }
-        Some(u64::from(self.step().is_some()))
-    }
-
-    fn run_until_silent(
-        &mut self,
-        max_interactions: u64,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        Simulation::run_until_silent(self, max_interactions)
-    }
-
-    fn run_until_silent_observed(
-        &mut self,
-        max_interactions: u64,
-        observer: &mut dyn crate::engine::CountObserver,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        /// Bridges agent-level [`Observer`] events to count-level hooks.
-        struct Adapter<'o>(&'o mut dyn crate::engine::CountObserver);
-        impl Observer for Adapter<'_> {
-            fn on_transition(&mut self, step: u64, event: &TransitionEvent, counts: &[u32]) {
-                self.0
-                    .on_productive(step, event.before, event.after, 1, counts);
-            }
-        }
-        Simulation::run_until_silent_observed(self, max_interactions, &mut Adapter(observer))
-    }
-
-    fn advance_to(
-        &mut self,
-        cap: u128,
-        observer: &mut dyn crate::engine::CountObserver,
-    ) -> crate::engine::CappedAdvance {
-        if Simulation::is_silent(self) {
-            return crate::engine::CappedAdvance::Silent;
+            debug_assert!(self.verify_silent());
+            return CappedAdvance::Silent;
         }
         if (self.interactions as u128) >= cap {
-            return crate::engine::CappedAdvance::CapReached;
+            return CappedAdvance::CapReached;
         }
         match self.step() {
-            Some(event) => {
-                observer.on_productive(self.interactions, event.before, event.after, 1, &self.counts);
-                crate::engine::CappedAdvance::Applied(1)
+            Some((before, after)) => {
+                observer.on_productive(
+                    self.interactions as u128,
+                    before,
+                    after,
+                    1,
+                    &self.counts,
+                );
+                CappedAdvance::Applied(1)
             }
-            None => crate::engine::CappedAdvance::Applied(0),
+            None => CappedAdvance::Applied(0),
         }
     }
 
@@ -564,8 +452,8 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
         Simulation::inject_fault(self, agent, to);
     }
 
-    fn snapshot(&self) -> crate::engine::EngineSnapshot {
-        crate::engine::EngineSnapshot {
+    fn snapshot(&self) -> EngineSnapshot {
+        EngineSnapshot {
             agents: Some(self.agents.clone()),
             counts: self.counts.clone(),
             interactions: self.interactions as u128,
@@ -575,7 +463,7 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
         }
     }
 
-    fn restore(&mut self, snapshot: &crate::engine::EngineSnapshot) {
+    fn restore(&mut self, snapshot: &EngineSnapshot) {
         // Count-only snapshots (from the count engine) reconstruct an
         // agent vector from counts; agents are anonymous, so the resulting
         // process is the same.
@@ -610,30 +498,6 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
     }
 }
 
-/// A point-in-time capture of a [`Simulation`], including its RNG.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    agents: Vec<State>,
-    counts: Vec<u32>,
-    duplicate_rank_agents: u64,
-    extra_agents: u64,
-    interactions: u64,
-    productive: u64,
-    rng: Xoshiro256,
-}
-
-impl Snapshot {
-    /// The captured per-agent states.
-    pub fn agents(&self) -> &[State] {
-        &self.agents
-    }
-
-    /// The interaction count at capture time.
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-}
-
 impl<P: Protocol + ?Sized> std::fmt::Debug for Simulation<'_, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
@@ -648,7 +512,7 @@ impl<P: Protocol + ?Sized> std::fmt::Debug for Simulation<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::FnObserver;
+    use crate::engine::Engine;
 
     struct Ag {
         n: usize,
@@ -737,17 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_productive_step() {
-        let p = Ag { n: 6 };
-        let mut sim = Simulation::new(&p, vec![0; 6], 13).unwrap();
-        let mut seen = 0u64;
-        let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, _c: &[u32]| seen += 1);
-        let rep = sim.run_until_silent_observed(10_000_000, &mut obs).unwrap();
-        let _ = obs;
-        assert_eq!(seen, rep.productive_interactions);
-    }
-
-    #[test]
     fn fault_injection_updates_counters_and_recovers() {
         let p = Ag { n: 6 };
         let mut sim = Simulation::new(&p, (0..6).collect(), 17).unwrap();
@@ -762,7 +615,7 @@ mod tests {
     fn run_for_executes_exact_budget() {
         let p = Ag { n: 5 };
         let mut sim = Simulation::new(&p, vec![1; 5], 19).unwrap();
-        sim.run_for(123, &mut NullObserver);
+        sim.run_for(123);
         assert_eq!(sim.interactions(), 123);
     }
 
@@ -781,10 +634,10 @@ mod tests {
     fn snapshot_restore_replays_exactly() {
         let p = Ag { n: 10 };
         let mut sim = Simulation::new(&p, vec![0; 10], 31).unwrap();
-        sim.run_for(500, &mut NullObserver);
+        sim.run_for(500);
         let snap = sim.snapshot();
         assert_eq!(snap.interactions(), 500);
-        assert_eq!(snap.agents(), sim.agents());
+        assert_eq!(snap.agents(), Some(sim.agents()));
 
         // Branch A: run to silence.
         let rep_a = sim.run_until_silent(u64::MAX).unwrap();
@@ -825,7 +678,7 @@ mod tests {
     fn parallel_time_is_interactions_over_n() {
         let p = Ag { n: 4 };
         let mut sim = Simulation::new(&p, vec![0; 4], 29).unwrap();
-        sim.run_for(40, &mut NullObserver);
+        sim.run_for(40);
         assert!((sim.parallel_time() - 10.0).abs() < 1e-12);
     }
 }

@@ -1,15 +1,17 @@
 //! One job execution with durable checkpoints and bit-identical resume.
 //!
-//! The core invariant: every engine's `run_until_silent` is the plain loop
-//! *check silence → check cap → advance one quantum*, and
+//! The core invariant holds by construction: every engine's
+//! `run_until_silent` is the one loop the [`Engine`] trait provides —
+//! *check silence → check cap → advance one uncapped quantum* — and
 //! [`Engine::advance`](ssr_engine::Engine::advance) is exactly that
-//! quantum. [`run_job`] replays that loop verbatim and interleaves
-//! checkpoints *between* quanta; taking a snapshot consumes no RNG, so a
-//! checkpointed run, a resumed run, and an uninterrupted
-//! [`Scenario::run_one`](ssr_engine::Scenario::run_one) all follow the
-//! same trajectory draw for draw — at any thread count and any checkpoint
-//! cadence. (`advance_to` would *not* work here: the count engine clips
-//! batch sizes near caps, which changes the trajectory.)
+//! quantum, `advance_to(u128::MAX, ..)`. [`run_job`] replays that loop
+//! verbatim and interleaves checkpoints *between* quanta; taking a
+//! snapshot consumes no RNG, so a checkpointed run, a resumed run, and an
+//! uninterrupted [`Scenario::run_one`](ssr_engine::Scenario::run_one) all
+//! follow the same trajectory draw for draw — at any thread count and any
+//! checkpoint cadence. (`advance_to` with a finite cap would *not* work
+//! here: the count engine clips batch sizes near caps, which changes the
+//! trajectory.)
 //!
 //! Fault-plan jobs run through
 //! [`run_outcome`](ssr_engine::Scenario::run_outcome) without mid-run

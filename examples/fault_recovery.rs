@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let start = init::uniform_random(n, tree.num_states(), &mut rng);
     let mut sim = Simulation::new(&tree, start, 99)?;
     for burst in 1..=3 {
-        sim.run_for(20 * n as u64, &mut ssr::engine::observer::NullObserver);
+        sim.run_for(20 * n as u64);
         for _ in 0..n / 10 {
             let victim = rng.below_usize(n);
             let garbage = rng.below(tree.num_states() as u64) as State;

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 3: safety — once silent, nothing ever changes again.
     let before = sim.agents().to_vec();
-    sim.run_for(100_000, &mut ssr::engine::observer::NullObserver);
+    sim.run_for(100_000);
     assert_eq!(before, sim.agents(), "silent configurations are stable");
     println!("stability check passed: 100k further interactions changed nothing");
     Ok(())

@@ -9,7 +9,6 @@
 //!
 //! Run: `cargo run --release --example loose_leader`
 
-use ssr::engine::observer::NullObserver;
 use ssr::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let start = init::uniform_random(n, loose.num_states(), &mut rng);
     let mut sim = Simulation::new(&loose, start, 5)?;
     while loose.leader_count(sim.counts()) != 1 {
-        sim.run_for(64, &mut NullObserver);
+        sim.run_for(64);
     }
     println!(
         "loose (τ = {:>2}) : {} states, leader elected at parallel time {:.0}, \
@@ -57,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let budget = 20_000_000u64;
         let mut lost_at = None;
         while sim.interactions() < budget {
-            sim.run_for(64, &mut NullObserver);
+            sim.run_for(64);
             if loose.leader_count(sim.counts()) != 1 {
                 lost_at = Some(sim.parallel_time());
                 break;

@@ -9,7 +9,6 @@
 //! Run with: `cargo run --release --example trap_dynamics`
 
 use ssr::prelude::*;
-use ssr::engine::observer::NullObserver;
 
 fn render(protocol: &RingOfTraps, counts: &[u32]) -> String {
     let chain = protocol.chain();
@@ -52,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut checkpoint = 1_000u64;
     while !sim.is_silent() {
         let budget = checkpoint.saturating_sub(sim.interactions());
-        sim.run_for(budget, &mut NullObserver);
+        sim.run_for(budget);
         println!(
             "{:>10}  {}   K = {}  tidy = {}",
             sim.interactions(),

@@ -253,7 +253,7 @@ fn count_thread_counts_produce_identical_run_reports() {
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
         let mut s = CountSimulation::new(&p, cfg, 99).unwrap().with_threads(threads);
         let mut max_quantum = 0u64;
-        while let Some(applied) = s.advance_chain() {
+        while let Some(applied) = s.advance() {
             max_quantum = max_quantum.max(applied);
         }
         assert!(
@@ -382,7 +382,7 @@ fn loose_count_vs_jump_ks_test_on_sparse_batches() {
                     .unwrap()
                     .with_batching(false);
             while p.leader_count(s.counts()) == 0 {
-                s.step_productive();
+                s.advance();
                 assert!(s.interactions() < budget, "no leader within budget");
             }
             s.interactions() as f64
@@ -394,7 +394,7 @@ fn loose_count_vs_jump_ks_test_on_sparse_batches() {
                 CountSimulation::new(&p, loose_band_start(&p, n, 1, 8), 150_000 + t).unwrap();
             let mut max_quantum = 0u64;
             while p.leader_count(s.counts()) == 0 {
-                max_quantum = max_quantum.max(s.advance_chain().unwrap());
+                max_quantum = max_quantum.max(s.advance().unwrap());
                 assert!(s.interactions() < budget, "no leader within budget");
             }
             assert!(
@@ -427,7 +427,7 @@ fn loose_thread_counts_produce_identical_trajectories() {
             .with_threads(threads);
         let mut max_quantum = 0u64;
         for _ in 0..40 {
-            max_quantum = max_quantum.max(s.advance_chain().unwrap());
+            max_quantum = max_quantum.max(s.advance().unwrap());
         }
         assert!(
             max_quantum >= 4096,

@@ -179,3 +179,166 @@ fn mixed_fault_plan() {
         .collect();
     assert_eq!(bursts, [(576, 3, 92, None), (1728, 2, 93, None)]);
 }
+
+// The pins below were recorded before the engines' run loops were folded
+// into the provided `Engine` loop over `advance_to`; they certify that the
+// fold consumed the RNG draw for draw on the naive engine, the scheduled
+// naive path, the count engine's batched mode and the observer stream.
+
+fn naive_fingerprint(e: &dyn Engine) -> (u128, u64, u64, u64) {
+    let (clock, productive, counts) = fingerprint(e);
+    let agents = e.snapshot().agents().map(fnv).expect("naive engines track agents");
+    (clock, productive, counts, agents)
+}
+
+#[test]
+fn naive_to_silence() {
+    let ag = GenericRanking::new(40);
+    let tree = TreeRanking::new(64);
+    let mut runs: Vec<(u64, (u128, u64, u64, u64))> = Vec::new();
+    for seed in [3, 17] {
+        let mut e = make_engine(EngineKind::Naive, &ag, vec![0; 40], seed, 1).unwrap();
+        e.run_until_silent(u64::MAX).unwrap();
+        runs.push((seed, naive_fingerprint(e.as_ref())));
+    }
+    for seed in [5, 29] {
+        let mut e = make_engine(EngineKind::Naive, &tree, uniform(&tree, seed), seed, 1).unwrap();
+        e.run_until_silent(u64::MAX).unwrap();
+        runs.push((seed, naive_fingerprint(e.as_ref())));
+    }
+    assert_eq!(
+        runs,
+        [
+            (3, (33_677, 780, 9_346_796_594_517_496_933, 4_524_513_700_803_251_605)),
+            (17, (33_682, 780, 9_346_796_594_517_496_933, 8_850_139_935_311_703_957)),
+            (5, (7_314, 1_890, 17_054_730_686_554_725_541, 11_281_791_028_380_836_613)),
+            (29, (7_505, 2_080, 17_054_730_686_554_725_541, 16_212_485_455_890_997_493)),
+        ]
+    );
+}
+
+#[test]
+fn zipf_scheduled_naive() {
+    let n = 24;
+    let p = GenericRanking::new(n);
+    let mut sim = Simulation::new(&p, vec![0; n], 71).unwrap();
+    let mut sched = ZipfScheduler::new(n, 1.0);
+    sim.run_until_silent_scheduled(u64::MAX, &mut sched).unwrap();
+    assert_eq!(
+        naive_fingerprint(&sim),
+        (28_709, 276, 11_219_404_132_072_788_965, 8_402_276_891_733_141_013)
+    );
+}
+
+fn count<'a, P: InteractionSchema>(
+    p: &'a P,
+    config: Vec<State>,
+    seed: u64,
+) -> Box<dyn Engine + 'a> {
+    let e = make_engine(EngineKind::Count, p, config, seed, 1).unwrap();
+    assert_eq!(e.engine_name(), "count");
+    e
+}
+
+#[test]
+fn count_tree_uniform_n4096() {
+    let p = TreeRanking::new(4096);
+    let mut e = count(&p, uniform(&p, 12), 12);
+    e.run_until_silent(u64::MAX).unwrap();
+    assert_eq!(
+        fingerprint(e.as_ref()),
+        (38_785_722, 269_489, 16_225_980_002_244_645_413)
+    );
+}
+
+#[test]
+fn count_ag_stacked_prefix_n4096() {
+    let p = GenericRanking::new(4096);
+    let mut e = count(&p, vec![0; 4096], 8);
+    let mut batched = 0u64;
+    for _ in 0..3_000 {
+        if e.advance().expect("far from silence") > 1 {
+            batched += 1;
+        }
+    }
+    assert_eq!(
+        (batched, fingerprint(e.as_ref())),
+        (3_000, (85_449_982, 763_855, 6_489_250_333_143_974_407))
+    );
+}
+
+/// FNV-1a over every `(clock, before, after, multiplicity)` the observer
+/// reports on a run to silence, plus the run's fingerprint.
+fn observed_stream(e: &mut dyn Engine) -> (u64, (u128, u64, u64)) {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut obs = ssr::engine::engine::FnCountObserver(
+        |clock: u128, before: (State, State), after: (State, State), mult: u64, _c: &[u32]| {
+            let bytes = clock
+                .to_le_bytes()
+                .into_iter()
+                .chain([before.0, before.1, after.0, after.1].into_iter().flat_map(u32::to_le_bytes))
+                .chain(mult.to_le_bytes());
+            for b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        },
+    );
+    e.run_until_silent_observed(u64::MAX, &mut obs).unwrap();
+    let _ = obs;
+    (h, fingerprint(e))
+}
+
+#[test]
+fn observer_streams() {
+    let ag = GenericRanking::new(16);
+    let tree = TreeRanking::new(300);
+    let big = TreeRanking::new(4096);
+    let mut naive = make_engine(EngineKind::Naive, &ag, vec![0; 16], 4, 1).unwrap();
+    let mut exact = jump(&tree, uniform(&tree, 6), 6);
+    let mut batched = count(&big, uniform(&big, 9), 9);
+    let streams = [
+        observed_stream(naive.as_mut()),
+        observed_stream(exact.as_mut()),
+        observed_stream(batched.as_mut()),
+    ];
+    assert_eq!(
+        streams,
+        [
+            (3_019_044_018_658_190_676, (1_686, 120, 13_746_881_398_137_791_397)),
+            (18_266_542_845_960_994_039, (321_021, 14_434, 15_748_872_390_555_902_917)),
+            (17_922_432_295_624_231_251, (43_872_371, 257_918, 16_225_980_002_244_645_413)),
+        ]
+    );
+}
+
+#[test]
+fn batched_fault_plan() {
+    let n = 4096;
+    let p = TreeRanking::new(n);
+    let plan = FaultPlan::new()
+        .burst_at(100 * n as u128, 2_000)
+        .rate(1.0 / (4_000.0 * n as f64));
+    let mut e = count(&p, (0..n as State).collect(), 13);
+    let out = run_with_plan(e.as_mut(), &plan, 0xFA17_0002, 20_000 * n as u64);
+    let bursts: Vec<_> = out
+        .bursts
+        .iter()
+        .map(|b| (b.time, b.faults, b.k_after, b.recovery))
+        .collect();
+    assert_eq!(
+        (
+            fingerprint(e.as_ref()),
+            out.availability.to_bits(),
+            out.mean_k.to_bits(),
+            out.faults_injected,
+        ),
+        (
+            (81_920_000, 971_290, 7_202_367_843_276_989_786),
+            4_594_717_116_937_455_796,
+            4_653_204_118_047_398_298,
+            2_004
+        )
+    );
+    assert_eq!(bursts, [(409_600, 2_000, 1_077, Some(50_132_712))]);
+}

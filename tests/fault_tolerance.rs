@@ -5,7 +5,6 @@
 // Audited: tests cast tiny bounded f64/u64 values (n <= 10^4) to usize/u32.
 #![allow(clippy::cast_possible_truncation)]
 
-use ssr::engine::observer::NullObserver;
 use ssr::prelude::*;
 
 fn campaign<P: Protocol>(p: &P, seed: u64, bursts: usize) {
@@ -16,7 +15,7 @@ fn campaign<P: Protocol>(p: &P, seed: u64, bursts: usize) {
 
     for burst in 0..bursts {
         // Let the protocol make partial progress (well short of silence).
-        sim.run_for((n as u64) * 50, &mut NullObserver);
+        sim.run_for((n as u64) * 50);
         // Corrupt a random subset mid-flight, including into extra states.
         let faults = 1 + rng.below_usize(n / 3 + 1);
         for _ in 0..faults {
@@ -88,7 +87,7 @@ fn snapshot_branching_with_faults() {
     let n = 24;
     let p = TreeRanking::new(n);
     let mut sim = Simulation::new(&p, vec![0; n], 11).unwrap();
-    sim.run_for(500, &mut NullObserver);
+    sim.run_for(500);
     let snap = sim.snapshot();
 
     // Branch 1: undisturbed.

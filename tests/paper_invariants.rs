@@ -3,7 +3,7 @@
 // Audited: tests cast tiny bounded f64/u64 values (n <= 10^4) to usize/u32.
 #![allow(clippy::cast_possible_truncation)]
 
-use ssr::engine::observer::{FnObserver, TransitionEvent};
+use ssr::engine::engine::FnCountObserver;
 use ssr::prelude::*;
 
 /// Lemma 10: `s(C) = d(C)` for every configuration of the line protocol.
@@ -40,7 +40,7 @@ fn line_tokens_accounted_along_trajectory() {
     let mut tidy_lost = false;
     let mut violations = 0u32;
     {
-        let mut obs = FnObserver::new(|_s, ev: &TransitionEvent, counts: &[u32]| {
+        let mut obs = FnCountObserver(|_clock, before: (State, State), after: (State, State), _mult, counts: &[u32]| {
             if last.is_none() {
                 if p.is_tidy(counts) {
                     last = Some(p.tokens(counts));
@@ -52,7 +52,7 @@ fn line_tokens_accounted_along_trajectory() {
                 return;
             }
             let now = p.tokens(counts);
-            let x_entered_line = ev.before.1 == p.x_state() && ev.after.1 != p.x_state();
+            let x_entered_line = before.1 == p.x_state() && after.1 != p.x_state();
             if now > last.unwrap() && !x_entered_line {
                 violations += 1;
             }
@@ -75,7 +75,7 @@ fn tree_dispersal_from_root_never_resets() {
     let nr = n;
     let mut touched_extra = false;
     {
-        let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, counts: &[u32]| {
+        let mut obs = FnCountObserver(|_clock, _before, _after, _mult, counts: &[u32]| {
             if counts[nr..].iter().any(|&c| c > 0) {
                 touched_extra = true;
             }
@@ -99,7 +99,7 @@ fn tree_unbalanced_start_triggers_reset() {
     let nr = n;
     let mut touched_extra = false;
     {
-        let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, counts: &[u32]| {
+        let mut obs = FnCountObserver(|_clock, _before, _after, _mult, counts: &[u32]| {
             if counts[nr..].iter().any(|&c| c > 0) {
                 touched_extra = true;
             }
@@ -133,7 +133,7 @@ fn balance_detector_predicts_resets() {
         let nr = n;
         let mut touched_extra = false;
         {
-            let mut obs = FnObserver::new(|_s, _e: &TransitionEvent, c: &[u32]| {
+            let mut obs = FnCountObserver(|_clock, _before, _after, _mult, c: &[u32]| {
                 if c[nr..].iter().any(|&x| x > 0) {
                     touched_extra = true;
                 }

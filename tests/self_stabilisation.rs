@@ -93,7 +93,7 @@ fn silence_is_verified_exhaustively_and_stable() {
             .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
         assert!(sim.verify_silent(), "{}: silence flag disagrees", p.name());
         let frozen = sim.agents().to_vec();
-        sim.run_for(200_000, &mut ssr::engine::observer::NullObserver);
+        sim.run_for(200_000);
         assert_eq!(frozen, sim.agents(), "{}: silent config mutated", p.name());
     }
 }
