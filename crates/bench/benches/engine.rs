@@ -371,10 +371,10 @@ fn bench_service(c: &mut Criterion) {
     group.sample_size(10);
 
     // Serving a re-submitted job from the result cache: key derivation
-    // (schema hash + spec fingerprint) plus lookup and decode — the full
-    // cost of a hit short of the spool's queue-file renames. Key
-    // derivation dominates: the schema hash walks the protocol's
-    // equal-rank diagonal once.
+    // (spec fingerprint over the memoised schema hash) plus lookup and
+    // decode — the full cost of a hit short of the spool's queue-file
+    // renames. The key is warm: `put` below derived the schema hash, so
+    // no iteration walks the protocol's equal-rank diagonal.
     let cache = ResultCache::open(&dir).unwrap();
     let mut spec = JobSpec::new("tree", 65_536, 7);
     spec.init = JobInit::Stacked;
@@ -418,6 +418,18 @@ fn bench_service(c: &mut Criterion) {
             engine.restore(&snapshot);
             black_box(blob.len())
         })
+    });
+
+    // The wire layer alone, each direction measured on its own, on the
+    // same n = 2²⁰ count-engine snapshot (4 MiB of counts).
+    let snapshot = engine.snapshot();
+    let blob = snapshot.to_wire(shape);
+    group.throughput(Throughput::Bytes(blob.len() as u64));
+    group.bench_function("wire_encode_n1048576", |b| {
+        b.iter(|| black_box(snapshot.to_wire(shape)))
+    });
+    group.bench_function("wire_decode_n1048576", |b| {
+        b.iter(|| black_box(EngineSnapshot::from_wire(&blob, shape).unwrap()))
     });
     group.finish();
 }

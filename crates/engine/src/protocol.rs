@@ -314,8 +314,11 @@ pub trait InteractionSchema: Protocol {
     /// differ.
     ///
     /// Cost is `O(classes + num_rank_states)` when `EqualRank` is declared
-    /// (one `transition` probe per rank state), `O(classes)` otherwise. Do
-    /// not override — downstream stores key on the default derivation.
+    /// (one `transition` probe per rank state, ~10 ms for tree at
+    /// n = 65536), `O(classes)` otherwise. The service derives it once per
+    /// `(protocol, n)` per process and memoises it
+    /// (`ssr_service::JobSpec::shape`). Do not override — downstream
+    /// stores key on the default derivation.
     fn schema_hash(&self) -> u64 {
         /// FNV-1a over a stream of `u64` words, one byte at a time so the
         /// result is independent of host endianness.

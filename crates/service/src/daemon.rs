@@ -440,16 +440,10 @@ struct WorkerCtx {
 impl WorkerCtx {
     fn run(self) {
         let outcome = match run_job(&self.spec, &self.store, &self.run_cfg) {
-            Ok(RunDisposition::Completed { result, resumed }) => {
-                let ok = self.cache.put(self.key, &result).is_ok()
-                    && write_done(&self.dir, self.key, &result, "engine").is_ok()
-                    && fs::remove_file(&self.running).is_ok();
-                if ok {
-                    WorkerOutcome::Done { resumed }
-                } else {
-                    WorkerOutcome::Failed
-                }
-            }
+            Ok(RunDisposition::Completed { result, resumed }) => match self.record(&result) {
+                Ok(()) => WorkerOutcome::Done { resumed },
+                Err(e) => self.fail(&ServiceError::from(e)),
+            },
             Ok(RunDisposition::Interrupted { .. }) => {
                 // Leave checkpoints in place, requeue for a successor.
                 // `running` always ends in a file name (the daemon built
@@ -460,20 +454,32 @@ impl WorkerCtx {
                 }
                 WorkerOutcome::Interrupted
             }
-            Err(e) => {
-                let _ = fs::write(
-                    self.dir
-                        .join("failed")
-                        .join(format!("{}.err", self.key.hex())),
-                    format!("{e}"),
-                );
-                let _ = fs::remove_file(&self.running);
-                WorkerOutcome::Failed
-            }
+            Err(e) => self.fail(&e),
         };
         let _ = self.tx.send(WorkerMsg {
             cost: self.cost,
             outcome,
         });
+    }
+
+    /// Memoise a completed result, publish it in `done/`, and release
+    /// the job's `running/` entry.
+    fn record(&self, result: &JobResult) -> std::io::Result<()> {
+        self.cache.put(self.key, result)?;
+        write_done(&self.dir, self.key, result, "engine")?;
+        fs::remove_file(&self.running)
+    }
+
+    /// Record why the job failed in `failed/<key>.err` and release its
+    /// `running/` entry.
+    fn fail(&self, reason: &ServiceError) -> WorkerOutcome {
+        let _ = fs::write(
+            self.dir
+                .join("failed")
+                .join(format!("{}.err", self.key.hex())),
+            format!("{reason}"),
+        );
+        let _ = fs::remove_file(&self.running);
+        WorkerOutcome::Failed
     }
 }

@@ -21,11 +21,12 @@
 //! * [`CheckpointStore`] — versioned
 //!   [`EngineSnapshot`](ssr_engine::EngineSnapshot) wire blobs (including
 //!   the count engine's batching control state and the full-width `u128`
-//!   interaction clock), written atomically, pruned to the newest two.
+//!   interaction clock), written atomically, pruned to the newest two so
+//!   a damaged newest checkpoint still leaves an older resume point.
 //! * [`ResultCache`] — completed [`JobResult`]s, content-addressed by
 //!   [`JobKey`]; corrupt entries degrade to cache misses.
-//! * [`run_job`] — one job execution: restore from the latest checkpoint
-//!   if present, replay the engine's exact run-to-silence loop with
+//! * [`run_job`] — one job execution: restore from the newest checkpoint
+//!   that decodes (or start afresh), replay the engine's exact run-to-silence loop with
 //!   checkpoints interleaved between quanta (snapshots consume no RNG, so
 //!   checkpointed and uninterrupted trajectories are identical), optionally
 //!   self-interrupt after k checkpoints to simulate a kill.

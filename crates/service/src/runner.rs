@@ -22,7 +22,6 @@
 use crate::spec::{JobResult, JobSpec, JobStatusKind, OutcomeStats};
 use crate::store::CheckpointStore;
 use crate::ServiceError;
-use ssr_engine::wire::SnapshotShape;
 use ssr_engine::{Engine, EngineSnapshot, RunOutcome, Scenario};
 
 /// Execution knobs of one [`run_job`] call — scheduling and durability
@@ -68,13 +67,19 @@ pub enum RunDisposition {
     },
 }
 
-/// Execute one job: restore from the newest checkpoint when one exists,
+/// Execute one job: restore from the newest checkpoint that decodes,
 /// checkpoint periodically, memoise nothing (the caller owns the cache).
+///
+/// A damaged checkpoint (truncated, bad magic, unknown version, checksum
+/// mismatch) is skipped in favour of the next older one
+/// ([`CheckpointStore::KEEP`] are retained), and with none left the job
+/// starts afresh; either way the result is bit-identical.
 ///
 /// # Errors
 ///
 /// [`ServiceError::Spec`]/[`ServiceError::Config`] for unrunnable specs,
-/// [`ServiceError::Snapshot`] for undecodable checkpoints,
+/// [`ServiceError::Snapshot`] for a checkpoint stamped with another
+/// protocol's identity (schema hash or shape),
 /// [`ServiceError::Io`] for store failures.
 pub fn run_job(
     spec: &JobSpec,
@@ -84,7 +89,7 @@ pub fn run_job(
     spec.validate()?;
     let key = spec.key()?;
     let protocol = spec.make_protocol()?;
-    let shape = SnapshotShape::of(protocol.as_ref());
+    let shape = spec.shape()?;
     let scenario = Scenario::new(protocol.as_ref())
         .engine(spec.engine)
         .init(spec.init.to_init())
@@ -106,10 +111,20 @@ pub fn run_job(
         .build_engine(0)
         .map_err(|e| ServiceError::Config(e.to_string()))?;
     let mut resumed = false;
-    if let Some((_, blob)) = store.latest(key) {
-        let snapshot = EngineSnapshot::from_wire(&blob, shape)?;
-        engine.restore(&snapshot);
-        resumed = true;
+    for (_, blob) in store.newest_first(key) {
+        match EngineSnapshot::from_wire(&blob, shape) {
+            Ok(snapshot) => {
+                engine.restore(&snapshot);
+                resumed = true;
+                break;
+            }
+            // Another job's state under this key is a bug, not wear.
+            Err(e) if e.is_identity_mismatch() => return Err(e.into()),
+            // A damaged checkpoint is skipped for an older one, or for a
+            // fresh start: checkpoints sit between quanta, so the result
+            // is the same from any of them.
+            Err(_) => {}
+        }
     }
 
     let cap = if spec.max_interactions == u64::MAX {

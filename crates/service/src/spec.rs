@@ -9,8 +9,10 @@
 
 use crate::ServiceError;
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
+use ssr_engine::wire::SnapshotShape;
 use ssr_engine::{EngineKind, FaultPlan, Init, InteractionSchema};
 use std::fmt;
+use std::sync::Mutex;
 
 /// Codec version tag of the job-spec text format.
 pub const JOB_SPEC_VERSION: &str = "ssr-job v1";
@@ -123,16 +125,36 @@ impl JobSpec {
     ///
     /// Returns [`ServiceError::Spec`] for unknown protocol names.
     pub fn make_protocol(&self) -> Result<Box<dyn InteractionSchema + Sync>, ServiceError> {
-        match canonical_protocol(&self.protocol) {
-            Some("generic") => Ok(Box::new(GenericRanking::new(self.n))),
-            Some("ring") => Ok(Box::new(RingOfTraps::new(self.n))),
-            Some("line") => Ok(Box::new(LineOfTraps::new(self.n))),
-            Some("tree") => Ok(Box::new(TreeRanking::new(self.n))),
-            _ => Err(ServiceError::Spec(format!(
+        match self.canonical_protocol()? {
+            "generic" => Ok(Box::new(GenericRanking::new(self.n))),
+            "ring" => Ok(Box::new(RingOfTraps::new(self.n))),
+            "line" => Ok(Box::new(LineOfTraps::new(self.n))),
+            // `canonical_protocol` names no fifth protocol.
+            _ => Ok(Box::new(TreeRanking::new(self.n))),
+        }
+    }
+
+    /// The canonical protocol name (`ag` → `generic`).
+    fn canonical_protocol(&self) -> Result<&'static str, ServiceError> {
+        canonical_protocol(&self.protocol).ok_or_else(|| {
+            ServiceError::Spec(format!(
                 "unknown protocol '{}' (expected generic|ring|line|tree)",
                 self.protocol
-            ))),
-        }
+            ))
+        })
+    }
+
+    /// The [`SnapshotShape`] of the job's protocol — the identity its
+    /// checkpoints are stamped and validated with. Equal to
+    /// `SnapshotShape::of(self.make_protocol()?)`, but the schema hash
+    /// behind it is derived once per `(protocol, n)` per process and
+    /// memoised (at most 64 pairs are kept).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServiceError::Spec`] for unknown protocol names.
+    pub fn shape(&self) -> Result<SnapshotShape, ServiceError> {
+        SHAPES.shape(self)
     }
 
     /// Assemble the job's adversary flags into a [`FaultPlan`]; `None`
@@ -167,12 +189,7 @@ impl JobSpec {
     ///
     /// Returns [`ServiceError::Spec`] describing the first violation.
     pub fn validate(&self) -> Result<(), ServiceError> {
-        canonical_protocol(&self.protocol).ok_or_else(|| {
-            ServiceError::Spec(format!(
-                "unknown protocol '{}' (expected generic|ring|line|tree)",
-                self.protocol
-            ))
-        })?;
+        self.canonical_protocol()?;
         if self.n == 0 {
             return Err(ServiceError::Spec("population must be positive".into()));
         }
@@ -206,7 +223,8 @@ impl JobSpec {
     ///
     /// Covers the protocol's
     /// [`schema_hash`](InteractionSchema::schema_hash) (so a cached result
-    /// is never served across rule changes), the canonical protocol name,
+    /// is never served across rule changes; memoised, see
+    /// [`shape`](Self::shape)), the canonical protocol name,
     /// `n`, init, the engine kind **with `Auto` resolved against `n`** (an
     /// `auto` job and an explicit `count` job at `n ≥ 4096` are the same
     /// run), seed, budget, and the full fault plan. Excludes `threads`:
@@ -216,20 +234,13 @@ impl JobSpec {
     ///
     /// Returns [`ServiceError::Spec`] when the protocol is unknown.
     pub fn key(&self) -> Result<JobKey, ServiceError> {
-        let protocol = self.make_protocol()?;
-        // `make_protocol` succeeding implies the name resolves, but a
-        // typed error beats a daemon abort if the two maps ever drift.
-        let canonical = canonical_protocol(&self.protocol).ok_or_else(|| {
-            ServiceError::Spec(format!(
-                "unknown protocol '{}' (expected generic|ring|line|tree)",
-                self.protocol
-            ))
-        })?;
+        let schema_hash = self.shape()?.schema_hash;
+        let canonical = self.canonical_protocol()?;
         let mut lo = Fnv::new(0xCBF2_9CE4_8422_2325);
         let mut hi = Fnv::new(0x6C62_272E_07BB_0142); // independent basis
         for h in [&mut lo, &mut hi] {
             h.word(1); // key-derivation version
-            h.word(protocol.schema_hash());
+            h.word(schema_hash);
             h.bytes(canonical.as_bytes());
             h.word(self.n as u64);
             h.word(self.init.code());
@@ -364,6 +375,55 @@ fn parse<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, ServiceError> {
         .parse()
         .map_err(|_| ServiceError::Spec(format!("{what}: cannot parse '{v}'")))
 }
+
+/// Snapshot shapes already derived in this process, keyed by canonical
+/// protocol name and `n`.
+///
+/// A shape is a pure function of `(protocol, n)`, but deriving it costs a
+/// [`schema_hash`](InteractionSchema::schema_hash) — one `transition`
+/// probe per rank state, ~10 ms for tree at n = 65536 — and a job needs
+/// it at submission, at claim, for its key in `run_job` and for its
+/// checkpoints. The memo holds at most [`CAP`](Self::CAP) entries and
+/// forgets the oldest first. A poisoned lock is not an error: the shape
+/// is then derived afresh.
+struct ShapeMemo {
+    entries: Mutex<Vec<(&'static str, usize, SnapshotShape)>>,
+}
+
+impl ShapeMemo {
+    /// Most `(protocol, n)` entries kept.
+    const CAP: usize = 64;
+
+    const fn new() -> Self {
+        ShapeMemo {
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The shape of `spec`'s protocol, derived on first use.
+    fn shape(&self, spec: &JobSpec) -> Result<SnapshotShape, ServiceError> {
+        let protocol = spec.canonical_protocol()?;
+        let n = spec.n;
+        if let Ok(entries) = self.entries.lock() {
+            if let Some(&(_, _, shape)) = entries.iter().find(|e| e.0 == protocol && e.1 == n) {
+                return Ok(shape);
+            }
+        }
+        let shape = SnapshotShape::of(spec.make_protocol()?.as_ref());
+        if let Ok(mut entries) = self.entries.lock() {
+            if !entries.iter().any(|e| e.0 == protocol && e.1 == n) {
+                if entries.len() == Self::CAP {
+                    entries.remove(0);
+                }
+                entries.push((protocol, n, shape));
+            }
+        }
+        Ok(shape)
+    }
+}
+
+/// The process-wide memo behind [`JobSpec::shape`] and [`JobSpec::key`].
+static SHAPES: ShapeMemo = ShapeMemo::new();
 
 /// FNV-1a 64, fed word-at-a-time (bytes in little-endian order, so the
 /// digest is host-independent).
@@ -669,6 +729,64 @@ mod tests {
         let a = JobSpec::new("ag", 64, 1);
         let g = JobSpec::new("generic", 64, 1);
         assert_eq!(a.key().unwrap(), g.key().unwrap());
+    }
+
+    /// The memoised shape, cold and then warm, is the shape of a freshly
+    /// built protocol — for every protocol at several `n` — and so is the
+    /// process-wide one behind `JobSpec::shape`.
+    #[test]
+    fn memoised_shape_matches_a_fresh_derivation() {
+        let memo = ShapeMemo::new();
+        for protocol in ["generic", "ag", "ring", "line", "tree"] {
+            for n in [64, 1056, 4096, 65_536] {
+                let spec = JobSpec::new(protocol, n, 1);
+                let fresh = spec.make_protocol().unwrap();
+                let expected = SnapshotShape::of(fresh.as_ref());
+                assert_eq!(expected.schema_hash, fresh.schema_hash());
+                assert_eq!(
+                    memo.shape(&spec).unwrap(),
+                    expected,
+                    "{protocol} n={n} cold"
+                );
+                assert_eq!(
+                    memo.shape(&spec).unwrap(),
+                    expected,
+                    "{protocol} n={n} warm"
+                );
+                assert_eq!(
+                    spec.shape().unwrap(),
+                    expected,
+                    "{protocol} n={n} process memo"
+                );
+            }
+        }
+        // `ag` and `generic` share entries.
+        assert_eq!(memo.entries.lock().unwrap().len(), 4 * 4);
+        assert!(memo.shape(&JobSpec::new("warp", 64, 1)).is_err());
+    }
+
+    #[test]
+    fn shape_memo_is_bounded_and_forgets_the_oldest() {
+        let memo = ShapeMemo::new();
+        for n in 1..=ShapeMemo::CAP + 3 {
+            memo.shape(&JobSpec::new("generic", n, 0)).unwrap();
+        }
+        let entries = memo.entries.lock().unwrap();
+        assert_eq!(entries.len(), ShapeMemo::CAP);
+        assert_eq!(entries[0].1, 4, "n = 1, 2, 3 were forgotten");
+    }
+
+    #[test]
+    fn poisoned_shape_memo_still_derives() {
+        let memo = ShapeMemo::new();
+        let spec = JobSpec::new("tree", 1056, 0);
+        let expected = memo.shape(&spec).unwrap();
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = memo.entries.lock().unwrap();
+            panic!("poison the memo");
+        }));
+        assert!(memo.entries.is_poisoned());
+        assert_eq!(memo.shape(&spec).unwrap(), expected);
     }
 
     #[test]

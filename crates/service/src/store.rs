@@ -61,13 +61,16 @@ impl CheckpointStore {
     /// the job has none. Unreadable entries are skipped (a torn write is
     /// just an older resume point).
     pub fn latest(&self, key: JobKey) -> Option<(u128, Vec<u8>)> {
-        let mut entries = self.list(&self.job_dir(key));
-        while let Some((clock, path)) = entries.pop() {
-            if let Ok(blob) = fs::read(&path) {
-                return Some((clock, blob));
-            }
-        }
-        None
+        self.newest_first(key).next()
+    }
+
+    /// Every readable checkpoint for `key` as `(clock, blob)`, newest
+    /// first, each file read only when the iterator reaches it.
+    pub fn newest_first(&self, key: JobKey) -> impl Iterator<Item = (u128, Vec<u8>)> {
+        self.list(&self.job_dir(key))
+            .into_iter()
+            .rev()
+            .filter_map(|(clock, path)| fs::read(path).ok().map(|blob| (clock, blob)))
     }
 
     /// Number of checkpoints currently stored for `key`.
@@ -153,6 +156,8 @@ mod tests {
         let (clock, blob) = store.latest(k).unwrap();
         assert_eq!(clock, 40);
         assert_eq!(blob, b"blob-40");
+        let clocks: Vec<u128> = store.newest_first(k).map(|(clock, _)| clock).collect();
+        assert_eq!(clocks, [40, 30]);
         store.clear(k).unwrap();
         assert_eq!(store.latest(k), None);
         store.clear(k).unwrap(); // idempotent

@@ -1,11 +1,13 @@
 //! End-to-end service tests: kill/resume bit-identity, cache-first
 //! serving, daemon crash recovery.
 
+use ssr_engine::wire::SnapshotDecodeError;
+use ssr_engine::EngineSnapshot;
 use ssr_service::{
-    daemon, run_job, submit_job, CheckpointStore, Daemon, DaemonConfig, JobInit, JobSpec,
-    JobStatusKind, ResultCache, RunConfig, RunDisposition,
+    daemon, run_job, submit_job, CheckpointStore, Daemon, DaemonConfig, JobInit, JobKey, JobResult,
+    JobSpec, JobStatusKind, ResultCache, RunConfig, RunDisposition,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ssr-svc-test-{}-{name}", std::process::id()));
@@ -19,7 +21,7 @@ fn tree_job(n: usize, seed: u64) -> JobSpec {
     spec
 }
 
-fn completed(disposition: RunDisposition) -> (ssr_service::JobResult, bool) {
+fn completed(disposition: RunDisposition) -> (JobResult, bool) {
     match disposition {
         RunDisposition::Completed { result, resumed } => (result, resumed),
         other => panic!("expected completion, got {other:?}"),
@@ -309,21 +311,22 @@ fn jump_job() -> JobSpec {
     spec
 }
 
-/// FNV-1a, the snapshot wire format's checksum.
+/// FNV-1a, the checksum of version 1 of the snapshot wire format.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
     })
 }
 
-/// Rewrite a wire snapshot into the layout older daemons wrote for `jump`
-/// jobs: no count-control block (flags bit 1 clear, 32 bytes shorter),
-/// re-checksummed.
+/// Rewrite a wire snapshot into the blob older daemons wrote for `jump`
+/// jobs: wire version 1, no count-control block (flags bit 1 clear, 32
+/// bytes shorter), FNV-1a checksum.
 fn without_count_control(blob: &[u8]) -> Vec<u8> {
     const FLAGS: usize = 6 + 2 + 8 + 8 + 4;
     const CTL: usize = 8 + 8 + 8 + 4 + 4;
     assert_eq!(blob[FLAGS] & 2, 2, "snapshot carries count control");
     let mut legacy = blob[..blob.len() - 8 - CTL].to_vec();
+    legacy[6..8].copy_from_slice(&1u16.to_le_bytes());
     legacy[FLAGS] &= !2;
     let check = fnv1a(&legacy);
     legacy.extend_from_slice(&check.to_le_bytes());
@@ -381,6 +384,133 @@ fn legacy_jump_checkpoint_resumes_bit_identically() {
         resumed.parallel_time.to_bits(),
         expected.parallel_time.to_bits()
     );
+}
+
+/// The checkpoint files of `key` in `store_dir`, oldest first.
+fn checkpoint_files(store_dir: &Path, key: JobKey) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(store_dir.join(key.hex()))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    files
+}
+
+/// Flip one byte in the middle of a checkpoint file.
+fn corrupt(path: &Path) {
+    let mut blob = std::fs::read(path).unwrap();
+    let mid = blob.len() / 2;
+    blob[mid] ^= 0x5A;
+    std::fs::write(path, blob).unwrap();
+}
+
+/// Run `spec` uninterrupted, then again killed after two checkpoints at
+/// a 20k-interaction cadence; returns the reference result, the store
+/// holding the two checkpoints, and its directory.
+fn killed_after_two_checkpoints(
+    spec: &JobSpec,
+    name: &str,
+) -> (JobResult, CheckpointStore, PathBuf) {
+    let dir = temp_dir(name);
+    let store_dir = dir.join("checkpoints");
+    let store = CheckpointStore::open(&store_dir).unwrap();
+    let plain = RunConfig {
+        threads: 1,
+        checkpoint_every: 0,
+        interrupt_after: None,
+    };
+    let (reference, _) = completed(run_job(spec, &store, &plain).unwrap());
+    let kill = RunConfig {
+        threads: 1,
+        checkpoint_every: 20_000,
+        interrupt_after: Some(2),
+    };
+    match run_job(spec, &store, &kill).unwrap() {
+        RunDisposition::Interrupted { checkpoints } => assert_eq!(checkpoints, 2),
+        other => panic!("expected interruption, got {other:?}"),
+    }
+    assert_eq!(checkpoint_files(&store_dir, spec.key().unwrap()).len(), 2);
+    (reference, store, store_dir)
+}
+
+/// A damaged newest checkpoint does not fail the job: it resumes from
+/// the older retained one and finishes bit-identical to an
+/// uninterrupted run.
+#[test]
+fn corrupt_newest_checkpoint_resumes_from_the_older_one() {
+    let spec = tree_job(16_384, 17);
+    let key = spec.key().unwrap();
+    let (reference, store, store_dir) = killed_after_two_checkpoints(&spec, "corrupt-newest");
+    let files = checkpoint_files(&store_dir, key);
+    corrupt(&files[1]);
+    let newest = std::fs::read(&files[1]).unwrap();
+    assert_eq!(
+        EngineSnapshot::from_wire(&newest, spec.shape().unwrap()).unwrap_err(),
+        SnapshotDecodeError::ChecksumMismatch
+    );
+
+    let finish = RunConfig {
+        threads: 1,
+        checkpoint_every: 20_000,
+        interrupt_after: None,
+    };
+    let (result, resumed) = completed(run_job(&spec, &store, &finish).unwrap());
+    assert!(resumed, "the older checkpoint is a valid resume point");
+    assert_eq!(result, reference);
+    assert_eq!(
+        result.parallel_time.to_bits(),
+        reference.parallel_time.to_bits()
+    );
+}
+
+/// With every checkpoint damaged the job starts afresh and still lands
+/// on the reference result.
+#[test]
+fn all_checkpoints_corrupt_restarts_from_scratch() {
+    let spec = tree_job(16_384, 19);
+    let key = spec.key().unwrap();
+    let (reference, store, store_dir) = killed_after_two_checkpoints(&spec, "corrupt-all");
+    let files = checkpoint_files(&store_dir, key);
+    corrupt(&files[1]);
+    // The older one torn mid-write instead.
+    let torn = std::fs::read(&files[0]).unwrap();
+    std::fs::write(&files[0], &torn[..torn.len() / 3]).unwrap();
+
+    let finish = RunConfig {
+        threads: 1,
+        checkpoint_every: 0,
+        interrupt_after: None,
+    };
+    let (result, resumed) = completed(run_job(&spec, &store, &finish).unwrap());
+    assert!(!resumed, "no checkpoint decodes");
+    assert_eq!(result, reference);
+    assert_eq!(store.latest(key), None, "completion clears checkpoints");
+}
+
+/// A finished job whose result cannot be recorded fails with the I/O
+/// error in `failed/<key>.err` instead of vanishing from the spool.
+#[test]
+fn daemon_records_why_publishing_a_result_failed() {
+    let dir = temp_dir("daemon-put-fails");
+    let spec = tree_job(4_096, 23);
+    let key = submit_job(&dir, &spec).unwrap();
+    // A directory where the cache entry goes: `put`'s rename fails (and
+    // the cache lookup before the run is a miss).
+    std::fs::create_dir_all(dir.join("cache").join(format!("{}.result", key.hex()))).unwrap();
+
+    let stats = Daemon::new(DaemonConfig::new(&dir)).unwrap().run().unwrap();
+    assert_eq!((stats.completed, stats.failed), (0, 1));
+    assert_eq!(daemon::job_status(&dir, key), daemon::JobStatus::Failed);
+    let reason =
+        std::fs::read_to_string(dir.join("failed").join(format!("{}.err", key.hex()))).unwrap();
+    assert!(
+        reason.starts_with("io: ") && reason.contains("os error"),
+        "{reason}"
+    );
+    assert!(!dir
+        .join("running")
+        .join(format!("{}.job", key.hex()))
+        .exists());
 }
 
 /// Restoring a checkpoint into a *different* job must be impossible: the
@@ -464,7 +594,7 @@ fn standalone_cache_round_trip() {
     let spec = tree_job(4_096, 1);
     let key = spec.key().unwrap();
     assert!(cache.get(key).is_none());
-    let result = ssr_service::JobResult {
+    let result = JobResult {
         status: JobStatusKind::Silent,
         interactions: 10,
         interactions_wide: 10,
