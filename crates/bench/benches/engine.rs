@@ -420,6 +420,26 @@ fn bench_service(c: &mut Criterion) {
         })
     });
 
+    // The store layer alone: one steady-state `save` (the job already
+    // holds its retained checkpoints, so each save recycles the oldest
+    // file), for count-engine tree blobs at n = 4096 and 65536 (16 KiB
+    // and 256 KiB of counts).
+    for n in [4096usize, 65_536] {
+        let p = TreeRanking::new(n);
+        let fresh = make_engine(EngineKind::Count, &p, vec![0; n], 9, 1).unwrap();
+        let blob = fresh.snapshot().to_wire(SnapshotShape::of(&p));
+        let key = JobSpec::new("tree", n, 7).key().unwrap();
+        let mut clock = 0u128;
+        group.throughput(Throughput::Bytes(blob.len() as u64));
+        group.bench_function(format!("store_save_n{n}"), |b| {
+            b.iter(|| {
+                clock += 1;
+                store.save(key, clock, &blob).unwrap();
+            })
+        });
+        store.clear(key).unwrap();
+    }
+
     // The wire layer alone, each direction measured on its own, on the
     // same n = 2²⁰ count-engine snapshot (4 MiB of counts).
     let snapshot = engine.snapshot();

@@ -9,8 +9,9 @@
 //!    cost of the same job for scale.
 //! 2. **Checkpoint cost vs n** — wall-clock to serialise an
 //!    [`EngineSnapshot`] to the versioned wire format and write it
-//!    durably, and to read + decode + restore it, for count-engine tree
-//!    jobs across `n`.
+//!    durably, the store's steady-state `save` alone (the job already
+//!    holds its retained checkpoints), and to read + decode + restore
+//!    it, for count-engine tree jobs across `n`.
 //!
 //! Both modes also run the correctness drill CI watches under
 //! `SSR_QUICK=1`: submit a small tree job twice (second completion must
@@ -180,7 +181,10 @@ fn measure_cache_rate(n: usize, rounds: usize) {
 /// Checkpoint write/restore wall-clock vs n for mid-run count engines.
 fn measure_checkpoint_cost(sizes: &[usize]) {
     println!("\n[checkpoint write/restore cost vs n, count engine, tree]");
-    println!("  {:>10}  {:>12}  {:>12}  {:>12}", "n", "blob", "write", "restore");
+    println!(
+        "  {:>10}  {:>12}  {:>12}  {:>12}  {:>12}",
+        "n", "blob", "write", "steady save", "restore"
+    );
     for &n in sizes {
         let p = TreeRanking::new(n);
         let shape = SnapshotShape::of(&p);
@@ -196,6 +200,19 @@ fn measure_checkpoint_cost(sizes: &[usize]) {
         store.save(key, engine.interactions_wide(), &blob).unwrap();
         let write = start.elapsed();
 
+        // Later saves of a running job: median of 9 at fresh clocks.
+        let mut saves: Vec<f64> = (1..=9u128)
+            .map(|i| {
+                let start = Instant::now();
+                store
+                    .save(key, engine.interactions_wide() + i, &blob)
+                    .unwrap();
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        saves.sort_by(f64::total_cmp);
+        let steady = saves[saves.len() / 2];
+
         let start = Instant::now();
         let (_, read_back) = store.latest(key).unwrap();
         let snapshot = ssr_engine::EngineSnapshot::from_wire(&read_back, shape).unwrap();
@@ -203,9 +220,10 @@ fn measure_checkpoint_cost(sizes: &[usize]) {
         let restore = start.elapsed();
 
         println!(
-            "  {n:>10}  {:>9} KiB  {:>9.2} ms  {:>9.2} ms",
+            "  {n:>10}  {:>9} KiB  {:>9.2} ms  {:>9.3} ms  {:>9.2} ms",
             blob.len() / 1024,
             write.as_secs_f64() * 1e3,
+            steady * 1e3,
             restore.as_secs_f64() * 1e3
         );
     }

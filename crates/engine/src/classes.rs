@@ -707,14 +707,18 @@ impl CompiledSchema {
                         (initiator as usize) < num_states && (responder as usize) < num_states,
                         "sparse pair ({initiator},{responder}) out of state range"
                     );
-                    assert!(
-                        !schema.pairs.contains(&(initiator, responder)),
-                        "sparse pair ({initiator},{responder}) declared twice"
-                    );
                     schema.pairs.push((initiator, responder));
                     schema.pairs_exchangeable &= exchangeable;
                 }
             }
+        }
+        // One sort-based scan, not a linear probe per declared pair
+        // (loose election at n = 65536 declares ~19k pairs).
+        let mut sorted = schema.pairs.clone();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            let (initiator, responder) = w[0];
+            panic!("sparse pair ({initiator},{responder}) declared twice");
         }
         if schema.eq {
             schema.has_eq = vec![0u64; num_ranks.div_ceil(64)];
@@ -1752,6 +1756,40 @@ mod tests {
         crate::protocol::validate_interaction_schema(&TwoDir).unwrap();
         let schema = CompiledSchema::compile(&TwoDir);
         assert_eq!(schema.cross, Some(CrossDirection::Both));
+    }
+
+    #[test]
+    #[should_panic(expected = "sparse pair (2,2) declared twice")]
+    fn compile_rejects_a_pair_declared_twice() {
+        struct Twice;
+        impl Protocol for Twice {
+            fn name(&self) -> &str {
+                "twice"
+            }
+            fn population_size(&self) -> usize {
+                4
+            }
+            fn num_states(&self) -> usize {
+                3
+            }
+            fn num_rank_states(&self) -> usize {
+                3
+            }
+            fn transition(&self, i: State, r: State) -> Option<(State, State)> {
+                Sparse.transition(i, r)
+            }
+        }
+        impl InteractionSchema for Twice {
+            fn interaction_classes(&self) -> Vec<ClassSpec> {
+                // The repeat is not adjacent to its first declaration.
+                vec![
+                    ClassSpec::pair(2, 2),
+                    ClassSpec::pair(0, 1),
+                    ClassSpec::pair(2, 2),
+                ]
+            }
+        }
+        let _ = CompiledSchema::compile(&Twice);
     }
 
     #[test]

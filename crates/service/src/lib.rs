@@ -21,8 +21,10 @@
 //! * [`CheckpointStore`] — versioned
 //!   [`EngineSnapshot`](ssr_engine::EngineSnapshot) wire blobs (including
 //!   the count engine's batching control state and the full-width `u128`
-//!   interaction clock), written atomically, pruned to the newest two so
-//!   a damaged newest checkpoint still leaves an older resume point.
+//!   interaction clock). A job keeps its newest two; once it has two,
+//!   each save renames the older file to the new clock and overwrites it
+//!   in place, so a save torn by a kill damages only the newest file and
+//!   the other still resumes.
 //! * [`ResultCache`] — completed [`JobResult`]s, content-addressed by
 //!   [`JobKey`]; corrupt entries degrade to cache misses.
 //! * [`run_job`] — one job execution: restore from the newest checkpoint
@@ -42,7 +44,8 @@
 //! <dir>/done/<key>.result       completed (result codec)
 //! <dir>/done/<key>.src          "cache" or "engine" — how it completed
 //! <dir>/failed/<key>.err        failed (human-readable reason)
-//! <dir>/checkpoints/<key>/      ckpt-<clock>.snap blobs
+//! <dir>/checkpoints/<key>/      ckpt-<clock>.snap blobs (newest two; the
+//!                               older is recycled for the next save)
 //! <dir>/cache/<key>.result      memoised results
 //! ```
 //!

@@ -2,14 +2,39 @@
 //!
 //! One directory per job (`<root>/<key>/`), one file per checkpoint
 //! (`ckpt-<clock>.snap`, clock zero-padded to 32 hex digits so
-//! lexicographic order is clock order). Writes are atomic (tmp + rename)
-//! and the store keeps only the newest [`KEEP`](CheckpointStore::KEEP)
-//! checkpoints per job — enough to survive a crash *during* a checkpoint
-//! write without unbounded disk growth.
+//! lexicographic order is clock order), each holding one raw wire blob.
+//! The store keeps only the newest [`KEEP`](CheckpointStore::KEEP)
+//! checkpoints per job, so a damaged newest file still leaves an older
+//! resume point without unbounded disk growth.
+//!
+//! Steady-state saves create no file. [`save`](CheckpointStore::save)
+//! recycles one:
+//!
+//! * a job's first `KEEP` saves create their files directly;
+//! * once the job holds `KEEP` checkpoints, the oldest is renamed to the
+//!   new clock's name and overwritten in place (truncated only when the
+//!   new blob is shorter);
+//! * a save at a clock that already has a file overwrites that file;
+//! * files beyond `KEEP` (an older store killed before it pruned could
+//!   leave them) are removed first.
+//!
+//! What a kill leaves on disk, at each point of a recycling save:
+//!
+//! * **before the rename** — the previous `KEEP` checkpoints, untouched;
+//! * **between the rename and the write** — the oldest blob under the
+//!   newest name. It is still a complete between-quanta state, so a
+//!   resume from it replays to the same result, only from further back;
+//! * **during the write** — a torn newest file. The wire checksum rejects
+//!   it and the reader falls back to the next older checkpoint, which
+//!   this save never touched.
+//!
+//! Readers ([`newest_first`](CheckpointStore::newest_first)) therefore
+//! must decode and verify each blob and fall back on failure, as
+//! [`run_job`](crate::run_job) does.
 
 use crate::spec::JobKey;
-use std::fs;
-use std::io;
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// On-disk checkpoint store rooted at one directory.
@@ -42,8 +67,9 @@ impl CheckpointStore {
     }
 
     /// Persist a snapshot blob for `key` at interaction-clock `clock`,
-    /// atomically, then prune old checkpoints beyond
-    /// [`KEEP`](Self::KEEP).
+    /// recycling the oldest retained checkpoint once `key` holds
+    /// [`KEEP`](Self::KEEP) (see the module docs for what a kill at each
+    /// step leaves behind).
     ///
     /// # Errors
     ///
@@ -51,15 +77,38 @@ impl CheckpointStore {
     pub fn save(&self, key: JobKey, clock: u128, blob: &[u8]) -> io::Result<()> {
         let dir = self.job_dir(key);
         fs::create_dir_all(&dir)?;
-        let tmp = dir.join(format!("{}.tmp", Self::ckpt_name(clock)));
-        fs::write(&tmp, blob)?;
-        fs::rename(&tmp, dir.join(Self::ckpt_name(clock)))?;
-        self.prune(&dir)
+        let held = self.list(&dir);
+        let path = dir.join(Self::ckpt_name(clock));
+        let exists = held.iter().any(|&(c, _)| c == clock);
+        // Every other file, oldest first; the newest KEEP - 1 of them stay.
+        let mut others: Vec<PathBuf> = held
+            .into_iter()
+            .filter_map(|(c, p)| (c != clock).then_some(p))
+            .collect();
+        let stale_len = others.len().saturating_sub(Self::KEEP - 1);
+        let mut stale = others.drain(..stale_len);
+        let recycled = if exists { None } else { stale.next_back() };
+        for old in stale {
+            fs::remove_file(old)?;
+        }
+        if let Some(old) = recycled {
+            fs::rename(old, &path)?;
+        }
+        // No O_TRUNC: a same-length overwrite keeps the file's blocks.
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        if file.metadata()?.len() > blob.len() as u64 {
+            file.set_len(blob.len() as u64)?;
+        }
+        file.write_all(blob)
     }
 
     /// The newest checkpoint for `key`: `(clock, blob)`, or `None` when
-    /// the job has none. Unreadable entries are skipped (a torn write is
-    /// just an older resume point).
+    /// the job has none. Unreadable files are skipped; a torn blob is
+    /// returned as it is, so callers verify it (see the module docs).
     pub fn latest(&self, key: JobKey) -> Option<(u128, Vec<u8>)> {
         self.newest_first(key).next()
     }
@@ -115,16 +164,6 @@ impl CheckpointStore {
         entries.sort_unstable();
         entries
     }
-
-    fn prune(&self, dir: &Path) -> io::Result<()> {
-        let entries = self.list(dir);
-        if entries.len() > Self::KEEP {
-            for (_, path) in &entries[..entries.len() - Self::KEEP] {
-                fs::remove_file(path)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -175,5 +214,103 @@ mod tests {
         assert_eq!(store.latest(b).unwrap().1, b"other-job");
         store.clear(a).unwrap();
         assert_eq!(store.latest(b).unwrap().0, 9);
+    }
+
+    /// Every checkpoint of `k` as `(clock, blob)`, oldest first.
+    fn held(store: &CheckpointStore, k: JobKey) -> Vec<(u128, Vec<u8>)> {
+        let mut all: Vec<_> = store.newest_first(k).collect();
+        all.reverse();
+        all
+    }
+
+    #[test]
+    fn many_saves_keep_the_newest_clocks_and_contents() {
+        let store = temp_store("many");
+        let k = key(4);
+        // Lengths vary from save to save, so recycled files both grow
+        // and shrink along the way.
+        let blob = |i: u8| vec![i; 1 + (usize::from(i) * 37) % 300];
+        for i in 1..=50u8 {
+            store.save(k, u128::from(i) * 1000, &blob(i)).unwrap();
+            assert!(store.count(k) <= CheckpointStore::KEEP);
+        }
+        assert_eq!(store.count(k), CheckpointStore::KEEP);
+        let expected: Vec<(u128, Vec<u8>)> = (1..=50u8)
+            .map(|i| (u128::from(i) * 1000, blob(i)))
+            .skip(50 - CheckpointStore::KEEP)
+            .collect();
+        assert_eq!(held(&store, k), expected);
+    }
+
+    #[test]
+    fn shorter_blob_over_a_recycled_longer_file_reads_back_exactly() {
+        let store = temp_store("shrink");
+        let k = key(5);
+        store.save(k, 1, &[0xAB; 4096]).unwrap();
+        store.save(k, 2, &[0xCD; 4096]).unwrap();
+        // Recycles the 4096-byte file of clock 1.
+        store.save(k, 3, b"short").unwrap();
+        assert_eq!(
+            held(&store, k),
+            [(2, vec![0xCD; 4096]), (3, b"short".to_vec())]
+        );
+    }
+
+    #[test]
+    fn resave_at_an_existing_clock_replaces_that_file() {
+        let store = temp_store("resave");
+        let k = key(6);
+        store.save(k, 10, b"ten").unwrap();
+        store.save(k, 20, b"twenty, first version").unwrap();
+        store.save(k, 20, b"twenty v2").unwrap();
+        assert_eq!(
+            held(&store, k),
+            [(10, b"ten".to_vec()), (20, b"twenty v2".to_vec())]
+        );
+        // The same holds for the older of the two files.
+        store.save(k, 10, b"ten again, longer").unwrap();
+        assert_eq!(
+            held(&store, k),
+            [
+                (10, b"ten again, longer".to_vec()),
+                (20, b"twenty v2".to_vec())
+            ]
+        );
+    }
+
+    #[test]
+    fn legacy_files_beyond_keep_are_removed_first() {
+        let store = temp_store("legacy");
+        let k = key(7);
+        let dir = store.job_dir(k);
+        fs::create_dir_all(&dir).unwrap();
+        for i in 1..=5u8 {
+            fs::write(dir.join(CheckpointStore::ckpt_name(i.into())), [i]).unwrap();
+        }
+        store.save(k, 6, b"six").unwrap();
+        assert_eq!(held(&store, k), [(5, vec![5]), (6, b"six".to_vec())]);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn steady_state_saves_reuse_the_retained_files() {
+        use std::collections::BTreeSet;
+        use std::os::unix::fs::MetadataExt;
+        let store = temp_store("inodes");
+        let k = key(8);
+        let inodes = |store: &CheckpointStore| -> BTreeSet<u64> {
+            store
+                .list(&store.job_dir(k))
+                .iter()
+                .map(|(_, path)| fs::metadata(path).unwrap().ino())
+                .collect()
+        };
+        store.save(k, 1, b"one").unwrap();
+        store.save(k, 2, b"two").unwrap();
+        let first = inodes(&store);
+        for clock in 3..20u128 {
+            store.save(k, clock, format!("blob {clock}").as_bytes()).unwrap();
+            assert_eq!(inodes(&store), first, "save at clock {clock} made a new file");
+        }
     }
 }

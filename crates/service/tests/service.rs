@@ -487,6 +487,70 @@ fn all_checkpoints_corrupt_restarts_from_scratch() {
     assert_eq!(store.latest(key), None, "completion clears checkpoints");
 }
 
+/// A kill between a recycling save's rename and its write leaves the
+/// oldest blob under the newest clock's name. That blob is a valid
+/// between-quanta state, so the job resumes from it, rewrites the two
+/// checkpoints it passes again, and finishes bit-identical.
+#[test]
+fn kill_between_recycle_rename_and_write_still_resumes_bit_identically() {
+    let spec = tree_job(16_384, 29);
+    let key = spec.key().unwrap();
+    let (reference, store, store_dir) = killed_after_two_checkpoints(&spec, "kill-window");
+    let old = checkpoint_files(&store_dir, key);
+    let (oldest, newer) = (
+        std::fs::read(&old[0]).unwrap(),
+        std::fs::read(&old[1]).unwrap(),
+    );
+
+    // Where the third save lands, and what it writes, from a second
+    // store that runs the same job one checkpoint further.
+    let third_dir = store_dir.with_file_name("third-checkpoints");
+    let third_store = CheckpointStore::open(&third_dir).unwrap();
+    let three = RunConfig {
+        threads: 1,
+        checkpoint_every: 20_000,
+        interrupt_after: Some(3),
+    };
+    run_job(&spec, &third_store, &three).unwrap();
+    let (third_clock, third_blob) = third_store.latest(key).unwrap();
+
+    // The torn state: the oldest file renamed to the third clock's name,
+    // its old blob still inside.
+    let stale = store_dir
+        .join(key.hex())
+        .join(format!("ckpt-{third_clock:032x}.snap"));
+    std::fs::rename(&old[0], &stale).unwrap();
+    assert_eq!(store.latest(key), Some((third_clock, oldest.clone())));
+
+    // Resuming from the stale blob replays the second and third
+    // checkpoints, rewriting both files in place with the right blobs.
+    let two = RunConfig {
+        threads: 1,
+        checkpoint_every: 20_000,
+        interrupt_after: Some(2),
+    };
+    match run_job(&spec, &store, &two).unwrap() {
+        RunDisposition::Interrupted { checkpoints } => assert_eq!(checkpoints, 2),
+        other => panic!("expected interruption, got {other:?}"),
+    }
+    assert_eq!(checkpoint_files(&store_dir, key), [old[1].clone(), stale]);
+    assert_eq!(std::fs::read(&old[1]).unwrap(), newer);
+    assert_eq!(store.latest(key), Some((third_clock, third_blob)));
+
+    let finish = RunConfig {
+        threads: 1,
+        checkpoint_every: 20_000,
+        interrupt_after: None,
+    };
+    let (result, resumed) = completed(run_job(&spec, &store, &finish).unwrap());
+    assert!(resumed);
+    assert_eq!(result, reference);
+    assert_eq!(
+        result.parallel_time.to_bits(),
+        reference.parallel_time.to_bits()
+    );
+}
+
 /// A finished job whose result cannot be recorded fails with the I/O
 /// error in `failed/<key>.err` instead of vanishing from the spool.
 #[test]
