@@ -454,6 +454,38 @@ fn bench_service(c: &mut Criterion) {
     group.finish();
 }
 
+/// One cold `run_job` at the default `RunConfig`, checkpoints included,
+/// on two checkpointed cold jobs of perfbench's `service_mix` (workload
+/// seed 1): a tree job and a line-of-traps job whose clocks are mostly
+/// skipped null interactions.
+fn bench_service_jobs(c: &mut Criterion) {
+    use ssr_engine::rng::derive_seed;
+    use ssr_service::{run_job, CheckpointStore, JobInit, JobSpec, RunConfig, RunDisposition};
+
+    let dir = std::env::temp_dir().join(format!("ssr-bench-service-jobs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CheckpointStore::open(&dir).unwrap();
+    let cfg = RunConfig::default();
+    let mut group = c.benchmark_group("service");
+    group.sample_size(10);
+    for (protocol, n, index, init) in [
+        ("tree", 65_536, 0, JobInit::Stacked),
+        ("line", 4096, 2, JobInit::Uniform),
+    ] {
+        let mut spec = JobSpec::new(protocol, n, derive_seed(1, index));
+        spec.init = init;
+        group.bench_function(format!("run_job_{protocol}_n{n}"), |b| {
+            b.iter(|| {
+                let run = run_job(&spec, &store, &cfg).unwrap();
+                assert!(matches!(run, RunDisposition::Completed { .. }));
+                black_box(run)
+            })
+        });
+    }
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_construction(c: &mut Criterion) {
     c.bench_function("balanced_tree_n65536", |b| {
         b.iter(|| black_box(BalancedTree::new(65536)))
@@ -475,6 +507,7 @@ criterion_group!(
     bench_primitives,
     bench_tree_geometry,
     bench_service,
+    bench_service_jobs,
     bench_construction
 );
 criterion_main!(benches);

@@ -13,6 +13,11 @@
 //!    holds its retained checkpoints), and to read + decode + restore
 //!    it, for count-engine tree jobs across `n`.
 //!
+//! 3. **Saves per job at the default cadence** — checkpoints, productive
+//!    steps and the `num_states` work floor for the cold jobs of
+//!    perfbench's `service_mix` (workload seed 1), asserting that no job
+//!    checkpoints more than once per `num_states` productive steps.
+//!
 //! Both modes also run the correctness drill CI watches under
 //! `SSR_QUICK=1`: submit a small tree job twice (second completion must
 //! be a cache hit), then kill a checkpointed job after its first
@@ -24,6 +29,7 @@
 use ssr_bench::print_header;
 use ssr_core::TreeRanking;
 use ssr_engine::engine::make_engine;
+use ssr_engine::rng::derive_seed;
 use ssr_engine::wire::SnapshotShape;
 use ssr_engine::EngineKind;
 use ssr_service::daemon::{job_result, job_status};
@@ -178,6 +184,57 @@ fn measure_cache_rate(n: usize, rounds: usize) {
     );
 }
 
+/// The checkpointed cold jobs of perfbench's `service_mix` at workload
+/// seed 1 (its fourth, a fault-plan ring job, takes no checkpoints).
+fn service_mix_cold_specs() -> Vec<JobSpec> {
+    let job = |protocol: &str, n: usize, index: u64, init: JobInit| {
+        let mut spec = JobSpec::new(protocol, n, derive_seed(1, index));
+        spec.init = init;
+        spec
+    };
+    vec![
+        job("tree", 65_536, 0, JobInit::Stacked),
+        job("tree", 65_536, 1, JobInit::Stacked),
+        job("line", 4096, 2, JobInit::Uniform),
+    ]
+}
+
+/// Checkpoints each cold job takes at the default cadence, against the
+/// work floor's bound of one per `num_states` productive steps.
+fn measure_default_cadence() {
+    println!("\n[default cadence: saves per cold job, service_mix seed 1]");
+    println!(
+        "  {:>5}  {:>6}  {:>6}  {:>12}  {:>10}  {:>24}",
+        "job", "n", "saves", "productive", "num_states", "bound productive/states"
+    );
+    for (i, spec) in service_mix_cold_specs().iter().enumerate() {
+        let store = CheckpointStore::open(temp_dir(&format!("cadence-{i}"))).unwrap();
+        let (result, saves) = match run_job(spec, &store, &RunConfig::default()).unwrap() {
+            RunDisposition::Completed {
+                result,
+                checkpoints,
+                ..
+            } => (result, checkpoints),
+            other => panic!("cold job did not complete: {other:?}"),
+        };
+        let floor = u64::from(spec.shape().unwrap().num_states);
+        let bound = result.productive / floor;
+        println!(
+            "  {:>5}  {:>6}  {saves:>6}  {:>12}  {floor:>10}  {bound:>24}",
+            spec.protocol, spec.n, result.productive
+        );
+        assert!(
+            u64::from(saves) <= bound,
+            "{} n = {}: {saves} checkpoints exceed one per {floor} productive steps",
+            spec.protocol,
+            spec.n
+        );
+    }
+    println!(
+        "VERDICT default cadence: every job within one save per num_states productive steps → PASS"
+    );
+}
+
 /// Checkpoint write/restore wall-clock vs n for mid-run count engines.
 fn measure_checkpoint_cost(sizes: &[usize]) {
     println!("\n[checkpoint write/restore cost vs n, count engine, tree]");
@@ -239,10 +296,12 @@ fn main() {
     if quick {
         correctness_drill(16_384);
         measure_cache_rate(16_384, 5);
+        measure_default_cadence();
         measure_checkpoint_cost(&[1 << 14, 1 << 16]);
     } else {
         correctness_drill(65_536);
         measure_cache_rate(65_536, 20);
+        measure_default_cadence();
         measure_checkpoint_cost(&[1 << 14, 1 << 16, 1 << 18, 1 << 20]);
     }
     println!("\ndone.");

@@ -568,8 +568,11 @@ commands:
                                                jobs across N cores (admission
                                                via the engine's thread-split
                                                policy), checkpoints every K
-                                               interactions so killed jobs
-                                               resume bit-identically, and
+                                               interactions (default 2^22),
+                                               but no sooner than every
+                                               #states productive ones, so
+                                               killed jobs resume
+                                               bit-identically, and
                                                serves repeated jobs from a
                                                keyed result cache; --drain
                                                exits once the queue is empty

@@ -32,7 +32,9 @@ pub struct DaemonConfig {
     /// Core budget shared by all concurrently running jobs; 0 = the
     /// machine's available parallelism.
     pub cores: usize,
-    /// Per-job checkpoint cadence in interactions; 0 disables.
+    /// Per-job checkpoint cadence in interactions, paced by work: a save
+    /// also waits for `num_states` productive interactions since the last
+    /// one (see [`RunConfig::checkpoint_every`]); 0 disables.
     pub checkpoint_every: u128,
     /// Idle poll interval.
     pub poll_ms: u64,
@@ -48,7 +50,8 @@ pub struct DaemonConfig {
 
 impl DaemonConfig {
     /// Batch-mode defaults over a spool directory: drain when empty,
-    /// single core, checkpoint every 2²² interactions.
+    /// single core, checkpoint every 2²² interactions (and no sooner than
+    /// every `num_states` productive ones).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DaemonConfig {
             dir: dir.into(),
@@ -155,6 +158,9 @@ enum WorkerOutcome {
 struct WorkerMsg {
     cost: usize,
     outcome: WorkerOutcome,
+    /// A spool update the worker could not make (requeue, failure
+    /// record, or releasing its `running/` entry).
+    spool_error: Option<std::io::Error>,
 }
 
 struct Worker {
@@ -226,32 +232,22 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Propagates spool I/O failures; individual job failures land in
-    /// `failed/` and the stats, not here.
+    /// Propagates spool I/O failures, including the first one a worker
+    /// reported (after every worker has been joined); individual job
+    /// failures land in `failed/` and the stats, not here.
     pub fn run(&mut self) -> Result<DaemonStats, ServiceError> {
         let cores = self.cores();
         let mut available = cores;
         let (tx, rx) = mpsc::channel::<WorkerMsg>();
         let mut workers: Vec<Worker> = Vec::new();
         let mut killing = false;
+        let mut spool_error = None;
 
         loop {
             // Reap finished workers and their messages.
             while let Ok(msg) = rx.try_recv() {
                 available += msg.cost;
-                match msg.outcome {
-                    WorkerOutcome::Done { resumed } => {
-                        self.stats.completed += 1;
-                        if resumed {
-                            self.stats.resumed += 1;
-                        }
-                    }
-                    WorkerOutcome::Interrupted => {
-                        self.stats.interrupted += 1;
-                        killing = true;
-                    }
-                    WorkerOutcome::Failed => self.stats.failed += 1,
-                }
+                killing |= self.reap(msg, &mut spool_error);
             }
             workers.retain(|w| !w.handle.is_finished());
 
@@ -282,18 +278,37 @@ impl Daemon {
         }
         // A joined worker's message may still be in flight.
         while let Ok(msg) = rx.try_recv() {
-            match msg.outcome {
-                WorkerOutcome::Done { resumed } => {
-                    self.stats.completed += 1;
-                    if resumed {
-                        self.stats.resumed += 1;
-                    }
+            self.reap(msg, &mut spool_error);
+        }
+        match spool_error {
+            Some(e) => Err(ServiceError::Io(e)),
+            None => Ok(self.stats),
+        }
+    }
+
+    /// Count one worker's outcome and keep the first spool error any
+    /// worker reported. Returns whether the worker was interrupted.
+    fn reap(&mut self, msg: WorkerMsg, spool_error: &mut Option<std::io::Error>) -> bool {
+        if spool_error.is_none() {
+            *spool_error = msg.spool_error;
+        }
+        match msg.outcome {
+            WorkerOutcome::Done { resumed } => {
+                self.stats.completed += 1;
+                if resumed {
+                    self.stats.resumed += 1;
                 }
-                WorkerOutcome::Interrupted => self.stats.interrupted += 1,
-                WorkerOutcome::Failed => self.stats.failed += 1,
+                false
+            }
+            WorkerOutcome::Interrupted => {
+                self.stats.interrupted += 1;
+                true
+            }
+            WorkerOutcome::Failed => {
+                self.stats.failed += 1;
+                false
             }
         }
-        Ok(self.stats)
     }
 
     /// One scheduling sweep: claim every pending job that fits the
@@ -439,26 +454,30 @@ struct WorkerCtx {
 
 impl WorkerCtx {
     fn run(self) {
-        let outcome = match run_job(&self.spec, &self.store, &self.run_cfg) {
-            Ok(RunDisposition::Completed { result, resumed }) => match self.record(&result) {
-                Ok(()) => WorkerOutcome::Done { resumed },
-                Err(e) => self.fail(&ServiceError::from(e)),
+        let (outcome, spool_error) = match run_job(&self.spec, &self.store, &self.run_cfg) {
+            Ok(RunDisposition::Completed {
+                result, resumed, ..
+            }) => match self.record(&result) {
+                Ok(()) => (WorkerOutcome::Done { resumed }, None),
+                Err(e) => (WorkerOutcome::Failed, self.fail(&ServiceError::from(e))),
             },
             Ok(RunDisposition::Interrupted { .. }) => {
                 // Leave checkpoints in place, requeue for a successor.
                 // `running` always ends in a file name (the daemon built
                 // it with `join(job_name)`); if that ever breaks, skip
                 // the rename and let the orphan sweep requeue the job.
-                if let Some(name) = self.running.file_name() {
-                    let _ = fs::rename(&self.running, self.dir.join("pending").join(name));
-                }
-                WorkerOutcome::Interrupted
+                let requeue = match self.running.file_name() {
+                    Some(name) => fs::rename(&self.running, self.dir.join("pending").join(name)),
+                    None => Ok(()),
+                };
+                (WorkerOutcome::Interrupted, requeue.err())
             }
-            Err(e) => self.fail(&e),
+            Err(e) => (WorkerOutcome::Failed, self.fail(&e)),
         };
         let _ = self.tx.send(WorkerMsg {
             cost: self.cost,
             outcome,
+            spool_error,
         });
     }
 
@@ -471,15 +490,15 @@ impl WorkerCtx {
     }
 
     /// Record why the job failed in `failed/<key>.err` and release its
-    /// `running/` entry.
-    fn fail(&self, reason: &ServiceError) -> WorkerOutcome {
-        let _ = fs::write(
+    /// `running/` entry. Both are attempted; returns the first error.
+    fn fail(&self, reason: &ServiceError) -> Option<std::io::Error> {
+        let recorded = fs::write(
             self.dir
                 .join("failed")
                 .join(format!("{}.err", self.key.hex())),
             format!("{reason}"),
         );
-        let _ = fs::remove_file(&self.running);
-        WorkerOutcome::Failed
+        let released = fs::remove_file(&self.running);
+        recorded.and(released).err()
     }
 }

@@ -13,6 +13,17 @@
 //! here: the count engine clips batch sizes near caps, which changes the
 //! trajectory.)
 //!
+//! Checkpoints are paced by the clock *and* by work. One is due after a
+//! quantum once the interaction clock has moved
+//! [`RunConfig::checkpoint_every`] past the last save and at least
+//! `num_states` productive interactions (the length of the counts vector
+//! every snapshot carries) have run since it. The count engine skips null
+//! interactions geometrically, so the clock alone says little about work
+//! near silence; the floor makes each save, whose cost is linear in the
+//! snapshot's words, paid for by at least as many productive steps. Both
+//! measures are restored with a checkpoint, so a resumed run saves at the
+//! same clocks as an uninterrupted one.
+//!
 //! Fault-plan jobs run through
 //! [`run_outcome`](ssr_engine::Scenario::run_outcome) without mid-run
 //! checkpoints — the fault executor's arrival state is not snapshotable —
@@ -30,8 +41,10 @@ use ssr_engine::{Engine, EngineSnapshot, RunOutcome, Scenario};
 pub struct RunConfig {
     /// Core budget for this job's engine (1 = single-threaded).
     pub threads: usize,
-    /// Checkpoint roughly every this many interactions (clock-based, so
-    /// cadence is identical across engines); 0 disables checkpointing.
+    /// Checkpoint once the clock has moved this many interactions past
+    /// the last save, provided at least `num_states` productive
+    /// interactions have run since it (the work floor; see the module
+    /// docs); 0 disables checkpointing.
     pub checkpoint_every: u128,
     /// Self-interrupt after this many checkpoints (simulated kill; used
     /// by the daemon's kill/resume drills and tests). `None` = run to
@@ -58,6 +71,8 @@ pub enum RunDisposition {
         result: JobResult,
         /// Whether the run resumed from a stored checkpoint.
         resumed: bool,
+        /// Checkpoints taken before completing (this call only).
+        checkpoints: u32,
     },
     /// Interrupted by [`RunConfig::interrupt_after`]; durable state is in
     /// the store and a later call resumes bit-identically.
@@ -104,6 +119,7 @@ pub fn run_job(
         return Ok(RunDisposition::Completed {
             result: outcome_to_result(outcome),
             resumed: false,
+            checkpoints: 0,
         });
     }
 
@@ -133,7 +149,9 @@ pub fn run_job(
         spec.max_interactions as u128
     };
     let every = cfg.checkpoint_every;
-    let mut next_checkpoint = engine.interactions_wide().saturating_add(every.max(1));
+    let floor = u64::from(shape.num_states);
+    let mut next_clock = engine.interactions_wide().saturating_add(every.max(1));
+    let mut next_work = engine.productive_interactions().saturating_add(floor);
     let mut taken = 0u32;
     loop {
         if engine.is_silent() {
@@ -149,6 +167,7 @@ pub fn run_job(
             return Ok(RunDisposition::Completed {
                 result: report_to_result(engine.as_ref(), status),
                 resumed,
+                checkpoints: taken,
             });
         }
         if engine.interactions_wide() >= cap {
@@ -156,14 +175,19 @@ pub fn run_job(
             return Ok(RunDisposition::Completed {
                 result: report_to_result(engine.as_ref(), JobStatusKind::Timeout),
                 resumed,
+                checkpoints: taken,
             });
         }
         engine.advance();
-        if every > 0 && engine.interactions_wide() >= next_checkpoint {
+        if every > 0
+            && engine.interactions_wide() >= next_clock
+            && engine.productive_interactions() >= next_work
+        {
             let blob = engine.snapshot().to_wire(shape);
             store.save(key, engine.interactions_wide(), &blob)?;
             taken += 1;
-            next_checkpoint = engine.interactions_wide().saturating_add(every);
+            next_clock = engine.interactions_wide().saturating_add(every);
+            next_work = engine.productive_interactions().saturating_add(floor);
             if cfg.interrupt_after == Some(taken) {
                 return Ok(RunDisposition::Interrupted { checkpoints: taken });
             }

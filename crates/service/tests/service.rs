@@ -5,7 +5,7 @@ use ssr_engine::wire::SnapshotDecodeError;
 use ssr_engine::EngineSnapshot;
 use ssr_service::{
     daemon, run_job, submit_job, CheckpointStore, Daemon, DaemonConfig, JobInit, JobKey, JobResult,
-    JobSpec, JobStatusKind, ResultCache, RunConfig, RunDisposition,
+    JobSpec, JobStatusKind, ResultCache, RunConfig, RunDisposition, ServiceError,
 };
 use std::path::{Path, PathBuf};
 
@@ -23,7 +23,9 @@ fn tree_job(n: usize, seed: u64) -> JobSpec {
 
 fn completed(disposition: RunDisposition) -> (JobResult, bool) {
     match disposition {
-        RunDisposition::Completed { result, resumed } => (result, resumed),
+        RunDisposition::Completed {
+            result, resumed, ..
+        } => (result, resumed),
         other => panic!("expected completion, got {other:?}"),
     }
 }
@@ -577,6 +579,26 @@ fn daemon_records_why_publishing_a_result_failed() {
         .exists());
 }
 
+/// A worker that cannot update the spool (here: `failed/` is a file, so
+/// the failure record cannot be written) makes `run` return the I/O
+/// error once every worker has been joined, instead of losing it.
+#[test]
+fn daemon_returns_a_spool_error_a_worker_hit() {
+    let dir = temp_dir("daemon-spool-error");
+    let spec = tree_job(4_096, 23);
+    let key = submit_job(&dir, &spec).unwrap();
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir)).unwrap();
+    std::fs::remove_dir(dir.join("failed")).unwrap();
+    std::fs::write(dir.join("failed"), "not a directory").unwrap();
+    // Force a publish failure, as in the test above.
+    std::fs::create_dir_all(dir.join("cache").join(format!("{}.result", key.hex()))).unwrap();
+
+    match daemon.run() {
+        Err(ServiceError::Io(_)) => {}
+        other => panic!("expected the worker's spool error, got {other:?}"),
+    }
+}
+
 /// Restoring a checkpoint into a *different* job must be impossible: the
 /// store is keyed, and even a hand-moved blob is rejected by the wire
 /// layer's schema-hash check.
@@ -668,4 +690,104 @@ fn standalone_cache_round_trip() {
     };
     cache.put(key, &result).unwrap();
     assert_eq!(cache.get(key), Some(result));
+}
+
+/// A line-of-traps job from a uniform start: the count engine skips
+/// almost all of its interactions as nulls.
+fn line_job(n: usize, seed: u64) -> JobSpec {
+    let mut spec = JobSpec::new("line", n, seed);
+    spec.init = JobInit::Uniform;
+    spec
+}
+
+/// Run `spec` to completion; returns the result and the checkpoints the
+/// call took.
+fn run_to_completion(spec: &JobSpec, store: &CheckpointStore, cfg: &RunConfig) -> (JobResult, u32) {
+    match run_job(spec, store, cfg).unwrap() {
+        RunDisposition::Completed {
+            result,
+            checkpoints,
+            ..
+        } => (result, checkpoints),
+        other => panic!("expected completion, got {other:?}"),
+    }
+}
+
+/// Run `spec` until it interrupts itself after `after` checkpoints.
+fn run_until_interrupted(spec: &JobSpec, store: &CheckpointStore, after: u32) {
+    let cfg = RunConfig {
+        interrupt_after: Some(after),
+        ..RunConfig::default()
+    };
+    match run_job(spec, store, &cfg).unwrap() {
+        RunDisposition::Interrupted { checkpoints } => assert_eq!(checkpoints, after),
+        other => panic!("expected interruption, got {other:?}"),
+    }
+}
+
+/// At the default cadence every save waits for `num_states` productive
+/// interactions, so a job takes at most `productive / num_states`
+/// checkpoints however many nulls the engine skips, and finishes
+/// bit-identical to a run without checkpoints.
+#[test]
+fn default_cadence_checkpoints_are_paced_by_work() {
+    for spec in [line_job(4096, 2), tree_job(65_536, 1)] {
+        let dir = temp_dir(&format!("work-floor-{}", spec.protocol));
+        let store = CheckpointStore::open(dir.join("checkpoints")).unwrap();
+        let plain = RunConfig {
+            checkpoint_every: 0,
+            ..RunConfig::default()
+        };
+        let (reference, _) = run_to_completion(&spec, &store, &plain);
+        let (result, checkpoints) = run_to_completion(&spec, &store, &RunConfig::default());
+        let floor = u64::from(spec.shape().unwrap().num_states);
+        assert!(
+            checkpoints >= 1 && u64::from(checkpoints) <= result.productive / floor,
+            "{}: {checkpoints} checkpoints for {} productive steps, floor {floor}",
+            spec.protocol,
+            result.productive
+        );
+        assert_eq!(result, reference, "{}", spec.protocol);
+        assert_eq!(
+            result.parallel_time.to_bits(),
+            reference.parallel_time.to_bits()
+        );
+    }
+}
+
+/// The work floor's baseline is restored with the checkpoint: killed at
+/// checkpoint k and resumed, a job's next checkpoint lands on the clock
+/// (and blob) of an uninterrupted run's checkpoint k + 1.
+#[test]
+fn resumed_runs_checkpoint_at_the_uninterrupted_clocks() {
+    let spec = line_job(4096, 2);
+    let key = spec.key().unwrap();
+    let k = 3;
+    let dir = temp_dir("work-floor-resume");
+    let resumed = CheckpointStore::open(dir.join("resumed")).unwrap();
+    run_until_interrupted(&spec, &resumed, k);
+    run_until_interrupted(&spec, &resumed, 1);
+    let uninterrupted = CheckpointStore::open(dir.join("uninterrupted")).unwrap();
+    run_until_interrupted(&spec, &uninterrupted, k + 1);
+
+    let (clock, blob) = resumed.latest(key).unwrap();
+    assert_eq!(uninterrupted.latest(key), Some((clock, blob)));
+}
+
+/// A cadence of 0 still disables checkpoints, so the kill drill never
+/// fires.
+#[test]
+fn zero_cadence_takes_no_checkpoints() {
+    let spec = tree_job(16_384, 3);
+    let dir = temp_dir("zero-cadence");
+    let store = CheckpointStore::open(dir.join("checkpoints")).unwrap();
+    let cfg = RunConfig {
+        threads: 1,
+        checkpoint_every: 0,
+        interrupt_after: Some(1),
+    };
+    let (result, checkpoints) = run_to_completion(&spec, &store, &cfg);
+    assert_eq!(checkpoints, 0);
+    assert_eq!(result.status, JobStatusKind::Silent);
+    assert_eq!(store.latest(spec.key().unwrap()), None);
 }
