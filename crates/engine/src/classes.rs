@@ -39,8 +39,20 @@
 //! `max(c_a, c_b)` and the largest partner sum — kept as *stale-high*
 //! bounds with the same eager-grow/lazy-shrink discipline as
 //! `max_eq_bound`/`refresh_max_eq`. That replaces the old per-batch
-//! `O(Σ deg)` full rescan (`sparse_partner_scale`) with `O(deg(s))` work
-//! per count change and an occasional exact refresh.
+//! `O(Σ deg)` full rescan (`sparse_partner_scale`) with an `O(deg(s))`
+//! walk over `s`'s pairs per count change and an occasional exact refresh.
+//!
+//! The walk has two parts. The *drift* part (partner sums, both bounds)
+//! runs on every count change, because the bounds must see every
+//! intermediate occupancy. The *re-weighting* part (pair-tree leaves,
+//! group totals, the occupied-pair count) is the expensive one, and a
+//! batch changes the same state dozens of times while nothing reads a
+//! weight: batch apply therefore goes through
+//! [`ClassState::update_count_deferred`], which only marks the state
+//! dirty, and [`ClassState::flush_sparse`] re-weights each dirty state's
+//! pairs once, under the final counts, before the next weight read.
+//! Apply draws no randomness and the sums are exact integers, so the
+//! flushed state equals the immediate one field for field.
 //!
 //! # Memory
 //!
@@ -76,7 +88,7 @@ const BLOCK: usize = 64;
 /// `sample` maps a target offset to the slot containing it in prefix-sum
 /// order, exactly like [`Fenwick::sample`](crate::fenwick::Fenwick::sample),
 /// so the two structures are interchangeable draw-for-draw.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightTree {
     /// Number of leaves (padded to a power of two).
     size: usize,
@@ -825,12 +837,17 @@ fn pair_scale(counts: &[u32], a: State, b: State) -> u64 {
 /// independent tasks.
 ///
 /// The drift side replaces the count engine's former per-batch `O(Σ deg)`
-/// rescan: `partner_sum` and `occupied` are exact under
-/// [`on_count_change`](Self::on_count_change), while the two `max_*`
-/// bounds grow eagerly and shrink only on
+/// rescan: `partner_sum` is exact after every count change, while the two
+/// `max_*` bounds grow eagerly on every change and shrink only on
 /// [`refresh_bounds`](Self::refresh_bounds) — the same stale-high
 /// discipline as [`ClassState::max_eq_bound`].
-#[derive(Debug, Clone)]
+///
+/// The weight side (the trees and `occupied`) is exact after
+/// [`on_count_change`](Self::on_count_change), or after
+/// [`flush`](Self::flush) once a run of
+/// [`defer_count_change`](Self::defer_count_change)s has ended. Reading it
+/// while a state is dirty is a bug, caught by a debug assertion.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct SparseState {
     /// Per-group pair-weight trees (local pair indices).
     trees: Vec<WeightTree>,
@@ -846,8 +863,11 @@ pub(crate) struct SparseState {
     /// Upper bound on `max_p pair_scale(p)` over positive-weight pairs;
     /// eager-grow, lazy-shrink.
     pub max_pair_scale_bound: u64,
-    /// Number of positive-weight pairs. Exact at all times.
+    /// Number of positive-weight pairs.
     occupied: u64,
+    /// States whose pairs await re-weighting by [`flush`](Self::flush),
+    /// one entry per deferred change (deduplicated at the flush).
+    dirty: Vec<u32>,
 }
 
 impl SparseState {
@@ -860,6 +880,7 @@ impl SparseState {
             max_partner_bound: 1,
             max_pair_scale_bound: 1,
             occupied: 0,
+            dirty: Vec::new(),
         }
     }
 
@@ -901,6 +922,7 @@ impl SparseState {
             max_partner_bound: 1,
             max_pair_scale_bound: 1,
             occupied,
+            dirty: Vec::new(),
         };
         state.refresh_bounds(schema, counts);
         state
@@ -909,13 +931,24 @@ impl SparseState {
     /// Sum of all pair weights.
     #[inline]
     pub fn total(&self) -> u64 {
+        self.debug_assert_flushed();
         self.groups.total()
     }
 
     /// Number of positive-weight pairs.
     #[inline]
     pub fn occupied_pairs(&self) -> u64 {
+        self.debug_assert_flushed();
         self.occupied
+    }
+
+    #[inline]
+    fn debug_assert_flushed(&self) {
+        debug_assert!(
+            self.dirty.is_empty(),
+            "sparse weights read before flush ({} deferred changes)",
+            self.dirty.len()
+        );
     }
 
     /// Number of groups.
@@ -927,6 +960,7 @@ impl SparseState {
     /// Current weight of group `g`.
     #[inline]
     pub fn group_total(&self, g: usize) -> u64 {
+        self.debug_assert_flushed();
         self.groups.weight(g)
     }
 
@@ -954,6 +988,7 @@ impl SparseState {
     /// Panics if `target >= total()`, like [`WeightTree::sample`].
     #[inline]
     pub fn sample(&self, target: u64, schema: &CompiledSchema) -> usize {
+        self.debug_assert_flushed();
         let (g, rem) = match self.groups.try_sample_with_offset(target) {
             Some(hit) => hit,
             None => panic!(
@@ -974,15 +1009,68 @@ impl SparseState {
         rng: &mut Xoshiro256,
         out: &mut Vec<(usize, u64)>,
     ) {
+        self.debug_assert_flushed();
         self.trees[g].split(k, rng, out);
     }
 
-    /// Account for state `s`'s occupancy changing `old → new`: re-weight
-    /// every pair touching `s`, and maintain the partner sums, occupied
-    /// count, and eager-grow bounds. `O(deg(s))` tree updates, with the
-    /// top-level group leaf written once per touched group (touch lists
-    /// are group-clustered).
+    /// Account for state `s`'s occupancy changing `old → new` in one pass
+    /// over the pairs touching `s`: the drift part (partner sums,
+    /// eager-grow bounds) and the re-weighting part (pair leaves, group
+    /// totals, occupied count). The immediate form, for exact steps and
+    /// fault injection.
+    #[inline]
     pub fn on_count_change(
+        &mut self,
+        schema: &CompiledSchema,
+        counts: &[u32],
+        s: usize,
+        old: u64,
+        new: u64,
+    ) {
+        self.visit_pairs::<true, true>(schema, counts, s, old, new);
+    }
+
+    /// The drift part of [`on_count_change`](Self::on_count_change) only;
+    /// `s` is marked dirty and its pairs keep their weights until
+    /// [`flush`](Self::flush). Both bounds still see this intermediate
+    /// occupancy, so they grow exactly as under the immediate form.
+    #[inline]
+    pub fn defer_count_change(
+        &mut self,
+        schema: &CompiledSchema,
+        counts: &[u32],
+        s: usize,
+        old: u64,
+        new: u64,
+    ) {
+        self.visit_pairs::<true, false>(schema, counts, s, old, new);
+        self.dirty.push(s as u32);
+    }
+
+    /// Re-weight the pairs of every dirty state under the current
+    /// `counts` — once per state however many deferred changes hit it.
+    /// A pair whose two states are both dirty is re-weighted by the first
+    /// and found unchanged by the second.
+    pub fn flush(&mut self, schema: &CompiledSchema, counts: &[u32]) {
+        if self.dirty.is_empty() {
+            return;
+        }
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &s in &dirty {
+            self.visit_pairs::<false, true>(schema, counts, s as usize, 0, 0);
+        }
+        dirty.clear();
+        self.dirty = dirty;
+    }
+
+    /// The per-pair routine behind all three entry points: one walk over
+    /// the pairs touching `s`, doing the drift part when `DRIFT` and the
+    /// re-weighting part when `REWEIGHT`. The top-level group leaf is
+    /// written once per touched group (touch lists are group-clustered).
+    #[inline(always)]
+    fn visit_pairs<const DRIFT: bool, const REWEIGHT: bool>(
         &mut self,
         schema: &CompiledSchema,
         counts: &[u32],
@@ -994,48 +1082,52 @@ impl SparseState {
         for &pi in schema.pair_touch(s) {
             let pi = pi as usize;
             let (a, b) = schema.pairs[pi];
-            let g = schema.pair_group[pi] as usize;
-            if g != cur_group {
-                if cur_group != usize::MAX {
-                    self.groups.set(cur_group, self.trees[cur_group].total());
-                }
-                cur_group = g;
-            }
-            let local = pi - schema.group_off[g] as usize;
-            let old_w = self.trees[g].weight(local);
             let w = pair_weight(counts, a, b);
-            if w != old_w {
-                self.trees[g].set(local, w);
-                if old_w == 0 {
-                    self.occupied += 1;
-                } else if w == 0 {
-                    self.occupied -= 1;
+            if REWEIGHT {
+                let g = schema.pair_group[pi] as usize;
+                if g != cur_group {
+                    if cur_group != usize::MAX {
+                        self.groups.set(cur_group, self.trees[cur_group].total());
+                    }
+                    cur_group = g;
+                }
+                let local = pi - schema.group_off[g] as usize;
+                let old_w = self.trees[g].weight(local);
+                if w != old_w {
+                    self.trees[g].set(local, w);
+                    if old_w == 0 {
+                        self.occupied += 1;
+                    } else if w == 0 {
+                        self.occupied -= 1;
+                    }
                 }
             }
-            if a == b {
-                // The diagonal pair at `s` is the only term of
-                // `partner_sum[s]` that moves when `c_s` changes.
-                let ps = &mut self.partner_sum[s];
-                *ps = *ps + 2 * new.saturating_sub(1) - 2 * old.saturating_sub(1);
-                if *ps > self.max_partner_bound {
-                    self.max_partner_bound = *ps;
+            if DRIFT {
+                if a == b {
+                    // The diagonal pair at `s` is the only term of
+                    // `partner_sum[s]` that moves when `c_s` changes.
+                    let ps = &mut self.partner_sum[s];
+                    *ps = *ps + 2 * new.saturating_sub(1) - 2 * old.saturating_sub(1);
+                    if *ps > self.max_partner_bound {
+                        self.max_partner_bound = *ps;
+                    }
+                } else {
+                    let t = if a as usize == s { b } else { a } as usize;
+                    let ps = &mut self.partner_sum[t];
+                    *ps = *ps + new - old;
+                    if *ps > self.max_partner_bound {
+                        self.max_partner_bound = *ps;
+                    }
                 }
-            } else {
-                let t = if a as usize == s { b } else { a } as usize;
-                let ps = &mut self.partner_sum[t];
-                *ps = *ps + new - old;
-                if *ps > self.max_partner_bound {
-                    self.max_partner_bound = *ps;
-                }
-            }
-            if w > 0 {
-                let sc = pair_scale(counts, a, b);
-                if sc > self.max_pair_scale_bound {
-                    self.max_pair_scale_bound = sc;
+                if w > 0 {
+                    let sc = pair_scale(counts, a, b);
+                    if sc > self.max_pair_scale_bound {
+                        self.max_pair_scale_bound = sc;
+                    }
                 }
             }
         }
-        if cur_group != usize::MAX {
+        if REWEIGHT && cur_group != usize::MAX {
             self.groups.set(cur_group, self.trees[cur_group].total());
         }
     }
@@ -1212,6 +1304,32 @@ impl ClassState {
     /// weight, so out-of-order delta sequences are a hard error.
     #[inline]
     pub fn update_count(&mut self, s: State, delta: i64) {
+        self.change_count::<false>(s, delta);
+    }
+
+    /// [`update_count`](Self::update_count) for batch apply: the sparse
+    /// pairs touching `s` keep their weights until
+    /// [`flush_sparse`](Self::flush_sparse), which must run before the
+    /// next weight read. Every other structure, the sparse drift bounds
+    /// included, is updated at once.
+    ///
+    /// # Panics
+    ///
+    /// As [`update_count`](Self::update_count).
+    #[inline]
+    pub fn update_count_deferred(&mut self, s: State, delta: i64) {
+        self.change_count::<true>(s, delta);
+    }
+
+    /// Re-weight the sparse pairs of every state changed through
+    /// [`update_count_deferred`](Self::update_count_deferred) since the
+    /// last flush.
+    pub fn flush_sparse(&mut self) {
+        self.sparse.flush(&self.schema, &self.counts);
+    }
+
+    #[inline(always)]
+    fn change_count<const DEFER: bool>(&mut self, s: State, delta: i64) {
         let su = s as usize;
         let old = self.counts[su] as u64;
         let new = match old.checked_add_signed(delta) {
@@ -1243,8 +1361,13 @@ impl ClassState {
                 .expect("extra population went negative");
         }
         if !self.schema.pairs.is_empty() {
-            self.sparse
-                .on_count_change(&self.schema, &self.counts, su, old, new);
+            if DEFER {
+                self.sparse
+                    .defer_count_change(&self.schema, &self.counts, su, old, new);
+            } else {
+                self.sparse
+                    .on_count_change(&self.schema, &self.counts, su, old, new);
+            }
         }
     }
 
@@ -2074,5 +2197,67 @@ mod tests {
             prop_assert_eq!(st.sparse.max_partner_bound, max_partner);
             prop_assert_eq!(st.sparse.max_pair_scale_bound, max_scale);
         }
+
+        /// Deferred re-weighting is exact: a random sequence of (possibly
+        /// multi-agent) count deltas, applied in runs through
+        /// `update_count_deferred` with a `flush_sparse` after each run,
+        /// leaves every `SparseState` field — leaf weights, group totals,
+        /// partner sums, occupied count and both eager-grow bounds —
+        /// equal to the same sequence through `update_count`.
+        #[test]
+        fn deferred_reweighting_matches_immediate_updates(
+            seed in 0u64..5_000,
+            states in 2usize..11,
+            npairs in 1usize..22,
+            runs in 1usize..8,
+        ) {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let mut pairs: Vec<(State, State)> = Vec::new();
+            for _ in 0..npairs {
+                let a = rng.below(states as u64) as State;
+                let b = rng.below(states as u64) as State;
+                if !pairs.contains(&(a, b)) {
+                    pairs.push((a, b));
+                }
+            }
+            let mut counts: Vec<u32> =
+                (0..states).map(|_| rng.below(20) as u32).collect();
+            counts[0] += 1; // keep the walk feasible
+            let n: u64 = counts.iter().map(|&c| c as u64).sum();
+            let p = RandPairs { n: n as usize, states, pairs };
+            let mut deferred = ClassState::new(&p, counts).unwrap();
+            let mut immediate = deferred.clone();
+            for _ in 0..runs {
+                for _ in 0..rng.below(12) {
+                    let donor = loop {
+                        let s = rng.below(states as u64) as usize;
+                        if deferred.counts[s] > 0 {
+                            break s;
+                        }
+                    };
+                    let k = 1 + rng.below(deferred.counts[donor] as u64) as i64;
+                    let recv = rng.below(states as u64) as State;
+                    for (s, d) in [(donor as State, -k), (recv, k)] {
+                        deferred.update_count_deferred(s, d);
+                        immediate.update_count(s, d);
+                    }
+                }
+                deferred.flush_sparse();
+                prop_assert_eq!(&deferred.counts, &immediate.counts);
+                prop_assert_eq!(&deferred.sparse, &immediate.sparse);
+            }
+        }
+    }
+
+    /// Reading a sparse weight between a deferred change and its flush is
+    /// a bug the debug build refuses.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "sparse weights read before flush")]
+    fn reading_sparse_weights_before_a_flush_panics() {
+        let mut st = ClassState::new(&Sparse, vec![2, 1, 1]).unwrap();
+        st.update_count_deferred(1, -1);
+        st.update_count_deferred(2, 1);
+        let _ = st.sparse_weight();
     }
 }

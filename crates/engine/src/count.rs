@@ -1019,7 +1019,9 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     }
 
     /// Apply `k` identical `before → after` rewrites, clipping as in
-    /// [`apply_group`](Self::apply_group). With `reserve_byz` the clip
+    /// [`apply_group`](Self::apply_group), through
+    /// [`ClassState::update_count_deferred`]: the caller flushes before the
+    /// next weight read. With `reserve_byz` the clip
     /// additionally reserves the Byzantine occupancy of the drained states
     /// (stuck-at agents never move). `after == before` groups are pure
     /// no-ops that still count as applied chain events.
@@ -1079,7 +1081,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         }
         for &(s, d) in &deltas[..len] {
             if d != 0 {
-                self.state.update_count(s, d * k as i64);
+                self.state.update_count_deferred(s, d * k as i64);
             }
         }
         Some(BatchGroup {
@@ -1218,6 +1220,10 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
                 applied_total = 1;
             }
         }
+        // Apply reads counts only; re-weight the sparse pairs it touched
+        // before anything (the next batch size, sample or pool dispatch)
+        // reads a weight.
+        self.state.flush_sparse();
         self.productive += applied_total;
         // Widen each operand before summing: with tiny p the null count
         // alone can exceed u64::MAX, so the addition must happen at u128.

@@ -342,3 +342,59 @@ fn batched_fault_plan() {
     );
     assert_eq!(bursts, [(409_600, 2_000, 1_077, Some(50_132_712))]);
 }
+
+// The two pins below cover the count engine's sparse-pair batches: loose
+// leader election is the only schema whose rules go through the
+// enumerated sparse-pair class, and nearly every one of its productive
+// steps is batched. They certify that re-weighting a state's pairs once
+// per batch, instead of once per count change, moved no trajectory.
+
+#[test]
+fn count_loose_stacked_prefix_n65536() {
+    let n = 65_536;
+    let p = LooseLeaderElection::new(n);
+    let mut e = count(&p, vec![0; n], 7);
+    let mut batched = 0u64;
+    while e.productive_interactions() < 1_000_000 {
+        if e.advance().expect("loose protocols never go silent") > 1 {
+            batched += 1;
+        }
+    }
+    assert_eq!(
+        (batched, fingerprint(e.as_ref())),
+        (127, (1_032_134, 1_001_406, 9_991_049_250_710_917_859))
+    );
+}
+
+/// Byzantine agents send every sparse batch through `apply_group_byz`'s
+/// thinned subgroups.
+#[test]
+fn count_loose_byzantine_plan_n65536() {
+    let n = 65_536;
+    let p = LooseLeaderElection::new(n);
+    let plan = FaultPlan::new()
+        .burst_at(40 * n as u128, 4_000)
+        .byzantine(512);
+    let mut e = count(&p, vec![0; n], 7);
+    let out = run_with_plan(e.as_mut(), &plan, 0xFA17_0003, 160 * n as u64);
+    let bursts: Vec<_> = out
+        .bursts
+        .iter()
+        .map(|b| (b.time, b.faults, b.k_after, b.recovery))
+        .collect();
+    assert_eq!(
+        (
+            fingerprint(e.as_ref()),
+            out.availability.to_bits(),
+            out.mean_k.to_bits(),
+            out.faults_injected,
+        ),
+        (
+            (10_485_760, 10_450_088, 1_026_382_838_706_859_356),
+            4_573_276_668_783_126_118,
+            4_638_464_859_163_957_658,
+            4_000
+        )
+    );
+    assert_eq!(bursts, [(2_621_440, 4_000, 0, Some(0))]);
+}
