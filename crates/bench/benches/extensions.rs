@@ -7,9 +7,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ssr_analysis::bootstrap::{median_ci, BootstrapOptions};
 use ssr_analysis::modelcheck::verify_stability;
 use ssr_core::{GenericRanking, RingOfTraps};
-use ssr_engine::faults::recovery_after_faults;
 use ssr_engine::rng::Xoshiro256;
 use ssr_engine::schedule::{ClusteredScheduler, Scheduler, UniformScheduler, ZipfScheduler};
+use ssr_engine::{Init, Scenario};
 
 fn bench_schedulers(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler_sampling");
@@ -40,7 +40,12 @@ fn bench_fault_recovery(c: &mut Criterion) {
     group.bench_function("ring_n110_f4", |b| {
         b.iter(|| {
             seed += 1;
-            recovery_after_faults(&p, 4, seed, u64::MAX).unwrap()
+            Scenario::new(&p)
+                .init(Init::Perfect)
+                .faults(4)
+                .base_seed(seed)
+                .threads(1)
+                .run_outcome(0)
         })
     });
     group.finish();

@@ -15,7 +15,7 @@
 use ssr_analysis::Table;
 use ssr_bench::{print_header, uniform_start};
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::{init, Protocol, Simulation};
+use ssr_engine::{init, Engine, Protocol, Simulation};
 
 /// Distance trace of one naive-simulation run at multiplicative
 /// checkpoints; returns (parallel time, metric) pairs.

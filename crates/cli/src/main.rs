@@ -28,8 +28,8 @@ use ssr_core::{elect_leader, GenericRanking, LineOfTraps, RingOfTraps, TreeRanki
 use ssr_engine::init::{self, DuplicatePlacement};
 use ssr_engine::rng::{derive_seed, Xoshiro256};
 use ssr_engine::{
-    run_with_plan, CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema,
-    Protocol, Scenario, State,
+    CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema, Protocol,
+    RunOutcome, Scenario, State,
 };
 use ssr_service::{daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec};
 
@@ -145,25 +145,15 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         .base_seed(seed)
         .threads(threads);
     let plan = parse_fault_plan(a)?;
-    let mut sim = scenario.build_engine(0).map_err(|e| e.to_string())?;
     println!(
         "{}: n = {n}, {} states ({} extra), seed {seed}, engine {} ({kind})",
         p.name(),
         p.num_states(),
         p.num_extra_states(),
-        sim.engine_name()
+        kind.resolve(n).name()
     );
     if let Some(plan) = plan {
-        if plan.may_never_silence() && max == u64::MAX {
-            return Err(
-                "this fault plan has a persistent process (rate/churn/byzantine) and can \
-                 run forever; set a finite --max"
-                    .to_string(),
-            );
-        }
-        // Same per-trial fault-seed derivation the Scenario runner uses.
-        let fault_seed = derive_seed(seed, 0) ^ 0xFA17_FA17_FA17_FA17;
-        let outcome = run_with_plan(sim.as_mut(), &plan, fault_seed, max);
+        let outcome = run_fault_plan(scenario, plan, max)?;
         if outcome.silent {
             println!(
                 "silent after {} interactions (parallel time {:.1}); {} productive",
@@ -208,12 +198,33 @@ fn cmd_run(a: &Args) -> Result<(), String> {
         }
         return Ok(());
     }
-    let report = sim.run_until_silent(max).map_err(|e| e.to_string())?;
+    let report = scenario
+        .max_interactions(max)
+        .run_one(0)
+        .map_err(|e| e.to_string())?;
     println!(
         "silent after {} interactions (parallel time {:.1}); {} productive",
         report.interactions, report.parallel_time, report.productive_interactions
     );
     Ok(())
+}
+
+/// Execute the `run` command's fault plan on trial 0 of its scenario,
+/// which derives the fault seed from the base seed. A plan with a
+/// persistent process could run forever, so it needs a finite cap.
+fn run_fault_plan(
+    scenario: Scenario<'_, dyn InteractionSchema + Sync>,
+    plan: FaultPlan,
+    max: u64,
+) -> Result<RunOutcome, String> {
+    if plan.may_never_silence() && max == u64::MAX {
+        return Err(
+            "this fault plan has a persistent process (rate/churn/byzantine) and can \
+             run forever; set a finite --max"
+                .to_string(),
+        );
+    }
+    Ok(scenario.fault_plan(plan).max_interactions(max).run_outcome(0))
 }
 
 fn cmd_sweep(a: &Args) -> Result<(), String> {
@@ -325,17 +336,21 @@ fn cmd_check(a: &Args) -> Result<(), String> {
 fn cmd_faults(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 100)?;
     let p = make_protocol(&a.str_or("protocol", "ring"), n)?;
-    let faults = a.usize_or("faults", 4)?;
-    let trials = a.u64_or("trials", 10)?;
+    let faults = u32::try_from(a.usize_or("faults", 4)?)
+        .map_err(|_| "--faults is too large".to_string())?;
+    let trials = a.usize_or("trials", 10)?;
     let seed = a.u64_or("seed", 1)?;
-    let mut times = Vec::with_capacity(trials as usize);
-    let mut ks = Vec::with_capacity(trials as usize);
-    for t in 0..trials {
-        let rep = ssr_engine::recovery_after_faults(p.as_ref(), faults, derive_seed(seed, t), u64::MAX)
-            .map_err(|e| e.to_string())?;
-        times.push(rep.recovered.parallel_time);
-        ks.push(rep.distance_after_faults as f64);
-    }
+    let outcomes = Scenario::new(p.as_ref())
+        .init(Init::Perfect)
+        .faults(faults)
+        .base_seed(seed)
+        .trials(trials)
+        .run_outcomes();
+    let times: Vec<f64> = outcomes.iter().map(|o| o.report.parallel_time).collect();
+    let ks: Vec<f64> = outcomes
+        .iter()
+        .map(|o| o.bursts.first().map_or(0.0, |b| b.k_after as f64))
+        .collect();
     let st = Summary::of(&times);
     let sk = Summary::of(&ks);
     println!(
@@ -693,6 +708,86 @@ mod tests {
         assert!(parse_fault_plan(&args(&["run", "--fault-burst", "40"])).is_err());
         assert!(parse_fault_plan(&args(&["run", "--fault-rate", "2.0"])).is_err());
         assert!(parse_fault_plan(&args(&["run", "--churn", "-0.5"])).is_err());
+    }
+
+    #[test]
+    fn faults_flag_rejects_counts_beyond_u32() {
+        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
+        let err = cmd_faults(&args(&["faults", "--faults", "4294967296"])).unwrap_err();
+        assert!(err.contains("--faults"), "{err}");
+    }
+
+    /// `ssr run` with fault flags must give the outcome `run_with_plan`
+    /// gives on the scenario's trial-0 engine under the fault seed the
+    /// scenario runner derives (`derive_seed(seed, 0) ^ 0xFA17…`).
+    #[test]
+    fn run_fault_path_matches_run_with_plan_on_the_scenario_engine() {
+        use ssr_engine::run_with_plan;
+        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
+        // (protocol, n, start, engine, seed, fault flags, max)
+        type Case<'a> = (&'a str, usize, &'a str, EngineKind, u64, &'a [&'a str], u64);
+        let cases: [Case; 3] = [
+            ("ring", 240, "perfect", EngineKind::Auto, 3, &["--fault-burst", "2000:6"], u64::MAX),
+            (
+                "tree",
+                5000,
+                "uniform",
+                EngineKind::Auto,
+                2,
+                &["--fault-burst", "100:20,90000:5", "--fault-rate", "1e-6"],
+                3_000_000,
+            ),
+            (
+                "generic",
+                64,
+                "stacked",
+                EngineKind::Naive,
+                5,
+                &["--fault-burst", "1000:3"],
+                u64::MAX,
+            ),
+        ];
+        let mut outcomes = Vec::new();
+        for (proto, n, start, kind, seed, flags, max) in cases {
+            let p = make_protocol(proto, n).unwrap();
+            let cfg = make_start(p.as_ref(), start, 1, seed).unwrap();
+            let make = move |_| cfg.clone();
+            let scenario = || {
+                Scenario::new(p.as_ref())
+                    .engine(kind)
+                    .init(Init::Custom(&make))
+                    .base_seed(seed)
+                    .threads(1)
+            };
+            let plan = parse_fault_plan(&args(&[&["run"], flags].concat())).unwrap().unwrap();
+            let got = run_fault_plan(scenario(), plan.clone(), max).unwrap();
+            let mut engine = scenario().build_engine(0).unwrap();
+            let fault_seed = derive_seed(seed, 0) ^ 0xFA17_FA17_FA17_FA17;
+            let want = run_with_plan(engine.as_mut(), &plan, fault_seed, max);
+            assert_eq!(got, want, "{proto}");
+            outcomes.push(got);
+        }
+        // Recorded from `ssr run --protocol ring --n 240 --start perfect
+        // --fault-burst 2000:6 --seed 3` before the run command went
+        // through the scenario's fault path.
+        let ring = &outcomes[0];
+        assert!(ring.silent);
+        assert_eq!(ring.report.interactions, 2_960_345);
+        assert_eq!(ring.report.productive_interactions, 865);
+        assert_eq!((ring.faults_injected, ring.max_k), (6, 17));
+        assert_eq!(ring.bursts[0].k_after, 6);
+        assert_eq!(ring.bursts[0].recovery, Some(2_958_345));
+        assert!(!outcomes[1].silent);
+        assert_eq!(outcomes[1].report.productive_interactions, 399_281);
+        assert_eq!(outcomes[2].report.interactions, 174_772);
+    }
+
+    #[test]
+    fn persistent_plan_needs_a_finite_cap() {
+        let p = make_protocol("ring", 50).unwrap();
+        let plan = FaultPlan::new().rate(1e-3);
+        let err = run_fault_plan(Scenario::new(p.as_ref()), plan, u64::MAX).unwrap_err();
+        assert!(err.contains("finite --max"), "{err}");
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!
 //! ```
 //! use ssr_core::loose::LooseLeaderElection;
-//! use ssr_engine::{Protocol, Simulation};
+//! use ssr_engine::{Engine, Protocol, Simulation};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = 64;
@@ -113,7 +113,7 @@ impl LooseLeaderElection {
     }
 
     /// Number of agents currently in the leader state, given per-state
-    /// occupancy counts (e.g. [`ssr_engine::Simulation::counts`]).
+    /// occupancy counts (e.g. [`ssr_engine::Engine::counts`]).
     ///
     /// # Panics
     ///

@@ -125,7 +125,7 @@
 //! [`InteractionSchema`]: crate::protocol::InteractionSchema
 
 use crate::classes::{chain_split, ClassState};
-use crate::engine::{ByzOverlay, CappedAdvance, CountObserver};
+use crate::engine::{ByzOverlay, CappedAdvance, CountObserver, Engine};
 use crate::error::ConfigError;
 use crate::init;
 use crate::protocol::{CrossDirection, InteractionSchema, State};
@@ -702,45 +702,9 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         self.threads
     }
 
-    /// Current per-state occupancy counts.
-    pub fn counts(&self) -> &[u32] {
-        &self.state.counts
-    }
-
-    /// Total interactions simulated (nulls included, exact in
-    /// distribution), saturating at `u64::MAX`. The internal clock is
-    /// `u128` (see [`interactions_wide`](Self::interactions_wide)):
-    /// beyond `n ≈ 2³¹` a full run exceeds `u64::MAX` total interactions.
-    pub fn interactions(&self) -> u64 {
-        // lint:allow(A001): documented saturating u64 API boundary —
-        // the exact clock is `interactions_wide()`.
-        self.interactions.min(u64::MAX as u128) as u64
-    }
-
-    /// Total interactions simulated, full-width.
-    pub fn interactions_wide(&self) -> u128 {
-        self.interactions
-    }
-
-    /// Productive interactions executed.
-    pub fn productive_interactions(&self) -> u64 {
-        self.productive
-    }
-
-    /// Parallel time elapsed: interactions / n (computed from the
-    /// full-width clock, so it stays exact past `u64::MAX` interactions).
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.protocol.population_size() as f64
-    }
-
     /// Number of productive ordered pairs in the current configuration.
     pub fn productive_pairs(&self) -> u64 {
         self.state.productive_pairs()
-    }
-
-    /// Silent iff no ordered pair is productive.
-    pub fn is_silent(&self) -> bool {
-        self.productive_pairs() == 0
     }
 
     /// Sample the productive pair for an already-scheduled chain event,
@@ -1285,7 +1249,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     }
 }
 
-impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_, P> {
+impl<P: InteractionSchema + ?Sized> Engine for CountSimulation<'_, P> {
     /// `"jump"` in exact mode (batching off), `"count"` otherwise — the
     /// names [`EngineKind`](crate::engine::EngineKind) parses.
     fn engine_name(&self) -> &'static str {
@@ -1304,8 +1268,12 @@ impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_
         &self.state.counts
     }
 
+    /// Saturates at `u64::MAX`: beyond `n ≈ 2³¹` a full run exceeds it,
+    /// so the internal clock is `u128`.
     fn interactions(&self) -> u64 {
-        CountSimulation::interactions(self)
+        // lint:allow(A001): documented saturating u64 API boundary —
+        // the exact clock is `interactions_wide()`.
+        self.interactions.min(u64::MAX as u128) as u64
     }
 
     fn interactions_wide(&self) -> u128 {
@@ -1316,8 +1284,9 @@ impl<P: InteractionSchema + ?Sized> crate::engine::Engine for CountSimulation<'_
         self.productive
     }
 
+    /// Silent iff no ordered pair is productive.
     fn is_silent(&self) -> bool {
-        CountSimulation::is_silent(self)
+        self.productive_pairs() == 0
     }
 
     /// One batch far from silence, one exact productive interaction
@@ -1586,7 +1555,7 @@ mod tests {
         snap.interactions = wide;
         Engine::restore(&mut sim, &snap);
         assert_eq!(sim.interactions_wide(), wide);
-        assert_eq!(CountSimulation::interactions(&sim), u64::MAX);
+        assert_eq!(Engine::interactions(&sim), u64::MAX);
         // Snapshot and advance keep the full-width clock exact.
         let snap2 = Engine::snapshot(&sim);
         assert_eq!(snap2.interactions_wide(), wide);

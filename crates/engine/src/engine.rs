@@ -598,43 +598,6 @@ where
     })
 }
 
-/// Build a boxed engine directly from per-state occupancy counts, skipping
-/// the agent vector entirely. The count engine, in either mode, consumes
-/// the counts as-is (`O(#states)` construction); the naive engine expands
-/// them into a state-sorted agent vector, so its trajectory differs from a
-/// [`make_engine`] run over the original agent order. At `n = 10⁹` this
-/// is what keeps a scenario's peak memory at the counts footprint instead
-/// of an extra `4n`-byte agent array.
-///
-/// # Errors
-///
-/// Propagates configuration validation errors from the engine constructor.
-pub fn make_engine_from_counts<'a, P>(
-    kind: EngineKind,
-    protocol: &'a P,
-    counts: Vec<u32>,
-    seed: u64,
-    threads: usize,
-) -> Result<Box<dyn Engine + 'a>, crate::error::ConfigError>
-where
-    P: crate::protocol::InteractionSchema + ?Sized + 'a,
-{
-    Ok(match kind.resolve(protocol.population_size()) {
-        EngineKind::Auto => unreachable!("resolve returns a concrete kind"),
-        EngineKind::Naive => Box::new(crate::sim::Simulation::new(
-            protocol,
-            crate::init::from_counts(&counts),
-            seed,
-        )?),
-        EngineKind::Jump => {
-            Box::new(CountSimulation::from_counts(protocol, counts, seed)?.with_batching(false))
-        }
-        EngineKind::Count => {
-            Box::new(CountSimulation::from_counts(protocol, counts, seed)?.with_threads(threads))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,13 +26,16 @@
 //!   (chosen uniformly at plan start) that keep interacting but never
 //!   update their own state. Their partners still update normally.
 //!
-//! [`run_with_plan`] executes a plan against any [`Engine`]
-//! deterministically: every engine sees the identical fault schedule and
-//! the identical fault RNG stream, the exact-stepping engines truncate
-//! their clock to each scheduled event time *exactly* (memorylessness of
-//! the geometric null gap), and the count engine clips its batch size to
-//! the next scheduled event so batches never blow through a fault time
-//! (see [`Engine::advance_to`]).
+//! [`Scenario`] is the front door: [`Scenario::faults`] attaches the
+//! classic corrupt-at-time-zero burst and [`Scenario::fault_plan`] any
+//! timed plan, and each trial derives its own fault seed from the base
+//! seed. Underneath, [`run_with_plan`] executes a plan against any
+//! [`Engine`] deterministically: every engine sees the identical fault
+//! schedule and the identical fault RNG stream, the exact-stepping
+//! engines truncate their clock to each scheduled event time *exactly*
+//! (memorylessness of the geometric null gap), and the count engine clips
+//! its batch size to the next scheduled event so batches never blow
+//! through a fault time (see [`Engine::advance_to`]).
 //!
 //! Because Byzantine agents and nonzero fault rates can make silence
 //! unreachable, [`run_with_plan`] never panics on non-convergence and
@@ -42,30 +45,20 @@
 //! mean and maximum `k`-distance excursion, and the per-burst
 //! recovery-time distribution — measured by a
 //! [`RecoveryTracker`](crate::observer::RecoveryTracker) observer.
+//! [`rank_distance`] is the paper's `k`-distance of a configuration.
 //!
-//! The one-shot primitives remain:
-//!
-//! * [`perturb_counts`] — hit `f` uniformly random agents with uniformly
-//!   random replacement states (the standard transient-fault model);
-//!   large bursts walk a Fenwick tree instead of scanning the state
-//!   space, so million-state injection stays `O(f log S)`;
-//! * [`rank_distance`] — the paper's `k`-distance of a configuration;
-//! * [`recovery_after_faults`] — stabilise, corrupt, re-stabilise, and
-//!   report both the damage (`k`) and the recovery time, on the
-//!   engine [`EngineKind::Auto`] selects for the population size.
-//!
-//! Experiment EF in `exp_faults` uses the one-shot machinery to connect
-//! Theorem 1's `O(k·n^{3/2})` bound to an operational fault-tolerance
-//! statement; experiment AD in `exp_adversary` drives timed plans through
-//! the count engine's exact and batched modes and cross-validates their
-//! recovery-time distributions.
+//! Experiment EF in `exp_faults` corrupts silent rankings with one-shot
+//! bursts to connect Theorem 1's `O(k·n^{3/2})` bound to an operational
+//! fault-tolerance statement; experiment AD in `exp_adversary` drives
+//! timed plans through the count engine's exact and batched modes and
+//! cross-validates their recovery-time distributions.
 //!
 //! # Examples
 //!
 //! ```
-//! use ssr_engine::engine::{make_engine, EngineKind};
-//! use ssr_engine::faults::{run_with_plan, FaultPlan};
+//! use ssr_engine::faults::FaultPlan;
 //! use ssr_engine::protocol::{ClassSpec, InteractionSchema, Protocol, State};
+//! use ssr_engine::runner::{Init, Scenario};
 //!
 //! struct Ag { n: usize }
 //! impl Protocol for Ag {
@@ -83,207 +76,35 @@
 //!     }
 //! }
 //!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let p = Ag { n: 32 };
 //! // Start perfect, hit 4 agents at parallel time ~16, watch it recover.
-//! let plan = FaultPlan::new().burst_at(512, 4);
-//! let mut engine = make_engine(EngineKind::Jump, &p, (0..32).collect(), 7, 1)?;
-//! let outcome = run_with_plan(engine.as_mut(), &plan, 99, u64::MAX);
+//! let outcome = Scenario::new(&p)
+//!     .init(Init::Perfect)
+//!     .fault_plan(FaultPlan::new().burst_at(512, 4))
+//!     .base_seed(7)
+//!     .run_outcome(0);
 //! assert!(outcome.silent);
 //! assert_eq!(outcome.bursts.len(), 1);
+//! assert!(outcome.bursts[0].k_after <= 4);
 //! assert!(outcome.availability <= 1.0);
-//! # Ok(())
-//! # }
 //! ```
 //!
 //! [`Engine`]: crate::engine::Engine
 //! [`Engine::advance_to`]: crate::engine::Engine::advance_to
-//! [`EngineKind::Auto`]: crate::engine::EngineKind::Auto
+//! [`Scenario`]: crate::runner::Scenario
+//! [`Scenario::faults`]: crate::runner::Scenario::faults
+//! [`Scenario::fault_plan`]: crate::runner::Scenario::fault_plan
 
-use crate::engine::{Engine, EngineKind};
-use crate::error::StabilisationTimeout;
-use crate::fenwick::Fenwick;
+use crate::engine::Engine;
 use crate::observer::RecoveryTracker;
-use crate::protocol::{InteractionSchema, State};
+use crate::protocol::State;
 use crate::rng::Xoshiro256;
 use crate::sim::StabilisationReport;
-
-/// Above this many faults a single [`perturb_counts`] call builds a
-/// Fenwick tree over the counts and samples victims in `O(log S)` each,
-/// instead of the `O(S)` linear scan per fault. Both paths consume the
-/// RNG identically and pick identical victims, so the trajectory does not
-/// depend on which one runs.
-const PERTURB_TREE_THRESHOLD: usize = 64;
-
-/// Corrupt `faults` agents in a counts-vector configuration: each fault
-/// picks a uniformly random **agent** (weighted by current occupancy) and
-/// rewrites its state to a uniformly random state in `0..num_states`
-/// (possibly the same — real fault models do not guarantee damage).
-///
-/// Returns the number of agents whose state actually changed.
-///
-/// Bursts larger than a small threshold are routed through a Fenwick tree
-/// over the counts (`O(f log S)` instead of `O(f·S)`); the tree walk
-/// selects the same victims from the same draws as the linear scan, so
-/// results are bit-identical either way.
-///
-/// # Panics
-///
-/// Panics if `counts` is empty, sums to zero, or is shorter than
-/// `num_states`.
-pub fn perturb_counts(
-    counts: &mut [u32],
-    num_states: usize,
-    faults: usize,
-    rng: &mut Xoshiro256,
-) -> usize {
-    assert!(counts.len() >= num_states && num_states > 0, "bad shape");
-    let population: u64 = counts.iter().map(|&c| c as u64).sum();
-    assert!(population > 0, "empty population");
-    if faults > PERTURB_TREE_THRESHOLD {
-        perturb_counts_tree(counts, num_states, faults, population, rng)
-    } else {
-        perturb_counts_linear(counts, num_states, faults, population, rng)
-    }
-}
-
-fn perturb_counts_linear(
-    counts: &mut [u32],
-    num_states: usize,
-    faults: usize,
-    population: u64,
-    rng: &mut Xoshiro256,
-) -> usize {
-    let mut changed = 0;
-    for _ in 0..faults {
-        // Pick the victim agent by weighted state occupancy.
-        let mut idx = rng.below(population);
-        let mut from = 0usize;
-        for (s, &c) in counts.iter().enumerate() {
-            if idx < c as u64 {
-                from = s;
-                break;
-            }
-            idx -= c as u64;
-        }
-        let to = rng.below_usize(num_states);
-        if to != from {
-            counts[from] = counts[from]
-                .checked_sub(1)
-                .expect("perturb_counts: sampled fault source must be occupied");
-            counts[to] += 1;
-            changed += 1;
-        }
-    }
-    changed
-}
-
-fn perturb_counts_tree(
-    counts: &mut [u32],
-    num_states: usize,
-    faults: usize,
-    population: u64,
-    rng: &mut Xoshiro256,
-) -> usize {
-    let mut fen = Fenwick::new(counts.len());
-    for (s, &c) in counts.iter().enumerate() {
-        if c > 0 {
-            fen.set(s, c as u64);
-        }
-    }
-    debug_assert_eq!(fen.total(), population);
-    let mut changed = 0;
-    for _ in 0..faults {
-        // `Fenwick::sample` returns the smallest index whose prefix sum
-        // exceeds the target — the same victim the linear scan finds.
-        let idx = rng.below(population);
-        let from = fen.sample(idx);
-        let to = rng.below_usize(num_states);
-        if to != from {
-            counts[from] = counts[from]
-                .checked_sub(1)
-                .expect("perturb_counts_tree: sampled fault source must be occupied");
-            counts[to] += 1;
-            fen.set(from, counts[from] as u64);
-            fen.set(to, counts[to] as u64);
-            changed += 1;
-        }
-    }
-    changed
-}
 
 /// The paper's `k`-distance of a configuration given as occupancy counts:
 /// the number of **unoccupied rank states**.
 pub fn rank_distance(counts: &[u32], num_rank_states: usize) -> usize {
     counts[..num_rank_states].iter().filter(|&&c| c == 0).count()
-}
-
-/// Outcome of a corrupt-and-recover run (see [`recovery_after_faults`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryReport {
-    /// Faults injected that actually changed an agent's state.
-    pub faults_applied: usize,
-    /// The `k`-distance immediately after corruption (how many rank
-    /// states the faults left unoccupied).
-    pub distance_after_faults: usize,
-    /// Stabilisation report for the recovery phase alone (clocks start
-    /// at the moment of corruption).
-    pub recovered: StabilisationReport,
-}
-
-/// Start the protocol in its silent perfect ranking, corrupt `faults`
-/// uniformly random agents, and run until the population is silent again
-/// on the engine [`EngineKind::Auto`] selects for the population size —
-/// the exact jump chain below the count threshold, the batched count
-/// engine above it.
-///
-/// This is the operational restatement of the paper's `k`-distant
-/// experiment: `faults` random corruptions produce a configuration that
-/// is `k`-distant for some `k ≤ faults`, and Theorem 1 then bounds the
-/// recovery at `O(min(k·n^{3/2}, n² log² n))` for the ring protocol.
-///
-/// # Errors
-///
-/// Returns [`StabilisationTimeout`] if recovery exceeds
-/// `max_interactions`.
-///
-/// # Panics
-///
-/// Panics if the protocol violates the ranking contract shape (rank
-/// states ≠ population).
-pub fn recovery_after_faults<P: InteractionSchema + ?Sized>(
-    protocol: &P,
-    faults: usize,
-    seed: u64,
-    max_interactions: u64,
-) -> Result<RecoveryReport, StabilisationTimeout> {
-    let n = protocol.population_size();
-    assert_eq!(
-        protocol.num_rank_states(),
-        n,
-        "recovery_after_faults requires a ranking protocol"
-    );
-    let mut counts = vec![0u32; protocol.num_states()];
-    for c in counts.iter_mut().take(n) {
-        *c = 1;
-    }
-    // lint:allow(D001): frozen stream — the ⊕0x5eed_f417 tag is the
-    // documented fault-stream separator; rewriting it through
-    // derive_seed would alter every recorded fault schedule and the
-    // seed-compat contract with the pre-PR 7 jump path.
-    let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x5eed_f417);
-    let faults_applied = perturb_counts(&mut counts, protocol.num_states(), faults, &mut rng);
-    let distance_after_faults = rank_distance(&counts, n);
-    let mut engine =
-        crate::engine::make_engine_from_counts(EngineKind::Auto, protocol, counts, seed, 1)
-            .expect("counts preserve the population size");
-    let recovered = engine.run_until_silent(max_interactions)?;
-    debug_assert!(engine.is_silent());
-    Ok(RecoveryReport {
-        faults_applied,
-        distance_after_faults,
-        recovered,
-    })
 }
 
 /// A timed fault plan on the interaction clock: which fault processes run
@@ -757,8 +578,10 @@ pub fn run_with_plan(
 mod tests {
     use super::*;
     use crate::count::CountSimulation;
-    use crate::engine::make_engine;
-    use crate::protocol::{ClassSpec, Protocol};
+    use crate::engine::{make_engine, EngineKind};
+    use crate::error::StabilisationTimeout;
+    use crate::protocol::{ClassSpec, InteractionSchema, Protocol};
+    use crate::runner::{Init, Scenario};
 
     struct Ag {
         n: usize,
@@ -791,60 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn perturb_conserves_agents() {
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        let mut counts = vec![1u32; 20];
-        let changed = perturb_counts(&mut counts, 20, 7, &mut rng);
-        assert!(changed <= 7);
-        assert_eq!(counts.iter().sum::<u32>(), 20);
-    }
-
-    #[test]
-    fn perturb_zero_faults_is_identity() {
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        let mut counts = vec![2u32, 3, 0];
-        assert_eq!(perturb_counts(&mut counts, 3, 0, &mut rng), 0);
-        assert_eq!(counts, vec![2, 3, 0]);
-    }
-
-    #[test]
-    fn tree_walk_matches_linear_scan_exactly() {
-        // Same seed, both paths: identical victims, identical draws,
-        // identical resulting counts (the dispatch threshold must never
-        // change a trajectory).
-        for faults in [1usize, 17, 65, 300] {
-            let base: Vec<u32> = (0..97).map(|s| (s % 5) as u32).collect();
-            let population: u64 = base.iter().map(|&c| c as u64).sum();
-            let mut linear = base.clone();
-            let mut tree = base.clone();
-            let mut rng_a = Xoshiro256::seed_from_u64(42 + faults as u64);
-            let mut rng_b = Xoshiro256::seed_from_u64(42 + faults as u64);
-            let ca = perturb_counts_linear(&mut linear, 97, faults, population, &mut rng_a);
-            let cb = perturb_counts_tree(&mut tree, 97, faults, population, &mut rng_b);
-            assert_eq!(ca, cb);
-            assert_eq!(linear, tree);
-            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws consumed");
-        }
-    }
-
-    #[test]
-    fn large_bursts_route_through_the_tree() {
-        // Behavioural check on the public dispatch: a burst above the
-        // threshold still conserves population and matches the linear
-        // reference run with the same seed.
-        let mut counts = vec![2u32; 200];
-        let mut reference = counts.clone();
-        let mut rng = Xoshiro256::seed_from_u64(9);
-        let mut rng_ref = Xoshiro256::seed_from_u64(9);
-        let changed = perturb_counts(&mut counts, 200, 128, &mut rng);
-        let changed_ref =
-            perturb_counts_linear(&mut reference, 200, 128, 400, &mut rng_ref);
-        assert_eq!(changed, changed_ref);
-        assert_eq!(counts, reference);
-        assert_eq!(counts.iter().sum::<u32>(), 400);
-    }
-
-    #[test]
     fn distance_counts_missing_ranks() {
         assert_eq!(rank_distance(&[1, 0, 2, 0, 1], 5), 2);
         assert_eq!(rank_distance(&[1, 1, 1], 3), 0);
@@ -852,53 +621,30 @@ mod tests {
         assert_eq!(rank_distance(&[0, 2, 0], 2), 1);
     }
 
-    #[test]
-    fn faults_create_bounded_distance() {
-        // f faults can empty at most f rank states.
-        let mut rng = Xoshiro256::seed_from_u64(11);
-        for f in [1usize, 3, 8] {
-            let mut counts = vec![1u32; 30];
-            perturb_counts(&mut counts, 30, f, &mut rng);
-            assert!(rank_distance(&counts, 30) <= f);
-        }
+    /// A perfect start corrupted by `faults` at time zero, through the
+    /// scenario front door.
+    fn corrupted(p: &Ag, faults: u32, seed: u64) -> Scenario<'_, Ag> {
+        Scenario::new(p).init(Init::Perfect).faults(faults).base_seed(seed)
     }
 
     #[test]
     fn recovery_returns_to_silence() {
         let p = Ag { n: 24 };
-        for f in [1usize, 4, 12] {
-            let rep = recovery_after_faults(&p, f, 100 + f as u64, u64::MAX).unwrap();
-            assert!(rep.faults_applied <= f);
-            assert!(rep.distance_after_faults <= rep.faults_applied);
-        }
-    }
-
-    #[test]
-    fn recovery_is_seed_compatible_with_the_exact_chain() {
-        // Below the auto-count threshold the generalised runner must
-        // reproduce a plain exact-chain run bit for bit.
-        let p = Ag { n: 32 };
-        for (f, seed) in [(3usize, 7u64), (10, 99)] {
-            let rep = recovery_after_faults(&p, f, seed, u64::MAX).unwrap();
-            // Reference: the pre-generalisation implementation, inlined.
-            let mut counts = vec![1u32; 32];
-            let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x5eed_f417);
-            let applied = perturb_counts(&mut counts, 32, f, &mut rng);
-            let mut sim = CountSimulation::from_counts(&p, counts, seed)
-                .unwrap()
-                .with_batching(false);
-            let reference = sim.run_until_silent(u64::MAX).unwrap();
-            assert_eq!(rep.faults_applied, applied);
-            assert_eq!(rep.recovered, reference);
+        for f in [1u32, 4, 12] {
+            let outcome = corrupted(&p, f, 100 + u64::from(f)).run_outcome(0);
+            assert!(outcome.silent);
+            assert_eq!(outcome.faults_injected, u64::from(f));
+            assert!(outcome.bursts[0].k_after <= f as usize);
         }
     }
 
     #[test]
     fn zero_faults_recover_instantly() {
         let p = Ag { n: 16 };
-        let rep = recovery_after_faults(&p, 0, 5, 100).unwrap();
-        assert_eq!(rep.faults_applied, 0);
-        assert_eq!(rep.recovered.interactions, 0);
+        let outcome = corrupted(&p, 0, 5).max_interactions(100).run_outcome(0);
+        assert!(outcome.silent);
+        assert_eq!(outcome.faults_injected, 0);
+        assert_eq!(outcome.report.interactions, 0);
     }
 
     #[test]
@@ -906,16 +652,9 @@ mod tests {
         // Statistical: mean recovery after 12 faults should exceed mean
         // recovery after 1 fault at n = 48.
         let p = Ag { n: 48 };
-        let mean = |f: usize| -> f64 {
-            (0..20u64)
-                .map(|t| {
-                    recovery_after_faults(&p, f, 1_000 + t, u64::MAX)
-                        .unwrap()
-                        .recovered
-                        .parallel_time
-                })
-                .sum::<f64>()
-                / 20.0
+        let mean = |f: u32| -> f64 {
+            let outcomes = corrupted(&p, f, 1_000).trials(20).run_outcomes();
+            outcomes.iter().map(|o| o.report.parallel_time).sum::<f64>() / 20.0
         };
         assert!(mean(12) > mean(1));
     }
@@ -923,8 +662,9 @@ mod tests {
     #[test]
     fn timeout_propagates() {
         let p = Ag { n: 32 };
-        let err = recovery_after_faults(&p, 10, 42, 3);
-        assert!(matches!(err, Err(StabilisationTimeout { .. })));
+        let s = corrupted(&p, 10, 42).max_interactions(3);
+        assert!(!s.run_outcome(0).silent);
+        assert!(matches!(s.run_one(0), Err(StabilisationTimeout { .. })));
     }
 
     #[test]

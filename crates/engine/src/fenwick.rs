@@ -1,9 +1,9 @@
 //! Fenwick (binary indexed) tree over `u64` weights with O(log n) point
 //! updates and O(log n) weighted sampling.
 //!
-//! The fault injector walks one over the occupancy counts `c_s` to pick
-//! burst victims, a "sample an index proportional to weight" query that
-//! the classic Fenwick descend answers.
+//! It answers "sample an index proportional to weight" with the classic
+//! Fenwick descend, and the weight trees in `classes.rs` are tested
+//! against it as the reference sampler.
 //!
 //! # Examples
 //!

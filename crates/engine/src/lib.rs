@@ -27,9 +27,10 @@
 //! Two interchangeable engines simulate the identical stochastic process
 //! behind the unified [`Engine`](engine::Engine) trait (select one at
 //! runtime with [`engine::EngineKind`] — `Auto` resolves per population
-//! size — through the [`Scenario`](runner::Scenario) builder,
-//! [`engine::make_engine`], or `--engine auto|naive|jump|count` in the
-//! CLI). The count engine runs in one of two modes:
+//! size — through the [`Scenario`](runner::Scenario) builder, the front
+//! door for every run, or `--engine auto|naive|jump|count` in the CLI;
+//! [`engine::make_engine`] builds a single engine from an explicit
+//! configuration and seed). The count engine runs in one of two modes:
 //!
 //! | Engine (kind) | Memory | Cost model | Use when |
 //! |---------------|--------|-----------|----------|
@@ -64,11 +65,14 @@
 //! * [`engine`] — the unified [`Engine`](engine::Engine) trait: stepping,
 //!   run-to-silence, count-level observers, fault injection,
 //!   snapshot/restore, and the engine factory with `Auto` selection.
-//! * [`runner`] — the [`Scenario`](runner::Scenario) builder: protocol +
-//!   engine + init family + fault plan + trials, run in parallel with
-//!   deterministic seeding.
+//! * [`runner`] — the [`Scenario`](runner::Scenario) builder, the front
+//!   door for every run, fault runs included: protocol + engine + init
+//!   family + fault plan + trials, run in parallel with deterministic
+//!   seeding.
 //! * [`faults`] — the adversary subsystem: timed [`FaultPlan`]s (bursts,
-//!   periodic bursts, rate faults, churn, Byzantine agents) executed
+//!   periodic bursts, rate faults, churn, Byzantine agents), attached to a
+//!   scenario with [`Scenario::faults`](runner::Scenario::faults) or
+//!   [`Scenario::fault_plan`](runner::Scenario::fault_plan) and executed
 //!   deterministically by every engine via [`run_with_plan`], with
 //!   graceful non-convergence reporting ([`RunOutcome`]: availability,
 //!   `k`-excursions, per-burst recovery times).
@@ -140,14 +144,10 @@ pub mod wire;
 
 pub use count::CountSimulation;
 pub use engine::{
-    make_engine, make_engine_from_counts, CappedAdvance, CountObserver, Engine, EngineKind,
-    EngineSnapshot,
+    make_engine, CappedAdvance, CountObserver, Engine, EngineKind, EngineSnapshot,
 };
 pub use error::{ConfigError, StabilisationTimeout};
-pub use faults::{
-    perturb_counts, rank_distance, recovery_after_faults, run_with_plan, BurstRecord, FaultPlan,
-    RecoveryReport, RunOutcome,
-};
+pub use faults::{rank_distance, run_with_plan, BurstRecord, FaultPlan, RunOutcome};
 pub use observer::RecoveryTracker;
 pub use protocol::{
     validate_interaction_schema, ClassSpec, CrossDirection, InteractionClass, InteractionSchema,

@@ -47,13 +47,14 @@
 //! assert_eq!(results.success_rate(), 1.0);
 //! ```
 
-use crate::engine::{make_engine, make_engine_from_counts, Engine, EngineKind};
+use crate::count::CountSimulation;
+use crate::engine::{make_engine, Engine, EngineKind};
 use crate::error::{ConfigError, StabilisationTimeout};
 use crate::faults::{run_with_plan, FaultPlan, RunOutcome};
 use crate::init::{self, DuplicatePlacement};
 use crate::protocol::{InteractionSchema, State};
 use crate::rng::{derive_seed, Xoshiro256};
-use crate::sim::StabilisationReport;
+use crate::sim::{Simulation, StabilisationReport};
 
 /// Results of a batch of trials, in trial order.
 #[derive(Debug, Clone)]
@@ -186,8 +187,8 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
     /// state (possibly its own — real fault models do not guarantee
     /// damage). Sugar for [`fault_plan`](Self::fault_plan) with
     /// [`FaultPlan::once`]; zero clears the plan.
-    pub fn faults(self, faults: usize) -> Self {
-        let plan = (faults > 0).then(|| FaultPlan::once(faults as u32));
+    pub fn faults(self, faults: u32) -> Self {
+        let plan = (faults > 0).then(|| FaultPlan::once(faults));
         Self { plan, ..self }
     }
 
@@ -321,22 +322,25 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
     pub fn build_engine(&self, trial: u64) -> Result<Box<dyn Engine + 'a>, ConfigError> {
         let sim_seed = derive_seed(self.base_seed, trial * 2 + 1);
         let (_, engine_threads) = self.thread_split();
-        if let Some(counts) = self.trial_counts(trial) {
-            return make_engine_from_counts(
-                self.engine,
-                self.protocol,
-                counts,
-                sim_seed,
-                engine_threads,
-            );
-        }
-        make_engine(
-            self.engine,
-            self.protocol,
-            self.trial_config(trial),
-            sim_seed,
-            engine_threads,
-        )
+        let Some(counts) = self.trial_counts(trial) else {
+            let config = self.trial_config(trial);
+            return make_engine(self.engine, self.protocol, config, sim_seed, engine_threads);
+        };
+        // The count engine consumes the counts as-is; the naive engine
+        // expands them into a state-sorted agent vector.
+        let p = self.protocol;
+        Ok(match self.engine.resolve(p.population_size()) {
+            EngineKind::Auto => unreachable!("resolve returns a concrete kind"),
+            EngineKind::Naive => {
+                Box::new(Simulation::new(p, init::from_counts(&counts), sim_seed)?)
+            }
+            EngineKind::Jump => {
+                Box::new(CountSimulation::from_counts(p, counts, sim_seed)?.with_batching(false))
+            }
+            EngineKind::Count => Box::new(
+                CountSimulation::from_counts(p, counts, sim_seed)?.with_threads(engine_threads),
+            ),
+        })
     }
 
     /// Run a single trial to silence (or the interaction cap).

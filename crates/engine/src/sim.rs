@@ -44,7 +44,7 @@
 //! # }
 //! ```
 
-use crate::engine::{CappedAdvance, CountObserver, EngineSnapshot};
+use crate::engine::{CappedAdvance, CountObserver, Engine, EngineSnapshot};
 use crate::error::{ConfigError, StabilisationTimeout};
 use crate::init;
 use crate::protocol::{Protocol, State};
@@ -135,37 +135,11 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
         &self.agents
     }
 
-    /// Current per-state occupancy counts.
-    pub fn counts(&self) -> &[u32] {
-        &self.counts
-    }
-
-    /// Total interactions so far (including nulls).
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Productive interactions so far.
-    pub fn productive_interactions(&self) -> u64 {
-        self.productive
-    }
-
-    /// Parallel time elapsed: interactions / n.
-    pub fn parallel_time(&self) -> f64 {
-        self.interactions as f64 / self.protocol.population_size() as f64
-    }
-
-    /// O(1) silence test via the ranking contract: silent iff every agent
-    /// occupies its own rank state and no extra state is occupied.
-    pub fn is_silent(&self) -> bool {
-        self.duplicate_rank_agents == 0 && self.extra_agents == 0
-    }
-
     /// Exhaustive silence verification: checks that **no** ordered pair of
     /// currently occupied states is productive. `O(occupied²)` — intended
     /// for tests; the hot path uses [`is_silent`].
     ///
-    /// [`is_silent`]: Simulation::is_silent
+    /// [`is_silent`]: crate::engine::Engine::is_silent
     pub fn verify_silent(&self) -> bool {
         let occupied: Vec<State> = (0..self.counts.len())
             .filter(|&s| self.counts[s] > 0)
@@ -342,7 +316,7 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
     }
 }
 
-impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
+impl<P: Protocol + ?Sized> Engine for Simulation<'_, P> {
     fn engine_name(&self) -> &'static str {
         "naive"
     }
@@ -363,8 +337,10 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
         self.productive
     }
 
+    /// O(1) silence test via the ranking contract: silent iff every agent
+    /// occupies its own rank state and no extra state is occupied.
     fn is_silent(&self) -> bool {
-        Simulation::is_silent(self)
+        self.duplicate_rank_agents == 0 && self.extra_agents == 0
     }
 
     /// One scheduler draw: `Applied(1)` if it was productive,
@@ -372,7 +348,7 @@ impl<P: Protocol + ?Sized> crate::engine::Engine for Simulation<'_, P> {
     /// at a time, so it never passes `cap`.
     #[inline(always)]
     fn advance_to(&mut self, cap: u128, observer: &mut dyn CountObserver) -> CappedAdvance {
-        if Simulation::is_silent(self) {
+        if self.is_silent() {
             debug_assert!(self.verify_silent());
             return CappedAdvance::Silent;
         }

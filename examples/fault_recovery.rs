@@ -11,7 +11,7 @@
 // Audited: example casts a tiny bounded f64 value to usize.
 #![allow(clippy::cast_possible_truncation)]
 
-use ssr::engine::faults::{rank_distance, recovery_after_faults};
+use ssr::engine::faults::rank_distance;
 use ssr::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,11 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ring = RingOfTraps::new(n);
     println!("ring of traps (state-optimal): recovery cost vs faults");
     println!("{:>8} {:>8} {:>14}", "faults", "k-dist", "parallel time");
-    for f in [1usize, 4, 16, 64] {
-        let rep = recovery_after_faults(&ring, f, 42 + f as u64, u64::MAX)?;
+    for f in [1u32, 4, 16, 64] {
+        let outcome = Scenario::new(&ring)
+            .init(Init::Perfect)
+            .faults(f)
+            .base_seed(42 + u64::from(f))
+            .run_outcome(0);
         println!(
             "{:>8} {:>8} {:>14.0}",
-            f, rep.distance_after_faults, rep.recovered.parallel_time
+            f, outcome.bursts[0].k_after, outcome.report.parallel_time
         );
     }
 

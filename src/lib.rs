@@ -73,11 +73,10 @@ pub mod prelude {
         TreeRanking, LEADER_RANK,
     };
     pub use ssr_engine::{
-        init, make_engine, make_engine_from_counts, recovery_after_faults, rng::Xoshiro256,
-        run_with_plan, validate_interaction_schema, BurstRecord, ClassSpec, ClusteredScheduler,
-        CountSimulation, CrossDirection, Engine, EngineKind, FaultPlan, Init, InteractionClass,
-        InteractionSchema, Protocol, RunOutcome, Scenario, Scheduler, Simulation, State,
-        UniformScheduler, ZipfScheduler,
+        init, make_engine, rng::Xoshiro256, run_with_plan, validate_interaction_schema,
+        BurstRecord, ClassSpec, ClusteredScheduler, CountSimulation, CrossDirection, Engine,
+        EngineKind, FaultPlan, Init, InteractionClass, InteractionSchema, Protocol, RunOutcome,
+        Scenario, Scheduler, Simulation, State, UniformScheduler, ZipfScheduler,
     };
     pub use ssr_topology::{BalancedTree, CubicGraph, TrapChain};
 }

@@ -8,7 +8,7 @@
 
 use ssr::analysis::bootstrap::{median_ci, BootstrapOptions};
 use ssr::analysis::modelcheck::ModelCheckError;
-use ssr::engine::faults::{rank_distance, recovery_after_faults};
+use ssr::engine::faults::rank_distance;
 use ssr::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -67,16 +67,27 @@ fn all_protocols_recover_from_fault_bursts() {
     let gen = GenericRanking::new(n);
     let ring = RingOfTraps::new(n);
     let tree = TreeRanking::new(n);
-    for f in [1usize, 5, 18] {
-        for (name, rep) in [
-            ("generic", recovery_after_faults(&gen, f, 7, u64::MAX).unwrap()),
-            ("ring", recovery_after_faults(&ring, f, 7, u64::MAX).unwrap()),
-            ("tree", recovery_after_faults(&tree, f, 7, u64::MAX).unwrap()),
+    for f in [1u32, 5, 18] {
+        for (name, outcome) in [
+            ("generic", recover(&gen, f, 7)),
+            ("ring", recover(&ring, f, 7)),
+            ("tree", recover(&tree, f, 7)),
         ] {
-            assert!(rep.faults_applied <= f, "{name}");
-            assert!(rep.distance_after_faults <= rep.faults_applied, "{name}");
+            assert!(outcome.silent, "{name}");
+            assert_eq!(outcome.faults_injected, u64::from(f), "{name}");
+            assert!(outcome.bursts[0].k_after <= f as usize, "{name}");
         }
     }
+}
+
+/// Corrupt a silent ranking with `faults` faults at time zero and run
+/// trial 0 to silence.
+fn recover<P: InteractionSchema + Sync>(p: &P, faults: u32, seed: u64) -> RunOutcome {
+    Scenario::new(p)
+        .init(Init::Perfect)
+        .faults(faults)
+        .base_seed(seed)
+        .run_outcome(0)
 }
 
 #[test]
@@ -217,30 +228,25 @@ fn ecdf_and_bootstrap_summarise_real_stabilisation_times() {
 
 #[test]
 fn jump_and_naive_recovery_times_agree_distributionally() {
-    // Fault recovery through the jump simulator must match a naive-sim
-    // recovery from the same k-distant landscape in distribution (KS).
-    let n = 24;
-    let p = GenericRanking::new(n);
-    let trials = 120u64;
-    let jump: Vec<f64> = (0..trials)
-        .map(|s| {
-            recovery_after_faults(&p, 6, 40_000 + s, u64::MAX)
-                .unwrap()
-                .recovered
-                .parallel_time
-        })
-        .collect();
-    let naive: Vec<f64> = (0..trials)
-        .map(|s| {
-            // Reproduce the same corruption procedure, then run naively.
-            let mut counts = vec![1u32; n];
-            let mut rng = Xoshiro256::seed_from_u64((40_000 + s) ^ 0x5eed_f417);
-            ssr::engine::perturb_counts(&mut counts, n, 6, &mut rng);
-            let cfg = init::from_counts(&counts);
-            let mut sim = Simulation::new(&p, cfg, 90_000 + s).unwrap();
-            sim.run_until_silent(u64::MAX).unwrap().parallel_time
-        })
-        .collect();
+    // Fault recovery through the jump engine must match the naive engine
+    // in distribution (KS) under the same fault plan: both scenarios
+    // derive the same per-trial fault seeds, so every trial starts its
+    // recovery from the same k-distant landscape.
+    let p = GenericRanking::new(24);
+    let times = |kind| -> Vec<f64> {
+        Scenario::new(&p)
+            .engine(kind)
+            .init(Init::Perfect)
+            .faults(6)
+            .base_seed(40_000)
+            .trials(120)
+            .run_outcomes()
+            .iter()
+            .map(|o| o.report.parallel_time)
+            .collect()
+    };
+    let jump = times(EngineKind::Jump);
+    let naive = times(EngineKind::Naive);
     let ks = ssr::analysis::ks_two_sample(&jump, &naive);
     assert!(
         ks.p_value > 0.01,

@@ -8,45 +8,55 @@
 use proptest::prelude::*;
 use ssr::analysis::bootstrap::{bootstrap_ci, BootstrapOptions};
 use ssr::analysis::ecdf::{Ecdf, Histogram};
-use ssr::engine::faults::{perturb_counts, rank_distance};
+use ssr::engine::faults::rank_distance;
 use ssr::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fault injection conserves the number of agents and never exceeds
-    /// the requested damage, for arbitrary occupancy landscapes.
+    /// Fault injection conserves the number of agents, never exceeds the
+    /// requested damage, and records the `k`-distance it leaves, for
+    /// arbitrary configurations.
     #[test]
     fn perturbation_conserves_population(
-        counts in prop::collection::vec(0u32..5, 2..40),
-        faults in 0usize..30,
+        config in prop::collection::vec(0u32..40, 2..40),
+        faults in 0u32..30,
         seed in any::<u64>(),
     ) {
-        let mut counts = counts;
-        counts[0] += 1; // ensure non-empty population
-        let total: u32 = counts.iter().sum();
-        let s = counts.len();
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let changed = perturb_counts(&mut counts, s, faults, &mut rng);
-        prop_assert!(changed <= faults);
-        prop_assert_eq!(counts.iter().sum::<u32>(), total);
+        let n = config.len();
+        let config: Vec<State> = config.into_iter().map(|s| s % n as State).collect();
+        let p = GenericRanking::new(n);
+        let before = init::counts(&config, n);
+        let make = move |_| config.clone();
+        let mut e = Scenario::new(&p).init(Init::Custom(&make)).build_engine(0).unwrap();
+        // A zero horizon fires the time-zero burst and nothing else.
+        let out = run_with_plan(e.as_mut(), &FaultPlan::once(faults), seed, 0);
+        let after = e.counts();
+        prop_assert_eq!(after.iter().sum::<u32>(), n as u32);
+        let moved: u32 = before.iter().zip(after).map(|(&b, &a)| b.abs_diff(a)).sum();
+        prop_assert!(moved / 2 <= faults);
+        prop_assert_eq!(out.faults_injected, u64::from(faults));
+        let k = out.bursts.first().map_or(0, |b| b.k_after);
+        prop_assert_eq!(k, rank_distance(after, n));
     }
 
     /// From a perfect ranking, `f` faults leave at most `f` rank states
-    /// empty, and `rank_distance` reports exactly the empty ones.
+    /// empty.
     #[test]
     fn fault_distance_bounded_by_faults(
         n in 2usize..60,
-        faults in 0usize..20,
+        faults in 0u32..20,
         seed in any::<u64>(),
     ) {
-        let mut counts = vec![1u32; n];
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        perturb_counts(&mut counts, n, faults, &mut rng);
-        let k = rank_distance(&counts, n);
-        prop_assert!(k <= faults.min(n));
-        let empties = counts.iter().filter(|&&c| c == 0).count();
-        prop_assert_eq!(k, empties);
+        let p = GenericRanking::new(n);
+        let out = Scenario::new(&p)
+            .init(Init::Perfect)
+            .faults(faults)
+            .max_interactions(0)
+            .base_seed(seed)
+            .run_outcome(0);
+        let k = out.bursts.first().map_or(0, |b| b.k_after);
+        prop_assert!(k <= (faults as usize).min(n));
     }
 
     /// Every scheduler yields ordered pairs of distinct in-range agents
@@ -165,12 +175,17 @@ proptest! {
     #[test]
     fn recovery_always_restores_perfect_ranking(
         n in 4usize..40,
-        faults in 1usize..12,
+        faults in 1u32..12,
         seed in any::<u64>(),
     ) {
         let p = GenericRanking::new(n);
-        let rep = ssr::engine::recovery_after_faults(&p, faults, seed, u64::MAX).unwrap();
-        prop_assert!(rep.distance_after_faults <= rep.faults_applied);
+        let out = Scenario::new(&p)
+            .init(Init::Perfect)
+            .faults(faults)
+            .base_seed(seed)
+            .run_outcome(0);
+        prop_assert!(out.silent);
+        prop_assert!(out.bursts[0].k_after <= (faults as usize).min(n));
     }
 
     /// The generic protocol stabilises under arbitrary Zipf skew (time
