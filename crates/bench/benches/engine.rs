@@ -277,6 +277,41 @@ fn bench_count_batching(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The block-tree regime: the tree protocol at n = 2^20 from a uniform
+    // start, one fixed seed's whole run to silence (114.9M productive
+    // steps, 3774 batches and 1275 exact steps). The first ~110M steps
+    // are cheap far-from-silence batches; the last ~5M are the reset
+    // epidemic's batches, which change the counts of up to every rank
+    // state and where batch apply defers the `eq` and `rank_occ` block
+    // sums to one flush per batch. `batched_pool_t2` runs the same
+    // trajectory with the split tasks on the 2-thread pool.
+    let n = 1 << 20;
+    let p = TreeRanking::new(n);
+    let start =
+        ssr_engine::init::uniform_random(n, p.num_states(), &mut Xoshiro256::seed_from_u64(3));
+    let run = |sim: &mut CountSimulation<'_, TreeRanking>| {
+        while sim.advance().is_some() {}
+        sim.productive_interactions()
+    };
+    let budget = run(&mut CountSimulation::new(&p, start.clone(), 3).unwrap());
+    let mut group = c.benchmark_group("count_batching_tree_n1048576");
+    group.throughput(Throughput::Elements(budget));
+    group.sample_size(10);
+    for (label, threads) in [("batched", 1), ("batched_pool_t2", 2)] {
+        group.bench_function(label, |b| {
+            b.iter_batched(
+                || {
+                    CountSimulation::new(&p, start.clone(), 3)
+                        .unwrap()
+                        .with_threads(threads)
+                },
+                |mut sim| black_box(run(&mut sim)),
+                criterion::BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
 }
 
 fn bench_primitives(c: &mut Criterion) {

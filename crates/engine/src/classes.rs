@@ -45,14 +45,27 @@
 //! The walk has two parts. The *drift* part (partner sums, both bounds)
 //! runs on every count change, because the bounds must see every
 //! intermediate occupancy. The *re-weighting* part (pair-tree leaves,
-//! group totals, the occupied-pair count) is the expensive one, and a
-//! batch changes the same state dozens of times while nothing reads a
-//! weight: batch apply therefore goes through
-//! [`ClassState::update_count_deferred`], which only marks the state
-//! dirty, and [`ClassState::flush_sparse`] re-weights each dirty state's
-//! pairs once, under the final counts, before the next weight read.
-//! Apply draws no randomness and the sums are exact integers, so the
-//! flushed state equals the immediate one field for field.
+//! group totals, the occupied-pair count) is the expensive one.
+//!
+//! # Deferred weights in batch apply
+//!
+//! A batch changes many counts, the same state dozens of times, while
+//! nothing reads a weight. Batch apply therefore goes through
+//! [`ClassState::update_count_deferred`]:
+//!
+//! - the `eq` and `rank_occ` [`BlockTree`]s rewrite only the changed
+//!   block's sum and mark the tree stale, instead of walking to the root
+//!   on every change;
+//! - the sparse pairs only mark the state dirty; their drift part still
+//!   runs on every change.
+//!
+//! [`ClassState::flush_deferred`] then brings everything up to date once,
+//! under the final counts, before the next weight read: each stale block
+//! tree rebuilds all of its internal sums in one bottom-up pass, and each
+//! dirty state's pairs are re-weighted once. Apply draws no randomness
+//! and the sums are exact integers, so the flushed state equals the
+//! immediate one field for field. Exact steps and fault injection use the
+//! immediate [`ClassState::update_count`].
 //!
 //! # Memory
 //!
@@ -63,7 +76,7 @@
 //! `≈ n` rank states this is ~`n/4` bytes per tree plus the `4n`-byte
 //! counts vector — down from `2·8·2n = 32n` bytes for two materialised
 //! `u64` weight trees — which is what lets a single tree-protocol run reach
-//! `n = 2³⁰` within a few GB.
+//! `n = 2³⁰` within a few GB. Deferral adds one flag per tree.
 
 use crate::error::ConfigError;
 use crate::protocol::{ClassSpec, CrossDirection, InteractionClass, InteractionSchema, State};
@@ -173,8 +186,20 @@ impl WeightTree {
         for slot in &mut self.tree[self.size + self.len..] {
             *slot = 0;
         }
-        for node in (1..self.size).rev() {
-            self.tree[node] = self.tree[2 * node] + self.tree[2 * node + 1];
+        self.resum();
+    }
+
+    /// Recompute every internal sum from the leaves, one level at a time
+    /// (each level is a contiguous slice, so the pass streams through
+    /// memory).
+    fn resum(&mut self) {
+        let mut width = self.size / 2;
+        while width >= 1 {
+            let (parents, children) = self.tree[width..4 * width].split_at_mut(width);
+            for (p, pair) in parents.iter_mut().zip(children.chunks_exact(2)) {
+                *p = pair[0] + pair[1];
+            }
+            width /= 2;
         }
     }
 
@@ -316,12 +341,21 @@ impl WeightTree {
 /// its thread pool. Each task carries the exact conditional binomial the
 /// sequential split would have drawn at that node, so executing the tasks
 /// with independent RNG streams reproduces the same multinomial law.
-#[derive(Debug, Clone)]
+///
+/// [`update_deferred`](Self::update_deferred) is the batch-apply form of
+/// [`update`](Self::update): it rewrites only the block sum and marks the
+/// tree stale, and [`flush`](Self::flush) rebuilds the internal sums
+/// once before the next read.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BlockTree {
     /// Number of leaves.
     len: usize,
     /// One `u64` sum per block of `BLOCK` leaves.
     blocks: WeightTree,
+    /// True iff a block sum changed through
+    /// [`update_deferred`](Self::update_deferred) since the last
+    /// [`flush`](Self::flush), so the internal sums are out of date.
+    stale: bool,
 }
 
 impl BlockTree {
@@ -330,6 +364,7 @@ impl BlockTree {
         BlockTree {
             len,
             blocks: WeightTree::new(len.div_ceil(BLOCK)),
+            stale: false,
         }
     }
 
@@ -341,7 +376,13 @@ impl BlockTree {
     /// Sum of all leaf weights.
     #[inline]
     pub fn total(&self) -> u64 {
+        self.debug_assert_flushed();
         self.blocks.total()
+    }
+
+    #[inline]
+    fn debug_assert_flushed(&self) {
+        debug_assert!(!self.stale, "block sums read before flush");
     }
 
     /// Account for the leaf at `i` changing from weight `old` to `new`
@@ -355,6 +396,31 @@ impl BlockTree {
         let sum = self.blocks.weight(b);
         debug_assert!(sum >= old, "block sum below departing leaf weight");
         self.blocks.set(b, sum - old + new);
+    }
+
+    /// [`update`](Self::update) without the walk to the root: only the
+    /// block sum changes, and the tree is marked stale until
+    /// [`flush`](Self::flush), which must run before the next read.
+    #[inline]
+    pub fn update_deferred(&mut self, i: usize, old: u64, new: u64) {
+        if old == new {
+            return;
+        }
+        debug_assert!(i < self.len, "leaf index out of range");
+        let leaf = &mut self.blocks.tree[self.blocks.size + i / BLOCK];
+        debug_assert!(*leaf >= old, "block sum below departing leaf weight");
+        *leaf = *leaf - old + new;
+        self.stale = true;
+    }
+
+    /// Bring the internal sums up to date with every block changed
+    /// through [`update_deferred`](Self::update_deferred), in one
+    /// bottom-up pass over all of them.
+    pub fn flush(&mut self) {
+        if self.stale {
+            self.blocks.resum();
+            self.stale = false;
+        }
     }
 
     /// Recompute every block sum from the leaf function in `O(len)`.
@@ -375,6 +441,7 @@ impl BlockTree {
     /// Panics if `target >= total()`.
     #[inline]
     pub fn sample<F: Fn(usize) -> u64>(&self, target: u64, leaf: &F) -> usize {
+        self.debug_assert_flushed();
         let (b, rem) = match self.blocks.try_sample_with_offset(target) {
             Some(hit) => hit,
             None => panic!(
@@ -430,6 +497,7 @@ impl BlockTree {
         leaf: &F,
         out: &mut Vec<(usize, u64)>,
     ) {
+        self.debug_assert_flushed();
         if k == 0 {
             return;
         }
@@ -512,6 +580,7 @@ impl BlockTree {
         rng: &mut Xoshiro256,
         out: &mut Vec<(usize, u64)>,
     ) {
+        self.debug_assert_flushed();
         if k == 0 {
             return;
         }
@@ -1307,11 +1376,12 @@ impl ClassState {
         self.change_count::<false>(s, delta);
     }
 
-    /// [`update_count`](Self::update_count) for batch apply: the sparse
-    /// pairs touching `s` keep their weights until
-    /// [`flush_sparse`](Self::flush_sparse), which must run before the
-    /// next weight read. Every other structure, the sparse drift bounds
-    /// included, is updated at once.
+    /// [`update_count`](Self::update_count) for batch apply: the `eq` and
+    /// `rank_occ` trees update only `s`'s block sum, and the sparse pairs
+    /// touching `s` keep their weights, until
+    /// [`flush_deferred`](Self::flush_deferred), which must run before the
+    /// next weight read. The counts, the agent totals and the drift
+    /// bounds (`max_eq_bound`, the sparse ones) are updated at once.
     ///
     /// # Panics
     ///
@@ -1321,10 +1391,13 @@ impl ClassState {
         self.change_count::<true>(s, delta);
     }
 
-    /// Re-weight the sparse pairs of every state changed through
+    /// Bring every weight structure changed through
     /// [`update_count_deferred`](Self::update_count_deferred) since the
-    /// last flush.
-    pub fn flush_sparse(&mut self) {
+    /// last flush up to date: the internal sums of both block trees and
+    /// the sparse pairs of every dirty state.
+    pub fn flush_deferred(&mut self) {
+        self.eq.flush();
+        self.rank_occ.flush();
         self.sparse.flush(&self.schema, &self.counts);
     }
 
@@ -1346,10 +1419,19 @@ impl ClassState {
                 .checked_add_signed(delta)
                 .expect("rank population went negative");
             if !self.rank_occ.is_empty() {
-                self.rank_occ.update(su, old, new);
+                if DEFER {
+                    self.rank_occ.update_deferred(su, old, new);
+                } else {
+                    self.rank_occ.update(su, old, new);
+                }
             }
             if self.schema.eq_rule(su) {
-                self.eq.update(su, eq_weight_of(old), eq_weight_of(new));
+                let (w_old, w_new) = (eq_weight_of(old), eq_weight_of(new));
+                if DEFER {
+                    self.eq.update_deferred(su, w_old, w_new);
+                } else {
+                    self.eq.update(su, w_old, w_new);
+                }
                 if new > self.max_eq_bound {
                     self.max_eq_bound = new;
                 }
@@ -1372,15 +1454,24 @@ impl ClassState {
     }
 
     /// Re-derive the exact maximum equal-rank occupancy (the tracked bound
-    /// only grows between calls). `O(num_ranks)`.
+    /// only grows between calls). `O(num_ranks)`, read a bitset word at a
+    /// time: a full word is a plain `max` over its 64 counts.
     pub fn refresh_max_eq(&mut self) {
-        let mut max = 1u64;
-        for s in 0..self.num_ranks {
-            if self.schema.eq_rule(s) {
-                max = max.max(self.counts[s] as u64);
+        let mut max = 1u32;
+        for (w, &word) in self.schema.has_eq.iter().enumerate() {
+            let base = w * 64;
+            if word == u64::MAX {
+                let full = &self.counts[base..base + 64];
+                max = max.max(full.iter().copied().max().unwrap_or(0));
+                continue;
+            }
+            let mut bits = word;
+            while bits != 0 {
+                max = max.max(self.counts[base + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
             }
         }
-        self.max_eq_bound = max;
+        self.max_eq_bound = max as u64;
     }
 
     /// Re-derive the sparse class's lazy drift bounds exactly (they only
@@ -2200,7 +2291,7 @@ mod tests {
 
         /// Deferred re-weighting is exact: a random sequence of (possibly
         /// multi-agent) count deltas, applied in runs through
-        /// `update_count_deferred` with a `flush_sparse` after each run,
+        /// `update_count_deferred` with a `flush_deferred` after each run,
         /// leaves every `SparseState` field — leaf weights, group totals,
         /// partner sums, occupied count and both eager-grow bounds —
         /// equal to the same sequence through `update_count`.
@@ -2242,7 +2333,7 @@ mod tests {
                         immediate.update_count(s, d);
                     }
                 }
-                deferred.flush_sparse();
+                deferred.flush_deferred();
                 prop_assert_eq!(&deferred.counts, &immediate.counts);
                 prop_assert_eq!(&deferred.sparse, &immediate.sparse);
             }
@@ -2259,5 +2350,119 @@ mod tests {
         st.update_count_deferred(1, -1);
         st.update_count_deferred(2, 1);
         let _ = st.sparse_weight();
+    }
+
+    /// The tree protocol's class shape — equal-rank dispersal, extra–extra
+    /// and the two-way cross class — over `ranks` rank states and
+    /// `extras` extra states, the vehicle for the block-tree proptest
+    /// below. With `holes`, every fifth rank state has no equal-rank rule,
+    /// so some equal-rank bitset words are only partly set. The transition
+    /// is never consulted by `ClassState`; it exists to satisfy the trait.
+    struct TreeShaped {
+        n: usize,
+        ranks: usize,
+        extras: usize,
+        holes: bool,
+    }
+    impl Protocol for TreeShaped {
+        fn name(&self) -> &str {
+            "tree-shaped"
+        }
+        fn population_size(&self) -> usize {
+            self.n
+        }
+        fn num_states(&self) -> usize {
+            self.ranks + self.extras
+        }
+        fn num_rank_states(&self) -> usize {
+            self.ranks
+        }
+        fn transition(&self, i: State, r: State) -> Option<(State, State)> {
+            let rank = |s: State| (s as usize) < self.ranks;
+            match (rank(i), rank(r)) {
+                (true, true) => (i == r && self.equal_rank_rule(i)).then_some((i, r + 1)),
+                _ => Some((0, 0)),
+            }
+        }
+    }
+    impl InteractionSchema for TreeShaped {
+        fn interaction_classes(&self) -> Vec<ClassSpec> {
+            vec![
+                ClassSpec::equal_rank(),
+                ClassSpec::extra_extra(),
+                ClassSpec::rank_extra(CrossDirection::Both),
+            ]
+        }
+        fn equal_rank_rule(&self, s: State) -> bool {
+            !self.holes || !s.is_multiple_of(5)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Deferred block sums are exact: random batches of (possibly
+        /// multi-agent) count deltas over ≥ 16 blocks, applied through
+        /// `update_count_deferred` with a `flush_deferred` after each
+        /// batch, leave the `eq` and `rank_occ` trees and `max_eq_bound`
+        /// equal to the same deltas through `update_count`. Batches range
+        /// from one change (a single stale block) to over a hundred.
+        #[test]
+        fn deferred_block_sums_match_immediate_updates(
+            seed in 0u64..5_000,
+            blocks in 16usize..40,
+            holes in any::<bool>(),
+            batches in 4usize..10,
+        ) {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let ranks = (blocks - 1) * BLOCK + 1 + rng.below(BLOCK as u64) as usize;
+            let extras = 1 + rng.below(6) as usize;
+            let counts: Vec<u32> =
+                (0..ranks + extras).map(|_| rng.below(4) as u32).collect();
+            let n = counts.iter().map(|&c| c as usize).sum();
+            let p = TreeShaped { n, ranks, extras, holes };
+            let mut deferred = ClassState::new(&p, counts).unwrap();
+            let mut immediate = deferred.clone();
+            for _ in 0..batches {
+                for _ in 0..1 + rng.below(120) {
+                    let donor = loop {
+                        let s = rng.below(deferred.counts.len() as u64) as usize;
+                        if deferred.counts[s] > 0 {
+                            break s;
+                        }
+                    };
+                    let k = 1 + rng.below(deferred.counts[donor] as u64) as i64;
+                    let recv = rng.below(deferred.counts.len() as u64) as State;
+                    for (s, d) in [(donor as State, -k), (recv, k)] {
+                        deferred.update_count_deferred(s, d);
+                        immediate.update_count(s, d);
+                    }
+                }
+                deferred.flush_deferred();
+                prop_assert_eq!(&deferred.counts, &immediate.counts);
+                prop_assert_eq!(&deferred.eq, &immediate.eq);
+                prop_assert_eq!(&deferred.rank_occ, &immediate.rank_occ);
+                prop_assert_eq!(deferred.max_eq_bound, immediate.max_eq_bound);
+            }
+            // The word-at-a-time refresh finds the per-state maximum.
+            let expect = (0..ranks)
+                .filter(|&s| deferred.schema.eq_rule(s))
+                .map(|s| deferred.counts[s] as u64)
+                .fold(1, u64::max);
+            deferred.refresh_max_eq();
+            prop_assert_eq!(deferred.max_eq_bound, expect);
+        }
+    }
+
+    /// Reading a block-tree weight between a deferred change and its
+    /// flush is a bug the debug build refuses.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "block sums read before flush")]
+    fn reading_block_sums_before_a_flush_panics() {
+        let mut st = ClassState::new(&AllClasses, vec![2, 1, 0, 1, 0, 0, 1, 1]).unwrap();
+        st.update_count_deferred(0, -1);
+        st.update_count_deferred(2, 1);
+        let _ = st.eq_weight();
     }
 }

@@ -1184,10 +1184,10 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
                 applied_total = 1;
             }
         }
-        // Apply reads counts only; re-weight the sparse pairs it touched
-        // before anything (the next batch size, sample or pool dispatch)
-        // reads a weight.
-        self.state.flush_sparse();
+        // Apply reads counts only; rebuild the block-tree sums and
+        // re-weight the sparse pairs it touched before anything (the next
+        // batch size, sample or pool dispatch) reads a weight.
+        self.state.flush_deferred();
         self.productive += applied_total;
         // Widen each operand before summing: with tiny p the null count
         // alone can exceed u64::MAX, so the addition must happen at u128.

@@ -398,3 +398,27 @@ fn count_loose_byzantine_plan_n65536() {
     );
     assert_eq!(bursts, [(2_621_440, 4_000, 0, Some(0))]);
 }
+
+// The pin below covers the count engine's block-tree batches at a size
+// where the 2-thread pool runs the split tasks: 131072 rank states are
+// 2048 blocks of 64, a block tree of depth 11. It certifies that batch
+// apply's deferred block sums are flushed, to the same values, before
+// anything (the next batch, a split task on a pool thread) reads them.
+
+#[test]
+fn count_tree_uniform_prefix_n131072() {
+    let p = TreeRanking::new(131_072);
+    let drive = |threads: usize| {
+        let mut e = make_engine(EngineKind::Count, &p, uniform(&p, 14), 14, threads).unwrap();
+        let mut batched = 0u64;
+        while batched < 300 {
+            if e.advance().expect("far from silence") > 1 {
+                batched += 1;
+            }
+        }
+        fingerprint(e.as_ref())
+    };
+    let pin = (1_531_815, 1_056_391, 18_417_617_525_081_892_675);
+    assert_eq!(drive(1), pin);
+    assert_eq!(drive(2), pin, "2 threads");
+}
