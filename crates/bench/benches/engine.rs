@@ -329,10 +329,12 @@ fn bench_primitives(c: &mut Criterion) {
     });
     // The weight-state maintenance hot path under a rule-heavy schema:
     // moving one agent between two follower timer states of loose leader
-    // election (τ = 136) re-weights every enumerated pair touching either
-    // state (~2τ pairs each). Driven through the public fault-injection
-    // path — each iteration is four `ClassState::update_count` calls (a
-    // move and its inverse, keeping the configuration fixed).
+    // election (τ = 136) walks each state's partner row twice, once for
+    // the drift statistics and once to re-weight both directions of every
+    // pair (~τ partners per state, ~2τ pairs). Driven through the public
+    // fault-injection path — each iteration is four
+    // `ClassState::update_count` calls (a move and its inverse, keeping
+    // the configuration fixed).
     c.bench_function("class_update_count_loose_tau136", |b| {
         let n = 65_536usize;
         let p = LooseLeaderElection::new(n);

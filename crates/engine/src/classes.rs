@@ -2,10 +2,10 @@
 //!
 //! A protocol's declarative [`InteractionSchema`] is compiled once per
 //! engine construction into a [`CompiledSchema`] (flags, the equal-rank
-//! membership bitset, the sparse-pair index), and the engine keeps one
-//! [`ClassState`]: the occupancy counts plus every per-class weight
-//! structure, updated incrementally on each count change. Every exact step
-//! samples the next productive ordered state pair through
+//! membership bitset, the sparse pairs' groups and partner rows), and the
+//! engine keeps one [`ClassState`]: the occupancy counts plus every
+//! per-class weight structure, updated incrementally on each count change.
+//! Every exact step samples the next productive ordered state pair through
 //! [`ClassState::sample_pair`] with a single-RNG-draw discipline.
 //!
 //! The class weight decomposition over occupancy counts `c_s` (with `R`/`E`
@@ -34,18 +34,27 @@
 //! Alongside the trees, `SparseState` maintains the per-pair drift
 //! statistics the count engine's batch sizing needs, *incrementally* under
 //! [`ClassState::update_count`]: exact per-state partner sums
-//! (`Σ_(pairs touching s) c_partner`, via the `pair_touch` CSR) and two
-//! lazily-refreshed maxima — the largest per-pair scale
-//! `max(c_a, c_b)` and the largest partner sum — kept as *stale-high*
-//! bounds with the same eager-grow/lazy-shrink discipline as
-//! `max_eq_bound`/`refresh_max_eq`. That replaces the old per-batch
-//! `O(Σ deg)` full rescan (`sparse_partner_scale`) with an `O(deg(s))`
-//! walk over `s`'s pairs per count change and an occasional exact refresh.
+//! (`Σ_(pairs touching s) c_partner`) and two lazily-refreshed maxima —
+//! the largest per-pair scale `max(c_a, c_b)` and the largest partner sum
+//! — kept as *stale-high* bounds with the same eager-grow/lazy-shrink
+//! discipline as `max_eq_bound`/`refresh_max_eq`. That replaces the old
+//! per-batch `O(Σ deg)` full rescan (`sparse_partner_scale`) with an
+//! `O(deg(s))` walk per count change and an occasional exact refresh.
 //!
-//! The walk has two parts. The *drift* part (partner sums, both bounds)
-//! runs on every count change, because the bounds must see every
-//! intermediate occupancy. The *re-weighting* part (pair-tree leaves,
-//! group totals, the occupied-pair count) is the expensive one.
+//! The walk goes over `s`'s **partner row** ([`CompiledSchema::partners`],
+//! a CSR): one entry per distinct off-diagonal partner `t`, carrying the
+//! indices of `(s, t)` and `(t, s)` where declared, plus `s`'s diagonal
+//! pair apart. A rule set declared in both directions (loose election's
+//! ~19k pairs over 138 states, say) is visited once per partner, not once
+//! per pair. The walk has two parts:
+//!
+//! - the *drift* part (partner sums, both bounds) runs on every count
+//!   change, because the bounds must see every intermediate occupancy. A
+//!   fall only lowers partner sums, and the pair-scale bound needs the row
+//!   only when `s` was empty or its new count exceeds the bound;
+//! - the *re-weighting* part (pair-tree leaves, group totals, the
+//!   occupied-pair count) is the expensive one: one `c_s·c_t` per partner
+//!   sets both directions' leaves.
 //!
 //! # Deferred weights in batch apply
 //!
@@ -655,7 +664,7 @@ pub(crate) fn chain_split<S: Copy>(
 
 /// A protocol's [`InteractionSchema`] flattened into the form the engines
 /// consume: flags per structured class, the equal-rank membership bitset,
-/// and an index over the enumerated sparse pairs.
+/// and the enumerated sparse pairs with their groups and partner rows.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledSchema {
     /// Whether the `EqualRank` class is declared.
@@ -679,19 +688,51 @@ pub(crate) struct CompiledSchema {
     pub pairs: Vec<(State, State)>,
     /// All sparse pairs exchangeable (the batch granularity is the class).
     pub pairs_exchangeable: bool,
-    /// CSR offsets into [`pair_touch`](Self::pair_touch): the pair indices
-    /// whose weight depends on state `s`'s occupancy are
-    /// `pair_touch[pair_touch_off[s]..pair_touch_off[s + 1]]`, ascending.
-    /// (Length `num_states + 1`, empty when there are no pairs.)
-    pub pair_touch_off: Vec<u32>,
-    /// CSR indices for [`pair_touch_off`](Self::pair_touch_off).
-    pub pair_touch: Vec<u32>,
     /// Group boundaries: group `g` owns pairs
     /// `group_off[g]..group_off[g + 1]` (length `num_groups + 1`; one
     /// group per distinct initiator state, in ascending state order).
     pub group_off: Vec<u32>,
-    /// Group of each pair (inverse of [`group_off`](Self::group_off)).
-    pub pair_group: Vec<u32>,
+    /// Group of the pairs state `s` initiates, or [`ABSENT`] when it
+    /// initiates none (length `num_states`, empty when there are no
+    /// pairs).
+    pub state_group: Vec<u32>,
+    /// CSR offsets into [`partners`](Self::partners): state `s`'s partner
+    /// row is `partners[partner_off[s]..partner_off[s + 1]]` (length
+    /// `num_states + 1`, empty when there are no pairs).
+    pub partner_off: Vec<u32>,
+    /// Partner rows: one entry per distinct off-diagonal partner of each
+    /// state, so a pair declared in both directions is one entry per row.
+    pub partners: Vec<Partner>,
+    /// Index of the diagonal pair `(s, s)`, or [`ABSENT`] (length
+    /// `num_states`, empty when there are no pairs).
+    pub diag: Vec<u32>,
+}
+
+/// An absent index: an undeclared direction in a [`Partner`] entry, a
+/// state without a diagonal pair in [`CompiledSchema::diag`], or a state
+/// that initiates no pair in [`CompiledSchema::state_group`].
+pub(crate) const ABSENT: u32 = u32::MAX;
+
+/// One entry of state `s`'s partner row: a state `t ≠ s` that shares at
+/// least one declared pair with `s`, and the indices of the pairs
+/// `(s, t)` (in `s`'s group) and `(t, s)` (in `t`'s group), [`ABSENT`]
+/// where that direction is undeclared. Both directions weigh
+/// `c_s·c_t`, so one entry carries everything a count change of `s` does
+/// to them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Partner {
+    pub state: u32,
+    pub out_pair: u32,
+    pub in_pair: u32,
+}
+
+impl Partner {
+    /// Number of declared directions, 1 or 2: the weight of `c_s` in
+    /// `partner_sum[t]` and of `c_t` in `partner_sum[s]`.
+    #[inline]
+    fn directions(&self) -> u64 {
+        (self.out_pair != ABSENT) as u64 + (self.in_pair != ABSENT) as u64
+    }
 }
 
 impl CompiledSchema {
@@ -701,16 +742,12 @@ impl CompiledSchema {
         self.eq && (self.has_eq[s >> 6] >> (s & 63)) & 1 != 0
     }
 
-    /// Indices of the pairs whose weight depends on state `s`'s occupancy
-    /// (ascending; empty when there are no pairs).
+    /// State `s`'s partner row. Only for schemas with pairs.
     #[inline]
-    pub fn pair_touch(&self, s: usize) -> &[u32] {
-        if self.pair_touch_off.is_empty() {
-            return &[];
-        }
-        let lo = self.pair_touch_off[s] as usize;
-        let hi = self.pair_touch_off[s + 1] as usize;
-        &self.pair_touch[lo..hi]
+    pub fn partner_row(&self, s: usize) -> &[Partner] {
+        let lo = self.partner_off[s] as usize;
+        let hi = self.partner_off[s + 1] as usize;
+        &self.partners[lo..hi]
     }
 
     /// Number of sparse groups (distinct initiator states).
@@ -730,7 +767,8 @@ impl CompiledSchema {
     /// # Panics
     ///
     /// Panics on declarations no engine can execute: duplicate structured
-    /// classes, duplicate enumerated pairs, or pair states out of range.
+    /// classes, duplicate enumerated pairs (found while the partner rows
+    /// are built), or pair states out of range.
     /// (Semantic agreement with the transition function is checked by
     /// [`crate::protocol::validate_interaction_schema`], not here.)
     pub fn compile<P: InteractionSchema + ?Sized>(p: &P) -> Self {
@@ -746,10 +784,11 @@ impl CompiledSchema {
             cross_exchangeable: true,
             pairs: Vec::new(),
             pairs_exchangeable: true,
-            pair_touch_off: Vec::new(),
-            pair_touch: Vec::new(),
             group_off: Vec::new(),
-            pair_group: Vec::new(),
+            state_group: Vec::new(),
+            partner_off: Vec::new(),
+            partners: Vec::new(),
+            diag: Vec::new(),
         };
         for ClassSpec {
             class,
@@ -793,14 +832,6 @@ impl CompiledSchema {
                 }
             }
         }
-        // One sort-based scan, not a linear probe per declared pair
-        // (loose election at n = 65536 declares ~19k pairs).
-        let mut sorted = schema.pairs.clone();
-        sorted.sort_unstable();
-        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
-            let (initiator, responder) = w[0];
-            panic!("sparse pair ({initiator},{responder}) declared twice");
-        }
         if schema.eq {
             schema.has_eq = vec![0u64; num_ranks.div_ceil(64)];
             for s in 0..num_ranks {
@@ -817,49 +848,112 @@ impl CompiledSchema {
             // stable sort is free to pick the layout the two-level
             // hierarchy wants: each group a contiguous pair-index range.
             schema.pairs.sort_by_key(|&(a, _)| a);
-            let np = schema.pairs.len();
-            let mut pair_group = vec![0u32; np];
-            let mut group_off: Vec<u32> = Vec::new();
-            let mut prev: Option<State> = None;
-            for (i, &(a, _)) in schema.pairs.iter().enumerate() {
-                if prev != Some(a) {
-                    group_off.push(i as u32);
-                    prev = Some(a);
-                }
-                pair_group[i] = group_off.len() as u32 - 1;
-            }
-            group_off.push(np as u32);
-            schema.group_off = group_off;
-            schema.pair_group = pair_group;
-            // Touch CSR (counting pass, then fill): which pairs re-weight
-            // when a state's occupancy changes. Filling in ascending pair
-            // order keeps every per-state list sorted — and therefore
-            // group-clustered, which lets `SparseState::on_count_change`
-            // coalesce its top-level tree updates per group.
-            let mut off = vec![0u32; num_states + 1];
-            for &(a, b) in &schema.pairs {
-                off[a as usize + 1] += 1;
-                if b != a {
-                    off[b as usize + 1] += 1;
-                }
-            }
-            for s in 0..num_states {
-                off[s + 1] += off[s];
-            }
-            let mut touch = vec![0u32; off[num_states] as usize];
-            let mut cursor: Vec<u32> = off.clone();
-            for (i, &(a, b)) in schema.pairs.iter().enumerate() {
-                touch[cursor[a as usize] as usize] = i as u32;
-                cursor[a as usize] += 1;
-                if b != a {
-                    touch[cursor[b as usize] as usize] = i as u32;
-                    cursor[b as usize] += 1;
-                }
-            }
-            schema.pair_touch_off = off;
-            schema.pair_touch = touch;
+            schema.build_partner_rows(num_states);
         }
         schema
+    }
+
+    /// Build the groups and the partner rows over the initiator-sorted
+    /// `pairs`, rejecting duplicates on the way: a repeated responder in a
+    /// state's own group, a second diagonal, or a repeated initiator among
+    /// a state's in-pairs is a pair declared twice. `O(num_states +
+    /// num_pairs)`.
+    fn build_partner_rows(&mut self, num_states: usize) {
+        let pairs = &self.pairs;
+        let np = pairs.len();
+        let declared_twice = |pi: usize| -> ! {
+            let (initiator, responder) = pairs[pi];
+            panic!("sparse pair ({initiator},{responder}) declared twice")
+        };
+        let mut state_group = vec![ABSENT; num_states];
+        let mut group_off: Vec<u32> = Vec::new();
+        // In-pairs by responder (counting sort, ascending pair index):
+        // after the fill, state `s`'s in-pairs are
+        // `in_pairs[in_end[s - 1]..in_end[s]]` (from 0 for `s = 0`).
+        let mut in_end = vec![0u32; num_states + 1];
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            if state_group[a as usize] == ABSENT {
+                state_group[a as usize] = group_off.len() as u32;
+                group_off.push(i as u32);
+            }
+            if a != b {
+                in_end[b as usize + 1] += 1;
+            }
+        }
+        group_off.push(np as u32);
+        for s in 0..num_states {
+            in_end[s + 1] += in_end[s];
+        }
+        let mut in_pairs = vec![0u32; in_end[num_states] as usize];
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            if a != b {
+                let e = &mut in_end[b as usize];
+                in_pairs[*e as usize] = i as u32;
+                *e += 1;
+            }
+        }
+        // Each row: the state's own group in pair order, then the in-pairs
+        // whose initiator is not already a partner. `slot[t]` is `t`'s
+        // entry in the row being built if it is at or past `row_start`.
+        let mut partners: Vec<Partner> = Vec::with_capacity(in_pairs.len());
+        let mut partner_off = Vec::with_capacity(num_states + 1);
+        let mut diag = vec![ABSENT; num_states];
+        let mut slot = vec![ABSENT; num_states];
+        partner_off.push(0u32);
+        let mut in_start = 0usize;
+        for s in 0..num_states {
+            let row_start = partners.len();
+            let in_row = |e: u32| e != ABSENT && e as usize >= row_start;
+            let g = state_group[s];
+            if g != ABSENT {
+                let (lo, hi) = (group_off[g as usize], group_off[g as usize + 1]);
+                for pi in lo..hi {
+                    let t = pairs[pi as usize].1;
+                    if t as usize == s {
+                        if diag[s] != ABSENT {
+                            declared_twice(pi as usize);
+                        }
+                        diag[s] = pi;
+                        continue;
+                    }
+                    if in_row(slot[t as usize]) {
+                        declared_twice(pi as usize);
+                    }
+                    slot[t as usize] = partners.len() as u32;
+                    partners.push(Partner {
+                        state: t,
+                        out_pair: pi,
+                        in_pair: ABSENT,
+                    });
+                }
+            }
+            let in_stop = in_end[s] as usize;
+            for &pi in &in_pairs[in_start..in_stop] {
+                let t = pairs[pi as usize].0;
+                let e = slot[t as usize];
+                if in_row(e) {
+                    let entry = &mut partners[e as usize];
+                    if entry.in_pair != ABSENT {
+                        declared_twice(pi as usize);
+                    }
+                    entry.in_pair = pi;
+                } else {
+                    slot[t as usize] = partners.len() as u32;
+                    partners.push(Partner {
+                        state: t,
+                        out_pair: ABSENT,
+                        in_pair: pi,
+                    });
+                }
+            }
+            in_start = in_stop;
+            partner_off.push(partners.len() as u32);
+        }
+        self.group_off = group_off;
+        self.state_group = state_group;
+        self.partner_off = partner_off;
+        self.partners = partners;
+        self.diag = diag;
     }
 }
 
@@ -923,14 +1017,17 @@ pub(crate) struct SparseState {
     /// Top-level tree over groups; leaf `g` is `trees[g].total()`.
     groups: WeightTree,
     /// `partner_sum[s]` = Σ over pairs touching `s` of the partner's
-    /// occupancy (a diagonal pair at `s` contributes `2(c_s − 1)`): the
+    /// occupancy (a diagonal pair at `s` contributes `2(c_s − 1)`; a
+    /// partner declared in both directions counts twice): the
     /// per-interaction rate at which sparse draws consume agents of `s`,
     /// relative to `c_s/W`. Exact at all times.
     partner_sum: Vec<u64>,
-    /// Upper bound on `max_s partner_sum[s]`; eager-grow, lazy-shrink.
+    /// Upper bound on `max_s partner_sum[s]`; eager-grow (on rises only),
+    /// lazy-shrink.
     pub max_partner_bound: u64,
     /// Upper bound on `max_p pair_scale(p)` over positive-weight pairs;
-    /// eager-grow, lazy-shrink.
+    /// eager-grow, lazy-shrink. The drift walk relies on it covering every
+    /// positive pair, which holds from any refresh or restore on.
     pub max_pair_scale_bound: u64,
     /// Number of positive-weight pairs.
     occupied: u64,
@@ -1082,11 +1179,10 @@ impl SparseState {
         self.trees[g].split(k, rng, out);
     }
 
-    /// Account for state `s`'s occupancy changing `old → new` in one pass
-    /// over the pairs touching `s`: the drift part (partner sums,
-    /// eager-grow bounds) and the re-weighting part (pair leaves, group
-    /// totals, occupied count). The immediate form, for exact steps and
-    /// fault injection.
+    /// Account for state `s`'s occupancy changing `old → new`: the drift
+    /// part (partner sums, eager-grow bounds), then the re-weighting part
+    /// (pair leaves, group totals, occupied count). The immediate form,
+    /// for exact steps and fault injection.
     #[inline]
     pub fn on_count_change(
         &mut self,
@@ -1096,7 +1192,8 @@ impl SparseState {
         old: u64,
         new: u64,
     ) {
-        self.visit_pairs::<true, true>(schema, counts, s, old, new);
+        self.drift(schema, counts, s, old, new);
+        self.reweight(schema, counts, s);
     }
 
     /// The drift part of [`on_count_change`](Self::on_count_change) only;
@@ -1112,7 +1209,7 @@ impl SparseState {
         old: u64,
         new: u64,
     ) {
-        self.visit_pairs::<true, false>(schema, counts, s, old, new);
+        self.drift(schema, counts, s, old, new);
         self.dirty.push(s as u32);
     }
 
@@ -1128,76 +1225,108 @@ impl SparseState {
         dirty.sort_unstable();
         dirty.dedup();
         for &s in &dirty {
-            self.visit_pairs::<false, true>(schema, counts, s as usize, 0, 0);
+            self.reweight(schema, counts, s as usize);
         }
         dirty.clear();
         self.dirty = dirty;
     }
 
-    /// The per-pair routine behind all three entry points: one walk over
-    /// the pairs touching `s`, doing the drift part when `DRIFT` and the
-    /// re-weighting part when `REWEIGHT`. The top-level group leaf is
-    /// written once per touched group (touch lists are group-clustered).
+    /// The drift part: `s`'s count moved `old → new` (`counts[s]` already
+    /// reads `new`). One visit per partner row entry, however many
+    /// directions it declares.
     #[inline(always)]
-    fn visit_pairs<const DRIFT: bool, const REWEIGHT: bool>(
-        &mut self,
-        schema: &CompiledSchema,
-        counts: &[u32],
-        s: usize,
-        old: u64,
-        new: u64,
-    ) {
-        let mut cur_group = usize::MAX;
-        for &pi in schema.pair_touch(s) {
-            let pi = pi as usize;
-            let (a, b) = schema.pairs[pi];
-            let w = pair_weight(counts, a, b);
-            if REWEIGHT {
-                let g = schema.pair_group[pi] as usize;
-                if g != cur_group {
-                    if cur_group != usize::MAX {
-                        self.groups.set(cur_group, self.trees[cur_group].total());
-                    }
-                    cur_group = g;
-                }
-                let local = pi - schema.group_off[g] as usize;
-                let old_w = self.trees[g].weight(local);
-                if w != old_w {
-                    self.trees[g].set(local, w);
-                    if old_w == 0 {
-                        self.occupied += 1;
-                    } else if w == 0 {
-                        self.occupied -= 1;
-                    }
-                }
+    fn drift(&mut self, schema: &CompiledSchema, counts: &[u32], s: usize, old: u64, new: u64) {
+        let row = schema.partner_row(s);
+        // `partner_sum[t]` holds `directions·c_s` for entry `t`, so the
+        // wrapping sum is the exact, non-negative result.
+        let delta = new.wrapping_sub(old);
+        if new > old {
+            let mut max = self.max_partner_bound;
+            for p in row {
+                let ps = &mut self.partner_sum[p.state as usize];
+                *ps = ps.wrapping_add(p.directions().wrapping_mul(delta));
+                max = max.max(*ps);
             }
-            if DRIFT {
-                if a == b {
-                    // The diagonal pair at `s` is the only term of
-                    // `partner_sum[s]` that moves when `c_s` changes.
-                    let ps = &mut self.partner_sum[s];
-                    *ps = *ps + 2 * new.saturating_sub(1) - 2 * old.saturating_sub(1);
-                    if *ps > self.max_partner_bound {
-                        self.max_partner_bound = *ps;
-                    }
-                } else {
-                    let t = if a as usize == s { b } else { a } as usize;
-                    let ps = &mut self.partner_sum[t];
-                    *ps = *ps + new - old;
-                    if *ps > self.max_partner_bound {
-                        self.max_partner_bound = *ps;
-                    }
-                }
-                if w > 0 {
-                    let sc = pair_scale(counts, a, b);
-                    if sc > self.max_pair_scale_bound {
-                        self.max_pair_scale_bound = sc;
-                    }
-                }
+            self.max_partner_bound = max;
+        } else {
+            // A fall cannot raise the bound: every partner sum is at most
+            // `max_partner_bound` at all times.
+            for p in row {
+                let ps = &mut self.partner_sum[p.state as usize];
+                *ps = ps.wrapping_add(p.directions().wrapping_mul(delta));
             }
         }
-        if REWEIGHT && cur_group != usize::MAX {
-            self.groups.set(cur_group, self.trees[cur_group].total());
+        if schema.diag[s] != ABSENT {
+            // The diagonal pair at `s` is the only term of
+            // `partner_sum[s]` that moves when `c_s` changes.
+            let ps = &mut self.partner_sum[s];
+            *ps = *ps + 2 * new.saturating_sub(1) - 2 * old.saturating_sub(1);
+            if *ps > self.max_partner_bound {
+                self.max_partner_bound = *ps;
+            }
+        }
+        // `max_pair_scale_bound` covers every positive pair at all times.
+        // When `old > 0`, an off-diagonal pair touching `s` that is
+        // positive now was positive before (its partner's count did not
+        // move), so its scale `max(new, c_t)` can exceed the bound only
+        // through `new`; the diagonal's `new − 1` is below `new`. So with
+        // `old > 0` and `new ≤ bound` no candidate exceeds the bound, and
+        // the row walk is needed only when `old == 0` or `new > bound`.
+        if old == 0 || new > self.max_pair_scale_bound {
+            let mut max = self.max_pair_scale_bound;
+            if new > 0 {
+                for p in row {
+                    let ct = counts[p.state as usize] as u64;
+                    if ct > 0 {
+                        max = max.max(new.max(ct));
+                    }
+                }
+                if schema.diag[s] != ABSENT && new > 1 {
+                    max = max.max(new - 1);
+                }
+            }
+            self.max_pair_scale_bound = max;
+        }
+    }
+
+    /// The re-weighting part under the current `counts`: one `c_s·c_t` per
+    /// partner sets both directions' leaves. `s`'s own group total is
+    /// written once at the end, each in-pair's group once.
+    #[inline(always)]
+    fn reweight(&mut self, schema: &CompiledSchema, counts: &[u32], s: usize) {
+        let cs = counts[s] as u64;
+        let own = schema.state_group[s] as usize;
+        for p in schema.partner_row(s) {
+            let w = cs * counts[p.state as usize] as u64;
+            if p.out_pair != ABSENT {
+                self.set_leaf(schema, own, p.out_pair, w);
+            }
+            if p.in_pair != ABSENT {
+                let g = schema.state_group[p.state as usize] as usize;
+                self.set_leaf(schema, g, p.in_pair, w);
+                self.groups.set(g, self.trees[g].total());
+            }
+        }
+        if schema.diag[s] != ABSENT {
+            self.set_leaf(schema, own, schema.diag[s], eq_weight_of(cs));
+        }
+        if own != ABSENT as usize {
+            self.groups.set(own, self.trees[own].total());
+        }
+    }
+
+    /// Set pair `pi`'s leaf in its group `g` to `w`, keeping `occupied`.
+    #[inline(always)]
+    fn set_leaf(&mut self, schema: &CompiledSchema, g: usize, pi: u32, w: u64) {
+        let local = (pi - schema.group_off[g]) as usize;
+        let old_w = self.trees[g].weight(local);
+        if w != old_w {
+            self.trees[g].set(local, w);
+            if old_w == 0 {
+                self.occupied += 1;
+            } else if w == 0 {
+                self.occupied -= 1;
+            }
         }
     }
 
@@ -1329,10 +1458,11 @@ impl ClassState {
                 cross_exchangeable: false,
                 pairs: Vec::new(),
                 pairs_exchangeable: false,
-                pair_touch_off: Vec::new(),
-                pair_touch: Vec::new(),
                 group_off: Vec::new(),
-                pair_group: Vec::new(),
+                state_group: Vec::new(),
+                partner_off: Vec::new(),
+                partners: Vec::new(),
+                diag: Vec::new(),
             },
             counts: Vec::new(),
             num_ranks: 0,
@@ -2107,8 +2237,17 @@ mod tests {
         }
     }
 
+    /// A partner row entry, for the compile tests.
+    fn partner(state: u32, out_pair: u32, in_pair: u32) -> Partner {
+        Partner {
+            state,
+            out_pair,
+            in_pair,
+        }
+    }
+
     #[test]
-    fn compile_builds_contiguous_groups_and_sorted_touch_csr() {
+    fn compile_builds_contiguous_groups_and_partner_rows() {
         crate::protocol::validate_interaction_schema(&MultiGroup).unwrap();
         let schema = CompiledSchema::compile(&MultiGroup);
         // Stable sort by initiator: groups 0, 2, 3, 4 in order, with
@@ -2119,24 +2258,98 @@ mod tests {
         );
         assert_eq!(schema.group_off, vec![0, 2, 4, 5, 6]);
         assert_eq!(schema.num_groups(), 4);
-        assert_eq!(schema.pair_group, vec![0, 0, 1, 1, 2, 3]);
-        for (pi, &g) in schema.pair_group.iter().enumerate() {
-            let (lo, hi) = schema.group_range(g as usize);
+        assert_eq!(schema.state_group, vec![0, ABSENT, 1, 2, 3]);
+        for (pi, &(a, _)) in schema.pairs.iter().enumerate() {
+            let (lo, hi) = schema.group_range(schema.state_group[a as usize] as usize);
             assert!(lo <= pi && pi < hi, "pair {pi} outside its group range");
         }
-        // Touch CSR: every pair appears under both of its states (once on
-        // the diagonal), ascending within each state.
+        // Partner rows: the own group in pair order, then the in-only
+        // partners; (0,4) and (4,0) share one entry in each row. The
+        // diagonal (2,2) is kept apart.
+        const NO: u32 = ABSENT;
+        assert_eq!(schema.partner_off, vec![0, 3, 4, 6, 7, 8]);
+        assert_eq!(
+            schema.partners,
+            vec![
+                partner(2, 0, NO),
+                partner(4, 1, 5),
+                partner(3, NO, 4),
+                partner(2, NO, 3),
+                partner(1, 3, NO),
+                partner(0, NO, 0),
+                partner(0, 4, NO),
+                partner(0, 5, 1),
+            ]
+        );
+        assert_eq!(schema.diag, vec![NO, NO, 2, NO, NO]);
+        // Every entry names its pairs correctly, and every off-diagonal
+        // pair is reachable from both of its states.
         for s in 0..5usize {
-            let touch = schema.pair_touch(s);
-            assert!(touch.windows(2).all(|w| w[0] < w[1]), "state {s} unsorted");
-            for &pi in touch {
-                let (a, b) = schema.pairs[pi as usize];
-                assert!(a as usize == s || b as usize == s);
+            for p in schema.partner_row(s) {
+                let t = p.state;
+                assert_ne!(t as usize, s);
+                if p.out_pair != NO {
+                    assert_eq!(schema.pairs[p.out_pair as usize], (s as u32, t));
+                }
+                if p.in_pair != NO {
+                    assert_eq!(schema.pairs[p.in_pair as usize], (t, s as u32));
+                }
             }
         }
-        let total_touches: usize = (0..5).map(|s| schema.pair_touch(s).len()).sum();
-        // 5 off-diagonal pairs touch two states each, the diagonal one.
-        assert_eq!(total_touches, 11);
+        let directions: u64 = schema.partners.iter().map(|p| p.directions()).sum();
+        // 5 off-diagonal pairs, each seen from both of its states.
+        assert_eq!(directions, 10);
+    }
+
+    /// Sparse test protocol whose declaration is a fixed pair list, for
+    /// the compile tests. Its transition is never consulted.
+    struct Declared(Vec<(State, State)>);
+    impl Protocol for Declared {
+        fn name(&self) -> &str {
+            "declared"
+        }
+        fn population_size(&self) -> usize {
+            4
+        }
+        fn num_states(&self) -> usize {
+            4
+        }
+        fn num_rank_states(&self) -> usize {
+            4
+        }
+        fn transition(&self, i: State, r: State) -> Option<(State, State)> {
+            self.0.contains(&(i, r)).then_some((r, i))
+        }
+    }
+    impl InteractionSchema for Declared {
+        fn interaction_classes(&self) -> Vec<ClassSpec> {
+            self.0.iter().map(|&(a, b)| ClassSpec::pair(a, b)).collect()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sparse pair (1,3) declared twice")]
+    fn compile_rejects_an_off_diagonal_pair_declared_twice() {
+        // The repeat is not adjacent to its first declaration.
+        let _ = CompiledSchema::compile(&Declared(vec![(1, 3), (2, 2), (3, 1), (1, 3)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "sparse pair (3,1) declared twice")]
+    fn compile_rejects_an_in_pair_declared_twice() {
+        // State 1 sees (3,1) twice among its in-pairs before state 3's
+        // own group is scanned.
+        let _ = CompiledSchema::compile(&Declared(vec![(3, 1), (0, 2), (3, 1)]));
+    }
+
+    #[test]
+    fn compile_accepts_both_directions_as_one_partner() {
+        let schema = CompiledSchema::compile(&Declared(vec![(3, 1), (1, 3)]));
+        assert_eq!(schema.pairs, vec![(1, 3), (3, 1)]);
+        assert_eq!(schema.partner_row(1), &[partner(3, 0, 1)]);
+        assert_eq!(schema.partner_row(3), &[partner(1, 1, 0)]);
+        assert!(schema.partner_row(0).is_empty() && schema.partner_row(2).is_empty());
+        assert_eq!(schema.diag, vec![ABSENT; 4]);
     }
 
     #[test]
@@ -2336,6 +2549,187 @@ mod tests {
                 deferred.flush_deferred();
                 prop_assert_eq!(&deferred.counts, &immediate.counts);
                 prop_assert_eq!(&deferred.sparse, &immediate.sparse);
+            }
+        }
+    }
+
+    /// The per-pair walk the partner rows replaced, kept as their oracle:
+    /// one visit per pair touching `s` in ascending pair order, doing the
+    /// drift part when `DRIFT` and the re-weighting part when `REWEIGHT`.
+    /// It finds its pairs and groups from `pairs` and `group_off` alone.
+    fn visit_pairs<const DRIFT: bool, const REWEIGHT: bool>(
+        st: &mut SparseState,
+        schema: &CompiledSchema,
+        counts: &[u32],
+        s: usize,
+        old: u64,
+        new: u64,
+    ) {
+        let mut cur_group = usize::MAX;
+        for (pi, &(a, b)) in schema.pairs.iter().enumerate() {
+            if a as usize != s && b as usize != s {
+                continue;
+            }
+            let w = pair_weight(counts, a, b);
+            if REWEIGHT {
+                let g = schema.group_off.partition_point(|&o| o as usize <= pi) - 1;
+                if g != cur_group {
+                    if cur_group != usize::MAX {
+                        st.groups.set(cur_group, st.trees[cur_group].total());
+                    }
+                    cur_group = g;
+                }
+                let local = pi - schema.group_off[g] as usize;
+                let old_w = st.trees[g].weight(local);
+                if w != old_w {
+                    st.trees[g].set(local, w);
+                    if old_w == 0 {
+                        st.occupied += 1;
+                    } else if w == 0 {
+                        st.occupied -= 1;
+                    }
+                }
+            }
+            if DRIFT {
+                let t = if a == b {
+                    s
+                } else if a as usize == s {
+                    b as usize
+                } else {
+                    a as usize
+                };
+                let ps = &mut st.partner_sum[t];
+                if a == b {
+                    *ps = *ps + 2 * new.saturating_sub(1) - 2 * old.saturating_sub(1);
+                } else {
+                    *ps = *ps + new - old;
+                }
+                st.max_partner_bound = st.max_partner_bound.max(*ps);
+                if w > 0 {
+                    st.max_pair_scale_bound = st.max_pair_scale_bound.max(pair_scale(counts, a, b));
+                }
+            }
+        }
+        if REWEIGHT && cur_group != usize::MAX {
+            st.groups.set(cur_group, st.trees[cur_group].total());
+        }
+    }
+
+    /// Counts and sparse state driven by the per-pair walk, mirroring
+    /// `ClassState::change_count` and `SparseState::flush`.
+    struct PerPairWalk {
+        counts: Vec<u32>,
+        sparse: SparseState,
+    }
+    impl PerPairWalk {
+        fn update(&mut self, schema: &CompiledSchema, s: State, delta: i64, defer: bool) {
+            let s = s as usize;
+            let old = self.counts[s] as u64;
+            let new = old.checked_add_signed(delta).unwrap();
+            self.counts[s] = new as u32;
+            if schema.pairs.is_empty() {
+                return;
+            }
+            if defer {
+                visit_pairs::<true, false>(&mut self.sparse, schema, &self.counts, s, old, new);
+                self.sparse.dirty.push(s as u32);
+            } else {
+                visit_pairs::<true, true>(&mut self.sparse, schema, &self.counts, s, old, new);
+            }
+        }
+
+        fn flush(&mut self, schema: &CompiledSchema) {
+            let mut dirty = std::mem::take(&mut self.sparse.dirty);
+            dirty.sort_unstable();
+            dirty.dedup();
+            for s in dirty {
+                visit_pairs::<false, true>(
+                    &mut self.sparse,
+                    schema,
+                    &self.counts,
+                    s as usize,
+                    0,
+                    0,
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The partner-row walks leave `SparseState` equal, field for
+        /// field, to the per-pair walk they replaced, after every count
+        /// change and every flush. Schemas mix diagonal, one-way and
+        /// two-way pairs and states with no pairs; changes go through
+        /// `update_count`, or through `update_count_deferred` with a
+        /// `flush_deferred` per run; the drift bounds start exact or
+        /// stale-high, as a restore leaves them.
+        #[test]
+        fn partner_rows_match_per_pair_walk(
+            seed in 0u64..1_000_000,
+            states in 2usize..12,
+            density in 0u64..4,
+            stale in any::<bool>(),
+            deferred in any::<bool>(),
+            runs in 1usize..8,
+        ) {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let mut pairs: Vec<(State, State)> = Vec::new();
+            for a in 0..states as State {
+                if rng.below(4) < density {
+                    pairs.push((a, a));
+                }
+                for b in a + 1..states as State {
+                    // None, either one way, or both ways.
+                    if rng.below(4) >= density {
+                        continue;
+                    }
+                    match rng.below(3) {
+                        0 => pairs.push((a, b)),
+                        1 => pairs.push((b, a)),
+                        _ => pairs.extend([(a, b), (b, a)]),
+                    }
+                }
+            }
+            rng.shuffle(&mut pairs);
+            // Counts of 0, 1 and 2+ all common: the rescan and diagonal
+            // cases turn on them.
+            let mut counts: Vec<u32> =
+                (0..states).map(|_| (rng.below(3) * rng.below(5)) as u32).collect();
+            counts[0] += 1; // keep the walk feasible
+            let n = counts.iter().map(|&c| c as usize).sum();
+            let p = RandPairs { n, states, pairs };
+            let mut st = ClassState::new(&p, counts.clone()).unwrap();
+            if stale {
+                st.sparse.max_partner_bound += rng.below(12);
+                st.sparse.max_pair_scale_bound += rng.below(12);
+            }
+            let mut oracle = PerPairWalk { counts, sparse: st.sparse.clone() };
+            for _ in 0..runs {
+                for _ in 0..rng.below(10) {
+                    let donor = loop {
+                        let s = rng.below(states as u64) as usize;
+                        if st.counts[s] > 0 {
+                            break s;
+                        }
+                    };
+                    let k = 1 + rng.below(st.counts[donor] as u64) as i64;
+                    let recv = rng.below(states as u64) as State;
+                    for (s, d) in [(donor as State, -k), (recv, k)] {
+                        if deferred {
+                            st.update_count_deferred(s, d);
+                        } else {
+                            st.update_count(s, d);
+                        }
+                        oracle.update(&st.schema, s, d, deferred);
+                        prop_assert_eq!(&st.counts, &oracle.counts);
+                        prop_assert_eq!(&st.sparse, &oracle.sparse);
+                    }
+                }
+                st.flush_deferred();
+                oracle.flush(&st.schema);
+                prop_assert_eq!(&st.sparse, &oracle.sparse);
             }
         }
     }

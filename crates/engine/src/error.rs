@@ -22,6 +22,14 @@ pub enum ConfigError {
         /// Size of the state space.
         num_states: usize,
     },
+    /// A start configuration puts more agents in one state than the count
+    /// engine's `u32` occupancy counter holds.
+    OccupancyOverflow {
+        /// The state that would overflow.
+        state: u32,
+        /// Number of agents it would hold.
+        agents: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -38,6 +46,12 @@ impl fmt::Display for ConfigError {
             } => write!(
                 f,
                 "agent {agent} is in state {state}, outside the state space 0..{num_states}"
+            ),
+            ConfigError::OccupancyOverflow { state, agents } => write!(
+                f,
+                "state {state} would hold {agents} agents, above the per-state occupancy \
+                 limit of {} (u32)",
+                u32::MAX
             ),
         }
     }
@@ -84,6 +98,13 @@ mod tests {
             num_states: 40,
         };
         assert!(e.to_string().contains("42"));
+
+        let e = ConfigError::OccupancyOverflow {
+            state: 0,
+            agents: 1 << 33,
+        };
+        assert!(e.to_string().contains("8589934592"));
+        assert!(e.to_string().contains("4294967295"));
 
         let t = StabilisationTimeout { interactions: 100 };
         assert!(t.to_string().contains("100"));

@@ -269,40 +269,50 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
     /// vector). Consumes the RNG identically to
     /// [`trial_config`](Self::trial_config), so the resulting multiset of
     /// states is the same either way.
-    fn trial_counts(&self, trial: u64) -> Option<Vec<u32>> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::OccupancyOverflow`] when a stacked start
+    /// puts more than `u32::MAX` agents in one state.
+    fn trial_counts(&self, trial: u64) -> Result<Option<Vec<u32>>, ConfigError> {
         let config_seed = derive_seed(self.base_seed, trial * 2);
         let n = self.protocol.population_size();
         let num_states = self.protocol.num_states();
-        match self.init {
-            Init::Stacked => {
-                let mut counts = vec![0u32; num_states];
-                counts[0] = n as u32;
-                Some(counts)
-            }
+        // The count engine's occupancy counters are `u32`.
+        let stacked = |s: State| {
+            let agents = u32::try_from(n).map_err(|_| ConfigError::OccupancyOverflow {
+                state: s,
+                agents: n,
+            })?;
+            let mut counts = vec![0u32; num_states];
+            counts[s as usize] = agents;
+            Ok(counts)
+        };
+        let counts = match self.init {
+            Init::Stacked => stacked(0)?,
             Init::AllIn(s) => {
                 if (s as usize) >= num_states {
                     // Fall back to the agent-vector path, which reports
                     // the out-of-range state as a ConfigError instead of
                     // an index panic.
-                    return None;
+                    return Ok(None);
                 }
-                let mut counts = vec![0u32; num_states];
-                counts[s as usize] = n as u32;
-                Some(counts)
+                stacked(s)?
             }
             Init::Uniform => {
                 let mut rng = Xoshiro256::seed_from_u64(config_seed);
-                Some(init::uniform_random_counts(n, num_states, &mut rng))
+                init::uniform_random_counts(n, num_states, &mut rng)
             }
             Init::Perfect => {
                 let mut counts = vec![0u32; num_states];
                 for slot in counts.iter_mut().take(n) {
                     *slot = 1;
                 }
-                Some(counts)
+                counts
             }
-            Init::KDistant(_) | Init::Custom(_) => None,
-        }
+            Init::KDistant(_) | Init::Custom(_) => return Ok(None),
+        };
+        Ok(Some(counts))
     }
 
     /// Build the (boxed) engine for trial `trial`, positioned at its start
@@ -322,7 +332,7 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
     pub fn build_engine(&self, trial: u64) -> Result<Box<dyn Engine + 'a>, ConfigError> {
         let sim_seed = derive_seed(self.base_seed, trial * 2 + 1);
         let (_, engine_threads) = self.thread_split();
-        let Some(counts) = self.trial_counts(trial) else {
+        let Some(counts) = self.trial_counts(trial)? else {
             let config = self.trial_config(trial);
             return make_engine(self.engine, self.protocol, config, sim_seed, engine_threads);
         };
@@ -715,15 +725,63 @@ mod tests {
         let p = Ag { n: 16 };
         for init in [Init::Stacked, Init::AllIn(3), Init::Uniform, Init::Perfect] {
             let s = Scenario::new(&p).init(init).base_seed(77);
-            let via_counts = s.trial_counts(0).expect("family supports counts");
+            let via_counts = s.trial_counts(0).unwrap().expect("family supports counts");
             let via_agents =
                 crate::init::counts(&s.trial_config(0), p.num_states());
             assert_eq!(via_counts, via_agents, "{init:?}");
         }
         // Fault plans execute against the engine, so they no longer
         // force the agent-vector path.
-        assert!(Scenario::new(&p).faults(1).trial_counts(0).is_some());
-        assert!(Scenario::new(&p).init(Init::KDistant(2)).trial_counts(0).is_none());
+        assert!(Scenario::new(&p)
+            .faults(1)
+            .trial_counts(0)
+            .unwrap()
+            .is_some());
+        assert!(Scenario::new(&p)
+            .init(Init::KDistant(2))
+            .trial_counts(0)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn stacked_start_beyond_the_u32_occupancy_limit_is_a_config_error() {
+        // Three states and no agent vector: the counts path must refuse
+        // before any population-sized allocation.
+        struct Huge;
+        impl Protocol for Huge {
+            fn name(&self) -> &str {
+                "huge"
+            }
+            fn population_size(&self) -> usize {
+                (1 << 32) + 5
+            }
+            fn num_states(&self) -> usize {
+                3
+            }
+            fn num_rank_states(&self) -> usize {
+                3
+            }
+            fn transition(&self, i: State, r: State) -> Option<(State, State)> {
+                (i == r).then_some((i, (r + 1) % 3))
+            }
+        }
+        impl InteractionSchema for Huge {
+            fn interaction_classes(&self) -> Vec<ClassSpec> {
+                vec![ClassSpec::equal_rank()]
+            }
+        }
+        for (init, state) in [(Init::Stacked, 0), (Init::AllIn(2), 2)] {
+            let err = Scenario::new(&Huge).init(init).build_engine(0).err();
+            assert_eq!(
+                err,
+                Some(ConfigError::OccupancyOverflow {
+                    state,
+                    agents: (1 << 32) + 5
+                }),
+                "{init:?}"
+            );
+        }
     }
 
     #[test]

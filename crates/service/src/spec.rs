@@ -343,8 +343,8 @@ impl JobSpec {
                     })?;
                     spec.bursts.push((parse(t, "burst time")?, parse(f, "burst faults")?));
                 }
-                "fault-rate" => spec.fault_rate = parse(v, "fault-rate")?,
-                "churn" => spec.churn = parse(v, "churn")?,
+                "fault-rate" => spec.fault_rate = parse_rate(v, "fault-rate")?,
+                "churn" => spec.churn = parse_rate(v, "churn")?,
                 "byzantine" => spec.byzantine = parse(v, "byzantine")?,
                 other => {
                     return Err(ServiceError::Spec(format!("unknown spec field '{other}'")))
@@ -374,6 +374,19 @@ fn parse<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, ServiceError> {
     v.trim()
         .parse()
         .map_err(|_| ServiceError::Spec(format!("{what}: cannot parse '{v}'")))
+}
+
+/// A fault or churn rate, which must be a probability. `encode` writes a
+/// rate only when it is positive, so a negative or NaN rate would not
+/// survive a round trip; `validate` refuses them too.
+fn parse_rate(v: &str, what: &str) -> Result<f64, ServiceError> {
+    let rate: f64 = parse(v, what)?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(ServiceError::Spec(format!(
+            "{what} must be a probability in [0, 1], got '{v}'"
+        )));
+    }
+    Ok(rate)
 }
 
 /// Snapshot shapes already derived in this process, keyed by canonical
@@ -668,6 +681,8 @@ impl JobResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use ssr_engine::rng::Xoshiro256;
 
     fn sample_spec() -> JobSpec {
         let mut spec = JobSpec::new("tree", 65_536, 42);
@@ -694,6 +709,10 @@ mod tests {
         assert!(JobSpec::decode("ssr-job v9\nprotocol tree\nn 4\n").is_err());
         assert!(JobSpec::decode("ssr-job v1\nprotocol tree\nn 4\nwat 3\n").is_err());
         assert!(JobSpec::decode("ssr-job v1\nprotocol tree\n").is_err());
+        for rate in ["-1", "NaN", "1.5", "inf"] {
+            let text = format!("ssr-job v1\nprotocol tree\nn 4\nchurn {rate}\n");
+            assert!(JobSpec::decode(&text).is_err(), "churn {rate}");
+        }
     }
 
     #[test]
@@ -835,5 +854,176 @@ mod tests {
         assert!(unbounded.validate().is_err(), "persistent plan needs a cap");
         unbounded.max_interactions = 1_000_000;
         assert!(unbounded.validate().is_ok());
+    }
+
+    /// Values no field accepts everywhere: signs, overflow, NaN, hex,
+    /// separators, non-ASCII, control characters.
+    const AWKWARD: &[&str] = &[
+        "-1",
+        "18446744073709551616",
+        "340282366920938463463374607431768211456",
+        "-0.25",
+        "-0",
+        "NaN",
+        "inf",
+        "-inf",
+        "1e400",
+        "zz",
+        "",
+        " ",
+        ":",
+        "1:2:3:4:5",
+        "x:y",
+        "a b c d e",
+        "é",
+        "\u{0}",
+        "\t",
+    ];
+    const NUMBERS: &[&str] = &["0", "1", "7", "4096", "18446744073709551615"];
+    const RATES: &[&str] = &["0", "1e-7", "0.5", "1", "1.5"];
+    const SPEC_FIELDS: &[(&str, &[&str])] = &[
+        (
+            "protocol",
+            &["tree", "ring", "line", "generic", "ag", "warp", "a b"],
+        ),
+        ("n", NUMBERS),
+        (
+            "init",
+            &[
+                "stacked",
+                "uniform",
+                "perfect",
+                "all-in 3",
+                "all-in",
+                "k-distant 2",
+            ],
+        ),
+        ("engine", &["count", "jump", "naive", "auto", "warp"]),
+        ("seed", NUMBERS),
+        ("max", NUMBERS),
+        ("threads", NUMBERS),
+        (
+            "burst",
+            &[
+                "1:2",
+                "0:0",
+                "340282366920938463463374607431768211455:4294967295",
+                "1",
+            ],
+        ),
+        ("fault-rate", RATES),
+        ("churn", RATES),
+        ("byzantine", NUMBERS),
+    ];
+    const RESULT_FIELDS: &[(&str, &[&str])] = &[
+        ("status", &["silent", "timeout", "done"]),
+        ("interactions", NUMBERS),
+        ("interactions-wide", NUMBERS),
+        ("productive", NUMBERS),
+        (
+            "parallel-time-bits",
+            &["3fb999999999999a", "ffffffffffffffff", "0"],
+        ),
+        (
+            "outcome",
+            &["0 0 1 2 3", "3ff0000000000000 0 1 2", "0 0 -1 2 3"],
+        ),
+        ("burst", &["1:2:3:4", "1:2:3:-", "1:2:3"]),
+    ];
+
+    /// Text shaped like a spool format: a header that is usually right,
+    /// then lines of `fields` with mostly fitting and sometimes
+    /// [`AWKWARD`] values, stray spaces, tabs, carriage returns and the
+    /// odd unknown field.
+    fn format_like_text(seed: u64, header: &str, fields: &[(&str, &[&'static str])]) -> String {
+        fn pick(rng: &mut Xoshiro256, xs: &[&'static str]) -> &'static str {
+            xs[rng.below_usize(xs.len())]
+        }
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        let mut text = String::new();
+        text.push_str(match rng.below(8) {
+            0 => " ",
+            1 => "ssr-job v2",
+            2 => "ssr-result v1",
+            _ => header,
+        });
+        text.push('\n');
+        if seed & 1 == 0 {
+            // The fields a spec must set, so that many texts decode.
+            text.push_str("protocol tree\nn 8\n");
+        }
+        for _ in 0..rng.below(8) {
+            let (field, fitting) = fields[rng.below_usize(fields.len())];
+            text.push_str(if rng.below(32) == 0 { "bogus" } else { field });
+            text.push_str(pick(&mut rng, &[" ", " ", " ", " ", " ", "  ", "\t", ""]));
+            let value = if rng.below(6) == 0 { AWKWARD } else { fitting };
+            text.push_str(pick(&mut rng, value));
+            text.push_str(pick(
+                &mut rng,
+                &["\n", "\n", "\n", "\r\n", " \n", "\n\n", ""],
+            ));
+        }
+        text
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Spec decoding never panics, and any spec that decodes
+        /// re-encodes to text that decodes to an equal spec.
+        #[test]
+        fn spec_decode_never_panics_and_round_trips(
+            seed in any::<u64>(),
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let shaped = format_like_text(seed, JOB_SPEC_VERSION, SPEC_FIELDS);
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            let spliced = format!("{JOB_SPEC_VERSION}\nprotocol tree\nn 8\n{raw}");
+            for text in [shaped, raw, spliced] {
+                if let Ok(spec) = JobSpec::decode(&text) {
+                    let again = JobSpec::decode(&spec.encode());
+                    prop_assert!(again.is_ok(), "{:?} re-encodes to undecodable text", text);
+                    prop_assert_eq!(again.unwrap(), spec, "text {:?}", text);
+                }
+            }
+        }
+
+        /// Result decoding never panics on arbitrary or result-shaped
+        /// text.
+        #[test]
+        fn result_decode_never_panics(
+            seed in any::<u64>(),
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let shaped = format_like_text(seed, JOB_RESULT_VERSION, RESULT_FIELDS);
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            let spliced = format!("{JOB_RESULT_VERSION}\noutcome 0 0 1 2 3\n{raw}");
+            for text in [shaped, raw, spliced] {
+                let _ = JobResult::decode(&text);
+            }
+        }
+
+        /// Key parsing never panics, and a key that parses prints back as
+        /// its (trimmed, lower-cased) input.
+        #[test]
+        fn key_from_hex_never_panics(
+            seed in any::<u64>(),
+            bytes in prop::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let hex = JobKey(seed.to_le_bytes().repeat(2).try_into().unwrap()).hex();
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            // One character of the key replaced by the first of `raw`
+            // (which may be a hex digit, multi-byte, or whitespace).
+            let mut chars: Vec<char> = hex.chars().collect();
+            chars[(seed >> 59) as usize] = raw.chars().next().unwrap_or('G');
+            let edited: String = chars.into_iter().collect();
+            let upper = hex.to_uppercase();
+            let padded = format!(" {hex}\n");
+            for text in [hex.as_str(), &edited, &raw, &upper, &padded] {
+                if let Some(key) = JobKey::from_hex(text) {
+                    prop_assert_eq!(key.hex(), text.trim().to_lowercase());
+                }
+            }
+        }
     }
 }
