@@ -31,7 +31,10 @@ impl Ecdf {
     ///
     /// Panics if the sample is empty or contains NaN.
     pub fn new(mut sample: Vec<f64>) -> Self {
-        assert!(!sample.is_empty(), "cannot build an ECDF of an empty sample");
+        assert!(
+            !sample.is_empty(),
+            "cannot build an ECDF of an empty sample"
+        );
         assert!(sample.iter().all(|x| !x.is_nan()), "sample contains NaN");
         sample.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         Ecdf { sorted: sample }
@@ -116,7 +119,11 @@ impl Histogram {
         assert!(sample.iter().all(|x| !x.is_nan()), "sample contains NaN");
         let lo = sample.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = sample.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let width = if hi > lo { (hi - lo) / bins as f64 } else { 1.0 };
+        let width = if hi > lo {
+            (hi - lo) / bins as f64
+        } else {
+            1.0
+        };
         let mut counts = vec![0u64; bins];
         for &x in sample {
             let idx = (((x - lo) / width) as usize).min(bins - 1);
@@ -153,7 +160,9 @@ impl Histogram {
         for (i, &c) in self.bins.iter().enumerate() {
             let (lo, hi) = self.bin_range(i);
             let bar = "#".repeat(((c as f64 / max as f64) * bar_width as f64).round() as usize);
-            out.push_str(&format!("{lo:>12.1} .. {hi:>12.1} | {bar:<bar_width$} {c}\n"));
+            out.push_str(&format!(
+                "{lo:>12.1} .. {hi:>12.1} | {bar:<bar_width$} {c}\n"
+            ));
         }
         out
     }

@@ -168,11 +168,7 @@ pub fn expected_interactions<P: Protocol + ?Sized>(
     // Unknowns: non-silent configs. Build the dense system
     //   E[i] − Σ (w/W) E[j] = P / W(i).
     let unknowns: Vec<usize> = (0..m).filter(|&i| !silent[i]).collect();
-    let pos: HashMap<usize, usize> = unknowns
-        .iter()
-        .enumerate()
-        .map(|(k, &i)| (i, k))
-        .collect();
+    let pos: HashMap<usize, usize> = unknowns.iter().enumerate().map(|(k, &i)| (i, k)).collect();
     let u = unknowns.len();
     let mut a = vec![0.0f64; u * u];
     let mut b = vec![0.0f64; u];

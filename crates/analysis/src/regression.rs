@@ -134,11 +134,7 @@ mod tests {
     fn noisy_fit_reasonable() {
         let xs: Vec<f64> = (1..=8).map(|i| (i * 50) as f64).collect();
         let noise = [1.05, 0.93, 1.02, 0.97, 1.08, 0.95, 1.01, 0.99];
-        let ys: Vec<f64> = xs
-            .iter()
-            .zip(noise)
-            .map(|(x, w)| 2.0 * x * x * w)
-            .collect();
+        let ys: Vec<f64> = xs.iter().zip(noise).map(|(x, w)| 2.0 * x * x * w).collect();
         let fit = fit_power_law(&xs, &ys);
         assert!((fit.exponent - 2.0).abs() < 0.1, "{}", fit.exponent);
         assert!(fit.r_squared > 0.99);

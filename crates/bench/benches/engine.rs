@@ -210,9 +210,7 @@ fn bench_count_batching(c: &mut Criterion) {
                         .with_threads(threads)
                 },
                 |mut sim| {
-                    while sim.productive_interactions() < budget
-                        && sim.advance().is_some()
-                    {}
+                    while sim.productive_interactions() < budget && sim.advance().is_some() {}
                     black_box(sim.productive_interactions())
                 },
                 criterion::BatchSize::SmallInput,
@@ -267,9 +265,7 @@ fn bench_count_batching(c: &mut Criterion) {
                         .with_threads(threads)
                 },
                 |mut sim| {
-                    while sim.productive_interactions() < budget
-                        && sim.advance().is_some()
-                    {}
+                    while sim.productive_interactions() < budget && sim.advance().is_some() {}
                     black_box(sim.productive_interactions())
                 },
                 criterion::BatchSize::SmallInput,
@@ -398,9 +394,7 @@ fn bench_tree_geometry(c: &mut Criterion) {
 fn bench_service(c: &mut Criterion) {
     use ssr_engine::engine::EngineSnapshot;
     use ssr_engine::wire::SnapshotShape;
-    use ssr_service::{
-        CheckpointStore, JobInit, JobResult, JobSpec, JobStatusKind, ResultCache,
-    };
+    use ssr_service::{CheckpointStore, JobInit, JobResult, JobSpec, JobStatusKind, ResultCache};
 
     let dir = std::env::temp_dir().join(format!("ssr-bench-service-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

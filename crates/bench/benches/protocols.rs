@@ -12,7 +12,9 @@ use std::hint::black_box;
 
 fn run_to_silence<P: InteractionSchema>(p: &P, seed: u64) -> u64 {
     let n = ssr_engine::Protocol::population_size(p);
-    let mut sim = CountSimulation::new(p, vec![0; n], seed).unwrap().with_batching(false);
+    let mut sim = CountSimulation::new(p, vec![0; n], seed)
+        .unwrap()
+        .with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap().interactions
 }
 

@@ -103,7 +103,9 @@ fn run_gate(current: &BTreeMap<String, Entry>, baseline: &BTreeMap<String, Entry
     // Normalise out raw machine speed when the calibration entry exists
     // in both runs (the baseline may come from different hardware).
     let calibration = match (
-        baseline.get(CALIBRATION_ID).and_then(|e| e.elements_per_sec),
+        baseline
+            .get(CALIBRATION_ID)
+            .and_then(|e| e.elements_per_sec),
         current.get(CALIBRATION_ID).and_then(|e| e.elements_per_sec),
     ) {
         (Some(b), Some(c)) if b > 0.0 && c > 0.0 => Some((b, c)),
@@ -152,9 +154,7 @@ fn run_gate(current: &BTreeMap<String, Entry>, baseline: &BTreeMap<String, Entry
                 } else {
                     "ok"
                 };
-                println!(
-                    "  {verdict:>9}  {id}: {c:.3e} vs baseline {b:.3e} ({ratio:.2}×)"
-                );
+                println!("  {verdict:>9}  {id}: {c:.3e} vs baseline {b:.3e} ({ratio:.2}×)");
             }
             _ => {
                 // Time-only entry: informational.

@@ -20,10 +20,10 @@
 
 use ssr_analysis::{Summary, Table};
 use ssr_bench::{print_header, stacked_start, trials, uniform_start};
-use ssr_engine::State;
 use ssr_core::line::{LineOfTraps, RoutingMode};
 use ssr_core::ring::RingOfTraps;
 use ssr_core::tree::TreeRanking;
+use ssr_engine::State;
 use ssr_engine::{Init, Scenario};
 
 /// Measure with an interaction cap; timed-out trials count against the
@@ -138,8 +138,7 @@ fn main() {
         // graph is what makes recovery from concentrated configurations
         // possible at all.
         let trials_here = if cap == u64::MAX { t } else { t.min(3) };
-        let (s, ok) =
-            measure_from(&p, stacked_start, trials_here, 9100, cap);
+        let (s, ok) = measure_from(&p, stacked_start, trials_here, 9100, cap);
         if base.is_nan() {
             base = s.as_ref().map(|s| s.median).unwrap_or(f64::NAN);
             cap = (base * n as f64 * 5.0) as u64;
@@ -184,9 +183,7 @@ fn main() {
         let p = TreeRanking::with_buffer(n, default_k);
         measure(&p, t, 9200, u64::MAX)
     };
-    let cap = (s_def.as_ref().expect("default stabilises").median
-        * n as f64
-        * 20.0) as u64;
+    let cap = (s_def.as_ref().expect("default stabilises").median * n as f64 * 20.0) as u64;
     rows.push((default_k, s_def, ok_def));
     for k in [1usize, 2, default_k / 2, default_k * 2] {
         if k == 0 || k == default_k {

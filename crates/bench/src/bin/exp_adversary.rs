@@ -98,9 +98,7 @@ fn main() {
         }
         let recovery = |outs: &[RunOutcome]| -> Vec<f64> {
             outs.iter()
-                .map(|o| {
-                    o.bursts[0].recovery.expect("unbounded run recovers") as f64 / n as f64
-                })
+                .map(|o| o.bursts[0].recovery.expect("unbounded run recovers") as f64 / n as f64)
                 .collect()
         };
         let (jt, ct) = (recovery(&jump), recovery(&count));

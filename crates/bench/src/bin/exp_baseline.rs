@@ -26,10 +26,7 @@ fn main() {
         "E0: generic protocol A_G",
         "silent self-stabilising ranking in Θ(n²) parallel time whp",
     );
-    let ns = grid(
-        &[64.0, 128.0, 256.0, 512.0, 1024.0],
-        &[64.0, 128.0, 256.0],
-    );
+    let ns = grid(&[64.0, 128.0, 256.0, 512.0, 1024.0], &[64.0, 128.0, 256.0]);
     let t = trials(15);
 
     let stacked = sweep(
@@ -38,7 +35,11 @@ fn main() {
         stacked_start,
         &SweepOptions::new(t).with_base_seed(100),
     );
-    let e1 = report_sweep("A_G from stacked start (all agents in rank 0)", "n", &stacked);
+    let e1 = report_sweep(
+        "A_G from stacked start (all agents in rank 0)",
+        "n",
+        &stacked,
+    );
 
     let random = sweep(
         &ns,

@@ -127,7 +127,11 @@ fn main() {
     for (name, times, x) in [
         ("A_G", gt.clone(), 0usize),
         ("ring", recovery_times(&ring, f, t, 13_100).0, 0),
-        ("tree", recovery_times(&tree, f, t, 13_200).0, tree.num_extra_states()),
+        (
+            "tree",
+            recovery_times(&tree, f, t, 13_200).0,
+            tree.num_extra_states(),
+        ),
     ] {
         let s = Summary::of(&times);
         table.add_row(vec![

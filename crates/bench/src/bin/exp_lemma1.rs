@@ -83,7 +83,12 @@ fn main() {
     let ns = grid(&[110.0, 240.0, 506.0, 1056.0], &[110.0, 240.0]);
 
     println!("\n[Lemma 1: time for a trap with surplus l = m to release ⌊(l+1)/2⌋ agents]");
-    let mut table = Table::new(vec!["n".into(), "m".into(), "mean T".into(), "max T".into()]);
+    let mut table = Table::new(vec![
+        "n".into(),
+        "m".into(),
+        "mean T".into(),
+        "max T".into(),
+    ]);
     let mut meds = Vec::new();
     for &nf in &ns {
         let n = nf as usize;

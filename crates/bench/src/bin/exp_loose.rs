@@ -176,12 +176,7 @@ fn main() {
             let s = Summary::of(&holds);
             (format!("{:.0}", s.median), format!("{:.0}", s.max))
         };
-        table.add_row(vec![
-            tau.to_string(),
-            med,
-            max,
-            format!("{survived}/{t}"),
-        ]);
+        table.add_row(vec![tau.to_string(), med, max, format!("{survived}/{t}")]);
     }
     print!("{}", table.render());
     println!(

@@ -166,7 +166,11 @@ fn main() {
     if threads != 1 {
         println!(
             "(per-class batch splits on {} threads; identical results at any thread count)",
-            if threads == 0 { "all".to_string() } else { threads.to_string() }
+            if threads == 0 {
+                "all".to_string()
+            } else {
+                threads.to_string()
+            }
         );
     }
 
@@ -205,7 +209,12 @@ fn main() {
         fit_log.exponent,
         fit_log.r_squared
     );
-    verdict("E3+ raw exponent (≈1 + log factor)", fit.exponent, 0.95, 1.25);
+    verdict(
+        "E3+ raw exponent (≈1 + log factor)",
+        fit.exponent,
+        0.95,
+        1.25,
+    );
     verdict(
         "E3+ log-corrected exponent (≈1)",
         fit_log.exponent,

@@ -41,10 +41,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ssr-exp-service-{}-{name}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("ssr-exp-service-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -56,7 +53,10 @@ fn tree_job(n: usize, seed: u64) -> JobSpec {
     spec
 }
 
-fn drain(dir: &std::path::Path, cfg_tweak: impl FnOnce(&mut DaemonConfig)) -> ssr_service::DaemonStats {
+fn drain(
+    dir: &std::path::Path,
+    cfg_tweak: impl FnOnce(&mut DaemonConfig),
+) -> ssr_service::DaemonStats {
     let mut cfg = DaemonConfig::new(dir.to_path_buf());
     cfg_tweak(&mut cfg);
     Daemon::new(cfg).unwrap().run().unwrap()

@@ -25,12 +25,7 @@ use ssr_engine::Protocol;
 
 fn k_distant_start(p: &RingOfTraps, k: usize, seed: u64) -> Vec<u32> {
     let mut rng = Xoshiro256::seed_from_u64(seed);
-    init::k_distant(
-        p.population_size(),
-        k,
-        DuplicatePlacement::Random,
-        &mut rng,
-    )
+    init::k_distant(p.population_size(), k, DuplicatePlacement::Random, &mut rng)
 }
 
 fn main() {
@@ -119,7 +114,12 @@ fn main() {
 
     println!();
     verdict("(b) k-distant exponent (theory 1.5)", e_b, 1.2, 1.8);
-    verdict("(c) arbitrary-start exponent (theory ≤ 2 + polylog)", e_c, 1.6, 2.4);
+    verdict(
+        "(c) arbitrary-start exponent (theory ≤ 2 + polylog)",
+        e_c,
+        1.6,
+        2.4,
+    );
     verdict("(c') A_G exponent (theory 2)", e_ag, 1.7, 2.3);
     println!(
         "shape check: ring from small-k starts must beat both arbitrary-start \

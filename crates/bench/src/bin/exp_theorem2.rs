@@ -68,6 +68,10 @@ fn main() {
     verdict("A_G exponent (theory 2)", e_ag, 1.7, 2.3);
     println!(
         "VERDICT crossover: ratio falls from {first:.2} to {last:.2} → {}",
-        if last < first { "line protocol wins asymptotically (MATCHES)" } else { "CHECK" }
+        if last < first {
+            "line protocol wins asymptotically (MATCHES)"
+        } else {
+            "CHECK"
+        }
     );
 }

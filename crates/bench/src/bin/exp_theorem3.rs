@@ -48,10 +48,7 @@ fn main() {
         "silent self-stabilising ranking in O(n log n) whp",
     );
     let t = trials(15);
-    let ns = grid(
-        &[256.0, 1024.0, 4096.0, 16384.0],
-        &[256.0, 1024.0],
-    );
+    let ns = grid(&[256.0, 1024.0, 4096.0, 16384.0], &[256.0, 1024.0]);
 
     let stacked = sweep(
         &ns,
@@ -76,7 +73,12 @@ fn main() {
 
     // Lemma 21: reset epidemic is O(log n) parallel time.
     println!("\n[Lemma 21: red-epidemic sweep time (parallel) vs n]");
-    let mut table = Table::new(vec!["n".into(), "mean".into(), "max".into(), "/log₂n".into()]);
+    let mut table = Table::new(vec![
+        "n".into(),
+        "mean".into(),
+        "max".into(),
+        "/log₂n".into(),
+    ]);
     let ep_ns = grid(&[128_f64, 512.0, 2048.0, 8192.0], &[128.0, 512.0]);
     for &nf in &ep_ns {
         let n = nf as usize;
@@ -108,9 +110,24 @@ fn main() {
     let l = LineOfTraps::new(n_sum);
     let tr = TreeRanking::new(n_sum);
     let rows: Vec<(&str, usize, &str, f64)> = vec![
-        ("A_G", 0, "Θ(n²)", mean_parallel_time(&g, uniform_start, t, 1)),
-        ("ring", 0, "O(n²log²n)", mean_parallel_time(&r, uniform_start, t, 2)),
-        ("line", 1, "O(n^1.75log²n)", mean_parallel_time(&l, uniform_start, t, 3)),
+        (
+            "A_G",
+            0,
+            "Θ(n²)",
+            mean_parallel_time(&g, uniform_start, t, 1),
+        ),
+        (
+            "ring",
+            0,
+            "O(n²log²n)",
+            mean_parallel_time(&r, uniform_start, t, 2),
+        ),
+        (
+            "line",
+            1,
+            "O(n^1.75log²n)",
+            mean_parallel_time(&l, uniform_start, t, 3),
+        ),
         ("tree", Protocol::num_extra_states(&tr), "O(n log n)", {
             mean_parallel_time(&tr, uniform_start, t, 4)
         }),
@@ -126,6 +143,16 @@ fn main() {
     print!("{}", table.render());
 
     println!();
-    verdict("tree stacked exponent (theory 1 + log)", e_stacked, 0.85, 1.35);
-    verdict("tree random exponent (theory 1 + log)", e_random, 0.85, 1.35);
+    verdict(
+        "tree stacked exponent (theory 1 + log)",
+        e_stacked,
+        0.85,
+        1.35,
+    );
+    verdict(
+        "tree random exponent (theory 1 + log)",
+        e_random,
+        0.85,
+        1.35,
+    );
 }

@@ -28,8 +28,8 @@ use ssr_core::{elect_leader, GenericRanking, LineOfTraps, RingOfTraps, TreeRanki
 use ssr_engine::init::{self, DuplicatePlacement};
 use ssr_engine::rng::{derive_seed, Xoshiro256};
 use ssr_engine::{
-    CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema, Protocol,
-    RunOutcome, Scenario, State,
+    CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema, Protocol, RunOutcome,
+    Scenario, State,
 };
 use ssr_service::{daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec};
 
@@ -137,7 +137,12 @@ fn cmd_run(a: &Args) -> Result<(), String> {
     let max = a.u64_or("max", u64::MAX)?;
     let threads = a.usize_or("threads", 0)?;
     let kind = engine_kind(a)?;
-    let start = make_start(p.as_ref(), &a.str_or("start", "uniform"), a.usize_or("k", 1)?, seed)?;
+    let start = make_start(
+        p.as_ref(),
+        &a.str_or("start", "uniform"),
+        a.usize_or("k", 1)?,
+        seed,
+    )?;
     let make = move |_seed| start.clone();
     let scenario = Scenario::new(p.as_ref())
         .engine(kind)
@@ -224,7 +229,10 @@ fn run_fault_plan(
                 .to_string(),
         );
     }
-    Ok(scenario.fault_plan(plan).max_interactions(max).run_outcome(0))
+    Ok(scenario
+        .fault_plan(plan)
+        .max_interactions(max)
+        .run_outcome(0))
 }
 
 fn cmd_sweep(a: &Args) -> Result<(), String> {
@@ -274,7 +282,12 @@ fn cmd_elect(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 100)?;
     let p = make_protocol(&a.str_or("protocol", "ring"), n)?;
     let seed = a.u64_or("seed", 1)?;
-    let start = make_start(p.as_ref(), &a.str_or("start", "k-distant"), a.usize_or("k", 1)?, seed)?;
+    let start = make_start(
+        p.as_ref(),
+        &a.str_or("start", "k-distant"),
+        a.usize_or("k", 1)?,
+        seed,
+    )?;
     let out = elect_leader(p.as_ref(), start, seed, u64::MAX).map_err(|e| e.to_string())?;
     println!(
         "{}: agent #{} elected leader after parallel time {:.1}",
@@ -311,7 +324,11 @@ fn cmd_exact(a: &Args) -> Result<(), String> {
         s.ci95_half_width()
     );
     let rel = (exact - s.mean).abs() / exact;
-    println!("  relative gap: {:.4} ({})", rel, if rel < 0.02 { "OK" } else { "LARGE" });
+    println!(
+        "  relative gap: {:.4} ({})",
+        rel,
+        if rel < 0.02 { "OK" } else { "LARGE" }
+    );
     Ok(())
 }
 
@@ -323,8 +340,7 @@ fn cmd_check(a: &Args) -> Result<(), String> {
         "model-checking {} at n = {n} over the full configuration space…",
         p.name()
     );
-    let cert =
-        ssr_analysis::verify_stability(p.as_ref(), limit).map_err(|e| e.to_string())?;
+    let cert = ssr_analysis::verify_stability(p.as_ref(), limit).map_err(|e| e.to_string())?;
     println!(
         "certified stable & silent: {} configurations enumerated, \
          {} silent (the perfect ranking), {} transitions",
@@ -336,8 +352,8 @@ fn cmd_check(a: &Args) -> Result<(), String> {
 fn cmd_faults(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 100)?;
     let p = make_protocol(&a.str_or("protocol", "ring"), n)?;
-    let faults = u32::try_from(a.usize_or("faults", 4)?)
-        .map_err(|_| "--faults is too large".to_string())?;
+    let faults =
+        u32::try_from(a.usize_or("faults", 4)?).map_err(|_| "--faults is too large".to_string())?;
     let trials = a.usize_or("trials", 10)?;
     let seed = a.u64_or("seed", 1)?;
     let outcomes = Scenario::new(p.as_ref())
@@ -727,7 +743,15 @@ mod tests {
         // (protocol, n, start, engine, seed, fault flags, max)
         type Case<'a> = (&'a str, usize, &'a str, EngineKind, u64, &'a [&'a str], u64);
         let cases: [Case; 3] = [
-            ("ring", 240, "perfect", EngineKind::Auto, 3, &["--fault-burst", "2000:6"], u64::MAX),
+            (
+                "ring",
+                240,
+                "perfect",
+                EngineKind::Auto,
+                3,
+                &["--fault-burst", "2000:6"],
+                u64::MAX,
+            ),
             (
                 "tree",
                 5000,
@@ -759,7 +783,9 @@ mod tests {
                     .base_seed(seed)
                     .threads(1)
             };
-            let plan = parse_fault_plan(&args(&[&["run"], flags].concat())).unwrap().unwrap();
+            let plan = parse_fault_plan(&args(&[&["run"], flags].concat()))
+                .unwrap()
+                .unwrap();
             let got = run_fault_plan(scenario(), plan.clone(), max).unwrap();
             let mut engine = scenario().build_engine(0).unwrap();
             let fault_seed = derive_seed(seed, 0) ^ 0xFA17_FA17_FA17_FA17;
@@ -813,9 +839,25 @@ mod tests {
     fn submit_flags_assemble_a_job_spec() {
         let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
         let a = args(&[
-            "submit", "--protocol", "tree", "--n", "4096", "--seed", "9", "--start",
-            "k-distant", "--k", "3", "--engine", "count", "--threads", "2", "--max",
-            "1000000", "--fault-burst", "100:4",
+            "submit",
+            "--protocol",
+            "tree",
+            "--n",
+            "4096",
+            "--seed",
+            "9",
+            "--start",
+            "k-distant",
+            "--k",
+            "3",
+            "--engine",
+            "count",
+            "--threads",
+            "2",
+            "--max",
+            "1000000",
+            "--fault-burst",
+            "100:4",
         ]);
         let spec = parse_job_spec(&a).unwrap();
         assert_eq!(spec.protocol, "tree");

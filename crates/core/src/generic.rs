@@ -123,7 +123,9 @@ mod tests {
             let p = GenericRanking::new(n);
             for trial in 0..5 {
                 let cfg = init::uniform_random(n, n, &mut rng);
-                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
+                let mut sim = CountSimulation::new(&p, cfg, trial)
+                    .unwrap()
+                    .with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(sim.counts().iter().all(|&c| c == 1), "n={n}");
             }

@@ -101,10 +101,7 @@ pub fn elect_leader<P: Protocol + ?Sized>(
 /// True when exactly one agent occupies the leader rank — the election
 /// safety predicate, checkable on any configuration.
 pub fn has_unique_leader(counts: &[u32]) -> bool {
-    counts
-        .first()
-        .map(|&c| c == 1)
-        .unwrap_or(false)
+    counts.first().map(|&c| c == 1).unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -524,8 +524,8 @@ mod tests {
     #[test]
     fn rules_match_paper() {
         let p = LineOfTraps::new(6); // m=1: 1 line, 3 traps of size 2.
-        // Line layout: trap 0 (exit) = states {0 gate, 1 top},
-        // trap 1 = {2, 3}, trap 2 (entrance) = {4, 5}.
+                                     // Line layout: trap 0 (exit) = states {0 gate, 1 top},
+                                     // trap 1 = {2, 3}, trap 2 (entrance) = {4, 5}.
         assert_eq!(p.entrance_gate(0), 4);
         assert_eq!(p.exit_gate(0), 0);
         // Inner descent.
@@ -553,10 +553,9 @@ mod tests {
     fn stabilises_from_all_x_start() {
         for n in [6usize, 20, 72] {
             let p = LineOfTraps::new(n);
-            let mut sim =
-                CountSimulation::new(&p, vec![p.x_state(); n], n as u64)
-                    .unwrap()
-                    .with_batching(false);
+            let mut sim = CountSimulation::new(&p, vec![p.x_state(); n], n as u64)
+                .unwrap()
+                .with_batching(false);
             sim.run_until_silent(u64::MAX).unwrap();
             assert!(sim.counts()[..n].iter().all(|&c| c == 1), "n={n}");
             assert_eq!(sim.counts()[n], 0);
@@ -570,12 +569,16 @@ mod tests {
             let p = LineOfTraps::new(n);
             for trial in 0..4 {
                 let cfg = init::uniform_random(n, n + 1, &mut rng);
-                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
+                let mut sim = CountSimulation::new(&p, cfg, trial)
+                    .unwrap()
+                    .with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(sim.is_silent(), "n={n} trial={trial}");
             }
             let cfg = init::k_distant(n, n / 3, DuplicatePlacement::Stacked, &mut rng);
-            let mut sim = CountSimulation::new(&p, cfg, 99).unwrap().with_batching(false);
+            let mut sim = CountSimulation::new(&p, cfg, 99)
+                .unwrap()
+                .with_batching(false);
             sim.run_until_silent(u64::MAX).unwrap();
             assert!(sim.is_silent());
         }
@@ -602,9 +605,7 @@ mod tests {
                     "trial {trial} line {l}"
                 );
                 // δ̄ is 0/1 and ᾱ within capacity.
-                for (t, (&a, &d)) in
-                    settled.alpha.iter().zip(&settled.delta).enumerate()
-                {
+                for (t, (&a, &d)) in settled.alpha.iter().zip(&settled.delta).enumerate() {
                     assert!(d <= 1);
                     assert!(a < p.line(l).size(t));
                 }
@@ -691,7 +692,11 @@ mod routing_tests {
 
     #[test]
     fn ablation_routings_satisfy_contract() {
-        for mode in [RoutingMode::CubicGraph, RoutingMode::SelfLoop, RoutingMode::NextLine] {
+        for mode in [
+            RoutingMode::CubicGraph,
+            RoutingMode::SelfLoop,
+            RoutingMode::NextLine,
+        ] {
             let p = LineOfTraps::new(72).with_routing(mode);
             validate_ranking_contract(&p).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
         }

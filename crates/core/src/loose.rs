@@ -223,7 +223,11 @@ mod tests {
         for _ in 0..200 * n {
             sim.advance();
         }
-        assert_eq!(p.leader_count(sim.counts()), 1, "duels must leave one leader");
+        assert_eq!(
+            p.leader_count(sim.counts()),
+            1,
+            "duels must leave one leader"
+        );
     }
 
     #[test]

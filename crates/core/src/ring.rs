@@ -182,8 +182,8 @@ impl InteractionSchema for RingOfTraps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssr_engine::init::{self, DuplicatePlacement};
     use ssr_engine::engine::{Engine, FnCountObserver};
+    use ssr_engine::init::{self, DuplicatePlacement};
     use ssr_engine::protocol::validate_ranking_contract;
     use ssr_engine::rng::Xoshiro256;
     use ssr_engine::{CountSimulation, Simulation};
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn rules_match_paper() {
         let p = RingOfTraps::new(12); // m = 3, traps of size 4: gates 0,4,8
-        // Inner rule: (a,b)+(a,b) → (a,b)+(a,b−1).
+                                      // Inner rule: (a,b)+(a,b) → (a,b)+(a,b−1).
         assert_eq!(p.transition(3, 3), Some((3, 2)));
         assert_eq!(p.transition(1, 1), Some((1, 0)));
         // Gate rule: (a,0)+(a,0) → (a,m)+((a+1) mod m, 0).
@@ -262,7 +262,9 @@ mod tests {
     #[test]
     fn stabilises_from_stacked_start() {
         let p = RingOfTraps::new(20);
-        let mut sim = CountSimulation::new(&p, vec![0; 20], 5).unwrap().with_batching(false);
+        let mut sim = CountSimulation::new(&p, vec![0; 20], 5)
+            .unwrap()
+            .with_batching(false);
         sim.run_until_silent(u64::MAX).unwrap();
         assert!(sim.counts().iter().all(|&c| c == 1));
     }
@@ -390,7 +392,9 @@ mod tests {
     #[test]
     fn final_configuration_fully_stabilises_every_trap() {
         let p = RingOfTraps::new(30);
-        let mut sim = CountSimulation::new(&p, vec![7; 30], 2).unwrap().with_batching(false);
+        let mut sim = CountSimulation::new(&p, vec![7; 30], 2)
+            .unwrap()
+            .with_batching(false);
         sim.run_until_silent(u64::MAX).unwrap();
         for v in p.trap_views(sim.counts()) {
             assert!(v.is_fully_stabilised());
@@ -435,11 +439,7 @@ mod degeneration_tests {
         let ag = GenericRanking::new(n);
         for a in 0..n as State {
             for b in 0..n as State {
-                assert_eq!(
-                    ring.transition(a, b),
-                    ag.transition(a, b),
-                    "pair ({a},{b})"
-                );
+                assert_eq!(ring.transition(a, b), ag.transition(a, b), "pair ({a},{b})");
             }
         }
     }

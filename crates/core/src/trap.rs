@@ -124,24 +124,22 @@ impl TrapView {
     /// Fully stabilised: every state of the trap (gate included) is
     /// occupied by exactly one agent.
     pub fn is_fully_stabilised(&self) -> bool {
-        self.occupancy == self.size
-            && self.is_saturated()
-            && self.gate_count == 1
-            && self.is_flat()
+        self.occupancy == self.size && self.is_saturated() && self.gate_count == 1 && self.is_flat()
     }
 
     /// Tidy (§2.2): every overloaded inner state has a higher offset than
     /// every gap in this trap.
     pub fn is_tidy(&self) -> bool {
-        self.gaps == 0
-            || self.overloaded_inner == 0
-            || self.lowest_overload > self.highest_gap
+        self.gaps == 0 || self.overloaded_inner == 0 || self.lowest_overload > self.highest_gap
     }
 }
 
 /// Read all traps of a chain.
 pub fn views(chain: &TrapChain, counts: &[u32]) -> Vec<TrapView> {
-    chain.traps().map(|t| TrapView::read(chain, t, counts)).collect()
+    chain
+        .traps()
+        .map(|t| TrapView::read(chain, t, counts))
+        .collect()
 }
 
 /// A configuration restricted to a chain is *tidy* when every trap is tidy
@@ -247,8 +245,8 @@ mod tests {
     #[test]
     fn weight_k_cases() {
         let c = TrapChain::uniform(2, 3, 0); // two traps: ids 0..3, 3..6
-        // Trap 0: flat, gate empty → k1 += 1; one gap → k2 += 1.
-        // Trap 1: gate occupied, saturated, flat → contributes 0.
+                                             // Trap 0: flat, gate empty → k1 += 1; one gap → k2 += 1.
+                                             // Trap 1: gate occupied, saturated, flat → contributes 0.
         let counts = [0u32, 1, 0, 1, 1, 1];
         assert_eq!(weight_k(&c, &counts), 1 + 2);
     }

@@ -214,11 +214,7 @@ impl TreeRanking {
             format!("node {p} ({kind}, depth {})", self.tree.depth(p))
         } else {
             let i = self.x_index(s);
-            format!(
-                "X{} ({})",
-                i,
-                if self.is_red(i) { "red" } else { "green" }
-            )
+            format!("X{} ({})", i, if self.is_red(i) { "red" } else { "green" })
         }
     }
 }
@@ -341,7 +337,7 @@ mod tests {
     #[test]
     fn rules_match_paper_for_figure_2_tree() {
         let p = TreeRanking::with_buffer(9, 2); // X₁..X₄ = states 9..13
-        // R1 branching at the root (half 4): 0+0 → 1 + 5.
+                                                // R1 branching at the root (half 4): 0+0 → 1 + 5.
         assert_eq!(p.transition(0, 0), Some((1, 5)));
         // R1 non-branching: 1+1 → 1 + 2.
         assert_eq!(p.transition(1, 1), Some((1, 2)));
@@ -372,10 +368,7 @@ mod tests {
             let mut counts = vec![0u32; p.num_states()];
             counts[0] = n as u32;
             let settled = p.dispersal_flow(&counts);
-            assert!(
-                settled.iter().all(|&c| c == 1),
-                "n={n}: {settled:?}"
-            );
+            assert!(settled.iter().all(|&c| c == 1), "n={n}: {settled:?}");
             assert!(p.is_balanced(&counts));
         }
     }
@@ -410,25 +403,33 @@ mod tests {
     #[test]
     fn stabilises_from_adversarial_starts() {
         let starts: Vec<(&str, StartGen)> = vec![
-            ("all at root", Box::new(|p: &TreeRanking| {
-                vec![0; p.population_size()]
-            })),
-            ("all on a leaf", Box::new(|p: &TreeRanking| {
-                let leaf = p.tree().leaves_iter().next().unwrap() as u32;
-                vec![leaf; p.population_size()]
-            })),
-            ("all red X₁", Box::new(|p: &TreeRanking| {
-                vec![p.x(1); p.population_size()]
-            })),
-            ("all green X₂ₖ", Box::new(|p: &TreeRanking| {
-                vec![p.x(2 * p.buffer_half()); p.population_size()]
-            })),
+            (
+                "all at root",
+                Box::new(|p: &TreeRanking| vec![0; p.population_size()]),
+            ),
+            (
+                "all on a leaf",
+                Box::new(|p: &TreeRanking| {
+                    let leaf = p.tree().leaves_iter().next().unwrap() as u32;
+                    vec![leaf; p.population_size()]
+                }),
+            ),
+            (
+                "all red X₁",
+                Box::new(|p: &TreeRanking| vec![p.x(1); p.population_size()]),
+            ),
+            (
+                "all green X₂ₖ",
+                Box::new(|p: &TreeRanking| vec![p.x(2 * p.buffer_half()); p.population_size()]),
+            ),
         ];
         for n in [2usize, 9, 31, 64] {
             let p = TreeRanking::new(n);
             for (name, make) in &starts {
                 let cfg = make(&p);
-                let mut sim = CountSimulation::new(&p, cfg, n as u64).unwrap().with_batching(false);
+                let mut sim = CountSimulation::new(&p, cfg, n as u64)
+                    .unwrap()
+                    .with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(
                     sim.counts()[..n].iter().all(|&c| c == 1),
@@ -445,7 +446,9 @@ mod tests {
             let p = TreeRanking::new(n);
             for trial in 0..5 {
                 let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
+                let mut sim = CountSimulation::new(&p, cfg, trial)
+                    .unwrap()
+                    .with_batching(false);
                 sim.run_until_silent(u64::MAX).unwrap();
                 assert!(sim.is_silent(), "n={n} trial={trial}");
             }
@@ -533,7 +536,9 @@ mod modified_tests {
             let p = TreeRanking::new(n).as_modified();
             for trial in 0..4 {
                 let cfg = init::uniform_random(n, Protocol::num_states(&p), &mut rng);
-                let mut sim = CountSimulation::new(&p, cfg, trial).unwrap().with_batching(false);
+                let mut sim = CountSimulation::new(&p, cfg, trial)
+                    .unwrap()
+                    .with_batching(false);
                 // Generous O(n log n)-parallel cap, in interactions.
                 let cap = 200 * (n as u64) * (n as u64) * (n.ilog2() as u64 + 1);
                 let mut outcome = None;
@@ -569,10 +574,9 @@ mod modified_tests {
             let trials = 200u64;
             let total: u64 = (0..trials)
                 .map(|t| {
-                    let mut s =
-                        CountSimulation::new(p, vec![0; n], seed0 + t)
-                            .unwrap()
-                            .with_batching(false);
+                    let mut s = CountSimulation::new(p, vec![0; n], seed0 + t)
+                        .unwrap()
+                        .with_batching(false);
                     s.run_until_silent(u64::MAX).unwrap().interactions
                 })
                 .sum();

@@ -1168,13 +1168,7 @@ impl SparseState {
     /// Multinomial split of `k` draws over group `g`'s pairs, appending
     /// `(local_index, draws)` pairs (add `group_off[g]` for global
     /// indices).
-    pub fn split_group(
-        &self,
-        g: usize,
-        k: u64,
-        rng: &mut Xoshiro256,
-        out: &mut Vec<(usize, u64)>,
-    ) {
+    pub fn split_group(&self, g: usize, k: u64, rng: &mut Xoshiro256, out: &mut Vec<(usize, u64)>) {
         self.debug_assert_flushed();
         self.trees[g].split(k, rng, out);
     }
@@ -1860,7 +1854,11 @@ mod tests {
         wt.assign(&weights);
         assert_eq!(bt.total(), wt.total());
         for target in 0..wt.total() {
-            assert_eq!(bt.sample(target, &leaf), wt.sample(target), "target {target}");
+            assert_eq!(
+                bt.sample(target, &leaf),
+                wt.sample(target),
+                "target {target}"
+            );
         }
         // Point update keeps the map aligned.
         let mut weights2 = weights.clone();
@@ -1870,7 +1868,11 @@ mod tests {
         wt.set(70, 9);
         assert_eq!(bt.total(), wt.total());
         for target in 0..wt.total() {
-            assert_eq!(bt.sample(target, &leaf2), wt.sample(target), "target {target}");
+            assert_eq!(
+                bt.sample(target, &leaf2),
+                wt.sample(target),
+                "target {target}"
+            );
         }
         // Split conserves the batch and only touches positive leaves.
         let mut rng = Xoshiro256::seed_from_u64(8);
@@ -1960,7 +1962,7 @@ mod tests {
     }
 
     #[test]
-    fn class_state_weights_match_brute_force(){
+    fn class_state_weights_match_brute_force() {
         crate::protocol::validate_interaction_schema(&AllClasses).unwrap();
         // counts: ranks [2, 1, 0, 1, 0, 0], extras [1, 1]
         let counts = vec![2, 1, 0, 1, 0, 0, 1, 1];
@@ -2183,7 +2185,10 @@ mod tests {
             *per_pair.entry(st.sample_pair(&mut rng)).or_insert(0u64) += 1;
         }
         for (&(a, b), &hits) in &per_pair {
-            assert!(AllClasses.transition(a, b).is_some(), "null pair ({a},{b}) sampled");
+            assert!(
+                AllClasses.transition(a, b).is_some(),
+                "null pair ({a},{b}) sampled"
+            );
             let expect = pair_weight(&counts, a, b) as f64 / w as f64;
             let got = hits as f64 / trials as f64;
             assert!(
@@ -2217,9 +2222,7 @@ mod tests {
         }
         fn transition(&self, i: State, r: State) -> Option<(State, State)> {
             match (i, r) {
-                (3, 0) | (0, 2) | (2, 2) | (0, 4) | (2, 1) | (4, 0) => {
-                    Some(((i + 1) % 5, r))
-                }
+                (3, 0) | (0, 2) | (2, 2) | (0, 4) | (2, 1) | (4, 0) => Some(((i + 1) % 5, r)),
                 _ => None,
             }
         }

@@ -218,7 +218,9 @@ fn plan_tasks(
     let [k_eq, k_xx, k_cross, k_sparse] = ks;
     let mut parts: Vec<(usize, u64)> = Vec::new();
     if k_eq > 0 {
-        state.eq.partition(k_eq, PARTITION_TASK_DRAWS, coord, &mut parts);
+        state
+            .eq
+            .partition(k_eq, PARTITION_TASK_DRAWS, coord, &mut parts);
         tasks.extend(parts.iter().map(|&(node, k)| SplitTask::Eq { node, k }));
     }
     if k_xx > 0 {
@@ -278,7 +280,11 @@ fn plan_tasks(
             (0..sp.num_groups()).map(|g| (g as u32, sp.group_total(g))),
             &mut groups,
         );
-        tasks.extend(groups.iter().map(|&(group, k)| SplitTask::Sparse { group, k }));
+        tasks.extend(
+            groups
+                .iter()
+                .map(|&(group, k)| SplitTask::Sparse { group, k }),
+        );
     }
 }
 
@@ -344,7 +350,11 @@ fn run_split_task(
             out.extend(split.iter().map(|&(r, k_re)| {
                 let r = r as State;
                 (
-                    if extra_initiates { (extra, r) } else { (r, extra) },
+                    if extra_initiates {
+                        (extra, r)
+                    } else {
+                        (r, extra)
+                    },
                     k_re,
                 )
             }));
@@ -515,8 +525,8 @@ impl WorkerPool {
         }
         // Every worker released its handle before signalling, so the
         // coordinator now holds the only reference.
-        let job = Arc::try_unwrap(job)
-            .unwrap_or_else(|_| panic!("a worker still holds the batch job"));
+        let job =
+            Arc::try_unwrap(job).unwrap_or_else(|_| panic!("a worker still holds the batch job"));
         *state = job.state;
         *tasks = job.tasks;
         let mut slots = job.slots;
@@ -629,11 +639,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     ///
     /// Returns [`ConfigError::WrongPopulation`] if counts do not sum to
     /// `n` or the counts vector length differs from the state-space size.
-    pub fn from_counts(
-        protocol: &'a P,
-        counts: Vec<u32>,
-        seed: u64,
-    ) -> Result<Self, ConfigError> {
+    pub fn from_counts(protocol: &'a P, counts: Vec<u32>, seed: u64) -> Result<Self, ConfigError> {
         let n = protocol.population_size();
         let state = ClassState::new(protocol, counts)?;
         Ok(CountSimulation {
@@ -947,7 +953,12 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         let mut coord = Xoshiro256::seed_from_u64(derive_seed(batch_seed, 0));
         let mut tasks = std::mem::take(&mut self.task_scratch);
         tasks.clear();
-        plan_tasks(&self.state, [k_eq, k_xx, k_cross, k_sparse], &mut coord, &mut tasks);
+        plan_tasks(
+            &self.state,
+            [k_eq, k_xx, k_cross, k_sparse],
+            &mut coord,
+            &mut tasks,
+        );
 
         let mut keys = std::mem::take(&mut self.key_scratch);
         keys.clear();
@@ -1002,7 +1013,11 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         let (a, b) = before;
         let (a2, b2) = after;
         if after == before {
-            return Some(BatchGroup { before, after, applied: k });
+            return Some(BatchGroup {
+                before,
+                after,
+                applied: k,
+            });
         }
         // Per-application occupancy deltas over the (≤ 4) involved states.
         let mut deltas = [(0 as State, 0i64); 4];
@@ -1349,14 +1364,10 @@ impl<P: InteractionSchema + ?Sized> Engine for CountSimulation<'_, P> {
 
     fn inject_state_fault(&mut self, from: State, to: State) {
         assert!(
-            (from as usize) < self.state.counts.len()
-                && (to as usize) < self.state.counts.len(),
+            (from as usize) < self.state.counts.len() && (to as usize) < self.state.counts.len(),
             "state out of range"
         );
-        let reserved = self
-            .byz
-            .as_ref()
-            .map_or(0, |byz| byz.counts[from as usize]);
+        let reserved = self.byz.as_ref().map_or(0, |byz| byz.counts[from as usize]);
         assert!(
             self.state.counts[from as usize] > reserved,
             "state {from} has no non-Byzantine occupant"
@@ -1447,7 +1458,9 @@ mod tests {
     }
 
     fn exact(p: &Ag, config: Vec<State>, seed: u64) -> CountSimulation<'_, Ag> {
-        CountSimulation::new(p, config, seed).unwrap().with_batching(false)
+        CountSimulation::new(p, config, seed)
+            .unwrap()
+            .with_batching(false)
     }
 
     /// The exact chain and the naive chain are the same process: compare
@@ -1742,7 +1755,11 @@ mod tests {
             for _ in 0..40 {
                 s.advance();
             }
-            (s.interactions(), s.productive_interactions(), s.into_counts())
+            (
+                s.interactions(),
+                s.productive_interactions(),
+                s.into_counts(),
+            )
         };
         let serial = run(1);
         assert_eq!(serial, run(4), "1-thread vs 4-thread trajectories differ");
@@ -1766,7 +1783,11 @@ mod tests {
                     .unwrap()
                     .with_threads(threads);
                 let rep = s.run_until_silent(u64::MAX).unwrap();
-                (rep.interactions, rep.productive_interactions, s.into_counts())
+                (
+                    rep.interactions,
+                    rep.productive_interactions,
+                    s.into_counts(),
+                )
             };
             let serial = run(1);
             let pooled = run(3);
@@ -1780,7 +1801,9 @@ mod tests {
     fn pool_survives_snapshot_restore() {
         let n = 1 << 15;
         let p = Ag { n };
-        let mut s = CountSimulation::new(&p, vec![0; n], 11).unwrap().with_threads(3);
+        let mut s = CountSimulation::new(&p, vec![0; n], 11)
+            .unwrap()
+            .with_threads(3);
         for _ in 0..5 {
             s.advance();
         }
@@ -2029,10 +2052,9 @@ mod tests {
         let mean = |batching: bool| -> f64 {
             (0..trials)
                 .map(|t| {
-                    let mut s =
-                        CountSimulation::from_counts(&p, annihilate_counts(n), 4_000 + t)
-                            .unwrap()
-                            .with_batching(batching);
+                    let mut s = CountSimulation::from_counts(&p, annihilate_counts(n), 4_000 + t)
+                        .unwrap()
+                        .with_batching(batching);
                     s.run_until_silent(u64::MAX).unwrap().interactions as f64
                 })
                 .sum::<f64>()
@@ -2114,7 +2136,11 @@ mod tests {
         fn interaction_classes(&self) -> Vec<ClassSpec> {
             let s = self.s as State;
             (0..s)
-                .flat_map(|a| (0..s).filter(move |&b| b != a).map(move |b| ClassSpec::pair(a, b)))
+                .flat_map(|a| {
+                    (0..s)
+                        .filter(move |&b| b != a)
+                        .map(move |b| ClassSpec::pair(a, b))
+                })
                 .collect()
         }
     }

@@ -104,7 +104,10 @@ use crate::sim::StabilisationReport;
 /// The paper's `k`-distance of a configuration given as occupancy counts:
 /// the number of **unoccupied rank states**.
 pub fn rank_distance(counts: &[u32], num_rank_states: usize) -> usize {
-    counts[..num_rank_states].iter().filter(|&&c| c == 0).count()
+    counts[..num_rank_states]
+        .iter()
+        .filter(|&&c| c == 0)
+        .count()
 }
 
 /// A timed fault plan on the interaction clock: which fault processes run
@@ -356,10 +359,8 @@ impl<'p> PlanExec<'p> {
             byz_total = plan.byzantine as u64;
             engine.set_byzantine(&byz);
         }
-        let next_rate = (plan.rate > 0.0)
-            .then(|| start + 1 + rng.geometric(plan.rate) as u128);
-        let next_churn = (plan.churn > 0.0)
-            .then(|| start + 1 + rng.geometric(plan.churn) as u128);
+        let next_rate = (plan.rate > 0.0).then(|| start + 1 + rng.geometric(plan.rate) as u128);
+        let next_churn = (plan.churn > 0.0).then(|| start + 1 + rng.geometric(plan.churn) as u128);
         PlanExec {
             plan,
             rng,
@@ -404,7 +405,10 @@ impl<'p> PlanExec<'p> {
                     }
                 }
             };
-            consider(self.plan.bursts.get(self.next_burst).map(|&(t, _)| t), Due::Burst);
+            consider(
+                self.plan.bursts.get(self.next_burst).map(|&(t, _)| t),
+                Due::Burst,
+            );
             consider(self.next_periodic, Due::Periodic);
             consider(self.next_rate, Due::Rate);
             consider(self.next_churn, Due::Churn);
@@ -624,7 +628,10 @@ mod tests {
     /// A perfect start corrupted by `faults` at time zero, through the
     /// scenario front door.
     fn corrupted(p: &Ag, faults: u32, seed: u64) -> Scenario<'_, Ag> {
-        Scenario::new(p).init(Init::Perfect).faults(faults).base_seed(seed)
+        Scenario::new(p)
+            .init(Init::Perfect)
+            .faults(faults)
+            .base_seed(seed)
     }
 
     #[test]

@@ -71,8 +71,7 @@ pub fn k_distant(
     );
     // lint:allow(D002): membership-only — queried with `contains` in a
     // deterministic 0..n scan; never iterated.
-    let missing: std::collections::HashSet<usize> =
-        rng.sample_distinct(n, k).into_iter().collect();
+    let missing: std::collections::HashSet<usize> = rng.sample_distinct(n, k).into_iter().collect();
     let present: Vec<State> = (0..n)
         .filter(|i| !missing.contains(i))
         .map(|i| i as State)

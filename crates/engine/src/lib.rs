@@ -143,9 +143,7 @@ pub mod sim;
 pub mod wire;
 
 pub use count::CountSimulation;
-pub use engine::{
-    make_engine, CappedAdvance, CountObserver, Engine, EngineKind, EngineSnapshot,
-};
+pub use engine::{make_engine, CappedAdvance, CountObserver, Engine, EngineKind, EngineSnapshot};
 pub use error::{ConfigError, StabilisationTimeout};
 pub use faults::{rank_distance, run_with_plan, BurstRecord, FaultPlan, RunOutcome};
 pub use observer::RecoveryTracker;

@@ -436,9 +436,7 @@ pub fn validate_interaction_schema<P: InteractionSchema + ?Sized>(p: &P) -> Resu
             let out = p.transition(a, b);
             if let Some((a2, b2)) = out {
                 if a2 == a && b2 == b {
-                    return Err(format!(
-                        "transition({a},{b}) returned an identity rewrite"
-                    ));
+                    return Err(format!("transition({a},{b}) returned an identity rewrite"));
                 }
             }
             let covering = coverage(p, &classes, a, b);

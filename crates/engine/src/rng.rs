@@ -116,10 +116,7 @@ impl Xoshiro256 {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -338,9 +335,7 @@ impl Xoshiro256 {
         }
         debug_assert!(p > 0.0, "neg_binomial_wide requires p > 0");
         if k <= 16 {
-            return (0..k).fold(0u128, |acc, _| {
-                acc.saturating_add(self.geometric_wide(p))
-            });
+            return (0..k).fold(0u128, |acc, _| acc.saturating_add(self.geometric_wide(p)));
         }
         let kf = k as f64;
         let mean = kf * (1.0 - p) / p;
@@ -556,8 +551,7 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(22);
         for &lambda in &[0.5, 4.0, 25.0, 200.0] {
             let n = 20_000;
-            let mean: f64 =
-                (0..n).map(|_| rng.poisson(lambda) as f64).sum::<f64>() / n as f64;
+            let mean: f64 = (0..n).map(|_| rng.poisson(lambda) as f64).sum::<f64>() / n as f64;
             assert!(
                 (mean - lambda).abs() < lambda.max(1.0) * 0.05 + 0.05,
                 "λ={lambda}: mean {mean}"
@@ -622,8 +616,7 @@ mod tests {
 
     #[test]
     fn derive_seed_spreads() {
-        let seeds: std::collections::HashSet<u64> =
-            (0..1000).map(|i| derive_seed(42, i)).collect();
+        let seeds: std::collections::HashSet<u64> = (0..1000).map(|i| derive_seed(42, i)).collect();
         assert_eq!(seeds.len(), 1000);
     }
 

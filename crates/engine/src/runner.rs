@@ -556,7 +556,10 @@ mod tests {
 
     /// A stacked `A_G` scenario with `trials` trials from `base_seed`.
     fn stacked(p: &Ag, trials: usize, base_seed: u64) -> Scenario<'_, Ag> {
-        Scenario::new(p).init(Init::Stacked).trials(trials).base_seed(base_seed)
+        Scenario::new(p)
+            .init(Init::Stacked)
+            .trials(trials)
+            .base_seed(base_seed)
     }
 
     #[test]
@@ -703,7 +706,11 @@ mod tests {
             seen.lock().unwrap().push(seed);
             vec![0; 8]
         };
-        let _ = Scenario::new(&p).init(Init::Custom(&make)).trials(3).base_seed(9).run();
+        let _ = Scenario::new(&p)
+            .init(Init::Custom(&make))
+            .trials(3)
+            .base_seed(9)
+            .run();
         let seen = seen.into_inner().unwrap();
         let distinct: std::collections::HashSet<_> = seen.iter().collect();
         assert_eq!(distinct.len(), 3);
@@ -726,8 +733,7 @@ mod tests {
         for init in [Init::Stacked, Init::AllIn(3), Init::Uniform, Init::Perfect] {
             let s = Scenario::new(&p).init(init).base_seed(77);
             let via_counts = s.trial_counts(0).unwrap().expect("family supports counts");
-            let via_agents =
-                crate::init::counts(&s.trial_config(0), p.num_states());
+            let via_agents = crate::init::counts(&s.trial_config(0), p.num_states());
             assert_eq!(via_counts, via_agents, "{init:?}");
         }
         // Fault plans execute against the engine, so they no longer
@@ -788,7 +794,10 @@ mod tests {
     fn core_budget_splits_across_trials_then_engine() {
         let p = Ag { n: 8 };
         let split = |trials, threads| {
-            Scenario::new(&p).trials(trials).threads(threads).thread_split()
+            Scenario::new(&p)
+                .trials(trials)
+                .threads(threads)
+                .thread_split()
         };
         // Single trial: the whole budget goes to the engine's splits.
         assert_eq!(split(1, 8), (1, 8));

@@ -112,7 +112,10 @@ impl ZipfScheduler {
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n >= 2, "need at least two agents");
         assert!(theta >= 0.0 && theta.is_finite(), "invalid skew exponent");
-        assert!(n <= u32::MAX as usize, "population too large for alias table");
+        assert!(
+            n <= u32::MAX as usize,
+            "population too large for alias table"
+        );
         let weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(theta)).collect();
         let total: f64 = weights.iter().sum();
         // Vose's method: scale to mean 1, then pair each under-full slot
@@ -237,10 +240,7 @@ impl Scheduler for ClusteredScheduler {
     }
 
     fn describe(&self) -> String {
-        format!(
-            "clustered(split = {}, ε = {})",
-            self.split, self.epsilon
-        )
+        format!("clustered(split = {}, ε = {})", self.split, self.epsilon)
     }
 }
 

@@ -357,13 +357,7 @@ impl<P: Protocol + ?Sized> Engine for Simulation<'_, P> {
         }
         match self.step() {
             Some((before, after)) => {
-                observer.on_productive(
-                    self.interactions as u128,
-                    before,
-                    after,
-                    1,
-                    &self.counts,
-                );
+                observer.on_productive(self.interactions as u128, before, after, 1, &self.counts);
                 CappedAdvance::Applied(1)
             }
             None => CappedAdvance::Applied(0),
@@ -635,7 +629,9 @@ mod tests {
         let mut sched = UniformScheduler::new(10);
         sim.step_scheduled(&mut sched);
         assert_eq!(sim.interactions(), 1);
-        let rep = sim.run_until_silent_scheduled(u64::MAX, &mut sched).unwrap();
+        let rep = sim
+            .run_until_silent_scheduled(u64::MAX, &mut sched)
+            .unwrap();
         assert!(sim.verify_silent());
         assert!(rep.interactions >= rep.productive_interactions);
     }

@@ -133,10 +133,7 @@ impl fmt::Display for SnapshotDecodeError {
                 field,
                 expected,
                 got,
-            } => write!(
-                f,
-                "snapshot {field} is {got}, protocol requires {expected}"
-            ),
+            } => write!(f, "snapshot {field} is {got}, protocol requires {expected}"),
             SnapshotDecodeError::ChecksumMismatch => {
                 write!(f, "snapshot checksum mismatch (corrupt or tampered)")
             }

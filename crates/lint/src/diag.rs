@@ -79,7 +79,11 @@ impl Report {
                 v.file, v.line, v.col, v.rule, v.message
             );
         }
-        let waived: Vec<&Violation> = self.violations.iter().filter(|v| v.waived.is_some()).collect();
+        let waived: Vec<&Violation> = self
+            .violations
+            .iter()
+            .filter(|v| v.waived.is_some())
+            .collect();
         if !waived.is_empty() {
             let _ = writeln!(out, "\nwaived ({}):", waived.len());
             for v in &waived {
@@ -95,11 +99,25 @@ impl Report {
                 );
             }
         }
-        let unused: Vec<&Waiver> = self.waivers.iter().filter(|w| !w.used && !w.reason.is_empty()).collect();
+        let unused: Vec<&Waiver> = self
+            .waivers
+            .iter()
+            .filter(|w| !w.used && !w.reason.is_empty())
+            .collect();
         if !unused.is_empty() {
-            let _ = writeln!(out, "\nunused waivers ({}) — consider removing:", unused.len());
+            let _ = writeln!(
+                out,
+                "\nunused waivers ({}) — consider removing:",
+                unused.len()
+            );
             for w in &unused {
-                let _ = writeln!(out, "  {}:{}: lint:allow({})", w.file, w.line, w.rules.join(","));
+                let _ = writeln!(
+                    out,
+                    "  {}:{}: lint:allow({})",
+                    w.file,
+                    w.line,
+                    w.rules.join(",")
+                );
             }
         }
         let n_unwaived = self.unwaived().count();
@@ -142,7 +160,11 @@ impl Report {
         }
         out.push_str("],\n  \"unused_waivers\": [");
         let mut first = true;
-        for w in self.waivers.iter().filter(|w| !w.used && !w.reason.is_empty()) {
+        for w in self
+            .waivers
+            .iter()
+            .filter(|w| !w.used && !w.reason.is_empty())
+        {
             if !first {
                 out.push(',');
             }

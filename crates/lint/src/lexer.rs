@@ -62,8 +62,8 @@ impl Token {
 
 /// Multi-char operators, longest first so greedy matching is correct.
 const COMPOUND_OPS: &[&str] = &[
-    "<<=", ">>=", "..=", "...", "&&=", "||=", "::", "->", "=>", "==", "!=", "<=", ">=", "&&",
-    "||", "<<", ">>", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..",
+    "<<=", ">>=", "..=", "...", "&&=", "||=", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||",
+    "<<", ">>", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..",
 ];
 
 struct Cursor {
@@ -128,7 +128,12 @@ pub fn lex(source: &str) -> Vec<Token> {
                 text.push(ch);
                 cur.bump();
             }
-            out.push(Token { kind: TokenKind::LineComment, text, line, col });
+            out.push(Token {
+                kind: TokenKind::LineComment,
+                text,
+                line,
+                col,
+            });
             continue;
         }
         if c == '/' && cur.peek(1) == Some('*') {
@@ -155,7 +160,12 @@ pub fn lex(source: &str) -> Vec<Token> {
                     cur.bump();
                 }
             }
-            out.push(Token { kind: TokenKind::BlockComment, text, line, col });
+            out.push(Token {
+                kind: TokenKind::BlockComment,
+                text,
+                line,
+                col,
+            });
             continue;
         }
 
@@ -174,7 +184,12 @@ pub fn lex(source: &str) -> Vec<Token> {
                 text.push(ch);
                 cur.bump();
             }
-            out.push(Token { kind: TokenKind::Ident, text, line, col });
+            out.push(Token {
+                kind: TokenKind::Ident,
+                text,
+                line,
+                col,
+            });
             continue;
         }
 
@@ -197,14 +212,24 @@ pub fn lex(source: &str) -> Vec<Token> {
                 text.push(ch);
                 cur.bump();
             }
-            out.push(Token { kind: TokenKind::Num, text, line, col });
+            out.push(Token {
+                kind: TokenKind::Num,
+                text,
+                line,
+                col,
+            });
             continue;
         }
 
         // Strings.
         if c == '"' {
             let text = lex_string_body(&mut cur);
-            out.push(Token { kind: TokenKind::Str, text, line, col });
+            out.push(Token {
+                kind: TokenKind::Str,
+                text,
+                line,
+                col,
+            });
             continue;
         }
 
@@ -234,10 +259,20 @@ pub fn lex(source: &str) -> Vec<Token> {
             for _ in 0..op.chars().count() {
                 cur.bump();
             }
-            out.push(Token { kind: TokenKind::Punct, text: op.to_string(), line, col });
+            out.push(Token {
+                kind: TokenKind::Punct,
+                text: op.to_string(),
+                line,
+                col,
+            });
         } else {
             cur.bump();
-            out.push(Token { kind: TokenKind::Punct, text: c.to_string(), line, col });
+            out.push(Token {
+                kind: TokenKind::Punct,
+                text: c.to_string(),
+                line,
+                col,
+            });
         }
     }
     out
@@ -270,18 +305,33 @@ fn try_lex_prefixed(cur: &mut Cursor, line: u32, col: u32) -> Option<Token> {
                     text.push(ch);
                     cur.bump();
                 }
-                return Some(Token { kind: TokenKind::Ident, text, line, col });
+                return Some(Token {
+                    kind: TokenKind::Ident,
+                    text,
+                    line,
+                    col,
+                });
             }
             cur.bump(); // r
             let mut text = String::from("r");
             text.push_str(&lex_raw_string_body(cur));
-            Some(Token { kind: TokenKind::Str, text, line, col })
+            Some(Token {
+                kind: TokenKind::Str,
+                text,
+                line,
+                col,
+            })
         }
         ('b', Some('"')) => {
             cur.bump();
             let mut text = String::from("b");
             text.push_str(&lex_string_body(cur));
-            Some(Token { kind: TokenKind::Str, text, line, col })
+            Some(Token {
+                kind: TokenKind::Str,
+                text,
+                line,
+                col,
+            })
         }
         ('b', Some('\'')) => {
             cur.bump();
@@ -295,13 +345,23 @@ fn try_lex_prefixed(cur: &mut Cursor, line: u32, col: u32) -> Option<Token> {
             cur.bump();
             let mut text = String::from("br");
             text.push_str(&lex_raw_string_body(cur));
-            Some(Token { kind: TokenKind::Str, text, line, col })
+            Some(Token {
+                kind: TokenKind::Str,
+                text,
+                line,
+                col,
+            })
         }
         ('c', Some('"')) => {
             cur.bump();
             let mut text = String::from("c");
             text.push_str(&lex_string_body(cur));
-            Some(Token { kind: TokenKind::Str, text, line, col })
+            Some(Token {
+                kind: TokenKind::Str,
+                text,
+                line,
+                col,
+            })
         }
         _ => None,
     }
@@ -410,7 +470,12 @@ fn lex_quote(cur: &mut Cursor, line: u32, col: u32) -> Token {
                 text.push('\'');
                 cur.bump();
             }
-            Token { kind: TokenKind::Char, text, line, col }
+            Token {
+                kind: TokenKind::Char,
+                text,
+                line,
+                col,
+            }
         }
         Some(c) if is_ident_start(c) => {
             if cur.peek(1) == Some('\'') {
@@ -419,7 +484,12 @@ fn lex_quote(cur: &mut Cursor, line: u32, col: u32) -> Token {
                 cur.bump();
                 text.push('\'');
                 cur.bump();
-                Token { kind: TokenKind::Char, text, line, col }
+                Token {
+                    kind: TokenKind::Char,
+                    text,
+                    line,
+                    col,
+                }
             } else {
                 // 'a, 'static, 'outer — a lifetime (or loop label).
                 while let Some(ch) = cur.peek(0) {
@@ -429,7 +499,12 @@ fn lex_quote(cur: &mut Cursor, line: u32, col: u32) -> Token {
                     text.push(ch);
                     cur.bump();
                 }
-                Token { kind: TokenKind::Lifetime, text, line, col }
+                Token {
+                    kind: TokenKind::Lifetime,
+                    text,
+                    line,
+                    col,
+                }
             }
         }
         Some(c) => {
@@ -439,13 +514,28 @@ fn lex_quote(cur: &mut Cursor, line: u32, col: u32) -> Token {
             if cur.peek(0) == Some('\'') {
                 text.push('\'');
                 cur.bump();
-                Token { kind: TokenKind::Char, text, line, col }
+                Token {
+                    kind: TokenKind::Char,
+                    text,
+                    line,
+                    col,
+                }
             } else {
                 // Stray quote — treat as punct so lexing stays total.
-                Token { kind: TokenKind::Punct, text, line, col }
+                Token {
+                    kind: TokenKind::Punct,
+                    text,
+                    line,
+                    col,
+                }
             }
         }
-        None => Token { kind: TokenKind::Punct, text, line, col },
+        None => Token {
+            kind: TokenKind::Punct,
+            text,
+            line,
+            col,
+        },
     }
 }
 

@@ -53,14 +53,20 @@ use rules::{RuleCtx, RULES, W001};
 /// offline shims of external crates (not ours to lint), `fixtures`
 /// holds deliberately-violating lint test inputs, `tests`/`benches`
 /// are test code by definition.
-const EXCLUDED_DIRS: &[&str] = &["target", "vendor", "fixtures", "tests", "benches", ".git", ".github"];
+const EXCLUDED_DIRS: &[&str] = &[
+    "target", "vendor", "fixtures", "tests", "benches", ".git", ".github",
+];
 
 /// Lint a single file's source text. `rel_path` must be the
 /// workspace-relative `/`-separated path (rules scope on it).
 pub fn lint_source(rel_path: &str, source: &str) -> (Vec<Violation>, Vec<Waiver>) {
     let tokens = lex(source);
     let mask = test_mask(&tokens);
-    let ctx = RuleCtx { path: rel_path, tokens: &tokens, mask: &mask };
+    let ctx = RuleCtx {
+        path: rel_path,
+        tokens: &tokens,
+        mask: &mask,
+    };
 
     let mut violations = Vec::new();
     for rule in RULES {
@@ -152,7 +158,9 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Resu
 /// its closing brace (or terminating `;` for brace-less items).
 fn test_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
-    let code: Vec<usize> = (0..tokens.len()).filter(|&i| !tokens[i].is_comment()).collect();
+    let code: Vec<usize> = (0..tokens.len())
+        .filter(|&i| !tokens[i].is_comment())
+        .collect();
 
     let mut ci = 0;
     while ci < code.len() {
@@ -241,9 +249,13 @@ fn parse_waivers(rel_path: &str, tokens: &[Token]) -> Vec<Waiver> {
         if !is_plain_comment {
             continue;
         }
-        let Some(pos) = t.text.find("lint:allow(") else { continue };
+        let Some(pos) = t.text.find("lint:allow(") else {
+            continue;
+        };
         let rest = &t.text[pos + "lint:allow(".len()..];
-        let Some(close) = rest.find(')') else { continue };
+        let Some(close) = rest.find(')') else {
+            continue;
+        };
         let rules: Vec<String> = rest[..close]
             .split(',')
             .map(|r| r.trim().to_string())
@@ -260,7 +272,9 @@ fn parse_waivers(rel_path: &str, tokens: &[Token]) -> Vec<Waiver> {
         // A trailing waiver (code precedes it on its own line) covers
         // only that line; a standalone one covers the next line
         // bearing code.
-        let trailing = tokens[..i].iter().any(|p| !p.is_comment() && p.line == t.line);
+        let trailing = tokens[..i]
+            .iter()
+            .any(|p| !p.is_comment() && p.line == t.line);
         let covers_line = if trailing {
             t.line
         } else {
@@ -322,7 +336,11 @@ mod tests {
     fn reasonless_waiver_is_w001_and_does_not_silence() {
         let src = "// lint:allow(P001)\nlet b = r.unwrap();\n";
         let (violations, _) = lint_source("crates/service/src/x.rs", src);
-        let ids: Vec<&str> = violations.iter().filter(|v| v.waived.is_none()).map(|v| v.rule).collect();
+        let ids: Vec<&str> = violations
+            .iter()
+            .filter(|v| v.waived.is_none())
+            .map(|v| v.rule)
+            .collect();
         assert!(ids.contains(&"P001"), "{violations:?}");
         assert!(ids.contains(&"W001"), "{violations:?}");
     }
@@ -331,7 +349,10 @@ mod tests {
     fn wildcard_waiver_covers_all_but_w001() {
         let src = "// lint:allow(*): fixture exercising everything\nlet b = r.unwrap();\n";
         let (violations, _) = lint_source("crates/service/src/x.rs", src);
-        assert!(violations.iter().all(|v| v.waived.is_some()), "{violations:?}");
+        assert!(
+            violations.iter().all(|v| v.waived.is_some()),
+            "{violations:?}"
+        );
     }
 
     #[test]

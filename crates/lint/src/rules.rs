@@ -18,8 +18,8 @@
 //! false positives — which the mandatory-reason waiver syntax turns
 //! into documentation.
 
-use crate::lexer::{Token, TokenKind};
 use crate::diag::Violation;
+use crate::lexer::{Token, TokenKind};
 
 /// Rule id for "waiver lacks a reason" (synthesised by the waiver
 /// parser, not by a `Rule`; it can never be waived).
@@ -85,7 +85,9 @@ fn is_ident(t: &Token, text: &str) -> bool {
 /// identifier marks ad-hoc derivation. `|` and `&` are deliberately
 /// absent: closure parameter lists (`|seed| …`) and borrows would
 /// swamp the signal, and no past bug mixed seeds bitwise without `^`.
-const SEED_ARITH_OPS: &[&str] = &["+", "-", "*", "/", "%", "^", "<<", ">>", "+=", "-=", "*=", "^="];
+const SEED_ARITH_OPS: &[&str] = &[
+    "+", "-", "*", "/", "%", "^", "<<", ">>", "+=", "-=", "*=", "^=",
+];
 
 /// Method names that perform arithmetic when called *on* a seed.
 fn is_arith_method(name: &str) -> bool {
@@ -127,15 +129,25 @@ fn contains_word(ident: &str, word: &str) -> bool {
 /// truncated in past PRs.
 fn is_accumulator_ident(text: &str) -> bool {
     let t = text.to_ascii_lowercase();
-    ["interactions", "ordered_pairs", "total_weight", "weight_total", "clock"]
-        .iter()
-        .any(|w| contains_word(&t, w))
+    [
+        "interactions",
+        "ordered_pairs",
+        "total_weight",
+        "weight_total",
+        "clock",
+    ]
+    .iter()
+    .any(|w| contains_word(&t, w))
 }
 
 /// Identifier names an agent/state count.
 fn is_count_ident(text: &str) -> bool {
     let t = text.to_ascii_lowercase();
-    t == "count" || t == "counts" || t.ends_with("_count") || t.ends_with("_counts") || t.starts_with("count_")
+    t == "count"
+        || t == "counts"
+        || t.ends_with("_count")
+        || t.ends_with("_counts")
+        || t.starts_with("count_")
 }
 
 fn in_dir(path: &str, dir: &str) -> bool {
@@ -237,7 +249,9 @@ fn check_d001(ctx: &RuleCtx<'_>) -> Vec<Violation> {
                         || ppt.text == ")"
                         || ppt.text == "]";
                     // `&mut seed`, `*seed`, `-1 => seed` etc. are unary.
-                    if binary && !matches!(ppt.text.as_str(), "mut" | "as" | "return" | "in" | "match") {
+                    if binary
+                        && !matches!(ppt.text.as_str(), "mut" | "as" | "return" | "in" | "match")
+                    {
                         out.push(ctx.violation(
                             "D001",
                             i,

@@ -60,12 +60,19 @@ fn waivers_resolve_and_reasonless_waivers_gate() {
     let waived: Vec<_> = service.iter().filter(|v| v.waived.is_some()).collect();
     assert_eq!(waived.len(), 1, "{service:?}");
     assert_eq!(waived[0].line, 6);
-    assert_eq!(waived[0].waived.as_deref(), Some("fixture waived on purpose"));
+    assert_eq!(
+        waived[0].waived.as_deref(),
+        Some("fixture waived on purpose")
+    );
 
     // The reasonless waiver on line 7 covers line 8 but must not
     // silence it; it additionally emits W001.
-    assert!(service.iter().any(|v| v.rule == "P001" && v.line == 8 && v.waived.is_none()));
-    assert!(service.iter().any(|v| v.rule == "W001" && v.line == 7 && v.waived.is_none()));
+    assert!(service
+        .iter()
+        .any(|v| v.rule == "P001" && v.line == 8 && v.waived.is_none()));
+    assert!(service
+        .iter()
+        .any(|v| v.rule == "W001" && v.line == 7 && v.waived.is_none()));
     assert!(!report.is_clean());
 }
 
@@ -75,7 +82,10 @@ fn waivers_resolve_and_reasonless_waivers_gate() {
 fn vendor_tree_is_excluded() {
     let report = fixture_report();
     assert!(
-        report.violations.iter().all(|v| !v.file.starts_with("vendor/")),
+        report
+            .violations
+            .iter()
+            .all(|v| !v.file.starts_with("vendor/")),
         "{:?}",
         report.violations
     );
@@ -88,7 +98,10 @@ fn vendor_tree_is_excluded() {
 fn conforming_fixture_is_clean() {
     let report = fixture_report();
     assert!(
-        report.violations.iter().all(|v| !v.file.ends_with("good.rs")),
+        report
+            .violations
+            .iter()
+            .all(|v| !v.file.ends_with("good.rs")),
         "{:?}",
         report.violations
     );
@@ -109,14 +122,20 @@ fn human_and_json_outputs_carry_positions() {
         let human_line = human
             .lines()
             .find(|l| l.contains(&format!("{file}:{line}:")) && l.contains(&format!("[{rule}]")));
-        assert!(human_line.is_some(), "no human line for {rule} {file}:{line}\n{human}");
+        assert!(
+            human_line.is_some(),
+            "no human line for {rule} {file}:{line}\n{human}"
+        );
 
         let json_line = json.lines().find(|l| {
             l.contains(&format!("\"rule\": \"{rule}\""))
                 && l.contains(&format!("\"file\": \"{file}\""))
                 && l.contains(&format!("\"line\": {line},"))
         });
-        assert!(json_line.is_some(), "no json entry for {rule} {file}:{line}\n{json}");
+        assert!(
+            json_line.is_some(),
+            "no json entry for {rule} {file}:{line}\n{json}"
+        );
     }
 
     // The summary object gates CI: unwaived must be non-zero here.

@@ -8,9 +8,36 @@ use ssr_lint::lexer::lex;
 
 /// Fragments chosen to hit every tricky lexer path boundary.
 const FRAGMENTS: &[&str] = &[
-    "r#\"", "\"#", "r##\"x\"#", "b'", "'", "'a ", "'\\''", "\\", "\"", "\"\\u{", "//", "/* /*",
-    "*/", "r#fn", "b\"", "c\"", "0x", "1e", "1.5e+", "1.", "..", "::<", "#![", ">>=", "0b_",
-    "// lint:allow(", "é宇", "\u{0}", "\r\n", "\t",
+    "r#\"",
+    "\"#",
+    "r##\"x\"#",
+    "b'",
+    "'",
+    "'a ",
+    "'\\''",
+    "\\",
+    "\"",
+    "\"\\u{",
+    "//",
+    "/* /*",
+    "*/",
+    "r#fn",
+    "b\"",
+    "c\"",
+    "0x",
+    "1e",
+    "1.5e+",
+    "1.",
+    "..",
+    "::<",
+    "#![",
+    ">>=",
+    "0b_",
+    "// lint:allow(",
+    "é宇",
+    "\u{0}",
+    "\r\n",
+    "\t",
 ];
 
 proptest! {

@@ -60,10 +60,8 @@ mod tests {
     use crate::spec::JobStatusKind;
 
     fn temp_cache(name: &str) -> ResultCache {
-        let dir = std::env::temp_dir().join(format!(
-            "ssr-cache-test-{}-{name}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ssr-cache-test-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         ResultCache::open(dir).unwrap()
     }

@@ -252,10 +252,7 @@ impl Daemon {
             workers.retain(|w| !w.handle.is_finished());
 
             let served = self.stats.completed + self.stats.failed;
-            let quota_reached = self
-                .cfg
-                .max_jobs
-                .is_some_and(|m| served >= m as u64);
+            let quota_reached = self.cfg.max_jobs.is_some_and(|m| served >= m as u64);
 
             if !killing && !quota_reached {
                 self.schedule(&mut available, &mut workers, &tx)?;
@@ -328,9 +325,10 @@ impl Daemon {
         entries.sort(); // FIFO by key — deterministic claim order
 
         for path in entries {
-            let quota_reached = self.cfg.max_jobs.is_some_and(|m| {
-                self.stats.completed + self.stats.failed >= m as u64
-            });
+            let quota_reached = self
+                .cfg
+                .max_jobs
+                .is_some_and(|m| self.stats.completed + self.stats.failed >= m as u64);
             if quota_reached {
                 break;
             }

@@ -211,8 +211,7 @@ impl JobSpec {
         if let Some(plan) = self.fault_plan() {
             if plan.may_never_silence() && self.max_interactions == u64::MAX {
                 return Err(ServiceError::Spec(
-                    "persistent fault process (rate/churn/byzantine) needs a finite budget"
-                        .into(),
+                    "persistent fault process (rate/churn/byzantine) needs a finite budget".into(),
                 ));
             }
         }
@@ -328,9 +327,7 @@ impl JobSpec {
                         "perfect" => JobInit::Perfect,
                         "all-in" => JobInit::AllIn(parse(arg, "init all-in")?),
                         "k-distant" => JobInit::KDistant(parse(arg, "init k-distant")?),
-                        other => {
-                            return Err(ServiceError::Spec(format!("unknown init '{other}'")))
-                        }
+                        other => return Err(ServiceError::Spec(format!("unknown init '{other}'"))),
                     };
                 }
                 "engine" => spec.engine = EngineKind::parse(v).map_err(ServiceError::Spec)?,
@@ -341,14 +338,13 @@ impl JobSpec {
                     let (t, f) = v.split_once(':').ok_or_else(|| {
                         ServiceError::Spec(format!("burst expects time:faults, got '{v}'"))
                     })?;
-                    spec.bursts.push((parse(t, "burst time")?, parse(f, "burst faults")?));
+                    spec.bursts
+                        .push((parse(t, "burst time")?, parse(f, "burst faults")?));
                 }
                 "fault-rate" => spec.fault_rate = parse_rate(v, "fault-rate")?,
                 "churn" => spec.churn = parse_rate(v, "churn")?,
                 "byzantine" => spec.byzantine = parse(v, "byzantine")?,
-                other => {
-                    return Err(ServiceError::Spec(format!("unknown spec field '{other}'")))
-                }
+                other => return Err(ServiceError::Spec(format!("unknown spec field '{other}'"))),
             }
         }
         if spec.protocol.is_empty() || spec.n == 0 {
@@ -735,7 +731,11 @@ mod tests {
         let spec = sample_spec();
         let mut other = spec.clone();
         other.threads = 32;
-        assert_eq!(spec.key().unwrap(), other.key().unwrap(), "threads are scheduling");
+        assert_eq!(
+            spec.key().unwrap(),
+            other.key().unwrap(),
+            "threads are scheduling"
+        );
 
         // Auto resolves to count at n ≥ 4096: same run, same key.
         let mut auto = spec.clone();

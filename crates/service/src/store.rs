@@ -171,10 +171,8 @@ mod tests {
     use super::*;
 
     fn temp_store(name: &str) -> CheckpointStore {
-        let dir = std::env::temp_dir().join(format!(
-            "ssr-store-test-{}-{name}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ssr-store-test-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         CheckpointStore::open(dir).unwrap()
     }
@@ -189,7 +187,9 @@ mod tests {
         let k = key(1);
         assert_eq!(store.latest(k), None);
         for clock in [10u128, 20, 30, 40] {
-            store.save(k, clock, format!("blob-{clock}").as_bytes()).unwrap();
+            store
+                .save(k, clock, format!("blob-{clock}").as_bytes())
+                .unwrap();
         }
         assert_eq!(store.count(k), CheckpointStore::KEEP);
         let (clock, blob) = store.latest(k).unwrap();
@@ -309,8 +309,14 @@ mod tests {
         store.save(k, 2, b"two").unwrap();
         let first = inodes(&store);
         for clock in 3..20u128 {
-            store.save(k, clock, format!("blob {clock}").as_bytes()).unwrap();
-            assert_eq!(inodes(&store), first, "save at clock {clock} made a new file");
+            store
+                .save(k, clock, format!("blob {clock}").as_bytes())
+                .unwrap();
+            assert_eq!(
+                inodes(&store),
+                first,
+                "save at clock {clock} made a new file"
+            );
         }
     }
 }

@@ -134,7 +134,10 @@ fn repeated_kills_still_converge_to_the_reference() {
         checkpoint_every: 20_000,
         interrupt_after: None,
     };
-    assert_eq!(completed(run_job(&spec, &store, &finish).unwrap()).0, reference);
+    assert_eq!(
+        completed(run_job(&spec, &store, &finish).unwrap()).0,
+        reference
+    );
 }
 
 /// Fault-plan jobs have no mid-run checkpoints but must be deterministic
@@ -339,7 +342,10 @@ fn without_count_control(blob: &[u8]) -> Vec<u8> {
 /// cache entries of `jump` jobs stay addressable.
 #[test]
 fn jump_spec_key_is_stable() {
-    assert_eq!(jump_job().key().unwrap().hex(), "2cc6534ed38d28aa57974e105fcf1efe");
+    assert_eq!(
+        jump_job().key().unwrap().hex(),
+        "2cc6534ed38d28aa57974e105fcf1efe"
+    );
 }
 
 /// A checkpoint in the layout older daemons wrote for `jump` jobs

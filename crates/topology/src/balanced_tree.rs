@@ -124,7 +124,11 @@ impl BalancedTree {
         let mut s = n;
         let mut height = 0u32;
         while s > 1 {
-            s = if s.is_multiple_of(2) { s - 1 } else { (s - 1) / 2 };
+            s = if s.is_multiple_of(2) {
+                s - 1
+            } else {
+                (s - 1) / 2
+            };
             height += 1;
         }
         BalancedTree { n, height }
@@ -293,10 +297,7 @@ impl BalancedTree {
     ///
     /// Panics if `leaf` is not a leaf.
     pub fn root_path_iter(&self, leaf: usize) -> RootPath {
-        assert!(
-            self.locate(leaf).size == 1,
-            "node {leaf} is not a leaf"
-        );
+        assert!(self.locate(leaf).size == 1, "node {leaf} is not a leaf");
         RootPath {
             target: leaf,
             cur: 0,
@@ -318,8 +319,7 @@ impl BalancedTree {
         if self.parent(0).is_some() {
             return Err("root has a parent edge".into());
         }
-        let mut level_kind: Vec<Option<(NodeKind, usize)>> =
-            vec![None; self.height as usize + 1];
+        let mut level_kind: Vec<Option<(NodeKind, usize)>> = vec![None; self.height as usize + 1];
         for p in 0..self.n {
             let loc = self.locate(p);
             let kind = kind_of_size(loc.size);
@@ -671,11 +671,8 @@ mod tests {
     fn subtree_sizes_sum_consistently() {
         let t = BalancedTree::new(100);
         for p in 0..100 {
-            let expect = 1 + t
-                .children(p)
-                .0
-                .map(|c| t.subtree_size(c))
-                .unwrap_or(0)
+            let expect = 1
+                + t.children(p).0.map(|c| t.subtree_size(c)).unwrap_or(0)
                 + t.children(p).1.map(|c| t.subtree_size(c)).unwrap_or(0);
             assert_eq!(t.subtree_size(p), expect, "node {p}");
         }
@@ -814,7 +811,9 @@ mod extended_tests {
         assert_eq!(t.height(), 4);
         assert_eq!(t.leaves().len(), 16);
         for p in 0..31 {
-            if t.kind(p) == NodeKind::NonBranching { panic!("perfect tree has no chains") }
+            if t.kind(p) == NodeKind::NonBranching {
+                panic!("perfect tree has no chains")
+            }
         }
     }
 
@@ -831,8 +830,7 @@ mod extended_tests {
     #[test]
     fn subtree_sizes_at_same_level_are_equal() {
         let t = BalancedTree::new(500);
-        let mut by_depth: std::collections::HashMap<u32, usize> =
-            std::collections::HashMap::new();
+        let mut by_depth: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
         for p in 0..500 {
             let d = t.depth(p);
             let s = t.subtree_size(p);

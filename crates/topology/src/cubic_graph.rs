@@ -277,13 +277,7 @@ impl CubicGraph {
     /// Panics if the graph is disconnected.
     pub fn diameter(&self) -> u32 {
         (0..self.num_vertices())
-            .map(|s| {
-                *self
-                    .bfs(s)
-                    .iter()
-                    .max()
-                    .expect("non-empty graph")
-            })
+            .map(|s| *self.bfs(s).iter().max().expect("non-empty graph"))
             .max()
             .inspect(|&d| {
                 assert_ne!(d, u32::MAX, "graph is disconnected");
@@ -297,7 +291,14 @@ impl CubicGraph {
         let mut out = String::new();
         for i in 0..self.num_vertices() {
             let ns = self.neighbors(i);
-            let _ = writeln!(out, "{:>4}: {} {} {}", i + 1, ns[0] + 1, ns[1] + 1, ns[2] + 1);
+            let _ = writeln!(
+                out,
+                "{:>4}: {} {} {}",
+                i + 1,
+                ns[0] + 1,
+                ns[1] + 1,
+                ns[2] + 1
+            );
         }
         out
     }

@@ -42,9 +42,7 @@ pub fn distribute(total: usize, parts: usize) -> Vec<u32> {
     assert!(parts > 0, "cannot distribute over zero parts");
     let base = (total / parts) as u32;
     let rem = total % parts;
-    (0..parts)
-        .map(|i| base + u32::from(i < rem))
-        .collect()
+    (0..parts).map(|i| base + u32::from(i < rem)).collect()
 }
 
 /// A consecutive layout of traps with per-trap sizes.

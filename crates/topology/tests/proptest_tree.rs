@@ -13,12 +13,20 @@ fn assert_node_matches(t: &BalancedTree, o: &MaterialisedTree, n: usize, p: usiz
     assert_eq!(t.depth(p), o.depth(p), "depth n={n} p={p}");
     assert_eq!(t.subtree_size(p), o.subtree_size(p), "subtree n={n} p={p}");
     if t.kind(p) == NodeKind::Branching {
-        assert_eq!(t.branch_half(p), o.branch_half(p), "branch_half n={n} p={p}");
+        assert_eq!(
+            t.branch_half(p),
+            o.branch_half(p),
+            "branch_half n={n} p={p}"
+        );
     }
     let (l, r) = o.children(p);
     assert_eq!(t.left_child(p), l, "left_child n={n} p={p}");
     assert_eq!(t.right_child(p), r, "right_child n={n} p={p}");
-    assert_eq!(t.is_leaf(p), o.kind(p) == NodeKind::Leaf, "is_leaf n={n} p={p}");
+    assert_eq!(
+        t.is_leaf(p),
+        o.kind(p) == NodeKind::Leaf,
+        "is_leaf n={n} p={p}"
+    );
     assert_eq!(
         t.is_branching(p),
         o.kind(p) == NodeKind::Branching,

@@ -10,7 +10,11 @@
 use ssr::prelude::*;
 
 fn measure<P: InteractionSchema + Sync>(p: &P, trials: usize) -> Summary {
-    let results = Scenario::new(p).init(Init::Uniform).trials(trials).base_seed(7).run();
+    let results = Scenario::new(p)
+        .init(Init::Uniform)
+        .trials(trials)
+        .base_seed(7)
+        .run();
     Summary::of(&results.parallel_times())
 }
 
@@ -33,10 +37,26 @@ fn main() {
     ]);
 
     let rows: Vec<(&str, usize, Summary)> = vec![
-        ("generic A_G", generic.num_extra_states(), measure(&generic, trials)),
-        ("ring of traps", ring.num_extra_states(), measure(&ring, trials)),
-        ("line of traps", line.num_extra_states(), measure(&line, trials)),
-        ("tree of ranks", tree.num_extra_states(), measure(&tree, trials)),
+        (
+            "generic A_G",
+            generic.num_extra_states(),
+            measure(&generic, trials),
+        ),
+        (
+            "ring of traps",
+            ring.num_extra_states(),
+            measure(&ring, trials),
+        ),
+        (
+            "line of traps",
+            line.num_extra_states(),
+            measure(&line, trials),
+        ),
+        (
+            "tree of ranks",
+            tree.num_extra_states(),
+            measure(&tree, trials),
+        ),
     ];
 
     let baseline = rows[0].2.median;

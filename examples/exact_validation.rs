@@ -26,8 +26,7 @@ fn simulated_mean<P: InteractionSchema>(p: &P, start: &[State], trials: u64) -> 
 }
 
 fn check<P: InteractionSchema>(p: &P, start: Vec<State>) {
-    let exact = expected_interactions(p, &start, 500_000)
-        .expect("state space within limits");
+    let exact = expected_interactions(p, &start, 500_000).expect("state space within limits");
     let (mean, ci) = simulated_mean(p, &start, 30_000);
     let rel = (exact - mean).abs() / exact;
     println!(

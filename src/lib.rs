@@ -69,8 +69,8 @@ pub mod prelude {
     };
     pub use ssr_analysis::{verify_stability, Ecdf, StabilityCertificate};
     pub use ssr_core::{
-        elect_leader, GenericRanking, LineOfTraps, LooseLeaderElection, RingOfTraps,
-        TreeRanking, LEADER_RANK,
+        elect_leader, GenericRanking, LineOfTraps, LooseLeaderElection, RingOfTraps, TreeRanking,
+        LEADER_RANK,
     };
     pub use ssr_engine::{
         init, make_engine, rng::Xoshiro256, run_with_plan, validate_interaction_schema,

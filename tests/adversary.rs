@@ -25,8 +25,12 @@ fn fault_schedules_are_identical_on_every_engine() {
         let mut e = make_engine(kind, &p, init::perfect_ranking(n), 3, 1).unwrap();
         outs.push(run_with_plan(e.as_mut(), &plan, FAULT_SEED, horizon));
     }
-    let schedule =
-        |o: &RunOutcome| o.bursts.iter().map(|b| (b.time, b.faults)).collect::<Vec<_>>();
+    let schedule = |o: &RunOutcome| {
+        o.bursts
+            .iter()
+            .map(|b| (b.time, b.faults))
+            .collect::<Vec<_>>()
+    };
     for o in &outs[1..] {
         assert_eq!(o.faults_injected, outs[0].faults_injected);
         assert_eq!(schedule(o), schedule(&outs[0]));
@@ -51,8 +55,7 @@ fn batched_count_run_is_bit_identical_across_thread_counts() {
         .rate(1.0 / (20.0 * n as f64));
 
     let run = |threads: usize| {
-        let mut e =
-            make_engine(EngineKind::Count, &p, cfg.clone(), 23, threads).unwrap();
+        let mut e = make_engine(EngineKind::Count, &p, cfg.clone(), 23, threads).unwrap();
         let out = run_with_plan(e.as_mut(), &plan, FAULT_SEED, horizon);
         (out, e.counts().to_vec(), e.interactions_wide())
     };

@@ -116,7 +116,9 @@ fn both_simulators_reach_the_same_silent_support() {
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
         let mut a = Simulation::new(&p, cfg.clone(), 11).unwrap();
         a.run_until_silent(u64::MAX).unwrap();
-        let mut b = CountSimulation::new(&p, cfg, 12).unwrap().with_batching(false);
+        let mut b = CountSimulation::new(&p, cfg, 12)
+            .unwrap()
+            .with_batching(false);
         b.run_until_silent(u64::MAX).unwrap();
         let counts_a = init::counts(a.agents(), p.num_states());
         assert_eq!(counts_a, b.counts(), "silent support must be unique");
@@ -219,8 +221,7 @@ fn line_count_vs_jump_ks_test_on_batched_cross_class() {
     let sample = |kind: EngineKind, seed0: u64| -> Vec<f64> {
         (0..trials)
             .map(|t| {
-                let mut e =
-                    make_engine(kind, &p, vec![p.x_state(); n], seed0 + t, 1).unwrap();
+                let mut e = make_engine(kind, &p, vec![p.x_state(); n], seed0 + t, 1).unwrap();
                 e.run_until_silent(u64::MAX).unwrap().interactions as f64
             })
             .collect()
@@ -251,7 +252,9 @@ fn count_thread_counts_produce_identical_run_reports() {
     let run = |threads: usize| {
         let mut rng = Xoshiro256::seed_from_u64(5);
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-        let mut s = CountSimulation::new(&p, cfg, 99).unwrap().with_threads(threads);
+        let mut s = CountSimulation::new(&p, cfg, 99)
+            .unwrap()
+            .with_threads(threads);
         let mut max_quantum = 0u64;
         while let Some(applied) = s.advance() {
             max_quantum = max_quantum.max(applied);
@@ -267,7 +270,11 @@ fn count_thread_counts_produce_identical_run_reports() {
         )
     };
     let serial = run(1);
-    assert_eq!(serial, run(4), "1 vs 4 threads: RunReport must be identical");
+    assert_eq!(
+        serial,
+        run(4),
+        "1 vs 4 threads: RunReport must be identical"
+    );
 }
 
 /// The same invariant through the `Scenario` front door: a single-trial
@@ -310,7 +317,9 @@ fn tree_count_parallel_vs_jump_ks_test() {
                 let cfg = init::uniform_random(n, p.num_states(), &mut rng);
                 let mut e: Box<dyn Engine> = match kind {
                     EngineKind::Count => Box::new(
-                        CountSimulation::new(&p, cfg, seed0 + t).unwrap().with_threads(4),
+                        CountSimulation::new(&p, cfg, seed0 + t)
+                            .unwrap()
+                            .with_threads(4),
                     ),
                     _ => make_engine(kind, &p, cfg, seed0 + t, 1).unwrap(),
                 };
@@ -377,10 +386,9 @@ fn loose_count_vs_jump_ks_test_on_sparse_batches() {
     let budget = (n as u64) * (n as u64);
     let jump_sample: Vec<f64> = (0..trials)
         .map(|t| {
-            let mut s =
-                CountSimulation::new(&p, loose_band_start(&p, n, 1, 8), 140_000 + t)
-                    .unwrap()
-                    .with_batching(false);
+            let mut s = CountSimulation::new(&p, loose_band_start(&p, n, 1, 8), 140_000 + t)
+                .unwrap()
+                .with_batching(false);
             while p.leader_count(s.counts()) == 0 {
                 s.advance();
                 assert!(s.interactions() < budget, "no leader within budget");
@@ -453,7 +461,9 @@ fn jump_simulator_skips_but_never_undercounts() {
     let n = 20;
     for seed in 0..20 {
         let p = GenericRanking::new(n);
-        let mut s = CountSimulation::new(&p, vec![0; n], seed).unwrap().with_batching(false);
+        let mut s = CountSimulation::new(&p, vec![0; n], seed)
+            .unwrap()
+            .with_batching(false);
         let rep = s.run_until_silent(u64::MAX).unwrap();
         assert!(rep.productive_interactions >= (n - 1) as u64);
         assert!(rep.interactions >= rep.productive_interactions);

@@ -187,7 +187,11 @@ fn mixed_fault_plan() {
 
 fn naive_fingerprint(e: &dyn Engine) -> (u128, u64, u64, u64) {
     let (clock, productive, counts) = fingerprint(e);
-    let agents = e.snapshot().agents().map(fnv).expect("naive engines track agents");
+    let agents = e
+        .snapshot()
+        .agents()
+        .map(fnv)
+        .expect("naive engines track agents");
     (clock, productive, counts, agents)
 }
 
@@ -209,10 +213,42 @@ fn naive_to_silence() {
     assert_eq!(
         runs,
         [
-            (3, (33_677, 780, 9_346_796_594_517_496_933, 4_524_513_700_803_251_605)),
-            (17, (33_682, 780, 9_346_796_594_517_496_933, 8_850_139_935_311_703_957)),
-            (5, (7_314, 1_890, 17_054_730_686_554_725_541, 11_281_791_028_380_836_613)),
-            (29, (7_505, 2_080, 17_054_730_686_554_725_541, 16_212_485_455_890_997_493)),
+            (
+                3,
+                (
+                    33_677,
+                    780,
+                    9_346_796_594_517_496_933,
+                    4_524_513_700_803_251_605
+                )
+            ),
+            (
+                17,
+                (
+                    33_682,
+                    780,
+                    9_346_796_594_517_496_933,
+                    8_850_139_935_311_703_957
+                )
+            ),
+            (
+                5,
+                (
+                    7_314,
+                    1_890,
+                    17_054_730_686_554_725_541,
+                    11_281_791_028_380_836_613
+                )
+            ),
+            (
+                29,
+                (
+                    7_505,
+                    2_080,
+                    17_054_730_686_554_725_541,
+                    16_212_485_455_890_997_493
+                )
+            ),
         ]
     );
 }
@@ -223,10 +259,16 @@ fn zipf_scheduled_naive() {
     let p = GenericRanking::new(n);
     let mut sim = Simulation::new(&p, vec![0; n], 71).unwrap();
     let mut sched = ZipfScheduler::new(n, 1.0);
-    sim.run_until_silent_scheduled(u64::MAX, &mut sched).unwrap();
+    sim.run_until_silent_scheduled(u64::MAX, &mut sched)
+        .unwrap();
     assert_eq!(
         naive_fingerprint(&sim),
-        (28_709, 276, 11_219_404_132_072_788_965, 8_402_276_891_733_141_013)
+        (
+            28_709,
+            276,
+            11_219_404_132_072_788_965,
+            8_402_276_891_733_141_013
+        )
     );
 }
 
@@ -276,7 +318,11 @@ fn observed_stream(e: &mut dyn Engine) -> (u64, (u128, u64, u64)) {
             let bytes = clock
                 .to_le_bytes()
                 .into_iter()
-                .chain([before.0, before.1, after.0, after.1].into_iter().flat_map(u32::to_le_bytes))
+                .chain(
+                    [before.0, before.1, after.0, after.1]
+                        .into_iter()
+                        .flat_map(u32::to_le_bytes),
+                )
                 .chain(mult.to_le_bytes());
             for b in bytes {
                 h ^= u64::from(b);
@@ -305,9 +351,18 @@ fn observer_streams() {
     assert_eq!(
         streams,
         [
-            (3_019_044_018_658_190_676, (1_686, 120, 13_746_881_398_137_791_397)),
-            (18_266_542_845_960_994_039, (321_021, 14_434, 15_748_872_390_555_902_917)),
-            (17_922_432_295_624_231_251, (43_872_371, 257_918, 16_225_980_002_244_645_413)),
+            (
+                3_019_044_018_658_190_676,
+                (1_686, 120, 13_746_881_398_137_791_397)
+            ),
+            (
+                18_266_542_845_960_994_039,
+                (321_021, 14_434, 15_748_872_390_555_902_917)
+            ),
+            (
+                17_922_432_295_624_231_251,
+                (43_872_371, 257_918, 16_225_980_002_244_645_413)
+            ),
         ]
     );
 }

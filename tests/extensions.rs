@@ -97,7 +97,12 @@ fn fault_distance_matches_paper_k_distance_definition() {
     let n = 24;
     let mut rng = Xoshiro256::seed_from_u64(3);
     for k in [0usize, 1, 5, 12] {
-        let cfg = init::k_distant(n, k, ssr::engine::init::DuplicatePlacement::Random, &mut rng);
+        let cfg = init::k_distant(
+            n,
+            k,
+            ssr::engine::init::DuplicatePlacement::Random,
+            &mut rng,
+        );
         let counts = init::counts(&cfg, n);
         assert_eq!(rank_distance(&counts, n), k);
         assert_eq!(init::distance(&cfg, n), k);
@@ -222,8 +227,14 @@ fn ecdf_and_bootstrap_summarise_real_stabilisation_times() {
     assert!(ecdf.exceedance(ecdf.quantile(0.99)) <= 0.011);
 
     let ci = median_ci(&times, &BootstrapOptions::default());
-    assert!(ci.contains(med), "bootstrap CI must cover the sample median");
-    assert!(ci.half_width() < med, "CI should be informative at 60 trials");
+    assert!(
+        ci.contains(med),
+        "bootstrap CI must cover the sample median"
+    );
+    assert!(
+        ci.half_width() < med,
+        "CI should be informative at 60 trials"
+    );
 }
 
 #[test]

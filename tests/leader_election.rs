@@ -17,8 +17,8 @@ fn every_protocol_elects_exactly_one_leader() {
     let protos: Vec<&dyn Protocol> = vec![&generic, &ring, &line, &tree];
     for p in protos {
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-        let out = elect_leader(p, cfg, 21, u64::MAX)
-            .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        let out =
+            elect_leader(p, cfg, 21, u64::MAX).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
         assert!(out.leader < n, "{}", p.name());
     }
 }

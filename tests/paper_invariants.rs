@@ -40,24 +40,26 @@ fn line_tokens_accounted_along_trajectory() {
     let mut tidy_lost = false;
     let mut violations = 0u32;
     {
-        let mut obs = FnCountObserver(|_clock, before: (State, State), after: (State, State), _mult, counts: &[u32]| {
-            if last.is_none() {
-                if p.is_tidy(counts) {
-                    last = Some(p.tokens(counts));
+        let mut obs = FnCountObserver(
+            |_clock, before: (State, State), after: (State, State), _mult, counts: &[u32]| {
+                if last.is_none() {
+                    if p.is_tidy(counts) {
+                        last = Some(p.tokens(counts));
+                    }
+                    return;
                 }
-                return;
-            }
-            if !p.is_tidy(counts) {
-                tidy_lost = true; // Lemma 2: must not happen
-                return;
-            }
-            let now = p.tokens(counts);
-            let x_entered_line = before.1 == p.x_state() && after.1 != p.x_state();
-            if now > last.unwrap() && !x_entered_line {
-                violations += 1;
-            }
-            last = Some(now);
-        });
+                if !p.is_tidy(counts) {
+                    tidy_lost = true; // Lemma 2: must not happen
+                    return;
+                }
+                let now = p.tokens(counts);
+                let x_entered_line = before.1 == p.x_state() && after.1 != p.x_state();
+                if now > last.unwrap() && !x_entered_line {
+                    violations += 1;
+                }
+                last = Some(now);
+            },
+        );
         sim.run_until_silent_observed(u64::MAX, &mut obs).unwrap();
     }
     assert!(last.is_some(), "trajectory never became tidy");
@@ -121,12 +123,7 @@ fn balance_detector_predicts_resets() {
     let mut seen_unbalanced = 0;
     for trial in 0..24 {
         // Mix of rank-only configurations.
-        let cfg = init::k_distant(
-            n,
-            trial % 6,
-            init::DuplicatePlacement::Random,
-            &mut rng,
-        );
+        let cfg = init::k_distant(n, trial % 6, init::DuplicatePlacement::Random, &mut rng);
         let counts = init::counts(&cfg, p.num_states());
         let predicted_balanced = p.is_balanced(&counts);
         let mut sim = Simulation::new(&p, cfg, 100 + trial as u64).unwrap();
@@ -177,8 +174,8 @@ fn line_routing_graph_properties() {
 #[test]
 fn fact2_saturation_needs_double_the_gaps() {
     let p = LineOfTraps::with_parameter(24, 1); // 1 line, 3 traps of size 8
-    // Entrance trap (internal index 2) empty: 7 gaps; push agents at the
-    // entrance gate via the recursion by placing them there directly.
+                                                // Entrance trap (internal index 2) empty: 7 gaps; push agents at the
+                                                // entrance gate via the recursion by placing them there directly.
     let chain = p.line(0);
     let entrance_gate = chain.gate(2) as usize;
     for arrivals in 0..=24u32 {
@@ -188,10 +185,7 @@ fn fact2_saturation_needs_double_the_gaps() {
         let cap = chain.size(2) - 1;
         // Every other arrival is captured until the inner states fill.
         let expected_inner = (arrivals / 2).min(cap);
-        assert_eq!(
-            settled.alpha[2], expected_inner,
-            "arrivals={arrivals}"
-        );
+        assert_eq!(settled.alpha[2], expected_inner, "arrivals={arrivals}");
         if arrivals >= 2 * cap {
             assert_eq!(settled.alpha[2], cap, "2d arrivals saturate d gaps");
         }

@@ -14,32 +14,28 @@ use ssr_engine::protocol::validate_ranking_contract;
 #[test]
 fn generic_schema_exact_for_all_small_n() {
     for n in 1..=40 {
-        validate_ranking_contract(&GenericRanking::new(n))
-            .unwrap_or_else(|e| panic!("n={n}: {e}"));
+        validate_ranking_contract(&GenericRanking::new(n)).unwrap_or_else(|e| panic!("n={n}: {e}"));
     }
 }
 
 #[test]
 fn ring_schema_exact_for_all_small_n() {
     for n in 1..=40 {
-        validate_ranking_contract(&RingOfTraps::new(n))
-            .unwrap_or_else(|e| panic!("n={n}: {e}"));
+        validate_ranking_contract(&RingOfTraps::new(n)).unwrap_or_else(|e| panic!("n={n}: {e}"));
     }
 }
 
 #[test]
 fn line_schema_exact_for_all_small_n() {
     for n in LineOfTraps::MIN_POPULATION..=40 {
-        validate_ranking_contract(&LineOfTraps::new(n))
-            .unwrap_or_else(|e| panic!("n={n}: {e}"));
+        validate_ranking_contract(&LineOfTraps::new(n)).unwrap_or_else(|e| panic!("n={n}: {e}"));
     }
 }
 
 #[test]
 fn tree_schema_exact_for_all_small_n() {
     for n in 1..=40 {
-        validate_ranking_contract(&TreeRanking::new(n))
-            .unwrap_or_else(|e| panic!("n={n}: {e}"));
+        validate_ranking_contract(&TreeRanking::new(n)).unwrap_or_else(|e| panic!("n={n}: {e}"));
         validate_ranking_contract(&TreeRanking::new(n).as_modified())
             .unwrap_or_else(|e| panic!("modified n={n}: {e}"));
     }
@@ -94,9 +90,7 @@ fn declared_classes_are_inhabited() {
                     let ra = p.is_rank_state(a);
                     let rb = p.is_rank_state(b);
                     let covered = match spec.class {
-                        InteractionClass::EqualRank => {
-                            ra && rb && a == b && p.equal_rank_rule(a)
-                        }
+                        InteractionClass::EqualRank => ra && rb && a == b && p.equal_rank_rule(a),
                         InteractionClass::ExtraExtra => !ra && !rb,
                         InteractionClass::RankExtra(d) => match d {
                             CrossDirection::RankInitiator => ra && !rb,
@@ -111,7 +105,11 @@ fn declared_classes_are_inhabited() {
                     covered && p.transition(a, b).is_some()
                 })
             });
-            assert!(hit, "{what}: class {:?} covers no productive pair", spec.class);
+            assert!(
+                hit,
+                "{what}: class {:?} covers no productive pair",
+                spec.class
+            );
         }
     }
     inhabited(&GenericRanking::new(12), "generic");

@@ -102,7 +102,9 @@ fn silence_is_verified_exhaustively_and_stable() {
 fn stabilisation_times_are_reported_consistently() {
     let n = 24;
     for p in protocols(n) {
-        let mut sim = CountSimulation::new(p.as_ref(), vec![0; n], 3).unwrap().with_batching(false);
+        let mut sim = CountSimulation::new(p.as_ref(), vec![0; n], 3)
+            .unwrap()
+            .with_batching(false);
         let rep = sim.run_until_silent(u64::MAX).unwrap();
         assert!(rep.interactions >= rep.productive_interactions);
         assert!((rep.parallel_time - rep.interactions as f64 / n as f64).abs() < 1e-9);
@@ -114,19 +116,27 @@ fn stabilisation_times_are_reported_consistently() {
 fn tiny_populations_work() {
     // The smallest populations each construction supports.
     let p = GenericRanking::new(2);
-    let mut sim = CountSimulation::new(&p, vec![0, 0], 1).unwrap().with_batching(false);
+    let mut sim = CountSimulation::new(&p, vec![0, 0], 1)
+        .unwrap()
+        .with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = RingOfTraps::new(2);
-    let mut sim = CountSimulation::new(&p, vec![1, 1], 1).unwrap().with_batching(false);
+    let mut sim = CountSimulation::new(&p, vec![1, 1], 1)
+        .unwrap()
+        .with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = LineOfTraps::new(3);
-    let mut sim = CountSimulation::new(&p, vec![p.x_state(); 3], 1).unwrap().with_batching(false);
+    let mut sim = CountSimulation::new(&p, vec![p.x_state(); 3], 1)
+        .unwrap()
+        .with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 
     let p = TreeRanking::new(2);
-    let mut sim = CountSimulation::new(&p, vec![p.x(1), p.x(1)], 1).unwrap().with_batching(false);
+    let mut sim = CountSimulation::new(&p, vec![p.x(1), p.x(1)], 1)
+        .unwrap()
+        .with_batching(false);
     sim.run_until_silent(u64::MAX).unwrap();
 }
 

@@ -6,7 +6,11 @@
 use ssr::prelude::*;
 
 fn median_time<P: InteractionSchema + Sync>(p: &P, trials: usize, seed: u64) -> f64 {
-    let res = Scenario::new(p).init(Init::Uniform).trials(trials).base_seed(seed).run();
+    let res = Scenario::new(p)
+        .init(Init::Uniform)
+        .trials(trials)
+        .base_seed(seed)
+        .run();
     Summary::of(&res.parallel_times()).median
 }
 
@@ -29,7 +33,11 @@ fn tree_beats_baseline_by_a_wide_margin() {
 fn small_k_recovery_beats_arbitrary_start() {
     let n = 506;
     let p = RingOfTraps::new(n);
-    let kd = Scenario::new(&p).init(Init::KDistant(1)).trials(8).base_seed(3).run();
+    let kd = Scenario::new(&p)
+        .init(Init::KDistant(1))
+        .trials(8)
+        .base_seed(3)
+        .run();
     let t_k1 = Summary::of(&kd.parallel_times()).median;
     let t_arb = median_time(&p, 8, 4);
     assert!(
