@@ -323,6 +323,22 @@ fn bench_primitives(c: &mut Criterion) {
         let mut rng = Xoshiro256::seed_from_u64(4);
         b.iter(|| black_box(rng.binomial(1_000_000, 0.3)))
     });
+    // One entry per `binomial` regime: n ≤ 64 counts n Bernoulli trials,
+    // larger n with a mean below 20 returns Poisson(np), and the rest a
+    // clamped normal. (n = 1000, p = 0.02 would sit at a mean of exactly
+    // 20, on the normal side, so the Poisson entry takes p = 0.01.)
+    let mut group = c.benchmark_group("rng_binomial");
+    for (label, n, p) in [
+        ("bernoulli_n15_p0.03", 15u64, 0.03),
+        ("poisson_n1000_p0.01", 1000, 0.01),
+        ("normal_n100000_p0.3", 100_000, 0.3),
+    ] {
+        group.bench_function(label, |b| {
+            let mut rng = Xoshiro256::seed_from_u64(5);
+            b.iter(|| black_box(rng.binomial(black_box(n), black_box(p))))
+        });
+    }
+    group.finish();
     // The weight-state maintenance hot path under a rule-heavy schema:
     // moving one agent between two follower timer states of loose leader
     // election (τ = 136) walks each state's partner row twice, once for

@@ -804,7 +804,7 @@ mod tests {
         assert_eq!(ring.bursts[0].k_after, 6);
         assert_eq!(ring.bursts[0].recovery, Some(2_958_345));
         assert!(!outcomes[1].silent);
-        assert_eq!(outcomes[1].report.productive_interactions, 399_281);
+        assert_eq!(outcomes[1].report.productive_interactions, 405_232);
         assert_eq!(outcomes[2].report.interactions, 174_772);
     }
 

@@ -89,11 +89,16 @@
 
 use crate::error::ConfigError;
 use crate::protocol::{ClassSpec, CrossDirection, InteractionClass, InteractionSchema, State};
-use crate::rng::Xoshiro256;
+use crate::rng::{Xoshiro256, BERNOULLI_MAX_N};
 
-/// At or below this many remaining draws, [`WeightTree::split`] switches
-/// from binomial splitting to direct weighted descends (cheaper in RNG
-/// draws, identical in distribution).
+/// At or below this many remaining draws at an internal node,
+/// [`WeightTree::split`] and [`BlockTree::split_node`] switch from
+/// binomial splitting to one direct weighted descent per draw (cheaper in
+/// RNG draws, identical in distribution). A share that reaches a
+/// [`BlockTree`] block leaf goes to [`chain_split`] instead, whatever its
+/// size. (A sorted-offset descent from every node with up to
+/// `BERNOULLI_MAX_N` draws, in place of this threshold, was measured and
+/// not adopted: no faster on A_G, slower per draw on the tree protocol.)
 const SPLIT_DIRECT_THRESHOLD: u64 = 8;
 
 /// Leaves per [`BlockTree`] block: the tree keeps one `u64` sum per block
@@ -342,8 +347,9 @@ impl WeightTree {
 ///
 /// Sampling descends the block tree and then scans at most [`BLOCK`]
 /// derived leaves; point updates touch one block sum; multinomial
-/// splitting mirrors [`WeightTree::split`], finishing each block with
-/// chained conditional binomials over the derived leaves.
+/// splitting mirrors [`WeightTree::split`], finishing each block with one
+/// [`chain_split`] over the derived leaves (for up to `BERNOULLI_MAX_N`
+/// draws, one uniform per draw and a single pass over the block).
 ///
 /// [`partition`](Self::partition) additionally pre-splits a batch into
 /// independent subtree tasks — the unit of work the count engine hands to
@@ -552,8 +558,8 @@ impl BlockTree {
         self.split_node(left + 1, k - kl, rng, leaf, out);
     }
 
-    /// Chained conditional binomials over one block's derived leaves —
-    /// together a multinomial over the block.
+    /// Multinomial split of `k` draws over one block's derived leaves,
+    /// through [`chain_split`].
     fn split_block<F: Fn(usize) -> u64>(
         &self,
         b: usize,
@@ -626,13 +632,28 @@ impl BlockTree {
     }
 }
 
-/// Split `k` draws across weighted `items` by chained conditional
-/// binomials — together a multinomial over the weights. Appends
-/// `(slot, draws)` for every slot that received draws.
+/// Split `k` draws across weighted `items` — a multinomial over the
+/// weights, `total` being their sum. Appends `(slot, draws)` in item order
+/// for every slot that received draws, so a zero-weight slot never
+/// appears.
 ///
-/// This is the single implementation of the chained-split law: the count
-/// engine's extra-state splits and [`BlockTree`]'s in-block splits both
-/// delegate here, so a change to the law cannot leave the two diverged.
+/// Two regimes, one law:
+///
+/// - `k ≤ BERNOULLI_MAX_N`: each draw is an offset `below(total)`; the
+///   offsets are sorted and assigned in one pass, item `i` receiving those
+///   in `[acc_{i−1}, acc_i)` of the running weight sum. Each offset lands
+///   on item `i` with probability `w_i/total`, so this is the multinomial
+///   exactly, for `k` uniforms and integer arithmetic only. (Chained
+///   binomials here would spend up to `k` uniforms *per item*, since a
+///   binomial of `n ≤ BERNOULLI_MAX_N` counts `n` Bernoulli trials.)
+/// - larger `k`: chained conditional binomials — item `i` takes
+///   `Binomial(k_rem, w_i / w_rem)` — exact only as far as
+///   [`Xoshiro256::binomial`] is.
+///
+/// This is the single implementation of the split law: the count
+/// engine's extra-state, cross-extra and sparse-group splits and
+/// [`BlockTree`]'s in-block splits all delegate here, so a change to the
+/// law cannot leave them diverged.
 pub(crate) fn chain_split<S: Copy>(
     rng: &mut Xoshiro256,
     mut k: u64,
@@ -640,6 +661,34 @@ pub(crate) fn chain_split<S: Copy>(
     items: impl Iterator<Item = (S, u64)>,
     out: &mut Vec<(S, u64)>,
 ) {
+    if k == 0 {
+        return;
+    }
+    if k <= BERNOULLI_MAX_N {
+        let mut buf = [0u64; BERNOULLI_MAX_N as usize];
+        let offs = &mut buf[..k as usize];
+        for o in offs.iter_mut() {
+            *o = rng.below(total);
+        }
+        offs.sort_unstable();
+        let mut j = 0;
+        let mut acc = 0u64;
+        for (slot, w) in items {
+            acc += w;
+            let first = j;
+            while j < offs.len() && offs[j] < acc {
+                j += 1;
+            }
+            if j > first {
+                out.push((slot, (j - first) as u64));
+                if j == offs.len() {
+                    break;
+                }
+            }
+        }
+        debug_assert_eq!(j, offs.len(), "chain split left draws unassigned");
+        return;
+    }
     let mut w_rem = total;
     for (slot, w) in items {
         if k == 0 {
@@ -1921,6 +1970,168 @@ mod tests {
                 (got - expect).abs() < 0.002,
                 "leaf {i}: {got:.5} vs {expect:.5}"
             );
+        }
+    }
+
+    /// Key of a count vector for the split-law histograms.
+    fn count_key(counts: &[u64], k: u64) -> u64 {
+        counts.iter().fold(0, |key, &c| key * (k + 1) + c)
+    }
+
+    /// Exact multinomial pmf of `k` draws over `weights`, keyed by
+    /// [`count_key`] (zero-weight items always count 0).
+    fn multinomial_pmf(weights: &[u64], k: u64) -> std::collections::HashMap<u64, f64> {
+        let total = weights.iter().sum::<u64>() as f64;
+        let ln_fact = |n: u64| (2..=n).map(|i| (i as f64).ln()).sum::<f64>();
+        let positive: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0).collect();
+        let (&last, free) = positive.split_last().expect("some positive weight");
+        let mut pmf = std::collections::HashMap::new();
+        let mut counts = vec![0u64; weights.len()];
+        // Odometer over the counts of every positive item but the last,
+        // which takes the remainder.
+        loop {
+            let used: u64 = free.iter().map(|&i| counts[i]).sum();
+            if used <= k {
+                counts[last] = k - used;
+                let ln = positive.iter().fold(ln_fact(k), |ln, &i| {
+                    let c = counts[i];
+                    ln + c as f64 * (weights[i] as f64 / total).ln() - ln_fact(c)
+                });
+                pmf.insert(count_key(&counts, k), ln.exp());
+            }
+            let mut d = 0;
+            loop {
+                let Some(&i) = free.get(d) else {
+                    return pmf;
+                };
+                counts[i] += 1;
+                if counts[i] <= k {
+                    break;
+                }
+                counts[i] = 0;
+                d += 1;
+            }
+        }
+    }
+
+    /// Run `split` (`k` draws over `weights`) `rounds` times and compare
+    /// the joint counts with the exact multinomial in total variation.
+    /// A correct sampler's empirical distance stays below the noise floor
+    /// `½·Σ sd(outcome frequency)` (`E|X − Np| ≤ sd`), which the test
+    /// design keeps at 0.003, so a law 0.01 away fails the
+    /// `floor + 0.003` bound. Every round must conserve `k`, emit slots in
+    /// ascending order, and never emit a zero-weight slot or a zero count.
+    fn assert_split_law(
+        weights: &[u64],
+        k: u64,
+        rounds: u64,
+        mut split: impl FnMut(&mut Vec<(usize, u64)>),
+    ) {
+        let mut hist = std::collections::HashMap::<u64, u64>::new();
+        let mut out = Vec::new();
+        let mut counts = vec![0u64; weights.len()];
+        for _ in 0..rounds {
+            out.clear();
+            split(&mut out);
+            counts.fill(0);
+            let mut prev = None;
+            for &(slot, c) in &out {
+                assert!(c > 0, "k = {k}: slot {slot} emitted with 0 draws");
+                assert!(weights[slot] > 0, "k = {k}: zero-weight slot {slot} drawn");
+                assert!(prev < Some(slot), "k = {k}: slots out of order: {out:?}");
+                prev = Some(slot);
+                counts[slot] = c;
+            }
+            assert_eq!(
+                counts.iter().sum::<u64>(),
+                k,
+                "k = {k}: draws not conserved"
+            );
+            *hist.entry(count_key(&counts, k)).or_default() += 1;
+        }
+        let pmf = multinomial_pmf(weights, k);
+        let n = rounds as f64;
+        let floor: f64 = pmf.values().map(|p| 0.5 * (p * (1.0 - p) / n).sqrt()).sum();
+        assert!(
+            floor <= 0.003,
+            "k = {k}: {rounds} rounds leave a noise floor of {floor:.4}"
+        );
+        let mut tv: f64 = pmf
+            .iter()
+            .map(|(key, p)| (hist.get(key).copied().unwrap_or(0) as f64 / n - p).abs())
+            .sum();
+        tv += hist
+            .iter()
+            .filter(|(key, _)| !pmf.contains_key(key))
+            .map(|(_, &c)| c as f64 / n)
+            .sum::<f64>();
+        tv *= 0.5;
+        assert!(
+            tv <= floor + 0.003,
+            "k = {k}: total variation {tv:.4} from the exact multinomial (floor {floor:.4})"
+        );
+    }
+
+    /// `chain_split` realises the multinomial law exactly up to
+    /// `BERNOULLI_MAX_N` draws (the sorted-offset sweep), called directly
+    /// and through a block leaf of a [`BlockTree`]. Above it the chained
+    /// binomials inherit `Xoshiro256::binomial`'s approximations, so only
+    /// conservation and the marginal means are checked there.
+    #[test]
+    fn chain_split_matches_the_exact_multinomial() {
+        // Zero weights at the start, in the middle and at the end, and one
+        // dominant weight.
+        let weights = [0u64, 2, 0, 57, 1, 0];
+        let total: u64 = weights.iter().sum();
+        let items = || weights.iter().copied().enumerate();
+        // The same weights as block 1 of a block tree, after a full block 0.
+        let leaf = |i: usize| {
+            if i < BLOCK {
+                i as u64 % 5
+            } else {
+                weights[i - BLOCK]
+            }
+        };
+        let mut bt = BlockTree::new(BLOCK + weights.len());
+        bt.rebuild(leaf);
+        let block1 = bt.blocks.size + 1;
+        for (k, seed) in [(1u64, 1u64), (2, 2), (5, 3), (BERNOULLI_MAX_N, 4)] {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            assert_split_law(&weights, k, 1_000_000, |out| {
+                chain_split(&mut rng, k, total, items(), out)
+            });
+            let mut rng = Xoshiro256::seed_from_u64(seed + 100);
+            let mut leaves = Vec::new();
+            assert_split_law(&weights, k, 1_000_000, |out| {
+                leaves.clear();
+                bt.split_node(block1, k, &mut rng, &leaf, &mut leaves);
+                out.extend(leaves.iter().map(|&(i, c)| (i - BLOCK, c)));
+            });
+        }
+        for (k, seed) in [(BERNOULLI_MAX_N + 1, 5u64), (1000, 6)] {
+            let rounds = 20_000u64;
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let mut sums = [0u64; 6];
+            let mut out = Vec::new();
+            for _ in 0..rounds {
+                out.clear();
+                chain_split(&mut rng, k, total, items(), &mut out);
+                assert_eq!(out.iter().map(|&(_, c)| c).sum::<u64>(), k);
+                for &(slot, c) in &out {
+                    assert!(c > 0 && weights[slot] > 0, "k = {k}: ({slot}, {c}) emitted");
+                    sums[slot] += c;
+                }
+            }
+            for (slot, &w) in weights.iter().enumerate() {
+                let p = w as f64 / total as f64;
+                let mean = sums[slot] as f64 / rounds as f64;
+                let se = (k as f64 * p * (1.0 - p) / rounds as f64).sqrt();
+                assert!(
+                    (mean - k as f64 * p).abs() <= 5.0 * se + 1e-9,
+                    "k = {k}, slot {slot}: mean {mean:.3} vs {:.3}",
+                    k as f64 * p
+                );
+            }
         }
     }
 

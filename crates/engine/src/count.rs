@@ -20,13 +20,19 @@
 //!    of `B` steps splits multinomially first across the declared
 //!    [`InteractionSchema`] classes, then within each class:
 //!
-//!    * **equal-rank** — per-state weights `c_s(c_s − 1)` split by
-//!      recursive **binomial splitting** down a complete binary weight
-//!      tree in `O(occupied)` binomial draws (the classic trick from
-//!      batched population-protocol simulation, cf. Berenbrink et al.);
+//!    * **equal-rank** — per-state weights `c_s(c_s − 1)`, summed per
+//!      block of 64 states in a block tree. The split descends the tree
+//!      by recursive **binomial splitting** (the classic trick from
+//!      batched population-protocol simulation, cf. Berenbrink et al.),
+//!      switching to direct weighted descents once a subtree holds ≤ 8
+//!      draws, and finishes each block it reaches with the shared
+//!      multinomial splitter (`classes::chain_split`). That splitter
+//!      places ≤ 64 draws by one uniform offset each, sorted and swept
+//!      across the block's states in one pass; only larger shares fall
+//!      back to chained conditional binomials;
 //!    * **extra–extra** — hierarchical split over ordered extra-state
-//!      pairs (`O(occupied extras²)` conditional binomials — extra spaces
-//!      are small by design, `O(log n)` for the tree protocol);
+//!      pairs (`O(occupied extras)` chain splits — extra spaces are small
+//!      by design, `O(log n)` for the tree protocol);
 //!    * **rank–extra cross** — direction, then extra state, then a
 //!      binomial split **across the rank population** via the occupancy
 //!      tree (this is the hypergeometric-style two-population split that
@@ -267,10 +273,10 @@ fn plan_tasks(
         }
     }
     if k_sparse > 0 {
-        // Fan the sparse draws out across initiator groups with chained
-        // conditional binomials in ascending group order (deterministic
-        // under `coord`), one task per group that received draws — the
-        // per-group pair trees are disjoint, so the tasks are independent.
+        // Fan the sparse draws out across initiator groups with one chain
+        // split in ascending group order (deterministic under `coord`),
+        // one task per group that received draws — the per-group pair
+        // trees are disjoint, so the tasks are independent.
         let sp = &state.sparse;
         let mut groups: Vec<(u32, u64)> = Vec::new();
         chain_split(

@@ -59,6 +59,13 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
     split_mix64(&mut s2)
 }
 
+/// Largest trial count at which [`Xoshiro256::binomial`] is exact: at or
+/// below it a binomial counts `n` Bernoulli trials, one uniform each. The
+/// count engine's multinomial splitter (`classes::chain_split`) switches
+/// at the same bound: at or below it, `k` draws cost `k` uniforms by
+/// placing each draw directly, so the two regimes stay aligned.
+pub(crate) const BERNOULLI_MAX_N: u64 = 64;
+
 /// Xoshiro256++ pseudo-random generator.
 ///
 /// Fast (sub-nanosecond per draw), 256 bits of state, passes BigCrush.
@@ -291,7 +298,7 @@ impl Xoshiro256 {
         }
         let nf = n as f64;
         let mean = nf * p;
-        if n <= 64 {
+        if n <= BERNOULLI_MAX_N {
             return (0..n).filter(|_| self.unit_f64() < p).count() as u64;
         }
         if mean < 20.0 {
