@@ -310,11 +310,55 @@ fn bench_count_batching(c: &mut Criterion) {
     group.finish();
 }
 
+/// The parts of one exact step, as layer benches: the whole step here,
+/// its clock draw in `rng/geometric_wide` (`bench_primitives`).
+fn bench_exact_step(c: &mut Criterion) {
+    // A_G with batching off (the jump engine is the count engine's exact
+    // chain), from the configuration a stacked start reaches after 1.25M
+    // productive steps, about half of its run to silence. Each iteration
+    // restores that configuration and takes 100k exact steps: a clock
+    // draw, `sample_pair`, the transition and two count updates each.
+    let n = 4096;
+    let p = GenericRanking::new(n);
+    let mut engine = make_engine(EngineKind::Jump, &p, vec![0; n], 7, 1).unwrap();
+    run_productive(engine.as_mut(), 1_250_000);
+    let mid_run = engine.snapshot();
+    let steps = 100_000u64;
+    let mut group = c.benchmark_group("exact_step_ag_n4096");
+    group.throughput(Throughput::Elements(steps));
+    group.sample_size(10);
+    group.bench_function("advance", |b| {
+        b.iter_batched(
+            || {
+                let mut e = make_engine(EngineKind::Jump, &p, vec![0; n], 7, 1).unwrap();
+                e.restore(&mid_run);
+                e
+            },
+            |mut e| {
+                for _ in 0..steps {
+                    e.advance();
+                }
+                black_box(e.productive_interactions())
+            },
+            criterion::BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
 fn bench_primitives(c: &mut Criterion) {
     c.bench_function("rng_next_u64", |b| {
         let mut rng = Xoshiro256::seed_from_u64(1);
         b.iter(|| black_box(rng.next_u64()))
     });
+    // The exact chain's clock draw: interactions until the next productive
+    // one. At p = 10⁻⁴ a draw is ~10⁴, far below 2⁶³, as clock draws are.
+    let mut group = c.benchmark_group("rng");
+    group.bench_function("geometric_wide", |b| {
+        let mut rng = Xoshiro256::seed_from_u64(6);
+        b.iter(|| black_box(rng.geometric_wide(black_box(1e-4))))
+    });
+    group.finish();
     c.bench_function("rng_ordered_pair_n4096", |b| {
         let mut rng = Xoshiro256::seed_from_u64(2);
         b.iter(|| black_box(rng.ordered_pair(4096)))
@@ -551,6 +595,7 @@ criterion_group!(
     bench_engines_to_silence,
     bench_jump_throughput,
     bench_count_batching,
+    bench_exact_step,
     bench_primitives,
     bench_tree_geometry,
     bench_service,

@@ -698,6 +698,24 @@ mod tests {
         assert!(engine_kind(&args(&["run", "--engine", "warp"])).is_err());
     }
 
+    /// `ssr status` reads a spool that a daemon opened but never ran:
+    /// nothing is laid out yet, and a submitted job shows as pending.
+    #[test]
+    fn status_reads_an_opened_but_never_run_spool() {
+        let dir = std::env::temp_dir().join(format!("ssr-cli-status-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_arg = dir.display().to_string();
+        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
+        let _daemon = Daemon::new(DaemonConfig::new(&dir)).unwrap();
+        cmd_status(&args(&["status", "--dir", &dir_arg])).unwrap();
+        let key = ssr_service::submit_job(&dir, &JobSpec::new("tree", 64, 1)).unwrap();
+        let _daemon = Daemon::new(DaemonConfig::new(&dir)).unwrap();
+        assert_eq!(daemon::job_status(&dir, key), daemon::JobStatus::Pending);
+        cmd_status(&args(&["status", "--dir", &dir_arg])).unwrap();
+        cmd_status(&args(&["status", "--dir", &dir_arg, "--key", &key.hex()])).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn fault_plan_flags_assemble_a_plan() {
         let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();

@@ -81,7 +81,10 @@
 //! The per-rank-state weight structures (`eq`, `rank_occ`) do **not** store
 //! leaf weights: both are pure functions of the occupancy counts
 //! (`c(c−1)` and `c`), so [`BlockTree`] keeps only one `u64` sum per block
-//! of [`BLOCK`] leaves and recomputes leaves on demand. For a protocol with
+//! of [`BLOCK`] leaves and derives the leaves on demand, a block at a
+//! time: [`ClassState::eq_block`] and [`ClassState::rank_block`] read
+//! block `b` as one slice of `counts` (and, for `eq`, the single
+//! equal-rank bitset word `has_eq[b]`). For a protocol with
 //! `≈ n` rank states this is ~`n/4` bytes per tree plus the `4n`-byte
 //! counts vector — down from `2·8·2n = 32n` bytes for two materialised
 //! `u64` weight trees — which is what lets a single tree-protocol run reach
@@ -105,6 +108,10 @@ const SPLIT_DIRECT_THRESHOLD: u64 = 8;
 /// and scans at most this many derived leaf weights at the bottom of a
 /// descent.
 const BLOCK: usize = 64;
+
+// A block's equal-rank rule bits are exactly one `has_eq` word
+// (`ClassState::eq_block`).
+const _: () = assert!(BLOCK == u64::BITS as usize);
 
 /// Complete binary weight tree over `u64` weights: `O(log n)` point
 /// updates, `O(1)` totals, `O(log n)` weighted sampling, and — the reason
@@ -225,21 +232,28 @@ impl WeightTree {
     /// sums are strict), so the descent needs no zero-leaf special case —
     /// the out-of-range guard is what makes it safe in release builds.
     #[inline]
-    pub fn try_sample_with_offset(&self, mut target: u64) -> Option<(usize, u64)> {
+    pub fn try_sample_with_offset(&self, target: u64) -> Option<(usize, u64)> {
         if target >= self.total() {
             return None;
         }
-        let mut node = 1usize;
+        Some(self.descend(1, target))
+    }
+
+    /// Leaf under `node` containing offset `target` of `node`'s subtree,
+    /// with the residual offset within that leaf. Each level steps right
+    /// iff `target >= w_left`, subtracting `w_left` only then — the slot a
+    /// `w_left > target` branch would choose, computed without one, so a
+    /// 50/50 choice per level costs no mispredicted branch.
+    #[inline]
+    fn descend(&self, mut node: usize, mut target: u64) -> (usize, u64) {
         while node < self.size {
             let left = 2 * node;
-            if self.tree[left] > target {
-                node = left;
-            } else {
-                target -= self.tree[left];
-                node = left + 1;
-            }
+            let w_left = self.tree[left];
+            let right = target >= w_left;
+            target -= w_left * right as u64;
+            node = left + right as usize;
         }
-        Some((node - self.size, target))
+        (node - self.size, target)
     }
 
     /// Slot containing offset `target`, or `None` when
@@ -303,18 +317,7 @@ impl WeightTree {
             // distribution — both are the multinomial over leaf weights.
             let total = self.tree[node];
             for _ in 0..b {
-                let mut target = rng.below(total);
-                let mut pos = node;
-                while pos < self.size {
-                    let left = 2 * pos;
-                    if self.tree[left] > target {
-                        pos = left;
-                    } else {
-                        target -= self.tree[left];
-                        pos = left + 1;
-                    }
-                }
-                let leaf = pos - self.size;
+                let (leaf, _) = self.descend(node, rng.below(total));
                 // Runs of the same leaf are coalesced opportunistically;
                 // duplicates across runs are harmless to the caller.
                 match out.last_mut() {
@@ -341,12 +344,16 @@ impl WeightTree {
 
 /// Weight tree over *derived* leaves: the structure stores one `u64` sum
 /// per block of [`BLOCK`] leaves (in an internal [`WeightTree`]) and the
-/// caller supplies the leaf weight function — for the engines a pure
-/// function of the occupancy counts, so no per-leaf array is ever
-/// materialised.
+/// caller supplies the leaves through a **block view**, `view(b)`: block
+/// `b`'s leaf weights in leaf order, as one iterator (for the engines a
+/// pure function of one slice of the occupancy counts, so no per-leaf
+/// array is ever materialised). Every read of derived leaves — a scan, a
+/// block split, the block sums at construction — reads a block at a time
+/// through the view.
 ///
-/// Sampling descends the block tree and then scans at most [`BLOCK`]
-/// derived leaves; point updates touch one block sum; multinomial
+/// Sampling descends the block tree without branching and then scans at
+/// most [`BLOCK`] derived leaves, from the end of the block nearer to the
+/// target offset; point updates touch one block sum; multinomial
 /// splitting mirrors [`WeightTree::split`], finishing each block with one
 /// [`chain_split`] over the derived leaves (for up to `BERNOULLI_MAX_N`
 /// draws, one uniform per draw and a single pass over the block).
@@ -374,13 +381,24 @@ pub(crate) struct BlockTree {
 }
 
 impl BlockTree {
-    /// Tree over `len` derived leaves, all sums zero.
-    pub fn new(len: usize) -> Self {
+    /// Tree over `len` derived leaves, block `b`'s leaves given by
+    /// `view(b)`; sums every block once, in `O(len)`.
+    pub fn new<I: BlockLeaves>(len: usize, view: impl Fn(usize) -> I) -> Self {
+        let mut blocks = WeightTree::new(len.div_ceil(BLOCK));
+        for b in 0..blocks.len {
+            blocks.tree[blocks.size + b] = view(b).sum();
+        }
+        blocks.resum();
         BlockTree {
             len,
-            blocks: WeightTree::new(len.div_ceil(BLOCK)),
+            blocks,
             stale: false,
         }
+    }
+
+    /// Tree without leaves, for a class the schema does not declare.
+    pub fn empty() -> Self {
+        BlockTree::new(0, |_| std::iter::empty())
     }
 
     /// True if the tree has no leaves.
@@ -438,15 +456,6 @@ impl BlockTree {
         }
     }
 
-    /// Recompute every block sum from the leaf function in `O(len)`.
-    pub fn rebuild<F: Fn(usize) -> u64>(&mut self, leaf: F) {
-        let mut sums = vec![0u64; self.blocks.len()];
-        for i in 0..self.len {
-            sums[i / BLOCK] += leaf(i);
-        }
-        self.blocks.assign(&sums);
-    }
-
     /// Leaf containing offset `target` in prefix-sum order — the same
     /// mapping a materialised [`WeightTree::sample`] over the leaf weights
     /// would produce.
@@ -455,7 +464,7 @@ impl BlockTree {
     ///
     /// Panics if `target >= total()`.
     #[inline]
-    pub fn sample<F: Fn(usize) -> u64>(&self, target: u64, leaf: &F) -> usize {
+    pub fn sample<I: BlockLeaves>(&self, target: u64, view: &impl Fn(usize) -> I) -> usize {
         self.debug_assert_flushed();
         let (b, rem) = match self.blocks.try_sample_with_offset(target) {
             Some(hit) => hit,
@@ -464,21 +473,7 @@ impl BlockTree {
                 self.total()
             ),
         };
-        self.scan_block(b, rem, leaf)
-    }
-
-    /// Leaf of block `b` containing the residual offset `rem`.
-    fn scan_block<F: Fn(usize) -> u64>(&self, b: usize, mut rem: u64, leaf: &F) -> usize {
-        let start = b * BLOCK;
-        let end = (start + BLOCK).min(self.len);
-        for i in start..end {
-            let w = leaf(i);
-            if rem < w {
-                return i;
-            }
-            rem -= w;
-        }
-        panic!("block {b} sum inconsistent with derived leaf weights");
+        scan_block(b, rem, self.blocks.weight(b), view(b))
     }
 
     /// Multinomial split of `b` draws over all leaves, appending
@@ -488,28 +483,28 @@ impl BlockTree {
     /// [`partition`](Self::partition)/[`split_node`](Self::split_node)
     /// instead so the work can fan out over threads.)
     #[cfg_attr(not(test), allow(dead_code))]
-    pub fn split<F: Fn(usize) -> u64>(
+    pub fn split<I: BlockLeaves>(
         &self,
         b: u64,
         rng: &mut Xoshiro256,
-        leaf: &F,
+        view: &impl Fn(usize) -> I,
         out: &mut Vec<(usize, u64)>,
     ) {
         if b == 0 {
             return;
         }
         debug_assert!(self.total() > 0, "cannot split over zero weight");
-        self.split_node(1, b, rng, leaf, out);
+        self.split_node(1, b, rng, view, out);
     }
 
     /// Continue a split from `node` in the block-tree node space (`1` is
     /// the root) — the execution half of [`partition`](Self::partition).
-    pub fn split_node<F: Fn(usize) -> u64>(
+    pub fn split_node<I: BlockLeaves>(
         &self,
         node: usize,
         k: u64,
         rng: &mut Xoshiro256,
-        leaf: &F,
+        view: &impl Fn(usize) -> I,
         out: &mut Vec<(usize, u64)>,
     ) {
         self.debug_assert_flushed();
@@ -518,25 +513,17 @@ impl BlockTree {
         }
         let t = &self.blocks;
         if node >= t.size {
-            self.split_block(node - t.size, k, rng, leaf, out);
+            let b = node - t.size;
+            let items = (b * BLOCK..).zip(view(b));
+            chain_split(rng, k, t.weight(b), items, out);
             return;
         }
         if k <= SPLIT_DIRECT_THRESHOLD {
             // Same direct-descent shortcut as WeightTree::split_rec.
             let total = t.tree[node];
             for _ in 0..k {
-                let mut target = rng.below(total);
-                let mut pos = node;
-                while pos < t.size {
-                    let left = 2 * pos;
-                    if t.tree[left] > target {
-                        pos = left;
-                    } else {
-                        target -= t.tree[left];
-                        pos = left + 1;
-                    }
-                }
-                let i = self.scan_block(pos - t.size, target, leaf);
+                let (b, rem) = t.descend(node, rng.below(total));
+                let i = scan_block(b, rem, t.weight(b), view(b));
                 match out.last_mut() {
                     Some((last, c)) if *last == i => *c += 1,
                     _ => out.push((i, 1)),
@@ -554,29 +541,8 @@ impl BlockTree {
         } else {
             rng.binomial(k, wl as f64 / (wl + wr) as f64)
         };
-        self.split_node(left, kl, rng, leaf, out);
-        self.split_node(left + 1, k - kl, rng, leaf, out);
-    }
-
-    /// Multinomial split of `k` draws over one block's derived leaves,
-    /// through [`chain_split`].
-    fn split_block<F: Fn(usize) -> u64>(
-        &self,
-        b: usize,
-        k: u64,
-        rng: &mut Xoshiro256,
-        leaf: &F,
-        out: &mut Vec<(usize, u64)>,
-    ) {
-        let start = b * BLOCK;
-        let end = (start + BLOCK).min(self.len);
-        chain_split(
-            rng,
-            k,
-            self.blocks.weight(b),
-            (start..end).map(|i| (i, leaf(i))),
-            out,
-        );
+        self.split_node(left, kl, rng, view, out);
+        self.split_node(left + 1, k - kl, rng, view, out);
     }
 
     /// Deterministically pre-split `k` draws into independent subtree
@@ -630,6 +596,43 @@ impl BlockTree {
         self.partition_rec(left, kl, task_draws, rng, out);
         self.partition_rec(left + 1, k - kl, task_draws, rng, out);
     }
+}
+
+/// Leaf weights of one [`BlockTree`] block, as a block view yields them:
+/// in leaf order, of known length, readable from either end.
+pub(crate) trait BlockLeaves: DoubleEndedIterator<Item = u64> + ExactSizeIterator {}
+
+impl<I: DoubleEndedIterator<Item = u64> + ExactSizeIterator> BlockLeaves for I {}
+
+/// Leaf of block `b` (leaf weights `leaves`, summing to `sum`) containing
+/// the residual offset `rem`.
+///
+/// The scan starts at the end nearer to `rem`: the leaf holding offset
+/// `rem` from the block's start is the one holding offset `sum − 1 − rem`
+/// from its end, so both directions choose the same leaf, and fewer
+/// leaves are read (on A_G at n = 4096, half-way to silence, 18 instead
+/// of 32 per scan on average).
+#[inline]
+fn scan_block(b: usize, rem: u64, sum: u64, leaves: impl BlockLeaves) -> usize {
+    debug_assert!(rem < sum, "residual offset outside its block");
+    if rem < sum / 2 {
+        let mut rem = rem;
+        for (j, w) in leaves.enumerate() {
+            if rem < w {
+                return b * BLOCK + j;
+            }
+            rem -= w;
+        }
+    } else {
+        let mut rem = sum - 1 - rem;
+        for (j, w) in leaves.enumerate().rev() {
+            if rem < w {
+                return b * BLOCK + j;
+            }
+            rem -= w;
+        }
+    }
+    panic!("block {b} sum inconsistent with derived leaf weights");
 }
 
 /// Split `k` draws across weighted `items` — a multinomial over the
@@ -1017,10 +1020,11 @@ fn pair_weight(counts: &[u32], a: State, b: State) -> u64 {
     }
 }
 
-/// Equal-rank leaf weight for occupancy `c`.
+/// Equal-rank leaf weight for occupancy `c`: `c(c−1)`, which is 0 at
+/// `c = 0` too (the wrapped factor is multiplied by zero).
 #[inline]
 fn eq_weight_of(c: u64) -> u64 {
-    c * c.saturating_sub(1)
+    c * c.wrapping_sub(1)
 }
 
 /// Relative drift scale of one enumerated pair: `w_p / min(c_a, c_b)`,
@@ -1448,8 +1452,6 @@ impl ClassState {
         }
         let schema = CompiledSchema::compile(protocol);
         let num_ranks = protocol.num_rank_states();
-        let mut eq = BlockTree::new(if schema.eq { num_ranks } else { 0 });
-        let mut rank_occ = BlockTree::new(if schema.cross.is_some() { num_ranks } else { 0 });
         let sparse = SparseState::new(&schema, &counts);
         let mut rank_agents = 0u64;
         let mut max_eq_bound = 1u64;
@@ -1460,30 +1462,25 @@ impl ClassState {
                 max_eq_bound = max_eq_bound.max(c);
             }
         }
-        if schema.eq {
-            eq.rebuild(|s| {
-                if schema.eq_rule(s) {
-                    eq_weight_of(counts[s] as u64)
-                } else {
-                    0
-                }
-            });
-        }
-        if !rank_occ.is_empty() {
-            rank_occ.rebuild(|s| counts[s] as u64);
-        }
         let extra_agents = n as u64 - rank_agents;
-        Ok(ClassState {
+        let mut state = ClassState {
             schema,
             counts,
             num_ranks,
-            eq,
-            rank_occ,
+            eq: BlockTree::empty(),
+            rank_occ: BlockTree::empty(),
             sparse,
             rank_agents,
             extra_agents,
             max_eq_bound,
-        })
+        };
+        if state.schema.eq {
+            state.eq = BlockTree::new(num_ranks, |b| state.eq_block(b));
+        }
+        if state.schema.cross.is_some() {
+            state.rank_occ = BlockTree::new(num_ranks, |b| state.rank_block(b));
+        }
+        Ok(state)
     }
 
     /// A cheap zero-population placeholder, used by the count engine's
@@ -1509,8 +1506,8 @@ impl ClassState {
             },
             counts: Vec::new(),
             num_ranks: 0,
-            eq: BlockTree::new(0),
-            rank_occ: BlockTree::new(0),
+            eq: BlockTree::empty(),
+            rank_occ: BlockTree::empty(),
             sparse: SparseState::empty(),
             rank_agents: 0,
             extra_agents: 0,
@@ -1518,22 +1515,32 @@ impl ClassState {
         }
     }
 
-    /// Equal-rank leaf weight of rank state `s`, derived from the current
-    /// occupancy.
+    /// Occupancy counts of the rank states in [`BlockTree`] block `b`:
+    /// `counts[b·BLOCK .. min(b·BLOCK + BLOCK, num_ranks)]`.
     #[inline]
-    pub fn eq_leaf(&self, s: usize) -> u64 {
-        if self.schema.eq_rule(s) {
-            eq_weight_of(self.counts[s] as u64)
-        } else {
-            0
-        }
+    fn block_counts(&self, b: usize) -> &[u32] {
+        let start = b * BLOCK;
+        &self.counts[start..(start + BLOCK).min(self.num_ranks)]
     }
 
-    /// Occupancy leaf weight of rank state `s` (the cross class samples
-    /// rank participants proportionally to occupancy).
+    /// Equal-rank leaf weights of block `b` (the `eq` tree's view):
+    /// `c(c−1)` for a rank state with an equal-rank rule, 0 otherwise. The
+    /// block's rule bits are the single word `has_eq[b]`.
     #[inline]
-    pub fn rank_leaf(&self, s: usize) -> u64 {
-        self.counts[s] as u64
+    pub fn eq_block(&self, b: usize) -> impl BlockLeaves + '_ {
+        let rules = self.schema.has_eq[b];
+        self.block_counts(b)
+            .iter()
+            .enumerate()
+            .map(move |(j, &c)| eq_weight_of(c as u64) & 0u64.wrapping_sub((rules >> j) & 1))
+    }
+
+    /// Occupancy leaf weights of block `b` (the `rank_occ` tree's view:
+    /// the cross class samples rank participants proportionally to
+    /// occupancy).
+    #[inline]
+    pub fn rank_block(&self, b: usize) -> impl BlockLeaves + '_ {
+        self.block_counts(b).iter().map(|&c| c as u64)
     }
 
     /// Add `delta` to the occupancy of state `s`, updating every weight
@@ -1732,7 +1739,7 @@ impl ClassState {
         let w_sparse = self.sparse_weight();
         let mut u = rng.below(w_eq + w_xx + w_cross + w_sparse);
         if u < w_eq {
-            let s = self.eq.sample(u, &|s| self.eq_leaf(s)) as State;
+            let s = self.eq.sample(u, &|b| self.eq_block(b)) as State;
             return (s, s);
         }
         u -= w_eq;
@@ -1755,7 +1762,7 @@ impl ClassState {
             };
             let rank_idx = rem / self.extra_agents;
             let extra_idx = rem % self.extra_agents;
-            let rank_state = self.rank_occ.sample(rank_idx, &|s| self.rank_leaf(s)) as State;
+            let rank_state = self.rank_occ.sample(rank_idx, &|b| self.rank_block(b)) as State;
             let extra_state = self.extra_state_at(extra_idx, None);
             return if extra_initiates {
                 (extra_state, rank_state)
@@ -1884,6 +1891,18 @@ mod tests {
         }
     }
 
+    /// Block view over materialised leaf weights: block `b` is
+    /// `weights[b·BLOCK .. min(b·BLOCK + BLOCK, len)]`.
+    fn slice_view<'a>(
+        weights: &'a [u64],
+    ) -> impl Fn(usize) -> std::iter::Copied<std::slice::Iter<'a, u64>> + 'a {
+        move |b| {
+            weights[b * BLOCK..((b + 1) * BLOCK).min(weights.len())]
+                .iter()
+                .copied()
+        }
+    }
+
     /// The derived-leaf block tree must reproduce the materialised
     /// weight tree's sampling map exactly and split with the same law.
     #[test]
@@ -1896,15 +1915,14 @@ mod tests {
                 _ => 0,
             })
             .collect();
-        let leaf = |i: usize| weights[i];
-        let mut bt = BlockTree::new(weights.len());
-        bt.rebuild(leaf);
+        let view = slice_view(&weights);
+        let mut bt = BlockTree::new(weights.len(), &view);
         let mut wt = WeightTree::new(weights.len());
         wt.assign(&weights);
         assert_eq!(bt.total(), wt.total());
         for target in 0..wt.total() {
             assert_eq!(
-                bt.sample(target, &leaf),
+                bt.sample(target, &view),
                 wt.sample(target),
                 "target {target}"
             );
@@ -1913,12 +1931,12 @@ mod tests {
         let mut weights2 = weights.clone();
         bt.update(70, weights2[70], 9);
         weights2[70] = 9;
-        let leaf2 = |i: usize| weights2[i];
+        let view2 = slice_view(&weights2);
         wt.set(70, 9);
         assert_eq!(bt.total(), wt.total());
         for target in 0..wt.total() {
             assert_eq!(
-                bt.sample(target, &leaf2),
+                bt.sample(target, &view2),
                 wt.sample(target),
                 "target {target}"
             );
@@ -1926,7 +1944,7 @@ mod tests {
         // Split conserves the batch and only touches positive leaves.
         let mut rng = Xoshiro256::seed_from_u64(8);
         let mut out = Vec::new();
-        bt.split(5000, &mut rng, &leaf2, &mut out);
+        bt.split(5000, &mut rng, &view2, &mut out);
         assert_eq!(out.iter().map(|&(_, k)| k).sum::<u64>(), 5000);
         for &(i, _) in &out {
             assert!(weights2[i] > 0, "leaf {i} drawn with zero weight");
@@ -1938,9 +1956,8 @@ mod tests {
     #[test]
     fn block_tree_partition_preserves_the_split_law() {
         let weights: Vec<u64> = (0..300).map(|i| (i as u64 * 31 % 17) + 1).collect();
-        let leaf = |i: usize| weights[i];
-        let mut bt = BlockTree::new(weights.len());
-        bt.rebuild(leaf);
+        let view = slice_view(&weights);
+        let bt = BlockTree::new(weights.len(), &view);
         let b = 20_000u64;
         let rounds = 60;
         let mut totals = vec![0u64; weights.len()];
@@ -1954,7 +1971,7 @@ mod tests {
                 let seed = crate::rng::derive_seed(round * 100 + t as u64, 1);
                 let mut rng = Xoshiro256::seed_from_u64(seed);
                 let mut out = Vec::new();
-                bt.split_node(node, k, &mut rng, &leaf, &mut out);
+                bt.split_node(node, k, &mut rng, &view, &mut out);
                 assert_eq!(out.iter().map(|&(_, c)| c).sum::<u64>(), k);
                 for (i, c) in out {
                     totals[i] += c;
@@ -2085,15 +2102,9 @@ mod tests {
         let total: u64 = weights.iter().sum();
         let items = || weights.iter().copied().enumerate();
         // The same weights as block 1 of a block tree, after a full block 0.
-        let leaf = |i: usize| {
-            if i < BLOCK {
-                i as u64 % 5
-            } else {
-                weights[i - BLOCK]
-            }
-        };
-        let mut bt = BlockTree::new(BLOCK + weights.len());
-        bt.rebuild(leaf);
+        let leaves: Vec<u64> = (0..BLOCK as u64).map(|i| i % 5).chain(weights).collect();
+        let view = slice_view(&leaves);
+        let bt = BlockTree::new(leaves.len(), &view);
         let block1 = bt.blocks.size + 1;
         for (k, seed) in [(1u64, 1u64), (2, 2), (5, 3), (BERNOULLI_MAX_N, 4)] {
             let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -2101,11 +2112,11 @@ mod tests {
                 chain_split(&mut rng, k, total, items(), out)
             });
             let mut rng = Xoshiro256::seed_from_u64(seed + 100);
-            let mut leaves = Vec::new();
+            let mut split = Vec::new();
             assert_split_law(&weights, k, 1_000_000, |out| {
-                leaves.clear();
-                bt.split_node(block1, k, &mut rng, &leaf, &mut leaves);
-                out.extend(leaves.iter().map(|&(i, c)| (i - BLOCK, c)));
+                split.clear();
+                bt.split_node(block1, k, &mut rng, &view, &mut split);
+                out.extend(split.iter().map(|&(i, c)| (i - BLOCK, c)));
             });
         }
         for (k, seed) in [(BERNOULLI_MAX_N + 1, 5u64), (1000, 6)] {
@@ -3059,6 +3070,224 @@ mod tests {
                 .fold(1, u64::max);
             deferred.refresh_max_eq();
             prop_assert_eq!(deferred.max_eq_bound, expect);
+        }
+    }
+
+    /// Rank states with an arbitrary equal-rank rule mask and a two-way
+    /// cross class, for the block-view oracle below. The transition is
+    /// never consulted by `ClassState`; it exists to satisfy the trait.
+    struct RuleMask {
+        n: usize,
+        rules: Vec<bool>,
+        extras: usize,
+    }
+    impl Protocol for RuleMask {
+        fn name(&self) -> &str {
+            "rule-mask"
+        }
+        fn population_size(&self) -> usize {
+            self.n
+        }
+        fn num_states(&self) -> usize {
+            self.rules.len() + self.extras
+        }
+        fn num_rank_states(&self) -> usize {
+            self.rules.len()
+        }
+        fn transition(&self, i: State, r: State) -> Option<(State, State)> {
+            (i == r && self.equal_rank_rule(i)).then_some((i, r))
+        }
+    }
+    impl InteractionSchema for RuleMask {
+        fn interaction_classes(&self) -> Vec<ClassSpec> {
+            vec![
+                ClassSpec::equal_rank(),
+                ClassSpec::rank_extra(CrossDirection::Both),
+            ]
+        }
+        fn equal_rank_rule(&self, s: State) -> bool {
+            self.rules.get(s as usize).copied().unwrap_or(false)
+        }
+    }
+
+    /// [`BlockTree::split_node`] as it read leaves before block views: one
+    /// closure call per leaf, and a descent that branches at every level.
+    /// The view-based split must emit exactly what this emits, draw for
+    /// draw.
+    fn split_node_per_leaf(
+        bt: &BlockTree,
+        node: usize,
+        k: u64,
+        rng: &mut Xoshiro256,
+        leaf: &dyn Fn(usize) -> u64,
+        out: &mut Vec<(usize, u64)>,
+    ) {
+        if k == 0 {
+            return;
+        }
+        let t = &bt.blocks;
+        let leaves = |b: usize| b * BLOCK..(b * BLOCK + BLOCK).min(bt.len);
+        if node >= t.size {
+            let b = node - t.size;
+            let items = leaves(b).map(|i| (i, leaf(i)));
+            chain_split(rng, k, t.weight(b), items, out);
+            return;
+        }
+        if k <= SPLIT_DIRECT_THRESHOLD {
+            let total = t.tree[node];
+            for _ in 0..k {
+                let mut target = rng.below(total);
+                let mut pos = node;
+                while pos < t.size {
+                    let left = 2 * pos;
+                    if t.tree[left] > target {
+                        pos = left;
+                    } else {
+                        target -= t.tree[left];
+                        pos = left + 1;
+                    }
+                }
+                let i = leaves(pos - t.size)
+                    .find(|&i| {
+                        let w = leaf(i);
+                        let hit = target < w;
+                        target -= if hit { 0 } else { w };
+                        hit
+                    })
+                    .expect("residual offset inside its block");
+                match out.last_mut() {
+                    Some((last, c)) if *last == i => *c += 1,
+                    _ => out.push((i, 1)),
+                }
+            }
+            return;
+        }
+        let left = 2 * node;
+        let wl = t.tree[left];
+        let wr = t.tree[left + 1];
+        let kl = if wr == 0 {
+            k
+        } else if wl == 0 {
+            0
+        } else {
+            rng.binomial(k, wl as f64 / (wl + wr) as f64)
+        };
+        split_node_per_leaf(bt, left, kl, rng, leaf, out);
+        split_node_per_leaf(bt, left + 1, k - kl, rng, leaf, out);
+    }
+
+    /// Check one block tree against its materialised leaf weights:
+    /// every target offset samples the leaf a linear prefix-sum scan and
+    /// a [`WeightTree`] find, and splits from the root, an internal node
+    /// and a block leaf emit what the per-leaf reference emits under the
+    /// same seed, leaving the RNG in the same state.
+    fn check_block_view<I: BlockLeaves>(
+        bt: &BlockTree,
+        view: &impl Fn(usize) -> I,
+        weights: &[u64],
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut wt = WeightTree::new(weights.len());
+        wt.assign(weights);
+        prop_assert_eq!(bt.total(), wt.total());
+        let mut slot = 0;
+        let mut end = weights.first().copied().unwrap_or(0);
+        for target in 0..wt.total() {
+            while target >= end {
+                slot += 1;
+                end += weights[slot];
+            }
+            let got = bt.sample(target, view);
+            prop_assert_eq!(got, slot, "target {}", target);
+            prop_assert_eq!(got, wt.sample(target), "target {}", target);
+        }
+        if bt.total() == 0 {
+            return Ok(());
+        }
+        let size = bt.blocks.size;
+        let nodes = [1, (size / 2).max(1), size + bt.blocks.len() - 1];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (t, &node) in nodes.iter().enumerate() {
+            if bt.blocks.tree[node] == 0 {
+                continue;
+            }
+            for k in [1, 3, 8, 9, 40, BERNOULLI_MAX_N, BERNOULLI_MAX_N + 1, 500] {
+                let stream = crate::rng::derive_seed(seed, 10 * t as u64 + k);
+                let mut rng_got = Xoshiro256::seed_from_u64(stream);
+                let mut rng_want = rng_got.clone();
+                got.clear();
+                want.clear();
+                bt.split_node(node, k, &mut rng_got, view, &mut got);
+                split_node_per_leaf(bt, node, k, &mut rng_want, &|i| weights[i], &mut want);
+                prop_assert_eq!(&got, &want, "node {} k {}", node, k);
+                prop_assert_eq!(rng_got.next_u64(), rng_want.next_u64());
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Block views are the leaves they replace. Random counts (a third
+        /// of them zero), a random equal-rank rule mask with holes drawn
+        /// more often at bitset-word edges, a final block that is full or
+        /// partial, and zero to two extra states after the rank states:
+        /// both trees of `ClassState` — the `eq` view (`c(c−1)` under the
+        /// mask) and the `rank_occ` view (`c`) — must match their weights
+        /// materialised from the rule mask and the counts
+        /// ([`check_block_view`]), at construction and again after a run
+        /// of `update_count` calls.
+        #[test]
+        fn block_views_match_materialised_leaves(
+            seed in 0u64..1_000_000,
+            blocks in 1usize..6,
+            partial in any::<bool>(),
+            extras in 0usize..3,
+        ) {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let short = if partial { 1 + rng.below(BLOCK as u64 - 1) as usize } else { 0 };
+            let ranks = blocks * BLOCK - short;
+            // Rule holes: one in two at the first and last bit of a
+            // bitset word, one in five elsewhere.
+            let rules: Vec<bool> = (0..ranks)
+                .map(|s| match s % BLOCK {
+                    0 | 63 => rng.below(2) == 0,
+                    _ => rng.below(5) != 0,
+                })
+                .collect();
+            let mut counts: Vec<u32> = (0..ranks + extras)
+                .map(|_| match rng.below(3) {
+                    0 => 0,
+                    _ => rng.below(6) as u32,
+                })
+                .collect();
+            let n = counts.iter().map(|&c| c as usize).sum();
+            let p = RuleMask { n, rules, extras };
+            let mut st = ClassState::new(&p, counts.clone()).unwrap();
+            for round in 0..2 {
+                let eq: Vec<u64> = (0..ranks)
+                    .map(|s| match p.rules[s] {
+                        true => eq_weight_of(counts[s] as u64),
+                        false => 0,
+                    })
+                    .collect();
+                let occ: Vec<u64> = counts[..ranks].iter().map(|&c| c as u64).collect();
+                let (eq_seed, occ_seed) = (seed + round, seed + round + 7);
+                check_block_view(&st.eq, &|b| st.eq_block(b), &eq, eq_seed)?;
+                check_block_view(&st.rank_occ, &|b| st.rank_block(b), &occ, occ_seed)?;
+                for _ in 0..40 {
+                    let donor = rng.below(counts.len() as u64) as usize;
+                    if counts[donor] == 0 {
+                        continue;
+                    }
+                    let recv = rng.below(counts.len() as u64) as usize;
+                    counts[donor] -= 1;
+                    counts[recv] += 1;
+                    st.update_count(donor as State, -1);
+                    st.update_count(recv as State, 1);
+                }
+            }
         }
     }
 

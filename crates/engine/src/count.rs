@@ -310,7 +310,7 @@ fn run_split_task(
         SplitTask::Eq { node, k } => {
             state
                 .eq
-                .split_node(node, k, rng, &|s| state.eq_leaf(s), split);
+                .split_node(node, k, rng, &|b| state.eq_block(b), split);
             out.extend(split.iter().map(|&(s, k)| ((s as State, s as State), k)));
         }
         SplitTask::Xx { k } => {
@@ -352,7 +352,7 @@ fn run_split_task(
         } => {
             state
                 .rank_occ
-                .split_node(node, k, rng, &|s| state.rank_leaf(s), split);
+                .split_node(node, k, rng, &|b| state.rank_block(b), split);
             out.extend(split.iter().map(|&(r, k_re)| {
                 let r = r as State;
                 (

@@ -224,7 +224,12 @@ impl Xoshiro256 {
         let num = (-u).ln_1p(); // ln(1-u) <= 0
         let den = (-p).ln_1p(); // ln(1-p) <  0
         let k = num / den;
-        if k >= u128::MAX as f64 {
+        // Below 2⁶³ the hardware `f64 → u64` conversion truncates exactly
+        // as `f64 → u128` does, without the latter's soft-float call; this
+        // is the count engine's clock draw, almost always small.
+        if k < (1u64 << 63) as f64 {
+            k as u64 as u128
+        } else if k >= u128::MAX as f64 {
             u128::MAX
         } else {
             k as u128

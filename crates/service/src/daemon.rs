@@ -11,6 +11,12 @@
 //! [`run_job`](crate::runner::run_job). On startup anything still in
 //! `running/` is requeued — those jobs resume from their newest durable
 //! checkpoint and finish bit-identically.
+//!
+//! Opening a daemon ([`Daemon::new`]) only reads the spool: it creates
+//! nothing, except `pending/` when it has an orphan to requeue. The first
+//! [`Daemon::run`] lays out the spool directories and opens the
+//! checkpoint store and result cache, once per `Daemon`; [`submit_job`]
+//! and the result writers create their own directories as well.
 
 use crate::cache::ResultCache;
 use crate::runner::{run_job, RunConfig, RunDisposition};
@@ -27,7 +33,8 @@ use std::time::Duration;
 /// Daemon policy knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Spool root directory (created if absent).
+    /// Spool root directory (laid out by the first [`Daemon::run`] if
+    /// absent).
     pub dir: PathBuf,
     /// Core budget shared by all concurrently running jobs; 0 = the
     /// machine's available parallelism.
@@ -171,36 +178,62 @@ struct Worker {
 /// [`Daemon::run`].
 pub struct Daemon {
     cfg: DaemonConfig,
-    store: CheckpointStore,
-    cache: ResultCache,
+    /// The checkpoint store and result cache, opened by the first
+    /// [`run`](Self::run).
+    spool: Option<Spool>,
     stats: DaemonStats,
 }
 
+/// The durable stores of a laid-out spool.
+#[derive(Clone)]
+struct Spool {
+    store: CheckpointStore,
+    cache: ResultCache,
+}
+
+impl Spool {
+    /// Create the spool's directory tree under `dir` and open its
+    /// checkpoint store and result cache.
+    fn lay_out(dir: &Path) -> std::io::Result<Self> {
+        for sub in ["pending", "running", "done", "failed"] {
+            fs::create_dir_all(dir.join(sub))?;
+        }
+        Ok(Spool {
+            store: CheckpointStore::open(dir.join("checkpoints"))?,
+            cache: ResultCache::open(dir.join("cache"))?,
+        })
+    }
+}
+
 impl Daemon {
-    /// Open the spool (creating its directory tree), recover orphaned
-    /// `running/` entries back into the queue, and open the checkpoint
-    /// store and result cache.
+    /// Open the spool and recover orphaned `running/` entries back into
+    /// the queue. Reads the spool and writes nothing unless there is an
+    /// orphan to requeue (then `pending/` is created if missing); the
+    /// first [`run`](Self::run) lays out the rest.
     ///
     /// # Errors
     ///
-    /// Propagates spool I/O failures.
+    /// Propagates spool I/O failures; a spool without `running/` (or
+    /// without any directory yet) has no orphans.
     pub fn new(cfg: DaemonConfig) -> Result<Self, ServiceError> {
-        for sub in ["pending", "running", "done", "failed"] {
-            fs::create_dir_all(cfg.dir.join(sub))?;
-        }
-        let store = CheckpointStore::open(cfg.dir.join("checkpoints"))?;
-        let cache = ResultCache::open(cfg.dir.join("cache"))?;
         let mut stats = DaemonStats::default();
         // Crash recovery: a previous daemon died with these claimed.
-        for entry in fs::read_dir(cfg.dir.join("running"))?.flatten() {
-            let name = entry.file_name();
-            fs::rename(entry.path(), cfg.dir.join("pending").join(&name))?;
+        let orphans = match fs::read_dir(cfg.dir.join("running")) {
+            Ok(entries) => Some(entries),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        let pending = cfg.dir.join("pending");
+        for entry in orphans.into_iter().flatten().flatten() {
+            if stats.recovered == 0 {
+                fs::create_dir_all(&pending)?;
+            }
+            fs::rename(entry.path(), pending.join(entry.file_name()))?;
             stats.recovered += 1;
         }
         Ok(Daemon {
             cfg,
-            store,
-            cache,
+            spool: None,
             stats,
         })
     }
@@ -236,6 +269,10 @@ impl Daemon {
     /// reported (after every worker has been joined); individual job
     /// failures land in `failed/` and the stats, not here.
     pub fn run(&mut self) -> Result<DaemonStats, ServiceError> {
+        let spool = match &self.spool {
+            Some(spool) => spool.clone(),
+            None => self.spool.insert(Spool::lay_out(&self.cfg.dir)?).clone(),
+        };
         let cores = self.cores();
         let mut available = cores;
         let (tx, rx) = mpsc::channel::<WorkerMsg>();
@@ -255,7 +292,7 @@ impl Daemon {
             let quota_reached = self.cfg.max_jobs.is_some_and(|m| served >= m as u64);
 
             if !killing && !quota_reached {
-                self.schedule(&mut available, &mut workers, &tx)?;
+                self.schedule(&spool, &mut available, &mut workers, &tx)?;
             }
 
             let queue_empty = dir_is_empty(&self.cfg.dir.join("pending"));
@@ -312,6 +349,7 @@ impl Daemon {
     /// remaining budget (cache hits complete inline and cost nothing).
     fn schedule(
         &mut self,
+        spool: &Spool,
         available: &mut usize,
         workers: &mut Vec<Worker>,
         tx: &mpsc::Sender<WorkerMsg>,
@@ -347,10 +385,10 @@ impl Daemon {
 
             // Cache first: an identical completed job is served without
             // touching an engine.
-            if let Some(result) = self.cache.get(key) {
+            if let Some(result) = spool.cache.get(key) {
                 self.finish(key, &result, "cache")?;
                 fs::remove_file(&path)?;
-                self.store.clear(key)?;
+                spool.store.clear(key)?;
                 self.stats.completed += 1;
                 self.stats.cache_hits += 1;
                 continue;
@@ -384,8 +422,8 @@ impl Daemon {
             };
             let ctx = WorkerCtx {
                 dir: self.cfg.dir.clone(),
-                store: self.store.clone(),
-                cache: self.cache.clone(),
+                store: spool.store.clone(),
+                cache: spool.cache.clone(),
                 running,
                 spec,
                 key,

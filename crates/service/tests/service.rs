@@ -259,6 +259,54 @@ fn daemon_startup_recovers_orphaned_running_jobs() {
     ));
 }
 
+/// Opening a daemon only reads the spool: on a spool that does not exist
+/// it creates nothing. The first `run` lays out every spool directory and
+/// serves a job submitted after the open.
+#[test]
+fn daemon_open_is_read_only_and_the_first_run_lays_out_the_spool() {
+    let dir = temp_dir("daemon-open");
+    let mut daemon = Daemon::new(DaemonConfig::new(&dir)).unwrap();
+    assert!(!dir.exists(), "opening a daemon must create nothing");
+
+    let key = submit_job(&dir, &tree_job(4_096, 17)).unwrap();
+    let stats = daemon.run().unwrap();
+    assert_eq!((stats.completed, stats.failed, stats.recovered), (1, 0, 0));
+    for sub in [
+        "pending",
+        "running",
+        "done",
+        "failed",
+        "checkpoints",
+        "cache",
+    ] {
+        assert!(dir.join(sub).is_dir(), "{sub}/ not laid out");
+    }
+    assert_eq!(
+        daemon::job_status(&dir, key),
+        daemon::JobStatus::Done {
+            source: "engine".into()
+        }
+    );
+}
+
+/// An orphan in `running/` of a spool that has no `pending/` (nothing
+/// else was ever laid out) is still requeued: recovery creates
+/// `pending/` for it.
+#[test]
+fn daemon_recovers_an_orphan_without_a_pending_dir() {
+    let dir = temp_dir("daemon-orphan-bare");
+    let spec = tree_job(4_096, 19);
+    let name = format!("{}.job", spec.key().unwrap().hex());
+    std::fs::create_dir_all(dir.join("running")).unwrap();
+    std::fs::write(dir.join("running").join(&name), spec.encode()).unwrap();
+
+    let daemon = Daemon::new(DaemonConfig::new(&dir)).unwrap();
+    assert!(dir.join("pending").join(&name).exists());
+    assert!(!dir.join("running").join(&name).exists());
+    let stats = daemon_run(daemon);
+    assert_eq!((stats.recovered, stats.completed), (1, 1));
+}
+
 fn daemon_run(mut d: Daemon) -> ssr_service::DaemonStats {
     d.run().unwrap()
 }
@@ -592,10 +640,13 @@ fn daemon_records_why_publishing_a_result_failed() {
 fn daemon_returns_a_spool_error_a_worker_hit() {
     let dir = temp_dir("daemon-spool-error");
     let spec = tree_job(4_096, 23);
-    let key = submit_job(&dir, &spec).unwrap();
     let mut daemon = Daemon::new(DaemonConfig::new(&dir)).unwrap();
+    // A first, empty run lays out the spool; the sabotage comes after it,
+    // so only the worker meets it.
+    assert_eq!(daemon.run().unwrap().completed, 0);
     std::fs::remove_dir(dir.join("failed")).unwrap();
     std::fs::write(dir.join("failed"), "not a directory").unwrap();
+    let key = submit_job(&dir, &spec).unwrap();
     // Force a publish failure, as in the test above.
     std::fs::create_dir_all(dir.join("cache").join(format!("{}.result", key.hex()))).unwrap();
 

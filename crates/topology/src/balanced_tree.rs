@@ -146,20 +146,15 @@ impl BalancedTree {
         while q != p {
             parent = q;
             depth += 1;
-            if s.is_multiple_of(2) {
-                // Chain node: the only child is q + 1 with size s − 1.
-                q += 1;
-                s -= 1;
-            } else {
-                // Branching node: halves of size l at q + 1 and q + l + 1.
-                let l = (s - 1) / 2;
-                if p <= q + l {
-                    q += 1;
-                } else {
-                    q += l + 1;
-                }
-                s = l;
-            }
+            // A chain node (even s) has one child, q + 1 with size s − 1; a
+            // branching node (odd s) has halves of size l = (s − 1)/2 at
+            // q + 1 and q + l + 1. Both cases in one step without a branch:
+            // with l_eff = l·[s odd], the child is q + 1 + l_eff·[p > q +
+            // l_eff] and its size is (s − 1) >> [s odd].
+            let odd = s & 1;
+            let l_eff = ((s - 1) / 2) * odd;
+            q += 1 + l_eff * (p > q + l_eff) as usize;
+            s = (s - 1) >> odd;
         }
         Locus {
             size: s,
