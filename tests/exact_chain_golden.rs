@@ -477,3 +477,119 @@ fn count_tree_uniform_prefix_n131072() {
     assert_eq!(drive(1), pin);
     assert_eq!(drive(2), pin, "2 threads");
 }
+
+// The two pins below cover the cross class's batch and exact paths in
+// each single direction: the line protocol declares equal-rank,
+// extra–extra and the rank-initiated cross class, and the stub protocol
+// below the extra-initiated cross class next to enumerated sparse pairs.
+// Together they order every pair of productive classes, so moving a
+// class's place in the class split, the task list or the exact sample
+// moves at least one of them.
+
+/// Run `e` to silence, returning how many quanta were batches.
+fn batches_to_silence(e: &mut dyn Engine) -> u64 {
+    let mut batched = 0u64;
+    while let Some(applied) = e.advance() {
+        if applied > 1 {
+            batched += 1;
+        }
+    }
+    batched
+}
+
+/// From a stacked start the line's reset phases batch: some batches
+/// hold equal-rank, extra–extra and cross draws at once. (From a uniform
+/// start only equal-rank batches fire.)
+#[test]
+fn count_line_stacked_n4096() {
+    let p = LineOfTraps::new(4096);
+    let mut e = count(&p, vec![0; 4096], 21);
+    let batched = batches_to_silence(e.as_mut());
+    assert!(batched > 0, "no batch fired");
+    assert_eq!(
+        (batched, fingerprint(e.as_ref())),
+        (
+            8_958,
+            (21_976_693_397, 2_362_979, 15_402_518_356_864_439_285)
+        )
+    );
+}
+
+/// `ranks` rank states and `extras` extra states. Extra-initiated cross
+/// pairs turn the extra agent into a rank agent; the sparse pairs are
+/// every rank state's diagonal, which turns one agent into an extra
+/// agent, and each rank state with its successor, which moves the
+/// responder on. Rank-initiated mixed pairs and extra–extra pairs are
+/// null. The population never goes silent: the flows balance with about
+/// one extra agent per `ranks` rank agents.
+struct ExtraInitiated {
+    n: usize,
+    ranks: State,
+    extras: State,
+}
+
+impl Protocol for ExtraInitiated {
+    fn name(&self) -> &str {
+        "extra-initiated"
+    }
+    fn population_size(&self) -> usize {
+        self.n
+    }
+    fn num_states(&self) -> usize {
+        (self.ranks + self.extras) as usize
+    }
+    fn num_rank_states(&self) -> usize {
+        self.ranks as usize
+    }
+    fn transition(&self, i: State, r: State) -> Option<(State, State)> {
+        let k = self.ranks;
+        match (i < k, r < k) {
+            (false, true) => Some(((i - k) % k, r)),
+            (true, true) if i == r => Some((i, k + i % self.extras)),
+            (true, true) if r == (i + 1) % k => Some((i, (i + 2) % k)),
+            _ => None,
+        }
+    }
+}
+
+impl InteractionSchema for ExtraInitiated {
+    fn interaction_classes(&self) -> Vec<ClassSpec> {
+        let mut classes = vec![ClassSpec::rank_extra(CrossDirection::ExtraInitiator)];
+        for s in 0..self.ranks {
+            classes.push(ClassSpec::pair(s, s));
+            classes.push(ClassSpec::pair(s, (s + 1) % self.ranks));
+        }
+        classes
+    }
+}
+
+#[test]
+fn count_extra_initiated_cross_and_sparse_prefix() {
+    let p = ExtraInitiated {
+        n: 16_384,
+        ranks: 16,
+        extras: 8,
+    };
+    validate_interaction_schema(&p).unwrap();
+    let mut e = count(&p, uniform(&p, 31), 31);
+    let mut batched = 0u64;
+    while e.productive_interactions() < 2_000_000 {
+        if e.advance().expect("never silent") > 1 {
+            batched += 1;
+        }
+    }
+    assert!(batched > 0, "no batch fired");
+    assert_eq!(
+        (batched, fingerprint(e.as_ref())),
+        (6_212, (7_457_285, 2_000_063, 935_930_581_706_746_438))
+    );
+    // The exact chain samples the same classes one pair at a time.
+    let mut e = jump(&p, uniform(&p, 32), 32);
+    for _ in 0..50_000 {
+        assert_eq!(e.advance(), Some(1));
+    }
+    assert_eq!(
+        fingerprint(e.as_ref()),
+        (254_679, 50_000, 4_372_670_219_263_970_228)
+    );
+}
