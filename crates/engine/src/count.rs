@@ -38,8 +38,8 @@
 //!      tree (this is the hypergeometric-style two-population split that
 //!      lets the line/tree reset phases batch);
 //!    * **sparse pairs** — a two-level split through the per-initiator
-//!      group hierarchy (see the sparse section of
-//!      [`classes`](crate::classes)): the batch's sparse share is first
+//!      group hierarchy (see the sparse section of the `classes`
+//!      module docs): the batch's sparse share is first
 //!      chain-split across the occupied groups under the coordinator
 //!      stream, then each group's pair tree splits its own share as an
 //!      independent task. Draw-for-draw this equals one flat split over
@@ -66,9 +66,9 @@
 //! split overhead; otherwise the engine falls back to exact stepping for
 //! that step. Correctness near silence is therefore always the exact jump
 //! chain. Both modes live in one stepping method,
-//! [`Engine::advance_to`](crate::engine::Engine::advance_to), which decides
+//! [`Engine::advance_to`], which decides
 //! between a batch and an exact step once per quantum; the run loops are
-//! the ones the [`Engine`](crate::engine::Engine) trait provides.
+//! the ones the [`Engine`] trait provides.
 //!
 //! ## Parallel per-class splits on a persistent worker pool
 //!
@@ -130,11 +130,11 @@
 //!
 //! [`InteractionSchema`]: crate::protocol::InteractionSchema
 
-use crate::classes::{chain_split, ClassState};
+use crate::classes::{chain_binomials, Class, ClassState, KeyGroup, SplitTask};
 use crate::engine::{ByzOverlay, CappedAdvance, CountObserver, Engine};
 use crate::error::ConfigError;
 use crate::init;
-use crate::protocol::{CrossDirection, InteractionSchema, State};
+use crate::protocol::{InteractionSchema, State};
 use crate::rng::{derive_seed, Xoshiro256};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -142,9 +142,9 @@ use std::sync::{mpsc, Arc, Mutex};
 pub use crate::classes::WeightTree;
 
 /// Below this safe batch size, batching cannot pay for its overhead and
-/// the engine steps exactly. Classes with per-batch split overhead beyond
-/// `O(occupied)` (extra–extra, cross, sparse) raise the effective
-/// threshold to their overhead so a batch always amortises it.
+/// the engine steps exactly. A class with per-batch split overhead beyond
+/// `O(occupied)` raises the effective threshold to that overhead
+/// ([`ClassState::drift`]) so a batch always amortises it.
 const MIN_BATCH: u64 = 64;
 
 /// After the safe batch size drops below the threshold, stay in exact
@@ -157,11 +157,6 @@ const EXACT_RECHECK_INTERVAL: u32 = 32;
 /// many batches (between refreshes the tracked bound is a safe
 /// over-estimate).
 const MAX_REFRESH_INTERVAL: u32 = 32;
-
-/// Target draws per split task when pre-partitioning a class's weight
-/// tree. Applied with *any* thread count (including one), so the
-/// trajectory never depends on how many workers execute the tasks.
-const PARTITION_TASK_DRAWS: u64 = 4096;
 
 /// Batches below this many draws **per participating thread** run their
 /// tasks on the calling thread. The threshold adapts to the thread count:
@@ -178,203 +173,6 @@ struct BatchGroup {
     before: (State, State),
     after: (State, State),
     applied: u64,
-}
-
-/// A coalesced rewrite key with its multiplicity — the output unit of the
-/// split phase.
-type KeyGroup = ((State, State), u64);
-
-/// One independently executable unit of a batch's split work. Tasks are
-/// planned deterministically from the frozen [`ClassState`] and a
-/// coordinator RNG stream; each one is executed against the same frozen
-/// state under its own derived RNG stream, on whichever worker thread
-/// picks it up.
-#[derive(Debug, Clone, Copy)]
-enum SplitTask {
-    /// Split `k` equal-rank draws below `node` of the eq block tree.
-    Eq { node: usize, k: u64 },
-    /// The whole extra–extra hierarchical split (extra spaces are small
-    /// by design, so this is never worth subdividing).
-    Xx { k: u64 },
-    /// One (direction, extra-state) slice of the cross class: split its
-    /// `k` draws across the rank population below `node` of the
-    /// occupancy tree.
-    Cross {
-        node: usize,
-        extra: State,
-        extra_initiates: bool,
-        k: u64,
-    },
-    /// Split `k` sparse draws within one initiator group's pair tree.
-    Sparse { group: u32, k: u64 },
-}
-
-/// Plan the deterministic split-task list for one batch: the per-class
-/// draw counts are fanned out into subtree tasks using `coord` (the
-/// coordinator stream derived from the batch seed). Task order is fixed —
-/// equal-rank, extra–extra, cross (rank-initiated then extra-initiated,
-/// extras ascending), sparse — so the merged output order never depends
-/// on scheduling.
-fn plan_tasks(
-    state: &ClassState,
-    ks: [u64; 4],
-    coord: &mut Xoshiro256,
-    tasks: &mut Vec<SplitTask>,
-) {
-    let [k_eq, k_xx, k_cross, k_sparse] = ks;
-    let mut parts: Vec<(usize, u64)> = Vec::new();
-    if k_eq > 0 {
-        state
-            .eq
-            .partition(k_eq, PARTITION_TASK_DRAWS, coord, &mut parts);
-        tasks.extend(parts.iter().map(|&(node, k)| SplitTask::Eq { node, k }));
-    }
-    if k_xx > 0 {
-        tasks.push(SplitTask::Xx { k: k_xx });
-    }
-    if k_cross > 0 {
-        let dir = state.schema.cross.expect("cross weight without class");
-        let (k_rank_init, k_extra_init) = match dir {
-            CrossDirection::RankInitiator => (k_cross, 0),
-            CrossDirection::ExtraInitiator => (0, k_cross),
-            CrossDirection::Both => {
-                let k = coord.binomial(k_cross, 0.5);
-                (k, k_cross - k)
-            }
-        };
-        let num_ranks = state.num_ranks;
-        let num_states = state.counts.len();
-        let e_total = state.extra_agents;
-        let mut extras: Vec<(State, u64)> = Vec::new();
-        for (k_dir, extra_initiates) in [(k_rank_init, false), (k_extra_init, true)] {
-            if k_dir == 0 {
-                continue;
-            }
-            extras.clear();
-            chain_split(
-                coord,
-                k_dir,
-                e_total,
-                (num_ranks..num_states).map(|s| (s as State, state.counts[s] as u64)),
-                &mut extras,
-            );
-            for &(extra, k_e) in &extras {
-                parts.clear();
-                state
-                    .rank_occ
-                    .partition(k_e, PARTITION_TASK_DRAWS, coord, &mut parts);
-                tasks.extend(parts.iter().map(|&(node, k)| SplitTask::Cross {
-                    node,
-                    extra,
-                    extra_initiates,
-                    k,
-                }));
-            }
-        }
-    }
-    if k_sparse > 0 {
-        // Fan the sparse draws out across initiator groups with one chain
-        // split in ascending group order (deterministic under `coord`),
-        // one task per group that received draws — the per-group pair
-        // trees are disjoint, so the tasks are independent.
-        let sp = &state.sparse;
-        let mut groups: Vec<(u32, u64)> = Vec::new();
-        chain_split(
-            coord,
-            k_sparse,
-            sp.total(),
-            (0..sp.num_groups()).map(|g| (g as u32, sp.group_total(g))),
-            &mut groups,
-        );
-        tasks.extend(
-            groups
-                .iter()
-                .map(|&(group, k)| SplitTask::Sparse { group, k }),
-        );
-    }
-}
-
-/// Execute one split task against the frozen state, appending its
-/// coalesced rewrite keys. `split` is caller-provided scratch (cleared
-/// here) so the serial path and each worker reuse one allocation across
-/// tasks.
-fn run_split_task(
-    state: &ClassState,
-    task: &SplitTask,
-    rng: &mut Xoshiro256,
-    split: &mut Vec<(usize, u64)>,
-    out: &mut Vec<KeyGroup>,
-) {
-    split.clear();
-    match *task {
-        SplitTask::Eq { node, k } => {
-            state
-                .eq
-                .split_node(node, k, rng, &|b| state.eq_block(b), split);
-            out.extend(split.iter().map(|&(s, k)| ((s as State, s as State), k)));
-        }
-        SplitTask::Xx { k } => {
-            // Hierarchical split — initiator extra state (weight c·(E−1),
-            // i.e. ∝ c), then responder extra state (weight c minus one
-            // when sharing the initiator's state).
-            let num_ranks = state.num_ranks;
-            let num_states = state.counts.len();
-            let e_total = state.extra_agents;
-            let mut initiators: Vec<(State, u64)> = Vec::new();
-            chain_split(
-                rng,
-                k,
-                e_total,
-                (num_ranks..num_states).map(|s| (s as State, state.counts[s] as u64)),
-                &mut initiators,
-            );
-            let mut responders: Vec<(State, u64)> = Vec::new();
-            for &(e1, k1) in &initiators {
-                responders.clear();
-                chain_split(
-                    rng,
-                    k1,
-                    e_total - 1,
-                    (num_ranks..num_states).map(|s| {
-                        let c = state.counts[s] as u64;
-                        (s as State, if s == e1 as usize { c - 1 } else { c })
-                    }),
-                    &mut responders,
-                );
-                out.extend(responders.iter().map(|&(e2, k2)| ((e1, e2), k2)));
-            }
-        }
-        SplitTask::Cross {
-            node,
-            extra,
-            extra_initiates,
-            k,
-        } => {
-            state
-                .rank_occ
-                .split_node(node, k, rng, &|b| state.rank_block(b), split);
-            out.extend(split.iter().map(|&(r, k_re)| {
-                let r = r as State;
-                (
-                    if extra_initiates {
-                        (extra, r)
-                    } else {
-                        (r, extra)
-                    },
-                    k_re,
-                )
-            }));
-        }
-        SplitTask::Sparse { group, k } => {
-            let base = state.schema.group_off[group as usize] as usize;
-            state.sparse.split_group(group as usize, k, rng, split);
-            out.extend(
-                split
-                    .iter()
-                    .map(|&(pi, k)| (state.schema.pairs[base + pi], k)),
-            );
-        }
-    }
 }
 
 /// One batch's shared job: the frozen weight state, the planned task
@@ -406,7 +204,7 @@ fn run_job_tasks(job: &BatchJob, split: &mut Vec<(usize, u64)>) {
         // Recycle the slot's previous-batch allocation.
         let mut buf = std::mem::take(&mut *job.slots[i].lock().expect("slot poisoned"));
         buf.clear();
-        run_split_task(&job.state, &job.tasks[i], &mut rng, split, &mut buf);
+        job.state.run_task(&job.tasks[i], &mut rng, split, &mut buf);
         *job.slots[i].lock().expect("slot poisoned") = buf;
     }
 }
@@ -512,7 +310,7 @@ impl WorkerPool {
             slots.resize_with(tasks.len(), || Mutex::new(Vec::new()));
         }
         let job = Arc::new(BatchJob {
-            state: std::mem::replace(state, ClassState::placeholder()),
+            state: std::mem::take(state),
             tasks: std::mem::take(tasks),
             batch_seed,
             next: AtomicUsize::new(0),
@@ -578,7 +376,7 @@ fn execute_tasks(
     }
     for (i, task) in tasks.iter().enumerate() {
         let mut rng = Xoshiro256::seed_from_u64(derive_seed(batch_seed, 1 + i as u64));
-        run_split_task(state, task, &mut rng, split_scratch, out);
+        state.run_task(task, &mut rng, split_scratch, out);
     }
 }
 
@@ -757,77 +555,33 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
 
     /// Drift scale and amortisation threshold of the current
     /// configuration, or `None` when some positive-weight class is not
-    /// exchangeable. The safe batch size is `W / (8·scale)`: each class
-    /// weight then drifts by at most ~25% within a batch.
+    /// exchangeable: the largest of the positive classes'
+    /// [`ClassState::drift`] values (the threshold at least
+    /// [`MIN_BATCH`]). The safe batch size is `W / (8·scale)`.
     fn batch_params(&self, weights: [u64; 4]) -> Option<(u64, u64)> {
-        let [w_eq, w_xx, w_cross, w_sparse] = weights;
-        let schema = &self.state.schema;
-        if (w_eq > 0 && !schema.eq_exchangeable)
-            || (w_xx > 0 && !schema.xx_exchangeable)
-            || (w_cross > 0 && !schema.cross_exchangeable)
-            || (w_sparse > 0 && !schema.pairs_exchangeable)
-        {
-            return None;
-        }
         let mut scale = 1u64;
         let mut threshold = MIN_BATCH;
-        if w_eq > 0 {
-            // Per-state expected draws capped at (c_s − 1)/8.
-            scale = scale.max(self.state.max_eq_bound);
-        }
-        if w_xx > 0 || w_cross > 0 {
-            let (occ_x, _c_max_x) = self.state.extra_occupancy();
-            if w_xx > 0 {
-                // A draw's two participants are uniform over the extra
-                // population, so every extra state's occupancy drifts at
-                // the same *relative* rate regardless of its own size:
-                // capping expected xx draws at E/32 (scale 4(E−1), since
-                // W_xx = E(E−1)) bounds each level's drift at ~6%. The
-                // buffer epidemic grows exponentially, which amplifies
-                // frozen-weight drift — hence the tighter rein than the
-                // equal-rank class.
-                scale = scale.max(4 * self.state.extra_agents.saturating_sub(1).max(1));
-                threshold = threshold.max((occ_x * occ_x) as u64);
+        for c in Class::ALL {
+            if weights[c as usize] == 0 {
+                continue;
             }
-            if w_cross > 0 {
-                // W_cross = dirs·R·E: capping expected cross draws at
-                // min(R, E)/16 means b ≤ W/(8·2·dirs·max(R, E)). Cross
-                // draws feed the same exponential reset epidemic, so they
-                // get the same tight rein as extra–extra.
-                let dirs = self
-                    .state
-                    .schema
-                    .cross
-                    .map_or(1, CrossDirection::multiplier);
-                scale = scale.max(2 * dirs * self.state.rank_agents.max(self.state.extra_agents));
-                threshold = threshold.max(2 * occ_x as u64);
+            if !self.state.exchangeable(c) {
+                return None;
             }
-        }
-        if w_sparse > 0 {
-            // Per-pair relative caps with a per-state floor, both read
-            // off the incrementally-maintained (stale-high) sparse drift
-            // bounds: expected draws of pair (a,b) stay under
-            // min(c_a, c_b)/8, and no state's expected gross sparse
-            // consumption exceeds c_s/4 — see `SparseState::drift_scale`.
-            // The amortisation threshold charges only the pairs the split
-            // can actually visit, so large declared-but-dormant rule sets
-            // (every timer pair of loose leader election, say) no longer
-            // price batching out of reach.
-            scale = scale.max(self.state.sparse.drift_scale());
-            threshold = threshold.max(self.state.sparse.occupied_pairs());
+            let (class_scale, class_threshold) = self.state.drift(c);
+            scale = scale.max(class_scale);
+            threshold = threshold.max(class_threshold);
         }
         Some((scale, threshold))
     }
 
-    /// Re-derive every lazily-tracked drift bound that currently matters
-    /// (the equal-rank occupancy bound, the sparse partner/pair-scale
-    /// bounds) and restart the refresh interval.
+    /// Re-derive the lazily tracked drift bound of every positive-weight
+    /// class and restart the refresh interval.
     fn refresh_drift_bounds(&mut self, weights: &[u64; 4]) {
-        if weights[0] > 0 {
-            self.state.refresh_max_eq();
-        }
-        if weights[3] > 0 {
-            self.state.refresh_sparse();
+        for c in Class::ALL {
+            if weights[c as usize] > 0 {
+                self.state.refresh_bound(c);
+            }
         }
         self.batches_since_refresh = 0;
     }
@@ -836,17 +590,14 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     /// a positive-weight class is not exchangeable or the safe size is too
     /// small to pay for itself.
     fn batch_size(&mut self) -> Option<u64> {
-        let weights = [
-            self.state.eq_weight(),
-            self.state.xx_weight(),
-            self.state.cross_weight(),
-            self.state.sparse_weight(),
-        ];
+        let weights = self.state.weights();
         let w: u64 = weights.iter().sum();
         if w == 0 {
             return None;
         }
-        let lazy_bounds = weights[0] > 0 || weights[3] > 0;
+        let lazy_bounds = Class::ALL
+            .into_iter()
+            .any(|c| c.has_lazy_bound() && weights[c as usize] > 0);
         if lazy_bounds && self.batches_since_refresh >= MAX_REFRESH_INTERVAL {
             self.refresh_drift_bounds(&weights);
         }
@@ -855,11 +606,11 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         if b >= threshold {
             return Some(b);
         }
-        // The tracked equal-rank and sparse bounds only grow between
-        // refreshes, so a stale-high value could disable batching
-        // permanently. If a fresh bound could possibly change the verdict,
-        // refresh once before giving up (`batches_since_refresh > 0` caps
-        // this at one rescue scan per run of batches).
+        // The lazily tracked bounds only grow between refreshes, so a
+        // stale-high value could disable batching permanently. If a fresh
+        // bound could possibly change the verdict, refresh once before
+        // giving up (`batches_since_refresh > 0` caps this at one rescue
+        // scan per run of batches).
         if lazy_bounds && self.batches_since_refresh > 0 && w / 8 >= threshold {
             self.refresh_drift_bounds(&weights);
             let (scale, threshold) = self.batch_params(weights)?;
@@ -924,47 +675,25 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     /// all weights frozen at the current configuration, into
     /// `self.key_scratch`. No counts are mutated.
     ///
-    /// The main RNG contributes exactly the class-level multinomial draws
-    /// plus one `batch_seed`; all split randomness comes from streams
-    /// derived from that seed, so the result is invariant under the
-    /// thread count (see the module docs).
+    /// The main RNG contributes exactly the class split — chained
+    /// binomials over the class weights in [`Class::ALL`] order, at every
+    /// `b` — plus one `batch_seed`; all split randomness comes from
+    /// streams derived from that seed, so the result is invariant under
+    /// the thread count (see the module docs). Each class then plans its
+    /// tasks in the same order, so the merged output order never depends
+    /// on scheduling.
     fn collect_batch_keys(&mut self, b: u64, weights: [u64; 4]) {
-        let [w_eq, w_xx, w_cross, w_sparse] = weights;
-        let w = w_eq + w_xx + w_cross + w_sparse;
-
-        // Multinomial split of the batch across the four classes.
-        let mut rem = b;
-        let mut w_rem = w;
-        let mut class_draw = |cls_w: u64, rng: &mut Xoshiro256| -> u64 {
-            if cls_w == 0 || rem == 0 {
-                w_rem -= cls_w;
-                return 0;
-            }
-            let k = if cls_w >= w_rem {
-                rem
-            } else {
-                rng.binomial(rem, cls_w as f64 / w_rem as f64)
-            };
-            rem -= k;
-            w_rem -= cls_w;
-            k
-        };
-        let k_eq = class_draw(w_eq, &mut self.rng);
-        let k_xx = class_draw(w_xx, &mut self.rng);
-        let k_cross = class_draw(w_cross, &mut self.rng);
-        let k_sparse = class_draw(w_sparse, &mut self.rng);
-        debug_assert_eq!(k_eq + k_xx + k_cross + k_sparse, b);
+        let mut shares: Vec<(Class, u64)> = Vec::with_capacity(Class::ALL.len());
+        let items = Class::ALL.into_iter().map(|c| (c, weights[c as usize]));
+        chain_binomials(&mut self.rng, b, weights.iter().sum(), items, &mut shares);
 
         let batch_seed = self.rng.next_u64();
         let mut coord = Xoshiro256::seed_from_u64(derive_seed(batch_seed, 0));
         let mut tasks = std::mem::take(&mut self.task_scratch);
         tasks.clear();
-        plan_tasks(
-            &self.state,
-            [k_eq, k_xx, k_cross, k_sparse],
-            &mut coord,
-            &mut tasks,
-        );
+        for &(c, k) in &shares {
+            self.state.plan(c, k, &mut coord, &mut tasks);
+        }
 
         let mut keys = std::mem::take(&mut self.key_scratch);
         keys.clear();
@@ -1161,12 +890,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     /// steps with frozen weights. Returns the number actually applied
     /// (≥ 1; per-group clipping can shave the tail).
     fn step_batch(&mut self, b: u64) -> u64 {
-        let weights = [
-            self.state.eq_weight(),
-            self.state.xx_weight(),
-            self.state.cross_weight(),
-            self.state.sparse_weight(),
-        ];
+        let weights = self.state.weights();
         let w: u64 = weights.iter().sum();
         let p = w as f64 / self.ordered_pairs as f64;
         self.batches_since_refresh += 1;
