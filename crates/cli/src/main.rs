@@ -450,10 +450,9 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         0 => None,
         m => Some(m),
     };
-    cfg.kill_after_checkpoints = match a.usize_or("kill-after-ckpts", 0)? {
-        0 => None,
-        k => Some(k as u32),
-    };
+    let kill_after = u32::try_from(a.usize_or("kill-after-ckpts", 0)?)
+        .map_err(|_| "--kill-after-ckpts is too large".to_string())?;
+    cfg.kill_after_checkpoints = (kill_after > 0).then_some(kill_after);
     let dir = cfg.dir.display().to_string();
     let mut daemon = Daemon::new(cfg).map_err(|e| e.to_string())?;
     println!("serving jobs from {dir} (ctrl-c to stop)");
@@ -749,6 +748,29 @@ mod tests {
         let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
         let err = cmd_faults(&args(&["faults", "--faults", "4294967296"])).unwrap_err();
         assert!(err.contains("--faults"), "{err}");
+    }
+
+    /// A kill count that does not fit the daemon's `u32` is an error, not
+    /// a count wrapped to `0` (never kill) or to a small number.
+    #[test]
+    fn serve_flag_rejects_kill_counts_beyond_u32() {
+        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
+        let dir = std::env::temp_dir().join(format!("ssr-cli-kill-count-{}", std::process::id()));
+        for k in ["4294967296", "4294967297"] {
+            // `--drain` makes a wrongly accepted flag return, not serve.
+            let err = cmd_serve(&args(&[
+                "serve",
+                "--dir",
+                &dir.display().to_string(),
+                "--drain",
+                "true",
+                "--kill-after-ckpts",
+                k,
+            ]))
+            .unwrap_err();
+            assert!(err.contains("--kill-after-ckpts"), "{err}");
+            assert!(!dir.exists(), "a rejected flag must not open the spool");
+        }
     }
 
     /// `ssr run` with fault flags must give the outcome `run_with_plan`
