@@ -7,7 +7,7 @@
 //!   "whp" bounds);
 //! * [`regression`] — power-law fits `T(n) ≈ c·n^α(·logᵝn)` for
 //!   complexity-shape verification;
-//! * [`sweep`] — the parameter-sweep driver (grid × trials → rows);
+//! * [`sweep`](mod@sweep) — the parameter-sweep driver (grid × trials → rows);
 //! * [`table`] — aligned plain-text / Markdown table rendering.
 //!
 //! ```

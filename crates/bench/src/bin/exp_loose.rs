@@ -2,7 +2,7 @@
 //!
 //! The lower bound of [Cai–Izumi–Wada] forces ≥ n states for *silent*
 //! self-stabilising leader election; the loose-stabilisation line of work
-//! (related work [45], [17]) escapes it with `O(log n)` states by holding
+//! (related work \[45\], \[17\]) escapes it with `O(log n)` states by holding
 //! the elected leader only temporarily. This experiment quantifies the
 //! trade-off with the timer-based loose protocol in `ssr-core::loose`:
 //!

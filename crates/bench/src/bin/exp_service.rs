@@ -8,7 +8,7 @@
 //!    lookup + decode, zero engine interactions), against the engine-run
 //!    cost of the same job for scale.
 //! 2. **Checkpoint cost vs n** — wall-clock to serialise an
-//!    [`EngineSnapshot`] to the versioned wire format and write it
+//!    [`EngineSnapshot`](ssr_engine::EngineSnapshot) to the versioned wire format and write it
 //!    durably, the store's steady-state `save` alone (the job already
 //!    holds its retained checkpoints), and to read + decode + restore
 //!    it, for count-engine tree jobs across `n`.

@@ -8,11 +8,11 @@
 //! |--------|----------|--------------|---------------------|
 //! | [`generic`] | baseline `A_G` | 0 | `Θ(n²)` |
 //! | [`ring`] | ring of traps (§3) | 0 | `O(min(k·n^{3/2}, n² log² n))` |
-//! | [`line`] | lines of traps + `X` (§4) | 1 | `O(n^{7/4} log² n)` |
+//! | [`line`](mod@line) | lines of traps + `X` (§4) | 1 | `O(n^{7/4} log² n)` |
 //! | [`tree`] | tree of ranks + buffer (§5) | `O(log n)` | `O(n log n)` |
 //!
 //! [`loose`] adds a **loosely-stabilising** leader election with
-//! `O(log n)` states *total* (related work [45]): it is not a ranking
+//! `O(log n)` states *total* (related work \[45\]): it is not a ranking
 //! protocol and never silent, but quantifies what the paper's ≥ n-state
 //! lower bound buys — a leader held forever rather than leased.
 //!

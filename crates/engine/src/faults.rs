@@ -44,7 +44,7 @@
 //! interaction time with a correct ranking prefix, i.e. `k = 0`), the
 //! mean and maximum `k`-distance excursion, and the per-burst
 //! recovery-time distribution — measured by a
-//! [`RecoveryTracker`](crate::observer::RecoveryTracker) observer.
+//! [`RecoveryTracker`] observer.
 //! [`rank_distance`] is the paper's `k`-distance of a configuration.
 //!
 //! Experiment EF in `exp_faults` corrupts silent rankings with one-shot

@@ -12,7 +12,7 @@
 //! ## The interaction schema
 //!
 //! One declarative contract connects protocols to engines: a protocol
-//! implements [`InteractionSchema`](protocol::InteractionSchema) by
+//! implements [`InteractionSchema`] by
 //! enumerating its productive **interaction classes** — equal-rank pairs,
 //! all extra–extra pairs, rank–extra cross pairs by direction, plus an
 //! escape hatch of enumerated sparse pairs — each with a weight formula
@@ -25,9 +25,9 @@
 //! ## The engines
 //!
 //! Two interchangeable engines simulate the identical stochastic process
-//! behind the unified [`Engine`](engine::Engine) trait (select one at
+//! behind the unified [`Engine`] trait (select one at
 //! runtime with [`engine::EngineKind`] — `Auto` resolves per population
-//! size — through the [`Scenario`](runner::Scenario) builder, the front
+//! size — through the [`Scenario`] builder, the front
 //! door for every run, or `--engine auto|naive|jump|count` in the CLI;
 //! [`engine::make_engine`] builds a single engine from an explicit
 //! configuration and seed). The count engine runs in one of two modes:
@@ -59,13 +59,13 @@
 //!
 //! ## Components
 //!
-//! * [`protocol`] — the [`Protocol`](protocol::Protocol) trait, the
-//!   declarative [`InteractionSchema`](protocol::InteractionSchema), the
+//! * [`protocol`] — the [`Protocol`] trait, the
+//!   declarative [`InteractionSchema`], the
 //!   ranking contract, and the schema validators.
-//! * [`engine`] — the unified [`Engine`](engine::Engine) trait: stepping,
+//! * [`engine`] — the unified [`Engine`] trait: stepping,
 //!   run-to-silence, count-level observers, fault injection,
 //!   snapshot/restore, and the engine factory with `Auto` selection.
-//! * [`runner`] — the [`Scenario`](runner::Scenario) builder, the front
+//! * [`runner`] — the [`Scenario`] builder, the front
 //!   door for every run, fault runs included: protocol + engine + init
 //!   family + fault plan + trials, run in parallel with deterministic
 //!   seeding.

@@ -4,12 +4,12 @@
 //! tracks per-state occupancy counts incrementally so that silence — by the
 //! ranking contract, "all agents in pairwise-distinct rank states" — is an
 //! O(1) test. Like every engine it steps through
-//! [`Engine::advance_to`](crate::engine::Engine::advance_to) and reports
+//! [`Engine::advance_to`] and reports
 //! productive interactions to a
 //! [`CountObserver`]; its own surface adds
 //! the agent vector, single [`step`](Simulation::step)s, and runs under
 //! external [`Scheduler`](crate::schedule::Scheduler)s, which the uniform
-//! [`Engine`](crate::engine::Engine) model does not cover.
+//! [`Engine`] model does not cover.
 //!
 //! For long runs dominated by null interactions prefer the count engine's
 //! exact mode ([`CountSimulation`](crate::count::CountSimulation) with

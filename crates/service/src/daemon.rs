@@ -8,7 +8,7 @@
 //! budget using the engine's own
 //! [`Scenario::thread_split`](ssr_engine::Scenario::thread_split) policy,
 //! and hands each to a worker thread running
-//! [`run_job`](crate::runner::run_job). On startup anything still in
+//! [`run_job`]. On startup anything still in
 //! `running/` is requeued — those jobs resume from their newest durable
 //! checkpoint and finish bit-identically.
 //!

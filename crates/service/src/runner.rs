@@ -3,7 +3,7 @@
 //! The core invariant holds by construction: every engine's
 //! `run_until_silent` is the one loop the [`Engine`] trait provides —
 //! *check silence → check cap → advance one uncapped quantum* — and
-//! [`Engine::advance`](ssr_engine::Engine::advance) is exactly that
+//! [`Engine::advance`] is exactly that
 //! quantum, `advance_to(u128::MAX, ..)`. [`run_job`] replays that loop
 //! verbatim and interleaves checkpoints *between* quanta; taking a
 //! snapshot consumes no RNG, so a checkpointed run, a resumed run, and an
