@@ -189,24 +189,6 @@ pub fn expected_interactions<P: Protocol + ?Sized>(
     Ok(e[pos[&0]])
 }
 
-/// Exact expected interactions, returned even when the start is already
-/// silent (then 0).
-///
-/// # Errors
-///
-/// As [`expected_interactions`].
-pub fn expected_interactions_or_zero<P: Protocol + ?Sized>(
-    p: &P,
-    start: &[State],
-    limit: usize,
-) -> Result<f64, ExactError> {
-    let start_counts = counts_of(start, p.num_states());
-    if transitions(p, &start_counts).is_empty() {
-        return Ok(0.0);
-    }
-    expected_interactions(p, start, limit)
-}
-
 /// Gaussian elimination with partial pivoting on a row-major dense matrix.
 /// Returns `None` for (numerically) singular systems.
 fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
@@ -289,7 +271,7 @@ mod tests {
     #[test]
     fn already_silent_is_zero() {
         let p = GenericRanking::new(3);
-        let e = expected_interactions_or_zero(&p, &[0, 1, 2], 100).unwrap();
+        let e = expected_interactions(&p, &[0, 1, 2], 100).unwrap();
         assert_eq!(e, 0.0);
     }
 

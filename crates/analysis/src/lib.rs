@@ -13,11 +13,12 @@
 //! ```
 //! use ssr_analysis::{sweep::{sweep, SweepOptions}, regression::fit_power_law};
 //! use ssr_core::generic::GenericRanking;
+//! use ssr_engine::Init;
 //!
 //! let res = sweep(
 //!     &[16.0, 32.0, 64.0],
 //!     |x| GenericRanking::new(x as usize),
-//!     |p, _| vec![0; ssr_engine::Protocol::population_size(p)],
+//!     Init::Stacked,
 //!     &SweepOptions::new(4),
 //! );
 //! let fit = res.fit_median();

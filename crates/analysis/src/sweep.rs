@@ -11,11 +11,12 @@
 //! ```
 //! use ssr_analysis::sweep::{sweep, SweepOptions};
 //! use ssr_core::generic::GenericRanking;
+//! use ssr_engine::Init;
 //!
 //! let res = sweep(
 //!     &[16.0, 32.0],
 //!     |x| GenericRanking::new(x as usize),
-//!     |p, _seed| vec![0; ssr_engine::Protocol::population_size(p)],
+//!     Init::Stacked,
 //!     &SweepOptions::new(4).with_base_seed(1),
 //! );
 //! assert_eq!(res.rows.len(), 2);
@@ -25,10 +26,11 @@
 use crate::regression::{fit_power_law, PowerLawFit};
 use crate::stats::Summary;
 use crate::table::{fmt_f64, Table};
-use ssr_engine::protocol::{InteractionSchema, State};
+use ssr_engine::protocol::InteractionSchema;
 use ssr_engine::rng::derive_seed;
 use ssr_engine::runner::{Init, Scenario};
 use ssr_engine::EngineKind;
+use std::borrow::Borrow;
 
 /// Options for a sweep.
 #[derive(Debug, Clone)]
@@ -197,29 +199,29 @@ fn json_f64(x: f64) -> String {
 }
 
 /// Run a sweep: for each grid value `x`, build a protocol, run
-/// `opts.trials` independent trials from `make_config(&protocol, seed)`
-/// starts, and summarise parallel stabilisation times.
+/// `opts.trials` independent trials from `init` starts, and summarise
+/// parallel stabilisation times. `make_protocol` may return the protocol
+/// or a box of it (then name `P`, e.g. `dyn InteractionSchema + Sync`).
 ///
 /// Grid points with **zero** successful trials still produce a row (with
 /// zeroed statistics and `success_rate = 0`).
-pub fn sweep<P, FP, FC>(
+pub fn sweep<P, B, FP>(
     grid: &[f64],
     make_protocol: FP,
-    make_config: FC,
+    init: Init<'_>,
     opts: &SweepOptions,
 ) -> SweepResult
 where
-    P: InteractionSchema + Sync,
-    FP: Fn(f64) -> P,
-    FC: Fn(&P, u64) -> Vec<State> + Sync,
+    P: InteractionSchema + Sync + ?Sized,
+    B: Borrow<P>,
+    FP: Fn(f64) -> B,
 {
     let mut rows = Vec::with_capacity(grid.len());
     for (i, &x) in grid.iter().enumerate() {
         let protocol = make_protocol(x);
-        let make = |seed| make_config(&protocol, seed);
-        let results = Scenario::new(&protocol)
+        let results = Scenario::new(protocol.borrow())
             .engine(opts.engine)
-            .init(Init::Custom(&make))
+            .init(init)
             .trials(opts.trials)
             .base_seed(derive_seed(opts.base_seed, i as u64))
             .max_interactions(opts.max_interactions)
@@ -249,18 +251,13 @@ where
 mod tests {
     use super::*;
     use ssr_core::generic::GenericRanking;
-    use ssr_engine::Protocol;
-
-    fn stacked(p: &GenericRanking, _seed: u64) -> Vec<State> {
-        vec![0; p.population_size()]
-    }
 
     #[test]
     fn sweep_produces_monotone_times_for_ag() {
         let res = sweep(
             &[8.0, 16.0, 32.0],
             |x| GenericRanking::new(x as usize),
-            stacked,
+            Init::Stacked,
             &SweepOptions::new(6).with_base_seed(11),
         );
         assert_eq!(res.rows.len(), 3);
@@ -273,7 +270,7 @@ mod tests {
         let res = sweep(
             &[16.0, 32.0, 64.0, 128.0],
             |x| GenericRanking::new(x as usize),
-            stacked,
+            Init::Stacked,
             &SweepOptions::new(8).with_base_seed(3),
         );
         let fit = res.fit_median();
@@ -289,7 +286,7 @@ mod tests {
         let res = sweep(
             &[16.0],
             |x| GenericRanking::new(x as usize),
-            stacked,
+            Init::Stacked,
             &SweepOptions::new(3).with_max_interactions(1),
         );
         assert_eq!(res.rows[0].success_rate, 0.0);
@@ -297,11 +294,30 @@ mod tests {
     }
 
     #[test]
+    fn boxed_protocols_sweep_like_concrete_ones() {
+        let opts = SweepOptions::new(3).with_base_seed(5);
+        let concrete = sweep(
+            &[8.0, 16.0],
+            |x| GenericRanking::new(x as usize),
+            Init::Uniform,
+            &opts,
+        );
+        let boxed = sweep::<dyn InteractionSchema + Sync, _, _>(
+            &[8.0, 16.0],
+            |x| -> Box<dyn InteractionSchema + Sync> { Box::new(GenericRanking::new(x as usize)) },
+            Init::Uniform,
+            &opts,
+        );
+        assert_eq!(concrete.means(), boxed.means());
+        assert_eq!(concrete.medians(), boxed.medians());
+    }
+
+    #[test]
     fn table_renders_all_rows() {
         let res = sweep(
             &[8.0, 16.0],
             |x| GenericRanking::new(x as usize),
-            stacked,
+            Init::Stacked,
             &SweepOptions::new(2),
         );
         let t = res.to_table("n");
@@ -314,7 +330,7 @@ mod tests {
         let res = sweep(
             &[8.0],
             |x| GenericRanking::new(x as usize),
-            stacked,
+            Init::Stacked,
             &SweepOptions::new(2),
         );
         let json = res.to_json();

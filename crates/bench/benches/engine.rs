@@ -21,7 +21,6 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ssr_core::{GenericRanking, LooseLeaderElection, TreeRanking};
 use ssr_engine::engine::{make_engine, Engine, EngineKind};
-use ssr_engine::fenwick::Fenwick;
 use ssr_engine::rng::Xoshiro256;
 use ssr_engine::{run_with_plan, CountSimulation, FaultPlan, Protocol, Simulation};
 use ssr_topology::{BalancedTree, CubicGraph};
@@ -401,19 +400,6 @@ fn bench_primitives(c: &mut Criterion) {
             sim.inject_state_fault(10, 20);
             sim.inject_state_fault(20, 10);
             black_box(sim.interactions())
-        })
-    });
-    c.bench_function("fenwick_set_sample_4096", |b| {
-        let mut f = Fenwick::new(4096);
-        for i in 0..4096 {
-            f.set(i, (i as u64 % 7) + 1);
-        }
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        b.iter(|| {
-            let t = rng.below(f.total());
-            let i = f.sample(t);
-            f.set(i, f.weight(i) ^ 1);
-            black_box(i)
         })
     });
 }

@@ -1,4 +1,5 @@
-//! A1–A3 — ablations of the design choices DESIGN.md calls out.
+//! A1–A3 — ablations of the paper's design choices (EXPERIMENTS.md holds
+//! the recorded runs).
 //!
 //! * **A1 — ring trap count**: Theorem 1's construction uses `m ≈ √n`
 //!   traps of size `≈ √n`. Sweeping the trap count at fixed `n` between
@@ -19,29 +20,23 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use ssr_analysis::{Summary, Table};
-use ssr_bench::{print_header, stacked_start, trials, uniform_start};
+use ssr_bench::{print_header, trials};
 use ssr_core::line::{LineOfTraps, RoutingMode};
 use ssr_core::ring::RingOfTraps;
 use ssr_core::tree::TreeRanking;
-use ssr_engine::State;
 use ssr_engine::{Init, Scenario};
 
 /// Measure with an interaction cap; timed-out trials count against the
 /// success rate (degraded designs are *expected* to blow the budget).
-fn measure_from<P, F>(
+fn measure_from<P: ssr_engine::InteractionSchema + Sync>(
     p: &P,
-    make: F,
+    init: Init<'_>,
     t: usize,
     seed: u64,
     max_interactions: u64,
-) -> (Option<Summary>, f64)
-where
-    P: ssr_engine::InteractionSchema + Sync,
-    F: Fn(&P, u64) -> Vec<State> + Sync,
-{
-    let make = |s| make(p, s);
+) -> (Option<Summary>, f64) {
     let res = Scenario::new(p)
-        .init(Init::Custom(&make))
+        .init(init)
         .trials(t)
         .base_seed(seed)
         .max_interactions(max_interactions)
@@ -61,7 +56,7 @@ fn measure<P: ssr_engine::InteractionSchema + Sync>(
     seed: u64,
     max_interactions: u64,
 ) -> (Option<Summary>, f64) {
-    measure_from(p, |p, s| uniform_start(p, s), t, seed, max_interactions)
+    measure_from(p, Init::Uniform, t, seed, max_interactions)
 }
 
 fn fmt_opt(s: &Option<Summary>, f: impl Fn(&Summary) -> f64) -> String {
@@ -138,7 +133,7 @@ fn main() {
         // graph is what makes recovery from concentrated configurations
         // possible at all.
         let trials_here = if cap == u64::MAX { t } else { t.min(3) };
-        let (s, ok) = measure_from(&p, stacked_start, trials_here, 9100, cap);
+        let (s, ok) = measure_from(&p, Init::Stacked, trials_here, 9100, cap);
         if base.is_nan() {
             base = s.as_ref().map(|s| s.median).unwrap_or(f64::NAN);
             cap = (base * n as f64 * 5.0) as u64;

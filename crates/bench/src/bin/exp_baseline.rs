@@ -17,7 +17,7 @@
 
 use ssr_analysis::sweep::{sweep, SweepOptions};
 use ssr_analysis::{fit_power_law, Summary, Table};
-use ssr_bench::{grid, print_header, report_sweep, stacked_start, trials, uniform_start, verdict};
+use ssr_bench::{grid, print_header, report_sweep, trials, verdict};
 use ssr_core::generic::GenericRanking;
 use ssr_engine::{EngineKind, Init, Scenario};
 
@@ -32,7 +32,7 @@ fn main() {
     let stacked = sweep(
         &ns,
         |x| GenericRanking::new(x as usize),
-        stacked_start,
+        Init::Stacked,
         &SweepOptions::new(t).with_base_seed(100),
     );
     let e1 = report_sweep(
@@ -44,7 +44,7 @@ fn main() {
     let random = sweep(
         &ns,
         |x| GenericRanking::new(x as usize),
-        uniform_start,
+        Init::Uniform,
         &SweepOptions::new(t).with_base_seed(200),
     );
     let e2 = report_sweep("A_G from uniform-random starts", "n", &random);

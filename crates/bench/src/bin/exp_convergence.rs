@@ -13,9 +13,9 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use ssr_analysis::Table;
-use ssr_bench::{print_header, uniform_start};
+use ssr_bench::print_header;
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::{init, Engine, Protocol, Simulation};
+use ssr_engine::{init, Engine, Init, Protocol, Simulation};
 
 /// Distance trace of one naive-simulation run at multiplicative
 /// checkpoints; returns (parallel time, metric) pairs.
@@ -75,7 +75,13 @@ fn main() {
     };
 
     let generic = GenericRanking::new(n);
-    let tr = trace(&generic, uniform_start(&generic, 1), 11, missing, 1e9);
+    let tr = trace(
+        &generic,
+        Init::Uniform.config(&generic, 1),
+        11,
+        missing,
+        1e9,
+    );
     table.add_row(vec![
         "A_G".into(),
         sparkline(&tr.iter().map(|&(_, v)| v).collect::<Vec<_>>()),
@@ -83,7 +89,7 @@ fn main() {
     ]);
 
     let ring = RingOfTraps::new(n);
-    let tr = trace(&ring, uniform_start(&ring, 2), 12, missing, 1e9);
+    let tr = trace(&ring, Init::Uniform.config(&ring, 2), 12, missing, 1e9);
     table.add_row(vec![
         "ring".into(),
         sparkline(&tr.iter().map(|&(_, v)| v).collect::<Vec<_>>()),
@@ -91,7 +97,7 @@ fn main() {
     ]);
 
     let line = LineOfTraps::new(n);
-    let tr = trace(&line, uniform_start(&line, 3), 13, missing, 1e9);
+    let tr = trace(&line, Init::Uniform.config(&line, 3), 13, missing, 1e9);
     table.add_row(vec![
         "line".into(),
         sparkline(&tr.iter().map(|&(_, v)| v).collect::<Vec<_>>()),
@@ -99,7 +105,7 @@ fn main() {
     ]);
 
     let tree = TreeRanking::new(n);
-    let tr = trace(&tree, uniform_start(&tree, 4), 14, missing, 1e9);
+    let tr = trace(&tree, Init::Uniform.config(&tree, 4), 14, missing, 1e9);
     table.add_row(vec![
         "tree".into(),
         sparkline(&tr.iter().map(|&(_, v)| v).collect::<Vec<_>>()),
@@ -113,7 +119,7 @@ fn main() {
     let ring_ref = &ring2;
     let tr = trace(
         ring_ref,
-        uniform_start(ring_ref, 5),
+        Init::Uniform.config(ring_ref, 5),
         15,
         move |c| ring_ref.weight_k(c),
         1e9,

@@ -17,10 +17,10 @@
 //! Run: `cargo run --release -p ssr-bench --bin exp_schedulers`
 
 use ssr_analysis::{Summary, Table};
-use ssr_bench::{print_header, trials, uniform_start};
+use ssr_bench::{print_header, trials};
 use ssr_core::{GenericRanking, TreeRanking};
 use ssr_engine::schedule::{ClusteredScheduler, Scheduler, UniformScheduler, ZipfScheduler};
-use ssr_engine::{Protocol, Simulation};
+use ssr_engine::{Init, Protocol, Simulation};
 
 /// Median parallel time to silence under a scheduler factory; returns
 /// `(median, successes)`.
@@ -38,7 +38,7 @@ where
 {
     let mut times = Vec::new();
     for t in 0..n_trials as u64 {
-        let start = uniform_start(p, 40_000 + base_seed + t);
+        let start = Init::Uniform.config(p, 40_000 + base_seed + t);
         let mut sim = Simulation::new(p, start, base_seed + t).unwrap();
         let mut sched = make_sched();
         if let Ok(rep) = sim.run_until_silent_scheduled(cap, &mut sched) {

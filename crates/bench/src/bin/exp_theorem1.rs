@@ -16,17 +16,10 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use ssr_analysis::sweep::{sweep, SweepOptions};
-use ssr_bench::{grid, print_header, report_sweep, trials, uniform_start, verdict};
+use ssr_bench::{grid, print_header, report_sweep, trials, verdict};
 use ssr_core::generic::GenericRanking;
 use ssr_core::ring::RingOfTraps;
-use ssr_engine::init::{self, DuplicatePlacement};
-use ssr_engine::rng::Xoshiro256;
-use ssr_engine::Protocol;
-
-fn k_distant_start(p: &RingOfTraps, k: usize, seed: u64) -> Vec<u32> {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    init::k_distant(p.population_size(), k, DuplicatePlacement::Random, &mut rng)
-}
+use ssr_engine::{Init, Scenario};
 
 fn main() {
     print_header(
@@ -54,9 +47,8 @@ fn main() {
     let p = RingOfTraps::new(n_fixed);
     for &kf in &ks {
         let k = kf as usize;
-        let make = |seed| k_distant_start(&p, k, seed);
-        let res = ssr_engine::Scenario::new(&p)
-            .init(ssr_engine::Init::Custom(&make))
+        let res = Scenario::new(&p)
+            .init(Init::KDistant(k))
             .trials(t)
             .base_seed(300 + k as u64)
             .run();
@@ -86,7 +78,7 @@ fn main() {
     let by_n = sweep(
         &ns,
         |x| RingOfTraps::new(x as usize),
-        |p, seed| k_distant_start(p, k_small, seed),
+        Init::KDistant(k_small),
         &SweepOptions::new(t).with_base_seed(400),
     );
     let e_b = report_sweep(
@@ -100,14 +92,14 @@ fn main() {
     let arb = sweep(
         &ns_c,
         |x| RingOfTraps::new(x as usize),
-        uniform_start,
+        Init::Uniform,
         &SweepOptions::new(t).with_base_seed(500),
     );
     let e_c = report_sweep("(c) ring from uniform-random starts", "n", &arb);
     let base = sweep(
         &ns_c,
         |x| GenericRanking::new(x as usize),
-        uniform_start,
+        Init::Uniform,
         &SweepOptions::new(t).with_base_seed(600),
     );
     let e_ag = report_sweep("(c') A_G from uniform-random starts (baseline)", "n", &base);

@@ -14,9 +14,10 @@
 
 use ssr_analysis::regression::fit_power_law_with_polylog;
 use ssr_analysis::sweep::{sweep, SweepOptions};
-use ssr_bench::{grid, print_header, report_sweep, trials, uniform_start, verdict};
+use ssr_bench::{grid, print_header, report_sweep, trials, verdict};
 use ssr_core::generic::GenericRanking;
 use ssr_core::line::LineOfTraps;
+use ssr_engine::Init;
 
 fn main() {
     print_header(
@@ -31,7 +32,7 @@ fn main() {
     let line = sweep(
         &ns,
         |x| LineOfTraps::new(x as usize),
-        uniform_start,
+        Init::Uniform,
         &SweepOptions::new(t).with_base_seed(700),
     );
     let e_raw = report_sweep("line of traps from uniform-random starts", "n", &line);
@@ -44,7 +45,7 @@ fn main() {
     let base = sweep(
         &ns,
         |x| GenericRanking::new(x as usize),
-        uniform_start,
+        Init::Uniform,
         &SweepOptions::new(t).with_base_seed(800),
     );
     let e_ag = report_sweep("A_G baseline on the same sizes", "n", &base);

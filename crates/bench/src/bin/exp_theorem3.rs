@@ -14,13 +14,10 @@
 use ssr_analysis::regression::fit_power_law_with_polylog;
 use ssr_analysis::sweep::{sweep, SweepOptions};
 use ssr_analysis::{Summary, Table};
-use ssr_bench::{
-    grid, mean_parallel_time, print_header, report_sweep, stacked_start, trials, uniform_start,
-    verdict,
-};
+use ssr_bench::{grid, mean_parallel_time, print_header, report_sweep, trials, verdict};
 use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
 use ssr_engine::engine::FnCountObserver;
-use ssr_engine::{init, Engine, Protocol, Simulation};
+use ssr_engine::{init, Engine, Init, Protocol, Simulation};
 
 /// Lemma 21 probe: start from a perfect ranking with one agent replaced by
 /// a red `X₁` seed; measure the parallel time until every agent has left
@@ -53,7 +50,7 @@ fn main() {
     let stacked = sweep(
         &ns,
         |x| TreeRanking::new(x as usize),
-        stacked_start,
+        Init::Stacked,
         &SweepOptions::new(t).with_base_seed(900),
     );
     let e_stacked = report_sweep("tree from stacked (all-at-root) starts", "n", &stacked);
@@ -61,7 +58,7 @@ fn main() {
     let random = sweep(
         &ns,
         |x| TreeRanking::new(x as usize),
-        uniform_start,
+        Init::Uniform,
         &SweepOptions::new(t).with_base_seed(1000),
     );
     let e_random = report_sweep("tree from uniform-random starts", "n", &random);
@@ -114,22 +111,22 @@ fn main() {
             "A_G",
             0,
             "Θ(n²)",
-            mean_parallel_time(&g, uniform_start, t, 1),
+            mean_parallel_time(&g, Init::Uniform, t, 1),
         ),
         (
             "ring",
             0,
             "O(n²log²n)",
-            mean_parallel_time(&r, uniform_start, t, 2),
+            mean_parallel_time(&r, Init::Uniform, t, 2),
         ),
         (
             "line",
             1,
             "O(n^1.75log²n)",
-            mean_parallel_time(&l, uniform_start, t, 3),
+            mean_parallel_time(&l, Init::Uniform, t, 3),
         ),
         ("tree", Protocol::num_extra_states(&tr), "O(n log n)", {
-            mean_parallel_time(&tr, uniform_start, t, 4)
+            mean_parallel_time(&tr, Init::Uniform, t, 4)
         }),
     ];
     for (name, x, theory, time) in rows {

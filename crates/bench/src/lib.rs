@@ -1,8 +1,8 @@
 //! # ssr-bench — experiment harness
 //!
 //! Shared helpers for the experiment binaries in `src/bin/`, each of which
-//! regenerates one of the paper's tables or figures (see DESIGN.md §4 for
-//! the experiment index and EXPERIMENTS.md for recorded results):
+//! regenerates one of the paper's tables or figures (see EXPERIMENTS.md
+//! for the recorded results):
 //!
 //! | Binary | Paper artefact |
 //! |--------|----------------|
@@ -16,13 +16,17 @@
 //! | `exp_loose`    | EL — loose stabilisation trade-off (related work) |
 //! | `exp_schedulers` | ES — non-uniform scheduler robustness |
 //! | `exp_scale`    | E3+ — Theorem 3 across two more decades of `n` |
+//! | `exp_ablation` | A1–A3 — ring trap count, line routing, tree buffer |
+//! | `exp_adversary` | AD — timed fault plans, churn and Byzantine agents |
+//! | `exp_convergence` | C1 — distance-to-ranking traces of single runs |
+//! | `exp_service`  | SV — job daemon: queue, cache, kill/resume |
 //!
 //! Set `SSR_QUICK=1` to shrink grids for smoke runs. Criterion micro
 //! benches live in `benches/`.
 
 use ssr_analysis::sweep::SweepResult;
-use ssr_engine::protocol::{InteractionSchema, Protocol, State};
-use ssr_engine::rng::Xoshiro256;
+use ssr_engine::protocol::InteractionSchema;
+use ssr_engine::Init;
 
 /// True when `SSR_QUICK` is set: experiment binaries shrink their grids.
 pub fn quick() -> bool {
@@ -92,18 +96,6 @@ pub fn print_header(id: &str, claim: &str) {
     println!("==============================================================");
 }
 
-/// Uniform-random start over the protocol's full state space — the
-/// paper's "arbitrary initial configuration".
-pub fn uniform_start<P: Protocol>(p: &P, seed: u64) -> Vec<State> {
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    ssr_engine::init::uniform_random(p.population_size(), p.num_states(), &mut rng)
-}
-
-/// Everyone stacked in rank state 0 — the classic adversarial start.
-pub fn stacked_start<P: Protocol>(p: &P, _seed: u64) -> Vec<State> {
-    vec![0; p.population_size()]
-}
-
 /// Print a sweep with its power-law fit and return the fitted exponent.
 pub fn report_sweep(label: &str, x_name: &str, res: &SweepResult) -> f64 {
     println!("\n[{label}]");
@@ -131,16 +123,14 @@ pub fn verdict(what: &str, measured: f64, lo: f64, hi: f64) {
     );
 }
 
-/// Convenience: mean stabilisation parallel time over `trials` runs from a
-/// fixed start generator, with automatic engine selection by `n`.
-pub fn mean_parallel_time<P, F>(p: &P, make: F, n_trials: usize, base_seed: u64) -> f64
+/// Convenience: mean stabilisation parallel time over `trials` runs from
+/// `init` starts, with automatic engine selection by `n`.
+pub fn mean_parallel_time<P>(p: &P, init: Init<'_>, n_trials: usize, base_seed: u64) -> f64
 where
     P: InteractionSchema + Sync,
-    F: Fn(&P, u64) -> Vec<State> + Sync,
 {
-    let make = |seed| make(p, seed);
     let res = ssr_engine::Scenario::new(p)
-        .init(ssr_engine::Init::Custom(&make))
+        .init(init)
         .trials(n_trials)
         .base_seed(base_seed)
         .run();
@@ -164,18 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn starts_are_valid() {
-        let p = GenericRanking::new(10);
-        assert_eq!(stacked_start(&p, 0), vec![0; 10]);
-        let u = uniform_start(&p, 1);
-        assert_eq!(u.len(), 10);
-        assert!(u.iter().all(|&s| (s as usize) < 10));
-    }
-
-    #[test]
     fn mean_time_positive_for_stacked_ag() {
         let p = GenericRanking::new(12);
-        let t = mean_parallel_time(&p, stacked_start, 4, 3);
+        let t = mean_parallel_time(&p, Init::Stacked, 4, 3);
         assert!(t > 0.0);
     }
 }

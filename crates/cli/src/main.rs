@@ -1,7 +1,7 @@
 //! `ssr` — command-line driver for the self-stabilising ranking suite.
 //!
 //! ```text
-//! ssr run    --protocol tree --n 1000 [--start uniform|stacked|k-distant]
+//! ssr run    --protocol tree --n 1000 [--start uniform|stacked|perfect|k-distant]
 //!            [--k 5] [--seed 7] [--engine auto|naive|jump|count] [--max 1000000000]
 //!            [--fault-burst t:f[,t:f...]] [--fault-rate R] [--churn R] [--byzantine K]
 //! ssr sweep  --protocol line --ns 72,324,960 [--trials 10] [--seed 0]
@@ -15,6 +15,12 @@
 //! ssr status --dir SPOOL [--key HEX]
 //! ssr help
 //! ```
+//!
+//! `run`, `elect` and `submit` read their flags into one [`JobSpec`].
+//! `run` executes trial 0 of the spec's
+//! [`scenario`](JobSpec::scenario), the builder the daemon's
+//! [`run_job`](ssr_service::run_job) uses too, so `ssr run` and
+//! `ssr submit` give the same run for the same flags.
 
 // Audited: CLI argument handling narrows user-supplied f64/u64 sizes to usize/u32; values are validated population sizes well below 2^32.
 #![allow(clippy::cast_possible_truncation)]
@@ -24,50 +30,20 @@ mod args;
 use args::Args;
 use ssr_analysis::sweep::{sweep, SweepOptions};
 use ssr_analysis::Summary;
-use ssr_core::{elect_leader, GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
-use ssr_engine::init::{self, DuplicatePlacement};
-use ssr_engine::rng::{derive_seed, Xoshiro256};
+use ssr_core::{elect_leader, ranking_protocol, MakeProtocol};
+use ssr_engine::rng::derive_seed;
 use ssr_engine::{
-    CountSimulation, Engine, EngineKind, FaultPlan, Init, InteractionSchema, Protocol, RunOutcome,
-    Scenario, State,
+    CountSimulation, Engine, EngineKind, Init, InteractionSchema, RunOutcome, Scenario,
+    StabilisationReport, State,
 };
 use ssr_service::{daemon, Daemon, DaemonConfig, JobInit, JobKey, JobSpec};
 
-/// The four ranking protocols behind one object-safe schema handle.
-fn make_protocol(kind: &str, n: usize) -> Result<Box<dyn InteractionSchema + Sync>, String> {
-    match kind {
-        "generic" | "ag" => Ok(Box::new(GenericRanking::new(n))),
-        "ring" => Ok(Box::new(RingOfTraps::new(n))),
-        "line" => Ok(Box::new(LineOfTraps::new(n))),
-        "tree" => Ok(Box::new(TreeRanking::new(n))),
-        other => Err(format!(
-            "unknown protocol '{other}' (expected generic|ring|line|tree)"
-        )),
-    }
-}
-
-fn make_start(
-    p: &(impl Protocol + ?Sized),
-    start: &str,
-    k: usize,
-    seed: u64,
-) -> Result<Vec<State>, String> {
-    let n = p.population_size();
-    let mut rng = Xoshiro256::seed_from_u64(derive_seed(seed, 0x5EED));
-    match start {
-        "uniform" => Ok(init::uniform_random(n, p.num_states(), &mut rng)),
-        "stacked" => Ok(init::all_in(n, 0)),
-        "perfect" => Ok(init::perfect_ranking(n)),
-        "k-distant" => {
-            if k >= n {
-                return Err(format!("--k must be below n (got {k})"));
-            }
-            Ok(init::k_distant(n, k, DuplicatePlacement::Random, &mut rng))
-        }
-        other => Err(format!(
-            "unknown start '{other}' (expected uniform|stacked|perfect|k-distant)"
-        )),
-    }
+/// The constructor of the ranking protocol called `kind` (see
+/// [`ssr_core::ranking_protocol`]).
+fn make_protocol(kind: &str) -> Result<MakeProtocol, String> {
+    ranking_protocol(kind)
+        .map(|(_, make)| make)
+        .ok_or_else(|| format!("unknown protocol '{kind}' (expected generic|ring|line|tree)"))
 }
 
 /// Engine selection: `--engine auto|naive|jump|count` (default `auto` —
@@ -80,14 +56,31 @@ fn engine_kind(a: &Args) -> Result<EngineKind, String> {
     EngineKind::parse(&a.str_or("engine", "auto"))
 }
 
-/// Assemble the `run` command's adversary flags into a [`FaultPlan`]:
+/// Assemble a service [`JobSpec`] from the run flags that `run`, `elect`
+/// and `submit` share, with `protocol` and `start` as the defaults of
+/// `--protocol` and `--start`. The adversary flags are
 /// `--fault-burst t:f[,t:f...]` (timed one-shot bursts), `--fault-rate R`
 /// (background corruption probability per interaction), `--churn R`
-/// (replacement churn) and `--byzantine K` (stuck-at agents). Returns
-/// `None` when no adversary flag is present.
-fn parse_fault_plan(a: &Args) -> Result<Option<FaultPlan>, String> {
-    let mut plan = FaultPlan::new();
-    let mut any = false;
+/// (replacement churn) and `--byzantine K` (stuck-at agents);
+/// [`JobSpec::validate`] checks the rates and that a persistent process
+/// has a finite `--max`.
+fn parse_job_spec(a: &Args, protocol: &str, start: &str) -> Result<JobSpec, String> {
+    let n = a.usize_or("n", 100)?;
+    let mut spec = JobSpec::new(&a.str_or("protocol", protocol), n, a.u64_or("seed", 1)?);
+    spec.engine = engine_kind(a)?;
+    spec.max_interactions = a.u64_or("max", u64::MAX)?;
+    spec.threads = a.usize_or("threads", 0)?;
+    spec.init = match a.str_or("start", start).as_str() {
+        "uniform" => JobInit::Uniform,
+        "stacked" => JobInit::Stacked,
+        "perfect" => JobInit::Perfect,
+        "k-distant" => JobInit::KDistant(a.usize_or("k", 1)?),
+        other => {
+            return Err(format!(
+                "unknown start '{other}' (expected uniform|stacked|perfect|k-distant)"
+            ))
+        }
+    };
     if a.has("fault-burst") {
         for part in a.str_or("fault-burst", "").split(',') {
             let (t, f) = part.trim().split_once(':').ok_or_else(|| {
@@ -101,138 +94,89 @@ fn parse_fault_plan(a: &Args) -> Result<Option<FaultPlan>, String> {
                 .trim()
                 .parse()
                 .map_err(|_| format!("--fault-burst: '{f}' is not a fault count"))?;
-            plan = plan.burst_at(t, f);
+            spec.bursts.push((t, f));
         }
-        any = true;
     }
-    let rate = a.f64_or("fault-rate", 0.0)?;
-    if rate != 0.0 {
-        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-            return Err(format!("--fault-rate must be a probability, got {rate}"));
-        }
-        plan = plan.rate(rate);
-        any = true;
+    spec.fault_rate = a.f64_or("fault-rate", 0.0)?;
+    spec.churn = a.f64_or("churn", 0.0)?;
+    spec.byzantine = u32::try_from(a.usize_or("byzantine", 0)?)
+        .map_err(|_| "--byzantine is too large".to_string())?;
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
+/// Run `spec` on `p` (its protocol) as [`ssr_service::run_job`] does:
+/// trial 0 of [`JobSpec::scenario`]. Returns the run's report, with the
+/// full outcome when the job has a fault plan; a fault-free run that
+/// reaches its cap first is an error.
+fn run_spec(
+    spec: &JobSpec,
+    p: &(dyn InteractionSchema + Sync),
+) -> Result<(StabilisationReport, Option<RunOutcome>), String> {
+    let scenario = spec.scenario(p, spec.threads);
+    if spec.fault_plan().is_some() {
+        let outcome = scenario.run_outcome(0);
+        return Ok((outcome.report, Some(outcome)));
     }
-    let churn = a.f64_or("churn", 0.0)?;
-    if churn != 0.0 {
-        if !churn.is_finite() || !(0.0..=1.0).contains(&churn) {
-            return Err(format!("--churn must be a probability, got {churn}"));
-        }
-        plan = plan.churn(churn);
-        any = true;
-    }
-    let byz = a.usize_or("byzantine", 0)?;
-    if byz > 0 {
-        let byz = u32::try_from(byz).map_err(|_| "--byzantine is too large".to_string())?;
-        plan = plan.byzantine(byz);
-        any = true;
-    }
-    Ok(any.then_some(plan))
+    let report = scenario.run_one(0).map_err(|e| e.to_string())?;
+    Ok((report, None))
 }
 
 fn cmd_run(a: &Args) -> Result<(), String> {
-    let n = a.usize_or("n", 100)?;
-    let p = make_protocol(&a.str_or("protocol", "tree"), n)?;
-    let seed = a.u64_or("seed", 1)?;
-    let max = a.u64_or("max", u64::MAX)?;
-    let threads = a.usize_or("threads", 0)?;
-    let kind = engine_kind(a)?;
-    let start = make_start(
-        p.as_ref(),
-        &a.str_or("start", "uniform"),
-        a.usize_or("k", 1)?,
-        seed,
-    )?;
-    let make = move |_seed| start.clone();
-    let scenario = Scenario::new(p.as_ref())
-        .engine(kind)
-        .init(Init::Custom(&make))
-        .base_seed(seed)
-        .threads(threads);
-    let plan = parse_fault_plan(a)?;
+    let spec = parse_job_spec(a, "tree", "uniform")?;
+    let p = spec.make_protocol().map_err(|e| e.to_string())?;
+    let (n, kind) = (spec.n, spec.engine);
     println!(
-        "{}: n = {n}, {} states ({} extra), seed {seed}, engine {} ({kind})",
+        "{}: n = {n}, {} states ({} extra), seed {}, engine {} ({kind})",
         p.name(),
         p.num_states(),
         p.num_extra_states(),
+        spec.seed,
         kind.resolve(n).name()
     );
-    if let Some(plan) = plan {
-        let outcome = run_fault_plan(scenario, plan, max)?;
-        if outcome.silent {
-            println!(
-                "silent after {} interactions (parallel time {:.1}); {} productive",
-                outcome.report.interactions,
-                outcome.report.parallel_time,
-                outcome.report.productive_interactions
-            );
-        } else {
-            println!(
-                "cap reached after {} interactions without lasting silence \
-                 (parallel time {:.1}); {} productive",
-                outcome.report.interactions,
-                outcome.report.parallel_time,
-                outcome.report.productive_interactions
-            );
-        }
+    let (report, outcome) = run_spec(&spec, p.as_ref())?;
+    if outcome.as_ref().is_none_or(|o| o.silent) {
         println!(
-            "adversary: availability {:.4}, mean k {:.2}, max k {}, \
-             {} faults injected, {} churn events",
-            outcome.availability,
-            outcome.mean_k,
-            outcome.max_k,
-            outcome.faults_injected,
-            outcome.churn_events
+            "silent after {} interactions (parallel time {:.1}); {} productive",
+            report.interactions, report.parallel_time, report.productive_interactions
         );
-        for b in &outcome.bursts {
-            match b.recovery {
-                Some(r) => println!(
-                    "  burst t={} f={}: k after = {}, recovered in {} interactions \
-                     (parallel time {:.1})",
-                    b.time,
-                    b.faults,
-                    b.k_after,
-                    r,
-                    r as f64 / n as f64
-                ),
-                None => println!(
-                    "  burst t={} f={}: k after = {}, NOT recovered within the cap",
-                    b.time, b.faults, b.k_after
-                ),
-            }
-        }
+    } else {
+        println!(
+            "cap reached after {} interactions without lasting silence \
+             (parallel time {:.1}); {} productive",
+            report.interactions, report.parallel_time, report.productive_interactions
+        );
+    }
+    let Some(outcome) = outcome else {
         return Ok(());
-    }
-    let report = scenario
-        .max_interactions(max)
-        .run_one(0)
-        .map_err(|e| e.to_string())?;
+    };
     println!(
-        "silent after {} interactions (parallel time {:.1}); {} productive",
-        report.interactions, report.parallel_time, report.productive_interactions
+        "adversary: availability {:.4}, mean k {:.2}, max k {}, \
+         {} faults injected, {} churn events",
+        outcome.availability,
+        outcome.mean_k,
+        outcome.max_k,
+        outcome.faults_injected,
+        outcome.churn_events
     );
-    Ok(())
-}
-
-/// Execute the `run` command's fault plan on trial 0 of its scenario,
-/// which derives the fault seed from the base seed. A plan with a
-/// persistent process could run forever, so it needs a finite cap.
-fn run_fault_plan(
-    scenario: Scenario<'_, dyn InteractionSchema + Sync>,
-    plan: FaultPlan,
-    max: u64,
-) -> Result<RunOutcome, String> {
-    if plan.may_never_silence() && max == u64::MAX {
-        return Err(
-            "this fault plan has a persistent process (rate/churn/byzantine) and can \
-             run forever; set a finite --max"
-                .to_string(),
-        );
+    for b in &outcome.bursts {
+        match b.recovery {
+            Some(r) => println!(
+                "  burst t={} f={}: k after = {}, recovered in {} interactions \
+                 (parallel time {:.1})",
+                b.time,
+                b.faults,
+                b.k_after,
+                r,
+                r as f64 / n as f64
+            ),
+            None => println!(
+                "  burst t={} f={}: k after = {}, NOT recovered within the cap",
+                b.time, b.faults, b.k_after
+            ),
+        }
     }
-    Ok(scenario
-        .fault_plan(plan)
-        .max_interactions(max)
-        .run_outcome(0))
+    Ok(())
 }
 
 fn cmd_sweep(a: &Args) -> Result<(), String> {
@@ -243,52 +187,35 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     let threads = a.usize_or("threads", 0)?;
     let engine = engine_kind(a)?;
     let grid: Vec<f64> = ns.iter().map(|&n| n as f64).collect();
-    // The sweep driver needs a concrete type; dispatch per protocol.
-    macro_rules! run_sweep {
-        ($ctor:expr) => {{
-            let res = sweep(
-                &grid,
-                $ctor,
-                |p, s| {
-                    let mut rng = Xoshiro256::seed_from_u64(s);
-                    init::uniform_random(p.population_size(), p.num_states(), &mut rng)
-                },
-                &SweepOptions::new(trials)
-                    .with_base_seed(seed)
-                    .with_engine(engine)
-                    .with_threads(threads),
-            );
-            print!("{}", res.to_table("n").render());
-            if res.rows.len() >= 2 && res.rows.iter().all(|r| r.median > 0.0) {
-                let fit = res.fit_median();
-                println!(
-                    "fit: median ≈ {:.3}·n^{:.2} (R² = {:.3})",
-                    fit.constant, fit.exponent, fit.r_squared
-                );
-            }
-        }};
-    }
-    match kind.as_str() {
-        "generic" | "ag" => run_sweep!(|x: f64| GenericRanking::new(x as usize)),
-        "ring" => run_sweep!(|x: f64| RingOfTraps::new(x as usize)),
-        "line" => run_sweep!(|x: f64| LineOfTraps::new(x as usize)),
-        "tree" => run_sweep!(|x: f64| TreeRanking::new(x as usize)),
-        other => return Err(format!("unknown protocol '{other}'")),
+    let make = make_protocol(&kind)?;
+    let res = sweep::<dyn InteractionSchema + Sync, _, _>(
+        &grid,
+        |x| make(x as usize),
+        Init::Uniform,
+        &SweepOptions::new(trials)
+            .with_base_seed(seed)
+            .with_engine(engine)
+            .with_threads(threads),
+    );
+    print!("{}", res.to_table("n").render());
+    if res.rows.len() >= 2 && res.rows.iter().all(|r| r.median > 0.0) {
+        let fit = res.fit_median();
+        println!(
+            "fit: median ≈ {:.3}·n^{:.2} (R² = {:.3})",
+            fit.constant, fit.exponent, fit.r_squared
+        );
     }
     Ok(())
 }
 
 fn cmd_elect(a: &Args) -> Result<(), String> {
-    let n = a.usize_or("n", 100)?;
-    let p = make_protocol(&a.str_or("protocol", "ring"), n)?;
-    let seed = a.u64_or("seed", 1)?;
-    let start = make_start(
-        p.as_ref(),
-        &a.str_or("start", "k-distant"),
-        a.usize_or("k", 1)?,
-        seed,
-    )?;
-    let out = elect_leader(p.as_ref(), start, seed, u64::MAX).map_err(|e| e.to_string())?;
+    let spec = parse_job_spec(a, "ring", "k-distant")?;
+    let p = spec.make_protocol().map_err(|e| e.to_string())?;
+    let start = spec
+        .init
+        .to_init()
+        .config(p.as_ref(), derive_seed(spec.seed, 0));
+    let out = elect_leader(p.as_ref(), start, spec.seed, u64::MAX).map_err(|e| e.to_string())?;
     println!(
         "{}: agent #{} elected leader after parallel time {:.1}",
         p.name(),
@@ -301,7 +228,7 @@ fn cmd_elect(a: &Args) -> Result<(), String> {
 fn cmd_exact(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 5)?;
     let kind = a.str_or("protocol", "generic");
-    let p = make_protocol(&kind, n)?;
+    let p = make_protocol(&kind)?(n);
     let limit = a.usize_or("limit", 200_000)?;
     let trials = a.u64_or("trials", 20_000)?;
     let start = vec![0 as State; n];
@@ -334,7 +261,7 @@ fn cmd_exact(a: &Args) -> Result<(), String> {
 
 fn cmd_check(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 6)?;
-    let p = make_protocol(&a.str_or("protocol", "generic"), n)?;
+    let p = make_protocol(&a.str_or("protocol", "generic"))?(n);
     let limit = a.usize_or("limit", 3_000_000)?;
     println!(
         "model-checking {} at n = {n} over the full configuration space…",
@@ -351,7 +278,7 @@ fn cmd_check(a: &Args) -> Result<(), String> {
 
 fn cmd_faults(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 100)?;
-    let p = make_protocol(&a.str_or("protocol", "ring"), n)?;
+    let p = make_protocol(&a.str_or("protocol", "ring"))?(n);
     let faults =
         u32::try_from(a.usize_or("faults", 4)?).map_err(|_| "--faults is too large".to_string())?;
     let trials = a.usize_or("trials", 10)?;
@@ -383,7 +310,7 @@ fn cmd_faults(a: &Args) -> Result<(), String> {
 
 fn cmd_info(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 100)?;
-    let p = make_protocol(&a.str_or("protocol", "tree"), n)?;
+    let p = make_protocol(&a.str_or("protocol", "tree"))?(n);
     println!("protocol:     {}", p.name());
     println!("population:   {n}");
     println!("rank states:  {}", p.num_rank_states());
@@ -402,35 +329,6 @@ fn cmd_info(a: &Args) -> Result<(), String> {
         .map(|_| println!("perfect rankings are silent: yes"))
         .map_err(|e| format!("contract violation: {e}"))?;
     Ok(())
-}
-
-/// Assemble a service [`JobSpec`] from the `submit` command's flags (the
-/// same protocol/start/engine/fault vocabulary as `run`).
-fn parse_job_spec(a: &Args) -> Result<JobSpec, String> {
-    let n = a.usize_or("n", 100)?;
-    let mut spec = JobSpec::new(&a.str_or("protocol", "tree"), n, a.u64_or("seed", 1)?);
-    spec.engine = engine_kind(a)?;
-    spec.max_interactions = a.u64_or("max", u64::MAX)?;
-    spec.threads = a.usize_or("threads", 0)?;
-    spec.init = match a.str_or("start", "uniform").as_str() {
-        "uniform" => JobInit::Uniform,
-        "stacked" => JobInit::Stacked,
-        "perfect" => JobInit::Perfect,
-        "k-distant" => JobInit::KDistant(a.usize_or("k", 1)?),
-        other => {
-            return Err(format!(
-                "unknown start '{other}' (expected uniform|stacked|perfect|k-distant)"
-            ))
-        }
-    };
-    if let Some(plan) = parse_fault_plan(a)? {
-        spec.bursts = plan.bursts().to_vec();
-        spec.fault_rate = plan.fault_rate();
-        spec.churn = plan.churn_rate();
-        spec.byzantine = plan.byzantine_agents();
-    }
-    spec.validate().map_err(|e| e.to_string())?;
-    Ok(spec)
 }
 
 fn spool_dir(a: &Args) -> Result<std::path::PathBuf, String> {
@@ -472,7 +370,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
 
 fn cmd_submit(a: &Args) -> Result<(), String> {
     let dir = spool_dir(a)?;
-    let spec = parse_job_spec(a)?;
+    let spec = parse_job_spec(a, "tree", "uniform")?;
     let key = ssr_service::submit_job(&dir, &spec).map_err(|e| e.to_string())?;
     println!("submitted {key}");
     if a.str_or("wait", "false") == "true" {
@@ -612,7 +510,9 @@ commands:
                                                queue one job (prints its
                                                content key); --wait blocks
                                                until a daemon completes it
-                                               and prints the result
+                                               and prints the result, the
+                                               one `run` prints for the
+                                               same flags
   status --dir SPOOL [--key HEX]               spool totals, or one job's
                                                state/result
   help                                         this text"
@@ -651,14 +551,24 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssr_service::{run_job, CheckpointStore, JobStatusKind, RunConfig, RunDisposition};
+
+    fn args(v: &[&str]) -> Args {
+        Args::parse(v.iter().map(|s| s.to_string())).unwrap()
+    }
+
+    /// The spec `ssr run` assembles from `flags`.
+    fn run_spec_of(flags: &[&str]) -> JobSpec {
+        parse_job_spec(&args(&[&["run"], flags].concat()), "tree", "uniform").unwrap()
+    }
 
     #[test]
     fn protocol_factory_covers_all_kinds() {
         for kind in ["generic", "ag", "ring", "line", "tree"] {
-            let p = make_protocol(kind, 20).unwrap();
+            let p = make_protocol(kind).unwrap()(20);
             assert_eq!(p.population_size(), 20, "{kind}");
         }
-        let err = match make_protocol("unknown", 20) {
+        let err = match make_protocol("unknown") {
             Ok(_) => panic!("unknown protocol kind must be rejected"),
             Err(e) => e,
         };
@@ -666,27 +576,44 @@ mod tests {
     }
 
     #[test]
-    fn start_factory_covers_all_kinds() {
-        let p = make_protocol("tree", 16).unwrap();
+    fn start_flag_covers_all_kinds() {
+        let p = make_protocol("tree").unwrap()(16);
         for start in ["uniform", "stacked", "perfect", "k-distant"] {
-            let cfg = make_start(p.as_ref(), start, 3, 7).unwrap();
+            let spec = run_spec_of(&["--n", "16", "--start", start, "--k", "3"]);
+            let cfg = spec.init.to_init().config(p.as_ref(), 7);
             assert_eq!(cfg.len(), 16, "{start}");
             assert!(cfg.iter().all(|&s| (s as usize) < p.num_states()));
         }
-        assert!(make_start(p.as_ref(), "nope", 0, 7).is_err());
-        assert!(make_start(p.as_ref(), "k-distant", 16, 7).is_err());
+        let parse = |v: &[&str]| parse_job_spec(&args(v), "tree", "uniform");
+        assert!(parse(&["run", "--start", "nope"]).is_err());
+        assert!(parse(&["run", "--n", "16", "--start", "k-distant", "--k", "16"]).is_err());
+        // `elect`'s default start is 1-distant.
+        let elect = parse_job_spec(&args(&["elect"]), "ring", "k-distant").unwrap();
+        assert_eq!(
+            (elect.protocol.as_str(), elect.init),
+            ("ring", JobInit::KDistant(1))
+        );
     }
 
     #[test]
     fn k_distant_start_hits_requested_distance() {
-        let p = make_protocol("ring", 24).unwrap();
-        let cfg = make_start(p.as_ref(), "k-distant", 5, 1).unwrap();
+        let spec = run_spec_of(&[
+            "--protocol",
+            "ring",
+            "--n",
+            "24",
+            "--start",
+            "k-distant",
+            "--k",
+            "5",
+        ]);
+        let p = spec.make_protocol().unwrap();
+        let cfg = spec.init.to_init().config(p.as_ref(), 1);
         assert_eq!(ssr_engine::init::distance(&cfg, 24), 5);
     }
 
     #[test]
     fn engine_flag_parses_all_kinds_and_legacy_alias() {
-        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
         for kind in ["auto", "naive", "jump", "count"] {
             let a = args(&["run", "--engine", kind]);
             assert_eq!(engine_kind(&a).unwrap().name(), kind);
@@ -704,7 +631,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ssr-cli-status-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let dir_arg = dir.display().to_string();
-        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
         let _daemon = Daemon::new(DaemonConfig::new(&dir)).unwrap();
         cmd_status(&args(&["status", "--dir", &dir_arg])).unwrap();
         let key = ssr_service::submit_job(&dir, &JobSpec::new("tree", 64, 1)).unwrap();
@@ -716,11 +642,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_flags_assemble_a_plan() {
-        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(parse_fault_plan(&args(&["run"])).unwrap(), None);
-        let plan = parse_fault_plan(&args(&[
-            "run",
+    fn fault_flags_fill_the_spec() {
+        assert_eq!(run_spec_of(&[]).fault_plan(), None);
+        let spec = run_spec_of(&[
             "--fault-burst",
             "0:4, 5000:2",
             "--fault-rate",
@@ -729,23 +653,29 @@ mod tests {
             "1e-7",
             "--byzantine",
             "3",
-        ]))
-        .unwrap()
-        .unwrap();
-        assert_eq!(plan.bursts(), &[(0, 4), (5_000, 2)]);
-        assert_eq!(plan.fault_rate(), 1e-6);
-        assert_eq!(plan.churn_rate(), 1e-7);
-        assert_eq!(plan.byzantine_agents(), 3);
-        assert!(plan.may_never_silence());
-        // Malformed entries fail loudly.
-        assert!(parse_fault_plan(&args(&["run", "--fault-burst", "40"])).is_err());
-        assert!(parse_fault_plan(&args(&["run", "--fault-rate", "2.0"])).is_err());
-        assert!(parse_fault_plan(&args(&["run", "--churn", "-0.5"])).is_err());
+            "--max",
+            "1000000",
+        ]);
+        assert_eq!(spec.bursts, vec![(0, 4), (5_000, 2)]);
+        assert_eq!(spec.fault_rate, 1e-6);
+        assert_eq!(spec.churn, 1e-7);
+        assert_eq!(spec.byzantine, 3);
+        assert!(spec.fault_plan().unwrap().may_never_silence());
+        // A rate of -0 is no rate: the same job, under the same key.
+        let zero = run_spec_of(&["--fault-rate", "-0", "--churn", "-0"]);
+        assert_eq!(zero.key().unwrap(), run_spec_of(&[]).key().unwrap());
+        // Malformed entries, rates that are not probabilities, and a
+        // persistent process without a finite cap fail loudly.
+        let parse = |v: &[&str]| parse_job_spec(&args(&[&["run"], v].concat()), "tree", "uniform");
+        assert!(parse(&["--fault-burst", "40"]).is_err());
+        assert!(parse(&["--fault-rate", "2.0", "--max", "10"]).is_err());
+        assert!(parse(&["--churn", "-0.5", "--max", "10"]).is_err());
+        let err = parse(&["--fault-rate", "1e-3"]).unwrap_err();
+        assert!(err.contains("finite budget"), "{err}");
     }
 
     #[test]
     fn faults_flag_rejects_counts_beyond_u32() {
-        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
         let err = cmd_faults(&args(&["faults", "--faults", "4294967296"])).unwrap_err();
         assert!(err.contains("--faults"), "{err}");
     }
@@ -754,7 +684,6 @@ mod tests {
     /// a count wrapped to `0` (never kill) or to a small number.
     #[test]
     fn serve_flag_rejects_kill_counts_beyond_u32() {
-        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
         let dir = std::env::temp_dir().join(format!("ssr-cli-kill-count-{}", std::process::id()));
         for k in ["4294967296", "4294967297"] {
             // `--drain` makes a wrongly accepted flag return, not serve.
@@ -779,58 +708,47 @@ mod tests {
     #[test]
     fn run_fault_path_matches_run_with_plan_on_the_scenario_engine() {
         use ssr_engine::run_with_plan;
-        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
-        // (protocol, n, start, engine, seed, fault flags, max)
-        type Case<'a> = (&'a str, usize, &'a str, EngineKind, u64, &'a [&'a str], u64);
-        let cases: [Case; 3] = [
-            (
+        let cases: [&[&str]; 3] = [
+            &[
+                "--protocol",
                 "ring",
-                240,
+                "--n",
+                "240",
+                "--start",
                 "perfect",
-                EngineKind::Auto,
-                3,
-                &["--fault-burst", "2000:6"],
-                u64::MAX,
-            ),
-            (
-                "tree",
-                5000,
-                "uniform",
-                EngineKind::Auto,
-                2,
-                &["--fault-burst", "100:20,90000:5", "--fault-rate", "1e-6"],
-                3_000_000,
-            ),
-            (
+                "--seed",
+                "3",
+                "--fault-burst",
+                "2000:6",
+            ],
+            &TREE_FAULTS,
+            &[
+                "--protocol",
                 "generic",
-                64,
+                "--n",
+                "64",
+                "--start",
                 "stacked",
-                EngineKind::Naive,
-                5,
-                &["--fault-burst", "1000:3"],
-                u64::MAX,
-            ),
+                "--engine",
+                "naive",
+                "--seed",
+                "5",
+                "--fault-burst",
+                "1000:3",
+            ],
         ];
         let mut outcomes = Vec::new();
-        for (proto, n, start, kind, seed, flags, max) in cases {
-            let p = make_protocol(proto, n).unwrap();
-            let cfg = make_start(p.as_ref(), start, 1, seed).unwrap();
-            let make = move |_| cfg.clone();
-            let scenario = || {
-                Scenario::new(p.as_ref())
-                    .engine(kind)
-                    .init(Init::Custom(&make))
-                    .base_seed(seed)
-                    .threads(1)
+        for flags in cases {
+            let spec = run_spec_of(flags);
+            let p = spec.make_protocol().unwrap();
+            let (_, Some(got)) = run_spec(&spec, p.as_ref()).unwrap() else {
+                panic!("{flags:?} has a fault plan");
             };
-            let plan = parse_fault_plan(&args(&[&["run"], flags].concat()))
-                .unwrap()
-                .unwrap();
-            let got = run_fault_plan(scenario(), plan.clone(), max).unwrap();
-            let mut engine = scenario().build_engine(0).unwrap();
-            let fault_seed = derive_seed(seed, 0) ^ 0xFA17_FA17_FA17_FA17;
-            let want = run_with_plan(engine.as_mut(), &plan, fault_seed, max);
-            assert_eq!(got, want, "{proto}");
+            let plan = spec.fault_plan().unwrap();
+            let mut engine = spec.scenario(p.as_ref(), 1).build_engine(0).unwrap();
+            let fault_seed = derive_seed(spec.seed, 0) ^ 0xFA17_FA17_FA17_FA17;
+            let want = run_with_plan(engine.as_mut(), &plan, fault_seed, spec.max_interactions);
+            assert_eq!(got, want, "{flags:?}");
             outcomes.push(got);
         }
         // Recorded from `ssr run --protocol ring --n 240 --start perfect
@@ -843,29 +761,117 @@ mod tests {
         assert_eq!((ring.faults_injected, ring.max_k), (6, 17));
         assert_eq!(ring.bursts[0].k_after, 6);
         assert_eq!(ring.bursts[0].recovery, Some(2_958_345));
+        // Recorded once `ssr run` drew its uniform start from the
+        // scenario's configuration stream.
         assert!(!outcomes[1].silent);
-        assert_eq!(outcomes[1].report.productive_interactions, 405_232);
+        assert_eq!(outcomes[1].report.productive_interactions, 398_710);
         assert_eq!(outcomes[2].report.interactions, 174_772);
     }
 
+    /// The tree case of the fault-path test: a uniform start, two bursts
+    /// and background corruption, stopped at the cap.
+    const TREE_FAULTS: [&str; 14] = [
+        "--protocol",
+        "tree",
+        "--n",
+        "5000",
+        "--start",
+        "uniform",
+        "--seed",
+        "2",
+        "--fault-burst",
+        "100:20,90000:5",
+        "--fault-rate",
+        "1e-6",
+        "--max",
+        "3000000",
+    ];
+
+    /// `ssr run` and `ssr submit` make the same run for the same flags:
+    /// `run_spec` and `run_job` on the parsed spec agree on the clock, the
+    /// productive count and the ending.
     #[test]
-    fn persistent_plan_needs_a_finite_cap() {
-        let p = make_protocol("ring", 50).unwrap();
-        let plan = FaultPlan::new().rate(1e-3);
-        let err = run_fault_plan(Scenario::new(p.as_ref()), plan, u64::MAX).unwrap_err();
-        assert!(err.contains("finite --max"), "{err}");
+    fn run_is_the_daemons_run() {
+        let dir = std::env::temp_dir().join(format!("ssr-cli-run-job-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = CheckpointStore::open(&dir).unwrap();
+        let cfg = RunConfig {
+            threads: 1,
+            checkpoint_every: 0,
+            interrupt_after: None,
+        };
+        let cases: [&[&str]; 4] = [
+            &[
+                "--protocol",
+                "line",
+                "--n",
+                "2000",
+                "--seed",
+                "3",
+                "--start",
+                "uniform",
+            ],
+            &[
+                "--protocol",
+                "ring",
+                "--n",
+                "240",
+                "--seed",
+                "4",
+                "--start",
+                "k-distant",
+                "--k",
+                "6",
+            ],
+            &TREE_FAULTS,
+            &[
+                "--protocol",
+                "generic",
+                "--n",
+                "64",
+                "--seed",
+                "5",
+                "--start",
+                "stacked",
+                "--engine",
+                "naive",
+            ],
+        ];
+        let mut clocks = Vec::new();
+        for flags in cases {
+            let spec = run_spec_of(flags);
+            let p = spec.make_protocol().unwrap();
+            let (report, outcome) = run_spec(&spec, p.as_ref()).unwrap();
+            let ran = (
+                report.interactions_wide,
+                report.productive_interactions,
+                outcome.is_none_or(|o| o.silent),
+            );
+            let RunDisposition::Completed { result, .. } = run_job(&spec, &store, &cfg).unwrap()
+            else {
+                panic!("{flags:?}: run_job was interrupted");
+            };
+            let job = (
+                result.interactions_wide,
+                result.productive,
+                result.status == JobStatusKind::Silent,
+            );
+            assert_eq!(ran, job, "{flags:?}");
+            clocks.push(ran.0);
+        }
+        // The daemon's number for the line case.
+        assert_eq!(clocks[0], 2_091_921_754);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn every_engine_drives_every_protocol_through_a_scenario() {
         for proto in ["generic", "ring", "line", "tree"] {
-            let p = make_protocol(proto, 12).unwrap();
+            let p = make_protocol(proto).unwrap()(12);
             for kind in EngineKind::ALL.into_iter().chain([EngineKind::Auto]) {
-                let start = make_start(p.as_ref(), "stacked", 0, 3).unwrap();
-                let make = move |_| start.clone();
                 let mut e = Scenario::new(p.as_ref())
                     .engine(kind)
-                    .init(Init::Custom(&make))
+                    .init(Init::Stacked)
                     .base_seed(3)
                     .build_engine(0)
                     .unwrap();
@@ -877,7 +883,6 @@ mod tests {
 
     #[test]
     fn submit_flags_assemble_a_job_spec() {
-        let args = |v: &[&str]| Args::parse(v.iter().map(|s| s.to_string())).unwrap();
         let a = args(&[
             "submit",
             "--protocol",
@@ -899,7 +904,7 @@ mod tests {
             "--fault-burst",
             "100:4",
         ]);
-        let spec = parse_job_spec(&a).unwrap();
+        let spec = parse_job_spec(&a, "tree", "uniform").unwrap();
         assert_eq!(spec.protocol, "tree");
         assert_eq!(spec.n, 4096);
         assert_eq!(spec.seed, 9);
@@ -908,14 +913,15 @@ mod tests {
         assert_eq!(spec.threads, 2);
         assert_eq!(spec.bursts, vec![(100, 4)]);
         // Invalid combinations are rejected at parse time.
-        assert!(parse_job_spec(&args(&["submit", "--protocol", "warp"])).is_err());
-        assert!(parse_job_spec(&args(&["submit", "--churn", "0.1"])).is_err());
+        let parse = |v: &[&str]| parse_job_spec(&args(v), "tree", "uniform");
+        assert!(parse(&["submit", "--protocol", "warp"]).is_err());
+        assert!(parse(&["submit", "--churn", "0.1"]).is_err());
     }
 
     #[test]
     fn schema_validates_for_every_cli_protocol() {
         for proto in ["generic", "ring", "line", "tree"] {
-            let p = make_protocol(proto, 14).unwrap();
+            let p = make_protocol(proto).unwrap()(14);
             ssr_engine::validate_interaction_schema(p.as_ref())
                 .unwrap_or_else(|e| panic!("{proto}: {e}"));
         }

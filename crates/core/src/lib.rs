@@ -65,3 +65,36 @@ pub use line::LineOfTraps;
 pub use loose::LooseLeaderElection;
 pub use ring::RingOfTraps;
 pub use tree::TreeRanking;
+
+use ssr_engine::InteractionSchema;
+
+/// Builds a ranking protocol over `n` agents behind one object-safe
+/// schema handle.
+pub type MakeProtocol = fn(usize) -> Box<dyn InteractionSchema + Sync>;
+
+/// The four ranking protocols by canonical name: the one list the CLI and
+/// the job service resolve protocol names against.
+const RANKING_PROTOCOLS: [(&str, MakeProtocol); 4] = [
+    ("generic", |n| Box::new(GenericRanking::new(n))),
+    ("ring", |n| Box::new(RingOfTraps::new(n))),
+    ("line", |n| Box::new(LineOfTraps::new(n))),
+    ("tree", |n| Box::new(TreeRanking::new(n))),
+];
+
+/// The ranking protocol called `name` (`ag` is an alias of `generic`):
+/// its canonical name and its constructor. `None` for unknown names.
+///
+/// ```
+/// use ssr_engine::Protocol;
+///
+/// let (name, make) = ssr_core::ranking_protocol("ag").unwrap();
+/// assert_eq!(name, "generic");
+/// assert_eq!(make(16).num_states(), 16);
+/// assert!(ssr_core::ranking_protocol("loose").is_none());
+/// ```
+pub fn ranking_protocol(name: &str) -> Option<(&'static str, MakeProtocol)> {
+    let name = if name == "ag" { "generic" } else { name };
+    RANKING_PROTOCOLS
+        .into_iter()
+        .find(|&(canonical, _)| canonical == name)
+}

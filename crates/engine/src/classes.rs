@@ -130,14 +130,12 @@ const BLOCK: usize = 64;
 const _: () = assert!(BLOCK == u64::BITS as usize);
 
 /// Complete binary weight tree over `u64` weights: `O(log n)` point
-/// updates, `O(1)` totals, `O(log n)` weighted sampling, and — the reason
-/// it exists next to [`Fenwick`](crate::fenwick::Fenwick) — recursive
+/// updates, `O(1)` totals, `O(log n)` weighted sampling, and recursive
 /// multinomial **splitting** of a batch over all weighted slots in
 /// `O(occupied)` binomial draws.
 ///
 /// `sample` maps a target offset to the slot containing it in prefix-sum
-/// order, exactly like [`Fenwick::sample`](crate::fenwick::Fenwick::sample),
-/// so the two structures are interchangeable draw-for-draw.
+/// order: slot `i` owns the offsets `[w₀ + … + wᵢ₋₁, w₀ + … + wᵢ)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightTree {
     /// Number of leaves (padded to a power of two).
@@ -279,9 +277,7 @@ impl WeightTree {
         self.try_sample_with_offset(target).map(|(slot, _)| slot)
     }
 
-    /// Slot containing offset `target` when weights are laid end to end
-    /// (identical mapping to
-    /// [`Fenwick::sample`](crate::fenwick::Fenwick::sample)).
+    /// Slot containing offset `target` when weights are laid end to end.
     ///
     /// # Panics
     ///
@@ -1999,7 +1995,6 @@ impl ClassState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fenwick::Fenwick;
     use crate::protocol::Protocol;
     use proptest::prelude::*;
 
@@ -2038,18 +2033,26 @@ mod tests {
     }
 
     #[test]
-    fn weight_tree_sample_agrees_with_fenwick() {
+    fn weight_tree_sample_agrees_with_a_prefix_sum_scan() {
         let mut t = WeightTree::new(37);
-        let mut f = Fenwick::new(37);
+        let mut weights = [0u64; 37];
         let mut rng = Xoshiro256::seed_from_u64(3);
-        for i in 0..37 {
-            let w = rng.below(9);
-            t.set(i, w);
-            f.set(i, w);
+        for (i, w) in weights.iter_mut().enumerate() {
+            *w = rng.below(9);
+            t.set(i, *w);
         }
-        assert_eq!(t.total(), f.total());
+        assert_eq!(t.total(), weights.iter().sum::<u64>());
         for target in 0..t.total() {
-            assert_eq!(t.sample(target), f.sample(target), "target {target}");
+            // The first slot whose prefix sum passes the target.
+            let mut prefix = 0;
+            let slot = weights
+                .iter()
+                .position(|&w| {
+                    prefix += w;
+                    prefix > target
+                })
+                .unwrap();
+            assert_eq!(t.sample(target), slot, "target {target}");
         }
     }
 

@@ -83,7 +83,7 @@
 //!   random, stacked, …).
 //! * [`observer`] — the naive simulator's agent-level observer hook and
 //!   the fault-plan [`RecoveryTracker`].
-//! * [`rng`], [`fenwick`] — deterministic RNG and weighted sampling.
+//! * [`rng`] — deterministic RNG and samplers.
 //!
 //! ## Quickstart
 //!
@@ -132,7 +132,6 @@ pub mod count;
 pub mod engine;
 pub mod error;
 pub mod faults;
-pub mod fenwick;
 pub mod init;
 pub mod observer;
 pub mod protocol;

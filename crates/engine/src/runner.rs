@@ -52,7 +52,7 @@ use crate::engine::{make_engine, Engine, EngineKind};
 use crate::error::{ConfigError, StabilisationTimeout};
 use crate::faults::{run_with_plan, FaultPlan, RunOutcome};
 use crate::init::{self, DuplicatePlacement};
-use crate::protocol::{InteractionSchema, State};
+use crate::protocol::{InteractionSchema, Protocol, State};
 use crate::rng::{derive_seed, Xoshiro256};
 use crate::sim::{Simulation, StabilisationReport};
 
@@ -133,6 +133,33 @@ impl std::fmt::Debug for Init<'_> {
             Init::Perfect => f.write_str("Perfect"),
             Init::KDistant(k) => write!(f, "KDistant({k})"),
             Init::Custom(_) => f.write_str("Custom(..)"),
+        }
+    }
+}
+
+impl Init<'_> {
+    /// The agent vector this family generates for `protocol` from `seed`.
+    /// A [`Scenario`] starts trial `t` from
+    /// `config(protocol, derive_seed(base_seed, 2t))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Init::KDistant`] with `k ≥ n` (see [`init::k_distant`]).
+    pub fn config<P: Protocol + ?Sized>(&self, protocol: &P, seed: u64) -> Vec<State> {
+        let n = protocol.population_size();
+        match *self {
+            Init::Stacked => init::all_in(n, 0),
+            Init::AllIn(s) => init::all_in(n, s),
+            Init::Uniform => {
+                let mut rng = Xoshiro256::seed_from_u64(seed);
+                init::uniform_random(n, protocol.num_states(), &mut rng)
+            }
+            Init::Perfect => init::perfect_ranking(n),
+            Init::KDistant(k) => {
+                let mut rng = Xoshiro256::seed_from_u64(seed);
+                init::k_distant(n, k, DuplicatePlacement::Random, &mut rng)
+            }
+            Init::Custom(make) => make(seed),
         }
     }
 }
@@ -244,22 +271,8 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
     /// running engine (a `t = 0` burst reproduces the corrupt-at-start
     /// model).
     fn trial_config(&self, trial: u64) -> Vec<State> {
-        let config_seed = derive_seed(self.base_seed, trial * 2);
-        let n = self.protocol.population_size();
-        match self.init {
-            Init::Stacked => init::all_in(n, 0),
-            Init::AllIn(s) => init::all_in(n, s),
-            Init::Uniform => {
-                let mut rng = Xoshiro256::seed_from_u64(config_seed);
-                init::uniform_random(n, self.protocol.num_states(), &mut rng)
-            }
-            Init::Perfect => init::perfect_ranking(n),
-            Init::KDistant(k) => {
-                let mut rng = Xoshiro256::seed_from_u64(config_seed);
-                init::k_distant(n, k, DuplicatePlacement::Random, &mut rng)
-            }
-            Init::Custom(make) => make(config_seed),
-        }
+        self.init
+            .config(self.protocol, derive_seed(self.base_seed, trial * 2))
     }
 
     /// The configuration trial `t` starts from, as per-state occupancy
@@ -522,7 +535,7 @@ impl<'a, P: InteractionSchema + Sync + ?Sized> Scenario<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{ClassSpec, Protocol};
+    use crate::protocol::ClassSpec;
 
     struct Ag {
         n: usize,

@@ -33,7 +33,7 @@
 use crate::spec::{JobResult, JobSpec, JobStatusKind, OutcomeStats};
 use crate::store::CheckpointStore;
 use crate::ServiceError;
-use ssr_engine::{Engine, EngineSnapshot, RunOutcome, Scenario};
+use ssr_engine::{Engine, EngineSnapshot, RunOutcome};
 
 /// Execution knobs of one [`run_job`] call — scheduling and durability
 /// policy, none of which affects the trajectory.
@@ -105,16 +105,11 @@ pub fn run_job(
     let key = spec.key()?;
     let protocol = spec.make_protocol()?;
     let shape = spec.shape()?;
-    let scenario = Scenario::new(protocol.as_ref())
-        .engine(spec.engine)
-        .init(spec.init.to_init())
-        .base_seed(spec.seed)
-        .max_interactions(spec.max_interactions)
-        .threads(cfg.threads.max(1));
+    let scenario = spec.scenario(protocol.as_ref(), cfg.threads.max(1));
 
-    if let Some(plan) = spec.fault_plan() {
+    if spec.fault_plan().is_some() {
         // Fault executor state is not snapshotable: run in one piece.
-        let outcome = scenario.fault_plan(plan).run_outcome(0);
+        let outcome = scenario.run_outcome(0);
         store.clear(key)?;
         return Ok(RunDisposition::Completed {
             result: outcome_to_result(outcome),

@@ -8,9 +8,9 @@
 //! encoded — the property the kill/resume acceptance test asserts.
 
 use crate::ServiceError;
-use ssr_core::{GenericRanking, LineOfTraps, RingOfTraps, TreeRanking};
+use ssr_core::{ranking_protocol, MakeProtocol};
 use ssr_engine::wire::SnapshotShape;
-use ssr_engine::{EngineKind, FaultPlan, Init, InteractionSchema};
+use ssr_engine::{EngineKind, FaultPlan, Init, InteractionSchema, Scenario};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -105,7 +105,9 @@ impl JobSpec {
     /// start, unbounded budget, daemon-default threads.
     pub fn new(protocol: &str, n: usize, seed: u64) -> Self {
         JobSpec {
-            protocol: canonical_protocol(protocol).unwrap_or(protocol).to_string(),
+            protocol: ranking_protocol(protocol)
+                .map_or(protocol, |(name, _)| name)
+                .to_string(),
             n,
             init: JobInit::Uniform,
             engine: EngineKind::Auto,
@@ -125,23 +127,44 @@ impl JobSpec {
     ///
     /// Returns [`ServiceError::Spec`] for unknown protocol names.
     pub fn make_protocol(&self) -> Result<Box<dyn InteractionSchema + Sync>, ServiceError> {
-        match self.canonical_protocol()? {
-            "generic" => Ok(Box::new(GenericRanking::new(self.n))),
-            "ring" => Ok(Box::new(RingOfTraps::new(self.n))),
-            "line" => Ok(Box::new(LineOfTraps::new(self.n))),
-            // `canonical_protocol` names no fifth protocol.
-            _ => Ok(Box::new(TreeRanking::new(self.n))),
-        }
+        Ok((self.registered()?.1)(self.n))
     }
 
     /// The canonical protocol name (`ag` → `generic`).
     fn canonical_protocol(&self) -> Result<&'static str, ServiceError> {
-        canonical_protocol(&self.protocol).ok_or_else(|| {
+        Ok(self.registered()?.0)
+    }
+
+    /// The job's protocol: its canonical name and constructor (see
+    /// [`ranking_protocol`]).
+    fn registered(&self) -> Result<(&'static str, MakeProtocol), ServiceError> {
+        ranking_protocol(&self.protocol).ok_or_else(|| {
             ServiceError::Spec(format!(
                 "unknown protocol '{}' (expected generic|ring|line|tree)",
                 self.protocol
             ))
         })
+    }
+
+    /// The [`Scenario`] this job runs on `protocol` (the job's own, from
+    /// [`make_protocol`](Self::make_protocol)) with a core budget of
+    /// `threads`: its engine, start, seed, budget and fault plan. Trial 0
+    /// is the job's run.
+    pub fn scenario<'p>(
+        &self,
+        protocol: &'p (dyn InteractionSchema + Sync),
+        threads: usize,
+    ) -> Scenario<'p, dyn InteractionSchema + Sync + 'p> {
+        let scenario = Scenario::new(protocol)
+            .engine(self.engine)
+            .init(self.init.to_init())
+            .base_seed(self.seed)
+            .max_interactions(self.max_interactions)
+            .threads(threads);
+        match self.fault_plan() {
+            Some(plan) => scenario.fault_plan(plan),
+            None => scenario,
+        }
     }
 
     /// The [`SnapshotShape`] of the job's protocol — the identity its
@@ -255,8 +278,10 @@ impl JobSpec {
                 h.word((t >> 64) as u64);
                 h.word(f as u64);
             }
-            h.word(self.fault_rate.to_bits());
-            h.word(self.churn.to_bits());
+            // `+ 0.0` turns a rate of -0 into 0: no rate, as `encode`
+            // and `fault_plan` read it.
+            h.word((self.fault_rate + 0.0).to_bits());
+            h.word((self.churn + 0.0).to_bits());
             h.word(self.byzantine as u64);
         }
         let mut key = [0u8; 16];
@@ -353,16 +378,6 @@ impl JobSpec {
             ));
         }
         Ok(spec)
-    }
-}
-
-fn canonical_protocol(name: &str) -> Option<&'static str> {
-    match name {
-        "generic" | "ag" => Some("generic"),
-        "ring" => Some("ring"),
-        "line" => Some("line"),
-        "tree" => Some("tree"),
-        _ => None,
     }
 }
 
@@ -806,6 +821,21 @@ mod tests {
         }));
         assert!(memo.entries.is_poisoned());
         assert_eq!(memo.shape(&spec).unwrap(), expected);
+    }
+
+    /// A rate of -0 is no rate: `encode` drops it, and the key of the
+    /// spec equals the key of its decoded text.
+    #[test]
+    fn negative_zero_rates_key_like_no_rate() {
+        let mut spec = JobSpec::new("tree", 64, 1);
+        spec.fault_rate = -0.0;
+        spec.churn = -0.0;
+        let decoded = JobSpec::decode(&spec.encode()).unwrap();
+        assert_eq!(spec.key().unwrap(), decoded.key().unwrap());
+        assert_eq!(
+            spec.key().unwrap(),
+            JobSpec::new("tree", 64, 1).key().unwrap()
+        );
     }
 
     #[test]
