@@ -434,6 +434,20 @@ fn bench_tree_geometry(c: &mut Criterion) {
             black_box((o.kind(p), o.subtree_size(p), o.parent(p)))
         })
     });
+    // The tree protocol's equal-rank rule as a batch applies it: one
+    // `transition(p, p)` per key group, keys in ascending state order
+    // (30k random rank states, sorted, visited in a cycle).
+    let tree = TreeRanking::new(1 << 20);
+    let mut nodes: Vec<u32> = (0..30_000).map(|_| rng.below(1 << 20) as u32).collect();
+    nodes.sort_unstable();
+    let mut i = 0;
+    group.bench_function("eq_transition_sorted_n2_20", |b| {
+        b.iter(|| {
+            let p = nodes[i];
+            i = (i + 1) % nodes.len();
+            black_box(tree.transition(p, p))
+        })
+    });
     group.finish();
 }
 

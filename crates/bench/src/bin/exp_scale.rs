@@ -43,7 +43,9 @@ const STACKED_MAX_N: usize = 1 << 27;
 /// protocol, mirroring the engine's actual layout: occupancy counts
 /// (4 B/state), two block-sum trees over derived weight leaves (one `u64`
 /// per 64 rank states, heap layout padded to a power of two), the
-/// equal-rank membership bitset, and the tree geometry. The geometry term
+/// equal-rank rule and live bitsets (one bit each per rank state), the
+/// protocol's subtree-ancestor table (8 B per 64 rank states), and the
+/// tree geometry. The geometry term
 /// is the story of this experiment's scaling history: the original
 /// materialised build stored seven `u32` arrays (≈ 28n bytes — more than
 /// the counts themselves), PR 5 slimmed the weight state to ≈ 1.1n bytes
@@ -55,17 +57,20 @@ fn print_memory_model(n: usize) {
     let blocks = n.div_ceil(64).next_power_of_two() as u64;
     let counts = 4 * states;
     let block_trees = 2 * (2 * blocks * 8); // eq + rank_occ heap layouts
-    let bitset = (n as u64).div_ceil(64) * 8;
+    let bitsets = 2 * (n as u64).div_ceil(64) * 8; // eq rules + eq live
+    let ancestors = (n as u64).div_ceil(64) * 8;
     let geometry = std::mem::size_of_val(p.tree()) as u64;
     let materialised = 28 * n as u64;
     println!(
-        "memory model at n = {n}: counts {} + weight block sums {} + eq bitset {} + \
-         tree geometry {geometry} B (a materialised tree would add {}) ≈ {} resident",
+        "memory model at n = {n}: counts {} + weight block sums {} + eq bitsets {} + \
+         subtree ancestors {} + tree geometry {geometry} B (a materialised tree would add {}) \
+         ≈ {} resident",
         format_bytes(counts),
         format_bytes(block_trees),
-        format_bytes(bitset),
+        format_bytes(bitsets),
+        format_bytes(ancestors),
         format_bytes(materialised),
-        format_bytes(counts + block_trees + bitset + geometry),
+        format_bytes(counts + block_trees + bitsets + ancestors + geometry),
     );
 }
 

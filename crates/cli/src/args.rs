@@ -1,9 +1,12 @@
 //! Minimal dependency-free argument parsing for the `ssr` binary.
 //!
-//! Grammar: `ssr <command> [--flag value]...`. Flags are long-form only;
-//! unknown flags are errors so typos fail loudly.
+//! Grammar: `ssr <command> [--flag value]...`. Flags are long-form only.
+//! [`Args`] records every flag a command reads; once a command has read
+//! its flags it calls [`Args::reject_unread`], so a misspelt flag, or one
+//! the command does not use, fails loudly instead of being ignored.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// Parsed command line: a command word plus `--key value` flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,6 +14,8 @@ pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
     flags: HashMap<String, String>,
+    /// The flag names the command has asked for, present or not.
+    read: RefCell<HashSet<String>>,
 }
 
 impl Args {
@@ -38,13 +43,48 @@ impl Args {
                 return Err(format!("flag --{key} given twice"));
             }
         }
-        Ok(Args { command, flags })
+        Ok(Args {
+            command,
+            flags,
+            read: RefCell::default(),
+        })
+    }
+
+    /// The value of flag `key`, recording that the command reads it.
+    fn get(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.flags.get(key)
+    }
+
+    /// Fail, naming them, if any flags were given that the command has
+    /// not read: call it once all of the command's flags are read and
+    /// before it starts work.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming every unread flag.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let mut unread: Vec<String> = self
+            .flags
+            .keys()
+            .filter(|k| !read.contains(*k))
+            .map(|k| format!("--{k}"))
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        unread.sort();
+        Err(format!(
+            "`ssr {}` does not use {} (misspelt, or not a flag of this command; try `ssr help`)",
+            self.command,
+            unread.join(", ")
+        ))
     }
 
     /// String flag with a default.
     pub fn str_or(&self, key: &str, default: &str) -> String {
-        self.flags
-            .get(key)
+        self.get(key)
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
@@ -55,7 +95,7 @@ impl Args {
     ///
     /// Returns a message for unparseable values.
     pub fn usize_or(&self, key: &str, default: usize) -> Result<usize, String> {
-        match self.flags.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -69,7 +109,7 @@ impl Args {
     ///
     /// Returns a message for unparseable values.
     pub fn u64_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.flags.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -83,7 +123,7 @@ impl Args {
     ///
     /// Returns a message for unparseable values.
     pub fn f64_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        match self.flags.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -97,7 +137,7 @@ impl Args {
     ///
     /// Returns a message for unparseable entries.
     pub fn usize_list_or(&self, key: &str, default: &[usize]) -> Result<Vec<usize>, String> {
-        match self.flags.get(key) {
+        match self.get(key) {
             None => Ok(default.to_vec()),
             Some(v) => v
                 .split(',')
@@ -112,7 +152,7 @@ impl Args {
 
     /// True when a flag is present (any value).
     pub fn has(&self, key: &str) -> bool {
-        self.flags.contains_key(key)
+        self.get(key).is_some()
     }
 }
 
@@ -174,6 +214,22 @@ mod tests {
             .unwrap()
             .f64_or("fault-rate", 0.0)
             .is_err());
+    }
+
+    #[test]
+    fn unread_flags_are_named() {
+        let a = parse(&["run", "--n", "3", "--sede", "7", "--max", "9"]).unwrap();
+        assert_eq!(a.usize_or("n", 0).unwrap(), 3);
+        assert_eq!(a.u64_or("seed", 1).unwrap(), 1);
+        let err = a.reject_unread().unwrap_err();
+        assert!(
+            err.contains("`ssr run` does not use --max, --sede"),
+            "{err}"
+        );
+        assert!(!err.contains("--n"), "{err}");
+        assert_eq!(a.u64_or("max", 0).unwrap(), 9);
+        assert!(a.has("sede"));
+        a.reject_unread().unwrap();
     }
 
     #[test]

@@ -16,7 +16,11 @@
 //! ssr help
 //! ```
 //!
-//! `run`, `elect` and `submit` read their flags into one [`JobSpec`].
+//! Every command rejects a flag it does not read, naming it, before it
+//! starts work, so a misspelt flag is an error rather than a default.
+//!
+//! `run` and `submit` read their flags into one [`JobSpec`] (`elect`
+//! reads only its population, protocol, seed and start flags into one).
 //! `run` executes trial 0 of the spec's
 //! [`scenario`](JobSpec::scenario), the builder the daemon's
 //! [`run_job`](ssr_service::run_job) uses too, so `ssr run` and
@@ -70,17 +74,7 @@ fn parse_job_spec(a: &Args, protocol: &str, start: &str) -> Result<JobSpec, Stri
     spec.engine = engine_kind(a)?;
     spec.max_interactions = a.u64_or("max", u64::MAX)?;
     spec.threads = a.usize_or("threads", 0)?;
-    spec.init = match a.str_or("start", start).as_str() {
-        "uniform" => JobInit::Uniform,
-        "stacked" => JobInit::Stacked,
-        "perfect" => JobInit::Perfect,
-        "k-distant" => JobInit::KDistant(a.usize_or("k", 1)?),
-        other => {
-            return Err(format!(
-                "unknown start '{other}' (expected uniform|stacked|perfect|k-distant)"
-            ))
-        }
-    };
+    spec.init = parse_start(a, start)?;
     if a.has("fault-burst") {
         for part in a.str_or("fault-burst", "").split(',') {
             let (t, f) = part.trim().split_once(':').ok_or_else(|| {
@@ -105,6 +99,22 @@ fn parse_job_spec(a: &Args, protocol: &str, start: &str) -> Result<JobSpec, Stri
     Ok(spec)
 }
 
+/// The start flags, `--start` (default `start`) and, for a k-distant
+/// start, `--k`.
+fn parse_start(a: &Args, start: &str) -> Result<JobInit, String> {
+    Ok(match a.str_or("start", start).as_str() {
+        "uniform" => JobInit::Uniform,
+        "stacked" => JobInit::Stacked,
+        "perfect" => JobInit::Perfect,
+        "k-distant" => JobInit::KDistant(a.usize_or("k", 1)?),
+        other => {
+            return Err(format!(
+                "unknown start '{other}' (expected uniform|stacked|perfect|k-distant)"
+            ))
+        }
+    })
+}
+
 /// Run `spec` on `p` (its protocol) as [`ssr_service::run_job`] does:
 /// trial 0 of [`JobSpec::scenario`]. Returns the run's report, with the
 /// full outcome when the job has a fault plan; a fault-free run that
@@ -124,6 +134,7 @@ fn run_spec(
 
 fn cmd_run(a: &Args) -> Result<(), String> {
     let spec = parse_job_spec(a, "tree", "uniform")?;
+    a.reject_unread()?;
     let p = spec.make_protocol().map_err(|e| e.to_string())?;
     let (n, kind) = (spec.n, spec.engine);
     println!(
@@ -186,6 +197,7 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     let seed = a.u64_or("seed", 0)?;
     let threads = a.usize_or("threads", 0)?;
     let engine = engine_kind(a)?;
+    a.reject_unread()?;
     let grid: Vec<f64> = ns.iter().map(|&n| n as f64).collect();
     let make = make_protocol(&kind)?;
     let res = sweep::<dyn InteractionSchema + Sync, _, _>(
@@ -208,8 +220,14 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Leader election on the naive engine, run to silence: it reads only the
+/// population, protocol, seed and start flags.
 fn cmd_elect(a: &Args) -> Result<(), String> {
-    let spec = parse_job_spec(a, "ring", "k-distant")?;
+    let n = a.usize_or("n", 100)?;
+    let mut spec = JobSpec::new(&a.str_or("protocol", "ring"), n, a.u64_or("seed", 1)?);
+    spec.init = parse_start(a, "k-distant")?;
+    spec.validate().map_err(|e| e.to_string())?;
+    a.reject_unread()?;
     let p = spec.make_protocol().map_err(|e| e.to_string())?;
     let start = spec
         .init
@@ -231,6 +249,7 @@ fn cmd_exact(a: &Args) -> Result<(), String> {
     let p = make_protocol(&kind)?(n);
     let limit = a.usize_or("limit", 200_000)?;
     let trials = a.u64_or("trials", 20_000)?;
+    a.reject_unread()?;
     let start = vec![0 as State; n];
     let exact = ssr_analysis::exact::expected_interactions(p.as_ref(), &start, limit)
         .map_err(|e| e.to_string())?;
@@ -263,6 +282,7 @@ fn cmd_check(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 6)?;
     let p = make_protocol(&a.str_or("protocol", "generic"))?(n);
     let limit = a.usize_or("limit", 3_000_000)?;
+    a.reject_unread()?;
     println!(
         "model-checking {} at n = {n} over the full configuration space…",
         p.name()
@@ -283,6 +303,7 @@ fn cmd_faults(a: &Args) -> Result<(), String> {
         u32::try_from(a.usize_or("faults", 4)?).map_err(|_| "--faults is too large".to_string())?;
     let trials = a.usize_or("trials", 10)?;
     let seed = a.u64_or("seed", 1)?;
+    a.reject_unread()?;
     let outcomes = Scenario::new(p.as_ref())
         .init(Init::Perfect)
         .faults(faults)
@@ -311,6 +332,7 @@ fn cmd_faults(a: &Args) -> Result<(), String> {
 fn cmd_info(a: &Args) -> Result<(), String> {
     let n = a.usize_or("n", 100)?;
     let p = make_protocol(&a.str_or("protocol", "tree"))?(n);
+    a.reject_unread()?;
     println!("protocol:     {}", p.name());
     println!("population:   {n}");
     println!("rank states:  {}", p.num_rank_states());
@@ -351,6 +373,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let kill_after = u32::try_from(a.usize_or("kill-after-ckpts", 0)?)
         .map_err(|_| "--kill-after-ckpts is too large".to_string())?;
     cfg.kill_after_checkpoints = (kill_after > 0).then_some(kill_after);
+    a.reject_unread()?;
     let dir = cfg.dir.display().to_string();
     let mut daemon = Daemon::new(cfg).map_err(|e| e.to_string())?;
     println!("serving jobs from {dir} (ctrl-c to stop)");
@@ -371,9 +394,11 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
 fn cmd_submit(a: &Args) -> Result<(), String> {
     let dir = spool_dir(a)?;
     let spec = parse_job_spec(a, "tree", "uniform")?;
+    let wait = a.str_or("wait", "false") == "true";
+    a.reject_unread()?;
     let key = ssr_service::submit_job(&dir, &spec).map_err(|e| e.to_string())?;
     println!("submitted {key}");
-    if a.str_or("wait", "false") == "true" {
+    if wait {
         loop {
             match daemon::job_status(&dir, key) {
                 daemon::JobStatus::Done { source } => {
@@ -418,9 +443,14 @@ fn print_job_result(key: JobKey, source: &str, r: &ssr_service::JobResult) {
 
 fn cmd_status(a: &Args) -> Result<(), String> {
     let dir = spool_dir(a)?;
-    if a.has("key") {
-        let key = JobKey::from_hex(&a.str_or("key", ""))
-            .ok_or("--key expects the 32-hex-digit job key")?;
+    let key = if a.has("key") {
+        let hex = a.str_or("key", "");
+        Some(JobKey::from_hex(&hex).ok_or("--key expects the 32-hex-digit job key")?)
+    } else {
+        None
+    };
+    a.reject_unread()?;
+    if let Some(key) = key {
         match daemon::job_status(&dir, key) {
             daemon::JobStatus::Done { source } => {
                 let result = daemon::job_result(&dir, key)
@@ -672,6 +702,57 @@ mod tests {
         assert!(parse(&["--churn", "-0.5", "--max", "10"]).is_err());
         let err = parse(&["--fault-rate", "1e-3"]).unwrap_err();
         assert!(err.contains("finite budget"), "{err}");
+    }
+
+    /// A misspelt flag is an error naming it, not a run with the default.
+    #[test]
+    fn run_rejects_a_misspelt_flag() {
+        let err = cmd_run(&args(&[
+            "run",
+            "--protocol",
+            "tree",
+            "--n",
+            "100",
+            "--sede",
+            "7",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--sede"), "{err}");
+        // A flag of another start kind is not read either.
+        let err = cmd_run(&args(&[
+            "run", "--n", "100", "--start", "uniform", "--k", "3",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--k"), "{err}");
+    }
+
+    /// `elect` runs to silence on the naive engine: the run flags it has
+    /// no use for are errors, and its own five flags are accepted.
+    #[test]
+    fn elect_rejects_the_run_flags_it_does_not_use() {
+        let err = cmd_elect(&args(&[
+            "elect", "--n", "50", "--engine", "count", "--max", "5",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--engine, --max"), "{err}");
+        for flag in ["--threads", "--fault-rate", "--churn", "--byzantine"] {
+            let err = cmd_elect(&args(&["elect", "--n", "50", flag, "1"])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+        cmd_elect(&args(&[
+            "elect",
+            "--n",
+            "20",
+            "--protocol",
+            "ring",
+            "--seed",
+            "3",
+            "--start",
+            "k-distant",
+            "--k",
+            "2",
+        ]))
+        .unwrap();
     }
 
     #[test]

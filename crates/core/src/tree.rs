@@ -60,7 +60,16 @@ pub struct TreeRanking {
     /// protocol against this variant in the proof of Theorem 3.
     modified: bool,
     tree: BalancedTree,
+    /// For each block of [`ANCESTOR_BLOCK`] consecutive rank states, the
+    /// deepest tree node whose subtree holds the whole block, as `(id,
+    /// subtree size)` ([`BalancedTree::block_ancestors`]): `R1`/`R2` find a
+    /// node's subtree size by descending from there instead of from the
+    /// root. 8 bytes per block, `n/8` bytes in all.
+    ancestors: Vec<(u32, u32)>,
 }
+
+/// Rank states per entry of [`TreeRanking`]'s ancestor table.
+const ANCESTOR_BLOCK: usize = 64;
 
 impl TreeRanking {
     /// Build the protocol for population `n` with the default buffer
@@ -83,11 +92,13 @@ impl TreeRanking {
     pub fn with_buffer(n: usize, k: usize) -> Self {
         assert!(n > 0, "population must be non-empty");
         assert!(k > 0, "buffer half-length must be positive");
+        let tree = BalancedTree::new(n);
         TreeRanking {
             n,
             k,
             modified: false,
-            tree: BalancedTree::new(n),
+            ancestors: tree.block_ancestors(ANCESTOR_BLOCK),
+            tree,
         }
     }
 
@@ -245,9 +256,11 @@ impl Protocol for TreeRanking {
                     return None;
                 }
                 let p = initiator as usize;
-                // One O(log n) descent: the node kind and the branching
-                // half-size both derive from the subtree size.
-                let s = self.tree.subtree_size(p);
+                // One descent from the deepest node above p's whole block:
+                // the node kind and the branching half-size both derive
+                // from the subtree size.
+                let (q, size) = self.ancestors[p / ANCESTOR_BLOCK];
+                let s = self.tree.subtree_size_from((q as usize, size as usize), p);
                 if s == 1 {
                     // R2: leaf overload raises the reset signal.
                     Some((self.x(1), self.x(1)))
@@ -358,6 +371,29 @@ mod tests {
         assert_eq!(p.transition(4, 12), Some((4, 0)));
         // Distinct ranks never interact.
         assert_eq!(p.transition(3, 4), None);
+    }
+
+    /// `R1`/`R2` read a node's subtree size from its block's ancestor;
+    /// it must be the size a descent from the root finds, at every node
+    /// of trees with no full block, a one-leaf last block, whole blocks
+    /// only and a partial last block.
+    #[test]
+    fn equal_rank_rule_reads_root_descent_sizes() {
+        for n in [2usize, 63, 64, 65, 129, 4096, 5000] {
+            let p = TreeRanking::with_buffer(n, 2);
+            for s in 0..n {
+                let size = p.tree().subtree_size(s);
+                let s = s as State;
+                let expect = if size == 1 {
+                    (p.x(1), p.x(1))
+                } else if size.is_multiple_of(2) {
+                    (s, s + 1)
+                } else {
+                    (s + 1, s + (size as State - 1) / 2 + 1)
+                };
+                assert_eq!(p.transition(s, s), Some(expect), "n={n} s={s}");
+            }
+        }
     }
 
     #[test]

@@ -92,6 +92,23 @@
 //! immediate one field for field. Exact steps and fault injection use the
 //! immediate [`ClassState::update_count`].
 //!
+//! # The equal-rank view: live leaves only
+//!
+//! An equal-rank leaf weighs `c(c−1)`, so it is positive only at a rank
+//! state with a rule and at least two agents: a *live* leaf.
+//! [`ClassState`] keeps one live bit per rank state (`eq_live`, a bitset
+//! whose word `b` covers block `b`), set in the pass that sums the blocks
+//! and kept by every count change, immediate or deferred.
+//! [`ClassState::eq_block`] reads a block through its live word
+//! ([`EqLeaves`]): a block with at most half its leaves live yields only
+//! those, so a scan or a block split reads a handful of leaves, not 64.
+//! That is the tree protocol's dispersal tail, where nearly every rank
+//! state holds one agent and a batch is millions of one-draw key groups
+//! spread over all blocks. Leaving a zero-weight leaf out changes no
+//! result: no split regime gives it a draw or spends an RNG draw on it.
+//! [`ClassState::rank_block`] yields every leaf (an occupancy leaf is
+//! positive wherever an agent is).
+//!
 //! # Memory
 //!
 //! The per-rank-state weight structures (`eq`, `rank_occ`) do **not** store
@@ -99,9 +116,9 @@
 //! (`c(c−1)` and `c`), so [`BlockTree`] keeps only one `u64` sum per block
 //! of [`BLOCK`] leaves and derives the leaves on demand, a block at a
 //! time: [`ClassState::eq_block`] and [`ClassState::rank_block`] read
-//! block `b` as one slice of `counts` (and, for `eq`, the single
-//! equal-rank bitset word `has_eq[b]`). For a protocol with
-//! `≈ n` rank states this is ~`n/4` bytes per tree plus the `4n`-byte
+//! block `b` from one slice of `counts` (and, for `eq`, the live word
+//! `eq_live[b]`). For a protocol with `≈ n` rank states this is ~`n/4`
+//! bytes per tree, plus `n/8` bytes of live bits, plus the `4n`-byte
 //! counts vector — down from `2·8·2n = 32n` bytes for two materialised
 //! `u64` weight trees — which is what lets a single tree-protocol run reach
 //! `n = 2³⁰` within a few GB. Deferral adds one flag per tree.
@@ -125,8 +142,8 @@ const SPLIT_DIRECT_THRESHOLD: u64 = 8;
 /// descent.
 const BLOCK: usize = 64;
 
-// A block's equal-rank rule bits are exactly one `has_eq` word
-// (`ClassState::eq_block`).
+// A block's equal-rank rule bits are exactly one `has_eq` word, and its
+// live bits one `eq_live` word (`ClassState::eq_block`).
 const _: () = assert!(BLOCK == u64::BITS as usize);
 
 /// Complete binary weight tree over `u64` weights: `O(log n)` point
@@ -412,24 +429,29 @@ pub(crate) struct BlockTree {
 /// A tree without leaves, for a class the schema does not declare.
 impl Default for BlockTree {
     fn default() -> Self {
-        BlockTree::new(0, |_| std::iter::empty())
+        BlockTree::new(0)
     }
 }
 
 impl BlockTree {
-    /// Tree over `len` derived leaves, block `b`'s leaves given by
-    /// `view(b)`; sums every block once, in `O(len)`.
-    pub fn new<I: BlockLeaves>(len: usize, view: impl Fn(usize) -> I) -> Self {
-        let mut blocks = WeightTree::new(len.div_ceil(BLOCK));
-        for b in 0..blocks.len {
-            blocks.tree[blocks.size + b] = view(b).sum();
-        }
-        blocks.resum();
+    /// Tree over `len` derived leaves, every block sum 0: a constructor
+    /// then sets each block's sum through
+    /// [`set_block_deferred`](Self::set_block_deferred) and flushes once.
+    pub fn new(len: usize) -> Self {
         BlockTree {
             len,
-            blocks,
+            blocks: WeightTree::new(len.div_ceil(BLOCK)),
             stale: false,
         }
+    }
+
+    /// Set block `b`'s sum outright, deferred like
+    /// [`update_deferred`](Self::update_deferred): the tree is stale until
+    /// [`flush`](Self::flush).
+    #[inline]
+    pub fn set_block_deferred(&mut self, b: usize, sum: u64) {
+        self.blocks.tree[self.blocks.size + b] = sum;
+        self.stale = true;
     }
 
     /// True if the tree has no leaves.
@@ -504,7 +526,7 @@ impl BlockTree {
                 self.total()
             ),
         };
-        scan_block(b, rem, self.blocks.weight(b), view(b))
+        view(b).leaf_at(b, rem, self.blocks.weight(b))
     }
 
     /// Multinomial split of `k` draws over the leaves below `node` in the
@@ -528,8 +550,8 @@ impl BlockTree {
             k,
             rng,
             out,
-            &|b, rem| scan_block(b, rem, t.weight(b), view(b)),
-            &|b, k, rng, out| chain_split(rng, k, t.weight(b), (b * BLOCK..).zip(view(b)), out),
+            &|b, rem| view(b).leaf_at(b, rem, t.weight(b)),
+            &|b, k, rng, out| view(b).split(b, k, t.weight(b), rng, out),
         );
     }
 
@@ -578,11 +600,126 @@ impl BlockTree {
     }
 }
 
-/// Leaf weights of one [`BlockTree`] block, as a block view yields them:
-/// in leaf order, of known length, readable from either end.
-pub(crate) trait BlockLeaves: DoubleEndedIterator<Item = u64> + ExactSizeIterator {}
+/// One [`BlockTree`] block as a block view gives it, read in one of two
+/// ways: a scan for the leaf holding an offset, or a [`chain_split`] of
+/// draws over its leaves. Any iterator of `(offset in the block, weight)`
+/// in leaf order, readable from either end, is one ([`scan_block`] and
+/// [`chain_split`] over it). A view may leave out zero-weight leaves:
+/// neither read gives such a leaf a draw or spends an RNG draw on it, so
+/// skipping one changes no result.
+pub(crate) trait BlockLeaves: Sized {
+    /// Leaf index (in the whole tree) of the leaf of block `b`, its leaf
+    /// weights summing to `sum`, that holds the residual offset `rem`.
+    fn leaf_at(self, b: usize, rem: u64, sum: u64) -> usize;
 
-impl<I: DoubleEndedIterator<Item = u64> + ExactSizeIterator> BlockLeaves for I {}
+    /// [`chain_split`] of `k` draws over block `b`'s leaves, their weights
+    /// summing to `sum`, appending `(leaf index, draws)`.
+    fn split(self, b: usize, k: u64, sum: u64, rng: &mut Xoshiro256, out: &mut Vec<(usize, u64)>);
+}
+
+impl<I: DoubleEndedIterator<Item = (usize, u64)>> BlockLeaves for I {
+    #[inline]
+    fn leaf_at(self, b: usize, rem: u64, sum: u64) -> usize {
+        scan_block(b, rem, sum, self)
+    }
+
+    #[inline]
+    fn split(self, b: usize, k: u64, sum: u64, rng: &mut Xoshiro256, out: &mut Vec<(usize, u64)>) {
+        chain_split(rng, k, sum, self.map(|(j, w)| (b * BLOCK + j, w)), out);
+    }
+}
+
+/// The `eq` tree's view of one block ([`ClassState::eq_block`]): its
+/// counts and its live word. A block with at most half its leaves live is
+/// read through those alone, found bit by bit in the live word; that is
+/// what makes the dispersal tail cheap, where a block holds a few live
+/// leaves among ~60 settled ones. A block with more live leaves is read
+/// leaf by leaf, a dead one weighing 0, because reading the counts in
+/// order then costs less per leaf than finding the set bits one at a time
+/// (A_G's blocks are mostly live mid-run). Both reads see the same
+/// weighted leaves. The choice is made once per read: an iterator that
+/// chose per leaf measured ~8% slower per exact A_G step.
+pub(crate) struct EqLeaves<'a> {
+    live: u64,
+    counts: &'a [u32],
+}
+
+impl<'a> EqLeaves<'a> {
+    /// Whether more than half the block is live.
+    #[inline]
+    fn dense(&self) -> bool {
+        self.live.count_ones() > (BLOCK / 2) as u32
+    }
+
+    /// The live leaves alone.
+    #[inline]
+    fn live_leaves(&self) -> impl DoubleEndedIterator<Item = (usize, u64)> + 'a {
+        let counts = self.counts;
+        Bits(self.live).map(move |j| (j, eq_weight_of(counts[j] as u64)))
+    }
+
+    /// Every leaf, a dead one weighing 0.
+    #[inline]
+    fn all_leaves(&self) -> impl DoubleEndedIterator<Item = (usize, u64)> + 'a {
+        let live = self.live;
+        self.counts.iter().enumerate().map(move |(j, &c)| {
+            (
+                j,
+                eq_weight_of(c as u64) & 0u64.wrapping_sub((live >> j) & 1),
+            )
+        })
+    }
+}
+
+impl BlockLeaves for EqLeaves<'_> {
+    #[inline]
+    fn leaf_at(self, b: usize, rem: u64, sum: u64) -> usize {
+        if self.dense() {
+            scan_block(b, rem, sum, self.all_leaves())
+        } else {
+            scan_block(b, rem, sum, self.live_leaves())
+        }
+    }
+
+    #[inline]
+    fn split(self, b: usize, k: u64, sum: u64, rng: &mut Xoshiro256, out: &mut Vec<(usize, u64)>) {
+        if self.dense() {
+            BlockLeaves::split(self.all_leaves(), b, k, sum, rng, out);
+        } else {
+            BlockLeaves::split(self.live_leaves(), b, k, sum, rng, out);
+        }
+    }
+}
+
+/// The set bits of one word, as bit offsets, lowest first; from the back,
+/// highest first.
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let j = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(j)
+    }
+}
+
+impl DoubleEndedIterator for Bits {
+    #[inline]
+    fn next_back(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let j = 63 - self.0.leading_zeros() as usize;
+        self.0 &= !(1 << j);
+        Some(j)
+    }
+}
 
 /// Leaf of block `b` (leaf weights `leaves`, summing to `sum`) containing
 /// the residual offset `rem`.
@@ -593,11 +730,16 @@ impl<I: DoubleEndedIterator<Item = u64> + ExactSizeIterator> BlockLeaves for I {
 /// leaves are read (on A_G at n = 4096, half-way to silence, 18 instead
 /// of 32 per scan on average).
 #[inline]
-fn scan_block(b: usize, rem: u64, sum: u64, leaves: impl BlockLeaves) -> usize {
+fn scan_block(
+    b: usize,
+    rem: u64,
+    sum: u64,
+    leaves: impl DoubleEndedIterator<Item = (usize, u64)>,
+) -> usize {
     debug_assert!(rem < sum, "residual offset outside its block");
     if rem < sum / 2 {
         let mut rem = rem;
-        for (j, w) in leaves.enumerate() {
+        for (j, w) in leaves {
             if rem < w {
                 return b * BLOCK + j;
             }
@@ -605,7 +747,7 @@ fn scan_block(b: usize, rem: u64, sum: u64, leaves: impl BlockLeaves) -> usize {
         }
     } else {
         let mut rem = sum - 1 - rem;
-        for (j, w) in leaves.enumerate().rev() {
+        for (j, w) in leaves.rev() {
             if rem < w {
                 return b * BLOCK + j;
             }
@@ -1005,6 +1147,14 @@ fn pair_weight(counts: &[u32], a: State, b: State) -> u64 {
     } else {
         ca * counts[b as usize] as u64
     }
+}
+
+/// Occupancy counts of the rank states in [`BlockTree`] block `b`:
+/// `counts[b·BLOCK .. min(b·BLOCK + BLOCK, num_ranks)]`.
+#[inline]
+fn block_counts(counts: &[u32], num_ranks: usize, b: usize) -> &[u32] {
+    let start = b * BLOCK;
+    &counts[start..(start + BLOCK).min(num_ranks)]
 }
 
 /// Equal-rank leaf weight for occupancy `c`: `c(c−1)`, which is 0 at
@@ -1465,6 +1615,11 @@ pub(crate) struct ClassState {
     /// equal-rank rule exists; leaves are derived from `counts` on demand
     /// (empty when the class is not declared).
     pub eq: BlockTree,
+    /// Bitset over rank states: bit `s` set iff `s`'s equal-rank weight
+    /// is positive, i.e. `s` has an equal-rank rule and `c_s ≥ 2` (empty
+    /// when the class is not declared). Word `b` covers block `b`, and
+    /// [`eq_block`](Self::eq_block) reads the block through it.
+    eq_live: Vec<u64>,
     /// Block sums of the per-rank-state occupancy, for cross-pair sampling
     /// and splitting; leaves are the `counts` entries themselves (empty
     /// when no cross class is declared).
@@ -1474,6 +1629,8 @@ pub(crate) struct ClassState {
     pub sparse: SparseState,
     pub rank_agents: u64,
     pub extra_agents: u64,
+    /// Number of extra states with a positive count.
+    occupied_extras: u64,
     /// Upper bound on the occupancy of any rank state with an equal-rank
     /// rule; grows eagerly on updates, shrinks only on
     /// [`refresh_bound`](Self::refresh_bound). Drives the count engine's
@@ -1511,62 +1668,75 @@ impl ClassState {
         let schema = CompiledSchema::compile(protocol);
         let num_ranks = protocol.num_rank_states();
         let sparse = SparseState::new(&schema, &counts);
-        let mut rank_agents = 0u64;
-        let mut max_eq_bound = 1u64;
-        for (s, &c) in counts.iter().take(num_ranks).enumerate() {
-            let c = c as u64;
-            rank_agents += c;
-            if schema.eq_rule(s) {
-                max_eq_bound = max_eq_bound.max(c);
+        // One pass over the rank states, a block at a time: the agent
+        // total, the largest equal-rank count, both trees' block sums and
+        // the live bits. The loop body is branch-free (the rule bit
+        // multiplies), which keeps it cheap at n = 2²⁰ and beyond.
+        let blocks = num_ranks.div_ceil(BLOCK);
+        let mut eq = BlockTree::new(if schema.eq { num_ranks } else { 0 });
+        let mut rank_occ = BlockTree::new(if schema.cross.is_some() { num_ranks } else { 0 });
+        let mut eq_live = Vec::with_capacity(if schema.eq { blocks } else { 0 });
+        let (mut rank_agents, mut max_eq_bound) = (0u64, 1u64);
+        for b in 0..blocks {
+            let rules = if schema.eq { schema.has_eq[b] } else { 0 };
+            let (mut occ, mut max, mut at_least_two, mut eq_sum) = (0u64, 0u64, 0u64, 0u64);
+            for (j, &c) in block_counts(&counts, num_ranks, b).iter().enumerate() {
+                let (c, rule) = (c as u64, (rules >> j) & 1);
+                occ += c;
+                max = max.max(c * rule);
+                at_least_two |= ((c >= 2) as u64) << j;
+                eq_sum += eq_weight_of(c) * rule;
+            }
+            rank_agents += occ;
+            max_eq_bound = max_eq_bound.max(max);
+            if schema.eq {
+                eq_live.push(rules & at_least_two);
+                eq.set_block_deferred(b, eq_sum);
+            }
+            if !rank_occ.is_empty() {
+                rank_occ.set_block_deferred(b, occ);
             }
         }
+        eq.flush();
+        rank_occ.flush();
         let extra_agents = n as u64 - rank_agents;
-        let mut state = ClassState {
+        let occupied_extras = counts[num_ranks..].iter().filter(|&&c| c > 0).count() as u64;
+        Ok(ClassState {
             schema,
             counts,
             num_ranks,
-            eq: BlockTree::default(),
-            rank_occ: BlockTree::default(),
+            eq,
+            eq_live,
+            rank_occ,
             sparse,
             rank_agents,
             extra_agents,
+            occupied_extras,
             max_eq_bound,
-        };
-        if state.schema.eq {
-            state.eq = BlockTree::new(num_ranks, |b| state.eq_block(b));
-        }
-        if state.schema.cross.is_some() {
-            state.rank_occ = BlockTree::new(num_ranks, |b| state.rank_block(b));
-        }
-        Ok(state)
+        })
     }
 
-    /// Occupancy counts of the rank states in [`BlockTree`] block `b`:
-    /// `counts[b·BLOCK .. min(b·BLOCK + BLOCK, num_ranks)]`.
+    /// The live equal-rank leaves of block `b` (the `eq` tree's view):
+    /// `c(c−1)` for each rank state whose bit is set in the single word
+    /// `eq_live[b]`. Every other leaf of the block weighs 0 (no rule, or
+    /// fewer than two agents). See [`EqLeaves`] for how they are read.
     #[inline]
-    fn block_counts(&self, b: usize) -> &[u32] {
-        let start = b * BLOCK;
-        &self.counts[start..(start + BLOCK).min(self.num_ranks)]
+    pub fn eq_block(&self, b: usize) -> EqLeaves<'_> {
+        EqLeaves {
+            live: self.eq_live[b],
+            counts: block_counts(&self.counts, self.num_ranks, b),
+        }
     }
 
-    /// Equal-rank leaf weights of block `b` (the `eq` tree's view):
-    /// `c(c−1)` for a rank state with an equal-rank rule, 0 otherwise. The
-    /// block's rule bits are the single word `has_eq[b]`.
-    #[inline]
-    pub fn eq_block(&self, b: usize) -> impl BlockLeaves + '_ {
-        let rules = self.schema.has_eq[b];
-        self.block_counts(b)
-            .iter()
-            .enumerate()
-            .map(move |(j, &c)| eq_weight_of(c as u64) & 0u64.wrapping_sub((rules >> j) & 1))
-    }
-
-    /// Occupancy leaf weights of block `b` (the `rank_occ` tree's view:
-    /// the cross class samples rank participants proportionally to
-    /// occupancy).
+    /// Occupancy leaf weights of block `b`, every leaf (the `rank_occ`
+    /// tree's view: the cross class samples rank participants
+    /// proportionally to occupancy).
     #[inline]
     pub fn rank_block(&self, b: usize) -> impl BlockLeaves + '_ {
-        self.block_counts(b).iter().map(|&c| c as u64)
+        block_counts(&self.counts, self.num_ranks, b)
+            .iter()
+            .map(|&c| c as u64)
+            .enumerate()
     }
 
     /// Add `delta` to the occupancy of state `s`, updating every weight
@@ -1633,6 +1803,8 @@ impl ClassState {
             }
             if self.schema.eq_rule(su) {
                 let (w_old, w_new) = (eq_weight_of(old), eq_weight_of(new));
+                let (word, j) = (&mut self.eq_live[su / BLOCK], su % BLOCK);
+                *word = (*word & !(1 << j)) | (((new >= 2) as u64) << j);
                 if DEFER {
                     self.eq.update_deferred(su, w_old, w_new);
                 } else {
@@ -1647,6 +1819,7 @@ impl ClassState {
                 .extra_agents
                 .checked_add_signed(delta)
                 .expect("extra population went negative");
+            self.occupied_extras = self.occupied_extras + (new > 0) as u64 - (old > 0) as u64;
         }
         if !self.schema.pairs.is_empty() {
             if DEFER {
@@ -1967,12 +2140,10 @@ impl ClassState {
         (self.num_ranks..self.counts.len()).map(|s| (s as State, self.counts[s] as u64))
     }
 
-    /// Number of occupied extra states. `O(num_extra_states)`.
+    /// Number of occupied extra states, kept by every count change.
+    #[inline]
     pub fn occupied_extras(&self) -> u64 {
-        self.counts[self.num_ranks..]
-            .iter()
-            .filter(|&&c| c > 0)
-            .count() as u64
+        self.occupied_extras
     }
 
     /// Sample the `idx`-th extra agent (0-based over all agents in extra
@@ -2116,15 +2287,28 @@ mod tests {
     }
 
     /// Block view over materialised leaf weights: block `b` is
-    /// `weights[b·BLOCK .. min(b·BLOCK + BLOCK, len)]`.
-    fn slice_view<'a>(
-        weights: &'a [u64],
-    ) -> impl Fn(usize) -> std::iter::Copied<std::slice::Iter<'a, u64>> + 'a {
+    /// `weights[b·BLOCK .. min(b·BLOCK + BLOCK, len)]`, every leaf.
+    fn slice_view<'a>(weights: &'a [u64]) -> impl Fn(usize) -> SliceLeaves<'a> + 'a {
         move |b| {
             weights[b * BLOCK..((b + 1) * BLOCK).min(weights.len())]
                 .iter()
                 .copied()
+                .enumerate()
         }
+    }
+
+    type SliceLeaves<'a> = std::iter::Enumerate<std::iter::Copied<std::slice::Iter<'a, u64>>>;
+
+    /// Block tree over materialised leaf weights, summed through the
+    /// [`slice_view`] of `weights`.
+    fn slice_tree(weights: &[u64]) -> BlockTree {
+        let view = slice_view(weights);
+        let mut bt = BlockTree::new(weights.len());
+        for b in 0..weights.len().div_ceil(BLOCK) {
+            bt.set_block_deferred(b, view(b).map(|(_, w)| w).sum());
+        }
+        bt.flush();
+        bt
     }
 
     /// The derived-leaf block tree must reproduce the materialised
@@ -2140,7 +2324,7 @@ mod tests {
             })
             .collect();
         let view = slice_view(&weights);
-        let mut bt = BlockTree::new(weights.len(), &view);
+        let mut bt = slice_tree(&weights);
         let mut wt = WeightTree::new(weights.len());
         wt.assign(&weights);
         assert_eq!(bt.total(), wt.total());
@@ -2181,7 +2365,7 @@ mod tests {
     fn block_tree_partition_preserves_the_split_law() {
         let weights: Vec<u64> = (0..300).map(|i| (i as u64 * 31 % 17) + 1).collect();
         let view = slice_view(&weights);
-        let bt = BlockTree::new(weights.len(), &view);
+        let bt = slice_tree(&weights);
         let b = 20_000u64;
         let rounds = 60;
         let mut totals = vec![0u64; weights.len()];
@@ -2328,7 +2512,7 @@ mod tests {
         // The same weights as block 1 of a block tree, after a full block 0.
         let leaves: Vec<u64> = (0..BLOCK as u64).map(|i| i % 5).chain(weights).collect();
         let view = slice_view(&leaves);
-        let bt = BlockTree::new(leaves.len(), &view);
+        let bt = slice_tree(&leaves);
         let block1 = bt.blocks.size + 1;
         for (k, seed) in [(1u64, 1u64), (2, 2), (5, 3), (BERNOULLI_MAX_N, 4)] {
             let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -3450,24 +3634,47 @@ mod tests {
         Ok(())
     }
 
+    /// The live equal-rank bits are set exactly at the rank states with
+    /// an equal-rank rule and at least two agents (none past the last
+    /// rank state), and the occupied-extra counter equals a scan.
+    fn check_live_bits(st: &ClassState, rules: &[bool]) -> Result<(), TestCaseError> {
+        prop_assert_eq!(st.eq_live.len(), rules.len().div_ceil(BLOCK));
+        for (w, &word) in st.eq_live.iter().enumerate() {
+            for j in 0..BLOCK {
+                let s = w * BLOCK + j;
+                let live = s < rules.len() && rules[s] && st.counts[s] >= 2;
+                prop_assert_eq!((word >> j) & 1 == 1, live, "state {}", s);
+            }
+        }
+        let occupied = st.counts[rules.len()..].iter().filter(|&&c| c > 0).count();
+        prop_assert_eq!(st.occupied_extras(), occupied as u64);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Block views are the leaves they replace. Random counts (a third
-        /// of them zero), a random equal-rank rule mask with holes drawn
-        /// more often at bitset-word edges, a final block that is full or
-        /// partial, and zero to two extra states after the rank states:
-        /// both trees of `ClassState` — the `eq` view (`c(c−1)` under the
-        /// mask) and the `rank_occ` view (`c`) — must match their weights
-        /// materialised from the rule mask and the counts
-        /// ([`check_block_view`]), at construction and again after a run
-        /// of `update_count` calls.
+        /// of them zero, or in dense cases nearly all of them ≥ 2, so the
+        /// `eq` view reads blocks both ways), a random equal-rank rule
+        /// mask with holes drawn more often at bitset-word edges, a final
+        /// block that is full or partial, and zero to two extra states
+        /// after the rank states: both trees of `ClassState` — the `eq`
+        /// view (`c(c−1)` under the mask, at the live leaves) and the
+        /// `rank_occ` view (`c`) — must
+        /// match their weights materialised from the rule mask and the
+        /// counts ([`check_block_view`]), and the live bits must be
+        /// exactly rule ∧ `c ≥ 2` ([`check_live_bits`]): at construction,
+        /// after a run of `update_count` calls, after a run of
+        /// `update_count_deferred` calls and a flush, and after a restore
+        /// (a rebuild from the counts, as the count engine restores).
         #[test]
         fn block_views_match_materialised_leaves(
             seed in 0u64..1_000_000,
             blocks in 1usize..6,
             partial in any::<bool>(),
             extras in 0usize..3,
+            dense in any::<bool>(),
         ) {
             let mut rng = Xoshiro256::seed_from_u64(seed);
             let short = if partial { 1 + rng.below(BLOCK as u64 - 1) as usize } else { 0 };
@@ -3480,16 +3687,21 @@ mod tests {
                     _ => rng.below(5) != 0,
                 })
                 .collect();
+            // Dense: ~3/4 of a block live, read leaf by leaf; else under
+            // a third live, read through the live bits (`EqLeaves`).
             let mut counts: Vec<u32> = (0..ranks + extras)
-                .map(|_| match rng.below(3) {
-                    0 => 0,
-                    _ => rng.below(6) as u32,
+                .map(|_| match (dense, rng.below(16)) {
+                    (true, 0) => rng.below(2) as u32,
+                    (true, _) => 2 + rng.below(4) as u32,
+                    (false, x) if x < 5 => 0,
+                    (false, _) => rng.below(6) as u32,
                 })
                 .collect();
             let n = counts.iter().map(|&c| c as usize).sum();
             let p = RuleMask { n, rules, extras };
             let mut st = ClassState::new(&p, counts.clone()).unwrap();
-            for round in 0..2 {
+            for round in 0..4 {
+                check_live_bits(&st, &p.rules)?;
                 let eq: Vec<u64> = (0..ranks)
                     .map(|s| match p.rules[s] {
                         true => eq_weight_of(counts[s] as u64),
@@ -3500,6 +3712,13 @@ mod tests {
                 let (eq_seed, occ_seed) = (seed + round, seed + round + 7);
                 check_block_view(&st.eq, &|b| st.eq_block(b), &eq, eq_seed)?;
                 check_block_view(&st.rank_occ, &|b| st.rank_block(b), &occ, occ_seed)?;
+                if round == 2 {
+                    let restored = ClassState::new(&p, counts.clone()).unwrap();
+                    prop_assert_eq!(&restored.eq_live, &st.eq_live);
+                    prop_assert_eq!(restored.occupied_extras(), st.occupied_extras());
+                    st = restored;
+                    continue;
+                }
                 for _ in 0..40 {
                     let donor = rng.below(counts.len() as u64) as usize;
                     if counts[donor] == 0 {
@@ -3508,9 +3727,14 @@ mod tests {
                     let recv = rng.below(counts.len() as u64) as usize;
                     counts[donor] -= 1;
                     counts[recv] += 1;
-                    st.update_count(donor as State, -1);
-                    st.update_count(recv as State, 1);
+                    for (s, d) in [(donor as State, -1), (recv as State, 1)] {
+                        match round {
+                            0 => st.update_count(s, d),
+                            _ => st.update_count_deferred(s, d),
+                        }
+                    }
                 }
+                st.flush_deferred();
             }
         }
     }

@@ -108,6 +108,21 @@ fn kind_of_size(s: usize) -> NodeKind {
     }
 }
 
+/// The child of node `q` (subtree size `s > 1`) whose subtree holds the
+/// id `p`, `q < p < q + s`, as `(id, subtree size)`.
+///
+/// A chain node (even `s`) has one child, `q + 1` with size `s − 1`; a
+/// branching node (odd `s`) has halves of size `l = (s − 1)/2` at `q + 1`
+/// and `q + l + 1`. Both cases in one step without a branch: with
+/// `l_eff = l·[s odd]`, the child is `q + 1 + l_eff·[p > q + l_eff]` and
+/// its size is `(s − 1) >> [s odd]`.
+#[inline]
+fn step_toward(q: usize, s: usize, p: usize) -> (usize, usize) {
+    let odd = s & 1;
+    let l_eff = ((s - 1) / 2) * odd;
+    (q + 1 + l_eff * (p > q + l_eff) as usize, (s - 1) >> odd)
+}
+
 impl BalancedTree {
     /// Build the perfectly balanced binary tree of size `n`.
     ///
@@ -146,15 +161,7 @@ impl BalancedTree {
         while q != p {
             parent = q;
             depth += 1;
-            // A chain node (even s) has one child, q + 1 with size s − 1; a
-            // branching node (odd s) has halves of size l = (s − 1)/2 at
-            // q + 1 and q + l + 1. Both cases in one step without a branch:
-            // with l_eff = l·[s odd], the child is q + 1 + l_eff·[p > q +
-            // l_eff] and its size is (s − 1) >> [s odd].
-            let odd = s & 1;
-            let l_eff = ((s - 1) / 2) * odd;
-            q += 1 + l_eff * (p > q + l_eff) as usize;
-            s = (s - 1) >> odd;
+            (q, s) = step_toward(q, s, p);
         }
         Locus {
             size: s,
@@ -229,6 +236,100 @@ impl BalancedTree {
     /// Size of the subtree rooted at `p`.
     pub fn subtree_size(&self, p: usize) -> usize {
         self.locate(p).size
+    }
+
+    /// Size of the subtree rooted at `p`, descending from `ancestor`, a
+    /// node given as `(id, subtree size)` whose subtree holds `p` (the
+    /// root `(0, len())` holds every id). Costs one step per level between
+    /// the two, so an entry of [`block_ancestors`](Self::block_ancestors)
+    /// saves every step above it.
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics if `ancestor`'s subtree does not hold `p`.
+    #[inline]
+    pub fn subtree_size_from(&self, ancestor: (usize, usize), p: usize) -> usize {
+        let (mut q, mut s) = ancestor;
+        debug_assert!(
+            q <= p && p < q + s && q + s <= self.n,
+            "node {p} is not below ({q}, {s})"
+        );
+        while q != p {
+            (q, s) = step_toward(q, s, p);
+        }
+        s
+    }
+
+    /// For each block of `width` consecutive ids, block `b` being
+    /// `b·width .. min((b + 1)·width, len())`, the deepest node whose
+    /// subtree holds the whole block, as `(id, subtree size)`: the start
+    /// point for [`subtree_size_from`](Self::subtree_size_from) at any id
+    /// of the block.
+    ///
+    /// A subtree covers a contiguous pre-order range, so a full block's
+    /// node is the one that holds the block while neither child does: the
+    /// block either starts at the node's own id or straddles the boundary
+    /// between its two children. One walk finds every such node, entering
+    /// only subtrees of at least `width` ids, `O(len()/width)` of them. A
+    /// partial last block may sit in a smaller subtree, so it takes one
+    /// descent of its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or `len() > u32::MAX`.
+    pub fn block_ancestors(&self, width: usize) -> Vec<(u32, u32)> {
+        assert!(width > 0, "block width must be positive");
+        let n = self.n;
+        assert!(
+            u32::try_from(n).is_ok(),
+            "{n} ids do not fit a u32 ancestor table"
+        );
+        let mut out = vec![(0u32, 0u32); n.div_ceil(width)];
+        let mut set = |start: usize, q: usize, s: usize| {
+            if start >= q && start + width <= q + s {
+                out[start / width] = (q as u32, s as u32);
+            }
+        };
+        // Subtrees of at least `width` ids, as (id, size).
+        let mut pending: Vec<(usize, usize)> = Vec::with_capacity(2 * self.height as usize + 2);
+        if n >= width {
+            pending.push((0, n));
+        }
+        while let Some((q, s)) = pending.pop() {
+            if q.is_multiple_of(width) {
+                set(q, q, s);
+            }
+            if s.is_multiple_of(2) {
+                if s > width {
+                    pending.push((q + 1, s - 1));
+                }
+            } else {
+                let l = (s - 1) / 2;
+                let right = q + l + 1;
+                if !right.is_multiple_of(width) {
+                    set(right - right % width, q, s);
+                }
+                if l >= width {
+                    pending.push((right, l));
+                    pending.push((q + 1, l));
+                }
+            }
+        }
+        let lo = n - n % width;
+        if lo < n {
+            // The partial last block, `lo..n`: descend while the child
+            // holding `lo` also holds `n − 1`.
+            let (mut q, mut s) = (0, n);
+            while q != lo {
+                let (c, cs) = step_toward(q, s, lo);
+                if c + cs < n {
+                    break;
+                }
+                (q, s) = (c, cs);
+            }
+            out[lo / width] = (q as u32, s as u32);
+        }
+        out
     }
 
     /// Height of the tree (depth of the deepest node).

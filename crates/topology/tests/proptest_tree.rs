@@ -91,3 +91,74 @@ fn leaves_iter_matches_oracle() {
         assert_eq!(implicit, o.leaves(), "n={n}");
     }
 }
+
+/// Check `t.block_ancestors(width)` against the oracle: each block's
+/// entry is a node whose subtree holds the whole block while neither
+/// child's does (the deepest such node), its stored size is the oracle's,
+/// and `subtree_size_from` it reaches the oracle's size at every id of the
+/// block.
+fn check_block_ancestors(
+    t: &BalancedTree,
+    o: &MaterialisedTree,
+    width: usize,
+) -> Result<(), TestCaseError> {
+    let n = t.len();
+    let table = t.block_ancestors(width);
+    prop_assert_eq!(table.len(), n.div_ceil(width));
+    let holds = |q: usize, lo: usize, hi: usize| q <= lo && hi < q + o.subtree_size(q);
+    for (b, &(q, s)) in table.iter().enumerate() {
+        let (q, s) = (q as usize, s as usize);
+        let (lo, hi) = (b * width, ((b + 1) * width).min(n) - 1);
+        prop_assert!(q < n, "n={} width={} block {}: node {}", n, width, b, q);
+        prop_assert_eq!(s, o.subtree_size(q), "n={} width={} block {}", n, width, b);
+        prop_assert!(holds(q, lo, hi), "n={} width={} block {}", n, width, b);
+        let (l, r) = o.children(q);
+        for c in [l, r].into_iter().flatten() {
+            prop_assert!(
+                !holds(c, lo, hi),
+                "n={} width={} block {}: child {} of {} holds it",
+                n,
+                width,
+                b,
+                c,
+                q
+            );
+        }
+        for p in lo..=hi {
+            prop_assert_eq!(
+                t.subtree_size_from((q, s), p),
+                o.subtree_size(p),
+                "n={} p={}",
+                n,
+                p
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Block ancestors over random sizes of four shapes: below one block
+    /// (n < 64), one id past whole blocks (n ≡ 1 mod 64, a partial last
+    /// block of one leaf), powers of two (whole blocks only) and any size
+    /// up to 20k; at the engine's block width 64 and at a random width.
+    #[test]
+    fn block_ancestors_are_the_deepest_holding_nodes(
+        shape in 0usize..4,
+        x in 0usize..1_000_000,
+        width in 1usize..200,
+    ) {
+        let n = match shape {
+            0 => 1 + x % 63,
+            1 => 64 * (1 + x % 300) + 1,
+            2 => 1 << (x % 17),
+            _ => 1 + x % 20_000,
+        };
+        let t = BalancedTree::new(n);
+        let o = MaterialisedTree::new(n);
+        check_block_ancestors(&t, &o, 64)?;
+        check_block_ancestors(&t, &o, width)?;
+    }
+}

@@ -515,6 +515,24 @@ fn count_line_stacked_n4096() {
     );
 }
 
+/// The tree's dispersal tail on a block tree many levels deep: most of
+/// these batches are equal-rank draws spread one or two per rank state
+/// over nearly every block, so the in-block scans and splits and the
+/// tree's per-key subtree sizes all run many times over.
+#[test]
+fn count_tree_uniform_n65536() {
+    let p = TreeRanking::new(65_536);
+    let mut e = count(&p, uniform(&p, 16), 16);
+    let batched = batches_to_silence(e.as_mut());
+    assert_eq!(
+        (batched, fingerprint(e.as_ref())),
+        (
+            2_948,
+            (10_441_866_733, 5_702_345, 2_075_447_830_645_028_645)
+        )
+    );
+}
+
 /// `ranks` rank states and `extras` extra states. Extra-initiated cross
 /// pairs turn the extra agent into a rank agent; the sparse pairs are
 /// every rank state's diagonal, which turns one agent into an extra
