@@ -313,34 +313,64 @@ fn bench_count_batching(c: &mut Criterion) {
 /// its clock draw in `rng/geometric_wide` (`bench_primitives`).
 fn bench_exact_step(c: &mut Criterion) {
     // A_G with batching off (the jump engine is the count engine's exact
-    // chain), from the configuration a stacked start reaches after 1.25M
-    // productive steps, about half of its run to silence. Each iteration
-    // restores that configuration and takes 100k exact steps: a clock
-    // draw, `sample_pair`, the transition and two count updates each.
+    // chain), from two configurations of one stacked-start run. From a
+    // stacked start A_G takes a fixed n(n−1)/2 = 8,386,560 productive
+    // steps to silence at n = 4096. `advance` starts after 1.25M of them
+    // (~15% of the run, where a batched run still batches); `advance_tail`
+    // after 6.5M (~78%), where the batched `ag_stacked` workload takes its
+    // exact steps. Each iteration restores the configuration and takes
+    // 100k exact steps: a clock draw, `sample_pair`, the transition and
+    // one agent move each.
     let n = 4096;
     let p = GenericRanking::new(n);
     let mut engine = make_engine(EngineKind::Jump, &p, vec![0; n], 7, 1).unwrap();
     run_productive(engine.as_mut(), 1_250_000);
     let mid_run = engine.snapshot();
+    run_productive(engine.as_mut(), 6_500_000);
+    let tail = engine.snapshot();
     let steps = 100_000u64;
     let mut group = c.benchmark_group("exact_step_ag_n4096");
     group.throughput(Throughput::Elements(steps));
     group.sample_size(10);
-    group.bench_function("advance", |b| {
-        b.iter_batched(
-            || {
-                let mut e = make_engine(EngineKind::Jump, &p, vec![0; n], 7, 1).unwrap();
-                e.restore(&mid_run);
-                e
-            },
-            |mut e| {
-                for _ in 0..steps {
-                    e.advance();
-                }
-                black_box(e.productive_interactions())
-            },
-            criterion::BatchSize::SmallInput,
-        )
+    for (label, from) in [("advance", &mid_run), ("advance_tail", &tail)] {
+        group.bench_function(label, |b| {
+            b.iter_batched(
+                || {
+                    let mut e = make_engine(EngineKind::Jump, &p, vec![0; n], 7, 1).unwrap();
+                    e.restore(from);
+                    e
+                },
+                |mut e| {
+                    for _ in 0..steps {
+                        e.advance();
+                    }
+                    black_box(e.productive_interactions())
+                },
+                criterion::BatchSize::SmallInput,
+            )
+        });
+    }
+    group.finish();
+}
+
+/// One equal-rank block split as the batch path makes it, at the size
+/// A_G's batches reach a block with: 16 draws over a dense block, every
+/// one of its 64 leaves live (counts 2–9, so leaf weights 2–72). An
+/// iteration is 1000 splits, after one derivation of the block's live
+/// word and sum.
+fn bench_block_split(c: &mut Criterion) {
+    let counts: Vec<u32> = (0..64).map(|j| 2 + (j * 7 % 8) as u32).collect();
+    let reps = 1000;
+    let mut group = c.benchmark_group("block_split");
+    group.throughput(Throughput::Elements(reps as u64));
+    group.bench_function("eq_dense_64_live_k16", |b| {
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        let mut out = Vec::with_capacity(16 * reps);
+        b.iter(|| {
+            out.clear();
+            ssr_engine::split_eq_block(&counts, 16, reps, &mut rng, &mut out);
+            black_box(out.len())
+        })
     });
     group.finish();
 }
@@ -596,6 +626,7 @@ criterion_group!(
     bench_jump_throughput,
     bench_count_batching,
     bench_exact_step,
+    bench_block_split,
     bench_primitives,
     bench_tree_geometry,
     bench_service,

@@ -34,6 +34,25 @@
 //! `Xx` and `Cross` feed the line and tree protocols' exponential reset
 //! epidemics, which amplify frozen-weight drift, hence the tighter rein.
 //!
+//! # The split law: one law, two placements
+//!
+//! A batch hands each item of a weighted list (a class, a tree node's
+//! children, a block's leaves, the extra states, a sparse group's pairs)
+//! its multinomial share of `k` draws. Above `BERNOULLI_MAX_N` draws the
+//! shares are chained binomials ([`chain_binomials`]). At or below it,
+//! each draw is one offset `below(total)`, and an item takes the offsets
+//! inside its stretch `[end_{i−1}, end_i)` of the running weight sum.
+//! Those offsets are placed in one of two ways, with the same RNG draws
+//! and the same output:
+//!
+//! - an item list ([`chain_split`]: extra states, sparse groups) sorts the
+//!   offsets and sweeps the items once;
+//! - a [`BlockTree`] block ([`place_in_block`]) writes its ≤ [`BLOCK`]
+//!   running sums to an array and finds each offset's leaf by a
+//!   branch-free binary search, counting hits per leaf, then emits them
+//!   in leaf order. A batch's block splits are small (a few to a few
+//!   dozen draws), so dropping the sort is most of their cost.
+//!
 //! # Sparse pairs: a two-level hierarchy
 //!
 //! The enumerated sparse pairs are stored **grouped by initiator state**:
@@ -131,10 +150,11 @@ use crate::rng::{Xoshiro256, BERNOULLI_MAX_N};
 /// [`WeightTree::split`] and [`BlockTree::split_node`] switch from
 /// binomial splitting to one direct weighted descent per draw (cheaper in
 /// RNG draws, identical in distribution). A share that reaches a
-/// [`BlockTree`] block leaf goes to [`chain_split`] instead, whatever its
-/// size. (A sorted-offset descent from every node with up to
-/// `BERNOULLI_MAX_N` draws, in place of this threshold, was measured and
-/// not adopted: no faster on A_G, slower per draw on the tree protocol.)
+/// [`BlockTree`] block leaf goes to the block's split
+/// ([`BlockLeaves::split`]) instead, whatever its size. (A sorted-offset
+/// descent from every node with up to `BERNOULLI_MAX_N` draws, in place
+/// of this threshold, was measured and not adopted: no faster on A_G,
+/// slower per draw on the tree protocol.)
 const SPLIT_DIRECT_THRESHOLD: u64 = 8;
 
 /// Leaves per [`BlockTree`] block: the tree keeps one `u64` sum per block
@@ -400,9 +420,10 @@ impl WeightTree {
 /// Sampling descends the block tree without branching and then scans at
 /// most [`BLOCK`] derived leaves, from the end of the block nearer to the
 /// target offset; point updates touch one block sum; multinomial
-/// splitting mirrors [`WeightTree::split`], finishing each block with one
-/// [`chain_split`] over the derived leaves (for up to `BERNOULLI_MAX_N`
-/// draws, one uniform per draw and a single pass over the block).
+/// splitting mirrors [`WeightTree::split`], finishing each block with
+/// one split of its share over the derived leaves: for up to
+/// `BERNOULLI_MAX_N` draws, one uniform per draw, each placed by a
+/// binary search over the block's running sums ([`place_in_block`]).
 ///
 /// [`partition`](Self::partition) additionally pre-splits a batch into
 /// independent subtree tasks — the unit of work the count engine hands to
@@ -534,7 +555,7 @@ impl BlockTree {
     /// pairs in ascending leaf order — the execution half of
     /// [`partition`](Self::partition). Equivalent in distribution to
     /// [`WeightTree::split`] over the materialised leaf weights; a block's
-    /// share goes to [`chain_split`] over its derived leaves.
+    /// share goes to [`BlockLeaves::split`] over its derived leaves.
     pub fn split_node<I: BlockLeaves>(
         &self,
         node: usize,
@@ -601,19 +622,21 @@ impl BlockTree {
 }
 
 /// One [`BlockTree`] block as a block view gives it, read in one of two
-/// ways: a scan for the leaf holding an offset, or a [`chain_split`] of
-/// draws over its leaves. Any iterator of `(offset in the block, weight)`
-/// in leaf order, readable from either end, is one ([`scan_block`] and
-/// [`chain_split`] over it). A view may leave out zero-weight leaves:
-/// neither read gives such a leaf a draw or spends an RNG draw on it, so
-/// skipping one changes no result.
+/// ways: a scan for the leaf holding an offset, or a split of draws over
+/// its leaves. Any iterator of `(offset in the block, weight)` in leaf
+/// order, readable from either end, is one ([`scan_block`], and
+/// [`place_in_block`] or [`chain_binomials`] over it). A view may leave
+/// out zero-weight leaves: neither read gives such a leaf a draw or
+/// spends an RNG draw on it, so skipping one changes no result.
 pub(crate) trait BlockLeaves: Sized {
     /// Leaf index (in the whole tree) of the leaf of block `b`, its leaf
     /// weights summing to `sum`, that holds the residual offset `rem`.
     fn leaf_at(self, b: usize, rem: u64, sum: u64) -> usize;
 
-    /// [`chain_split`] of `k` draws over block `b`'s leaves, their weights
-    /// summing to `sum`, appending `(leaf index, draws)`.
+    /// [`chain_split`]'s law for `k` draws over block `b`'s leaves, their
+    /// weights summing to `sum`, appending `(leaf index, draws)`: the
+    /// same output and the same RNG draws ([`place_in_block`] for
+    /// `k ≤ BERNOULLI_MAX_N`).
     fn split(self, b: usize, k: u64, sum: u64, rng: &mut Xoshiro256, out: &mut Vec<(usize, u64)>);
 }
 
@@ -625,7 +648,86 @@ impl<I: DoubleEndedIterator<Item = (usize, u64)>> BlockLeaves for I {
 
     #[inline]
     fn split(self, b: usize, k: u64, sum: u64, rng: &mut Xoshiro256, out: &mut Vec<(usize, u64)>) {
-        chain_split(rng, k, sum, self.map(|(j, w)| (b * BLOCK + j, w)), out);
+        if k <= BERNOULLI_MAX_N {
+            place_in_block(rng, k, sum, b, self, out);
+        } else {
+            chain_binomials(rng, k, sum, self.map(|(j, w)| (b * BLOCK + j, w)), out);
+        }
+    }
+}
+
+/// [`chain_split`]'s small-`k` regime within one block, without its sort:
+/// the same `k ≤ BERNOULLI_MAX_N` offsets `below(sum)`, in the same
+/// order, each located by a branch-free binary search over the block's
+/// ≤ [`BLOCK`] running weight sums (padded with `u64::MAX`, which no
+/// offset reaches). A leaf takes offset `o` iff its running sums bracket
+/// it, `end_{i−1} ≤ o < end_i`, as in the sorted sweep, so a zero-weight
+/// leaf takes none. Hits are counted per leaf and emitted in leaf order:
+/// the sweep's output, draw for draw.
+#[inline]
+fn place_in_block(
+    rng: &mut Xoshiro256,
+    k: u64,
+    sum: u64,
+    b: usize,
+    leaves: impl Iterator<Item = (usize, u64)>,
+    out: &mut Vec<(usize, u64)>,
+) {
+    debug_assert!(
+        k <= BERNOULLI_MAX_N,
+        "block placement past the sweep regime"
+    );
+    let mut ends = [u64::MAX; BLOCK];
+    let mut slot = [0u8; BLOCK];
+    let mut acc = 0u64;
+    for (i, (j, w)) in leaves.enumerate() {
+        acc += w;
+        ends[i] = acc;
+        slot[i] = j as u8;
+    }
+    debug_assert_eq!(acc, sum, "block sum inconsistent with derived leaf weights");
+    let mut hits = [0u8; BLOCK];
+    let mut hit = 0u64;
+    for _ in 0..k {
+        let o = rng.below(sum);
+        // The number of running sums `≤ o`, i.e. the first `i` with
+        // `o < ends[i]`, found in six halvings without a branch.
+        let mut i = 0;
+        for half in [32, 16, 8, 4, 2, 1] {
+            i += half * (ends[i + half - 1] <= o) as usize;
+        }
+        hits[i] += 1;
+        hit |= 1 << i;
+    }
+    for i in Bits(hit) {
+        out.push((b * BLOCK + slot[i] as usize, hits[i] as u64));
+    }
+}
+
+/// `reps` equal-rank block splits of `k` draws each over one block of
+/// counts (at most 64), as a batch split makes them, appended to `out`:
+/// the block's live word and leaf sum are derived once, then each split
+/// reads the block through the `eq` view (`EqLeaves`). For the layer
+/// benches, which cannot reach the crate-private block types.
+#[doc(hidden)]
+pub fn split_eq_block(
+    counts: &[u32],
+    k: u64,
+    reps: usize,
+    rng: &mut Xoshiro256,
+    out: &mut Vec<(usize, u64)>,
+) {
+    assert!(
+        counts.len() <= BLOCK,
+        "one block holds at most {BLOCK} leaves"
+    );
+    let live = counts
+        .iter()
+        .enumerate()
+        .fold(0u64, |m, (j, &c)| m | (((c >= 2) as u64) << j));
+    let sum = counts.iter().map(|&c| eq_weight_of(c as u64)).sum();
+    for _ in 0..reps {
+        BlockLeaves::split(EqLeaves { live, counts }, 0, k, sum, rng, out);
     }
 }
 
@@ -773,11 +875,13 @@ fn scan_block(
 ///   binomial of `n ≤ BERNOULLI_MAX_N` counts `n` Bernoulli trials.)
 /// - larger `k`: [`chain_binomials`].
 ///
-/// This is the single implementation of the split law: the count
-/// engine's extra-state, cross-extra and sparse-group splits and
-/// [`BlockTree`]'s in-block splits all delegate here, and the class split
-/// and every tree node split draw through the same [`chain_draw`], so a
-/// change to the law cannot leave them diverged.
+/// This is the one definition of the split law: the count engine's
+/// extra-state, cross-extra and sparse-group splits delegate here;
+/// [`BlockTree`]'s in-block splits place the same offsets without the
+/// sort ([`place_in_block`]) or call [`chain_binomials`]; and the class
+/// split and every tree node split draw through the same [`chain_draw`],
+/// so a change to the law cannot leave them diverged unnoticed (the two
+/// placements are pinned equal by a test).
 pub(crate) fn chain_split<S: Copy>(
     rng: &mut Xoshiro256,
     k: u64,
@@ -1728,6 +1832,12 @@ impl ClassState {
         }
     }
 
+    /// The live words, for tests outside this module.
+    #[cfg(test)]
+    pub fn eq_live(&self) -> &[u64] {
+        &self.eq_live
+    }
+
     /// Occupancy leaf weights of block `b`, every leaf (the `rank_occ`
     /// tree's view: the cross class samples rank participants
     /// proportionally to occupancy).
@@ -1765,6 +1875,72 @@ impl ClassState {
     #[inline]
     pub fn update_count_deferred(&mut self, s: State, delta: i64) {
         self.change_count::<true>(s, delta);
+    }
+
+    /// Move `k` agents from state `from` to state `to ≠ from`: field for
+    /// field the same as `update_count(from, −k)` then
+    /// `update_count(to, k)`. When both are rank states of one block and
+    /// the schema has no sparse pairs, the move is one change: the `eq`
+    /// block sum is rewritten once (one walk to the root) and the live
+    /// word once, while the `rank_occ` block sum and `rank_agents`, which
+    /// a move within a block leaves as they are, are not touched.
+    ///
+    /// # Panics
+    ///
+    /// As [`update_count`](Self::update_count).
+    #[inline]
+    pub fn move_agents(&mut self, from: State, to: State, k: u64) {
+        self.shift::<false>(from, to, k);
+    }
+
+    /// [`move_agents`](Self::move_agents) for batch apply, deferred as
+    /// [`update_count_deferred`](Self::update_count_deferred) is.
+    ///
+    /// # Panics
+    ///
+    /// As [`update_count`](Self::update_count).
+    #[inline]
+    pub fn move_agents_deferred(&mut self, from: State, to: State, k: u64) {
+        self.shift::<true>(from, to, k);
+    }
+
+    #[inline(always)]
+    fn shift<const DEFER: bool>(&mut self, from: State, to: State, k: u64) {
+        debug_assert_ne!(from, to, "a move within one state");
+        let (f, t) = (from as usize, to as usize);
+        let one_block = f / BLOCK == t / BLOCK && f.max(t) < self.num_ranks;
+        let (old_f, old_t) = (self.counts[f] as u64, self.counts[t] as u64);
+        if !one_block || !self.schema.pairs.is_empty() || old_f < k || old_t + k > u32::MAX as u64 {
+            // Across blocks, with sparse pairs, or out of range (which
+            // panics there with the state named): two count changes.
+            self.change_count::<DEFER>(from, -(k as i64));
+            self.change_count::<DEFER>(to, k as i64);
+            return;
+        }
+        let (new_f, new_t) = (old_f - k, old_t + k);
+        self.counts[f] = new_f as u32;
+        self.counts[t] = new_t as u32;
+        if !self.schema.eq {
+            return;
+        }
+        let (rule_f, rule_t) = (self.schema.eq_rule(f), self.schema.eq_rule(t));
+        let weight = |c: u64, rule: bool| eq_weight_of(c) * rule as u64;
+        let w_old = weight(old_f, rule_f) + weight(old_t, rule_t);
+        let w_new = weight(new_f, rule_f) + weight(new_t, rule_t);
+        let word = &mut self.eq_live[f / BLOCK];
+        for (j, new, rule) in [(f % BLOCK, new_f, rule_f), (t % BLOCK, new_t, rule_t)] {
+            if rule {
+                *word = (*word & !(1 << j)) | (((new >= 2) as u64) << j);
+                if new > self.max_eq_bound {
+                    self.max_eq_bound = new;
+                }
+            }
+        }
+        if DEFER {
+            self.eq.update_deferred(f, w_old, w_new);
+        } else {
+            self.eq.update(f, w_old, w_new);
+        }
     }
 
     /// Bring every weight structure changed through
@@ -1919,12 +2095,13 @@ impl ClassState {
     /// bounds only grow between calls (see [`Class::has_lazy_bound`]).
     pub fn refresh_bound(&mut self, c: Class) {
         match c {
-            // The maximum equal-rank occupancy, `O(num_ranks)`, read a
-            // bitset word at a time: a full word is a plain `max` over its
-            // 64 counts.
+            // The maximum equal-rank occupancy, over the live states alone
+            // (a state with a rule that is not live holds at most one
+            // agent, which the floor of 1 covers), read a live word at a
+            // time: a full word is a plain `max` over its 64 counts.
             Class::Eq => {
                 let mut max = 1u32;
-                for (w, &word) in self.schema.has_eq.iter().enumerate() {
+                for (w, &word) in self.eq_live.iter().enumerate() {
                     let base = w * 64;
                     if word == u64::MAX {
                         let full = &self.counts[base..base + 64];
@@ -3735,6 +3912,151 @@ mod tests {
                     }
                 }
                 st.flush_deferred();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A block split of `k ≤ BERNOULLI_MAX_N` draws places them as
+        /// `chain_split`'s sorted sweep does: the same `(leaf, draws)`
+        /// list and the same RNG state after it, for every block of the
+        /// `eq` view (dense blocks read leaf by leaf, sparse ones through
+        /// the live word) and the `rank_occ` view (every leaf, zero-count
+        /// ones included), with a full or a partial last block, at
+        /// `k` ∈ {1, 8, 9, 63, 64}. Small counts put many offsets exactly
+        /// on a leaf's running-sum edge.
+        #[test]
+        fn block_placement_is_the_sorted_sweep(
+            seed in 0u64..1_000_000,
+            blocks in 1usize..4,
+            partial in any::<bool>(),
+            dense in any::<bool>(),
+        ) {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let short = if partial { 1 + rng.below(BLOCK as u64 - 1) as usize } else { 0 };
+            let ranks = blocks * BLOCK - short;
+            let rules: Vec<bool> = (0..ranks).map(|_| rng.below(5) != 0).collect();
+            let counts: Vec<u32> = (0..ranks)
+                .map(|_| match (dense, rng.below(16)) {
+                    (true, 0) => rng.below(2) as u32,
+                    (true, _) => 2 + rng.below(4) as u32,
+                    (false, x) if x < 5 => 0,
+                    (false, _) => rng.below(4) as u32,
+                })
+                .collect();
+            let n = counts.iter().map(|&c| c as usize).sum();
+            let p = RuleMask { n, rules, extras: 0 };
+            let st = ClassState::new(&p, counts.clone()).unwrap();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for b in 0..ranks.div_ceil(BLOCK) {
+                let leaves = b * BLOCK..(b * BLOCK + BLOCK).min(ranks);
+                let eq: Vec<(usize, u64)> = leaves
+                    .clone()
+                    .map(|s| (s, eq_weight_of(counts[s] as u64) * p.rules[s] as u64))
+                    .collect();
+                let occ: Vec<(usize, u64)> = leaves.map(|s| (s, counts[s] as u64)).collect();
+                for (view, items) in [(0, &eq), (1, &occ)] {
+                    let sum: u64 = items.iter().map(|&(_, w)| w).sum();
+                    if sum == 0 {
+                        continue;
+                    }
+                    for k in [1, 8, 9, 63, BERNOULLI_MAX_N] {
+                        let stream = crate::rng::derive_seed(seed, (b * 2 + view) as u64 * 100 + k);
+                        let mut rng_got = Xoshiro256::seed_from_u64(stream);
+                        let mut rng_want = rng_got.clone();
+                        got.clear();
+                        want.clear();
+                        match view {
+                            0 => BlockLeaves::split(st.eq_block(b), b, k, sum, &mut rng_got, &mut got),
+                            _ => BlockLeaves::split(st.rank_block(b), b, k, sum, &mut rng_got, &mut got),
+                        }
+                        chain_split(&mut rng_want, k, sum, items.iter().copied(), &mut want);
+                        prop_assert_eq!(&got, &want, "block {} view {} k {}", b, view, k);
+                        prop_assert_eq!(rng_got.next_u64(), rng_want.next_u64());
+                    }
+                }
+            }
+        }
+
+        /// A move is the two count changes it stands for, and the `Eq`
+        /// bound refresh over the live words is a scan over every state
+        /// with a rule. Runs of random moves — within a block, across a
+        /// block edge, and between rank and extra states — alternate
+        /// between `move_agents` and `move_agents_deferred` (flushed after
+        /// the run); the same moves go through `update_count(from, −k)`,
+        /// `update_count(to, k)` on a copy. Counts, both block trees, the
+        /// live words, the agent totals and `max_eq_bound` must agree after
+        /// every immediate move and every flush, and after each run
+        /// `refresh_bound(Class::Eq)` must give the largest count at a
+        /// state with a rule (at least 1).
+        #[test]
+        fn moves_match_count_changes_and_refresh_scans(
+            seed in 0u64..100_000,
+            blocks in 1usize..5,
+            holes in any::<bool>(),
+        ) {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let ranks = (blocks - 1) * BLOCK + 1 + rng.below(BLOCK as u64) as usize;
+            let extras = 1 + rng.below(3) as usize;
+            let mut counts: Vec<u32> =
+                (0..ranks + extras).map(|_| rng.below(5) as u32).collect();
+            counts[0] += 1;
+            let n = counts.iter().map(|&c| c as usize).sum();
+            let p = TreeShaped { n, ranks, extras, holes };
+            let mut moved = ClassState::new(&p, counts).unwrap();
+            let mut changed = moved.clone();
+            let states = ranks + extras;
+            for run in 0..6 {
+                let defer = run % 2 == 1;
+                for _ in 0..1 + rng.below(60) {
+                    let from = loop {
+                        let s = rng.below(states as u64) as usize;
+                        if moved.counts[s] > 0 {
+                            break s;
+                        }
+                    };
+                    let to = match rng.below(3) {
+                        0 => (from + 1) % states,
+                        1 => (from / BLOCK * BLOCK + rng.below(BLOCK as u64) as usize).min(states - 1),
+                        _ => rng.below(states as u64) as usize,
+                    };
+                    if to == from {
+                        continue;
+                    }
+                    let k = 1 + rng.below(moved.counts[from] as u64);
+                    let (f, t) = (from as State, to as State);
+                    if defer {
+                        moved.move_agents_deferred(f, t, k);
+                        changed.update_count_deferred(f, -(k as i64));
+                        changed.update_count_deferred(t, k as i64);
+                    } else {
+                        moved.move_agents(f, t, k);
+                        changed.update_count(f, -(k as i64));
+                        changed.update_count(t, k as i64);
+                        prop_assert_eq!(&moved.eq, &changed.eq);
+                        prop_assert_eq!(&moved.rank_occ, &changed.rank_occ);
+                    }
+                    prop_assert_eq!(&moved.counts, &changed.counts);
+                    prop_assert_eq!(&moved.eq_live, &changed.eq_live);
+                    prop_assert_eq!(moved.max_eq_bound, changed.max_eq_bound);
+                }
+                moved.flush_deferred();
+                changed.flush_deferred();
+                prop_assert_eq!(&moved.eq, &changed.eq);
+                prop_assert_eq!(&moved.rank_occ, &changed.rank_occ);
+                prop_assert_eq!(moved.rank_agents, changed.rank_agents);
+                prop_assert_eq!(moved.extra_agents, changed.extra_agents);
+                check_live_bits(&moved, &(0..ranks).map(|s| p.equal_rank_rule(s as State)).collect::<Vec<_>>())?;
+                let want = (0..ranks)
+                    .filter(|&s| p.equal_rank_rule(s as State))
+                    .map(|s| moved.counts[s] as u64)
+                    .fold(1, u64::max);
+                moved.refresh_bound(Class::Eq);
+                changed.refresh_bound(Class::Eq);
+                prop_assert_eq!(moved.max_eq_bound, want);
+                prop_assert_eq!(changed.max_eq_bound, want);
             }
         }
     }

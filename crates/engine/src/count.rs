@@ -543,12 +543,10 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
             }
         }
         if si != si2 {
-            self.state.update_count(si, -1);
-            self.state.update_count(si2, 1);
+            self.state.move_agents(si, si2, 1);
         }
         if sr != sr2 {
-            self.state.update_count(sr, -1);
-            self.state.update_count(sr2, 1);
+            self.state.move_agents(sr, sr2, 1);
         }
         ((si, sr), (si2, sr2))
     }
@@ -735,6 +733,15 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     /// additionally reserves the Byzantine occupancy of the drained states
     /// (stuck-at agents never move). `after == before` groups are pure
     /// no-ops that still count as applied chain events.
+    ///
+    /// A rewrite that moves only the responder of an equal pair,
+    /// `a + a → a + b′` (A_G's only rule, the tree protocol's R1), takes
+    /// a short path outside the Byzantine clip: each application needs two
+    /// agents in `a` and leaves one there, so the group is clipped
+    /// straight to `min(k, c_a − 1)` and applied as one
+    /// [`ClassState::move_agents_deferred`] — what
+    /// [`apply_deltas`](Self::apply_deltas) computes for it, without the
+    /// delta dedupe and clip loop.
     fn apply_group_to(
         &mut self,
         before: (State, State),
@@ -745,8 +752,6 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         if k == 0 {
             return None;
         }
-        let (a, b) = before;
-        let (a2, b2) = after;
         if after == before {
             return Some(BatchGroup {
                 before,
@@ -754,6 +759,36 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
                 applied: k,
             });
         }
+        let (a, b) = before;
+        let applied = if a == b && after.0 == a && !reserve_byz {
+            let k = k.min((self.state.counts[a as usize] as u64).saturating_sub(1));
+            if k > 0 {
+                self.state.move_agents_deferred(a, after.1, k);
+            }
+            k
+        } else {
+            self.apply_deltas(before, after, k, reserve_byz)
+        };
+        (applied > 0).then_some(BatchGroup {
+            before,
+            after,
+            applied,
+        })
+    }
+
+    /// The general form of [`apply_group_to`](Self::apply_group_to) for a
+    /// rewrite `before → after ≠ before`: the per-application occupancy
+    /// deltas over the ≤ 4 states involved, the clip, and one deferred
+    /// count change per state. Returns how many applications fit.
+    fn apply_deltas(
+        &mut self,
+        before: (State, State),
+        after: (State, State),
+        k: u64,
+        reserve_byz: bool,
+    ) -> u64 {
+        let (a, b) = before;
+        let (a2, b2) = after;
         // Per-application occupancy deltas over the (≤ 4) involved states.
         let mut deltas = [(0 as State, 0i64); 4];
         let mut len = 0usize;
@@ -790,19 +825,14 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
             }
         }
         let k = kmax.min(k);
-        if k == 0 {
-            return None;
-        }
-        for &(s, d) in &deltas[..len] {
-            if d != 0 {
-                self.state.update_count_deferred(s, d * k as i64);
+        if k > 0 {
+            for &(s, d) in &deltas[..len] {
+                if d != 0 {
+                    self.state.update_count_deferred(s, d * k as i64);
+                }
             }
         }
-        Some(BatchGroup {
-            before,
-            after: (a2, b2),
-            applied: k,
-        })
+        k
     }
 
     /// Apply one coalesced key group under an active Byzantine overlay:
@@ -1615,6 +1645,72 @@ mod tests {
                 ClassSpec::rank_extra(crate::protocol::CrossDirection::Both),
             ]
         }
+    }
+
+    /// The one-agent path of `apply_group_to` is the general delta path
+    /// for `a + a → a + b′`. Two engines on the same counts apply the
+    /// same groups, one through `apply_group_to`, the other through
+    /// `apply_deltas`; after each group (and a flush) they must agree on
+    /// the returned group, the counts, both block trees, the live words
+    /// and `max_eq_bound`. The groups drain states holding 0 to 3 agents
+    /// with `k` past `c_a − 1`, and move agents within a block, across a
+    /// block edge (`63 → 64`, `127 → 128`) and into an extra state.
+    #[test]
+    fn one_agent_moves_match_the_delta_path() {
+        let p = Multi { n: 200, x: 3 };
+        let states = p.num_states();
+        let mut rng = Xoshiro256::seed_from_u64(77);
+        let mut clipped = [false; 4];
+        for round in 0..40u64 {
+            let mut counts = vec![0u32; states];
+            for _ in 0..p.n {
+                counts[rng.below(states as u64) as usize] += 1;
+            }
+            let mut fast = CountSimulation::from_counts(&p, counts.clone(), round).unwrap();
+            let mut general = CountSimulation::from_counts(&p, counts, round).unwrap();
+            for g in 0..60u64 {
+                let a = match g % 4 {
+                    0 => [63, 127, 191][rng.below(3) as usize],
+                    _ => rng.below(p.n as u64) as State,
+                };
+                let to = match g % 3 {
+                    0 => a + 1,
+                    1 => p.extra(rng.below(p.x as u64) as usize),
+                    _ => rng.below(states as u64) as State,
+                };
+                if to == a {
+                    continue;
+                }
+                let c_a = fast.state.counts[a as usize] as u64;
+                let k = [1, c_a.saturating_sub(1), c_a, c_a + 1, c_a + 5][rng.below(5) as usize];
+                let (before, after) = ((a, a), (a, to));
+                let got = fast.apply_group_to(before, after, k, false);
+                let applied = if k == 0 {
+                    0
+                } else {
+                    general.apply_deltas(before, after, k, false)
+                };
+                let want = (applied > 0).then_some(BatchGroup {
+                    before,
+                    after,
+                    applied,
+                });
+                assert_eq!(got, want, "round {round} group {g}: c_a {c_a}, k {k}");
+                assert!(applied < c_a.max(1), "clipped to c_a − 1");
+                if c_a < 4 && k + 1 > c_a {
+                    clipped[c_a as usize] = true;
+                }
+                fast.state.flush_deferred();
+                general.state.flush_deferred();
+                let (x, y) = (&fast.state, &general.state);
+                assert_eq!(x.counts, y.counts);
+                assert_eq!(x.eq, y.eq);
+                assert_eq!(x.rank_occ, y.rank_occ);
+                assert_eq!(x.eq_live(), y.eq_live());
+                assert_eq!(x.max_eq_bound, y.max_eq_bound);
+            }
+        }
+        assert_eq!(clipped, [true; 4], "a clip at every c_a ≤ 3");
     }
 
     #[test]

@@ -141,6 +141,8 @@ pub mod schedule;
 pub mod sim;
 pub mod wire;
 
+#[doc(hidden)]
+pub use classes::split_eq_block;
 pub use count::CountSimulation;
 pub use engine::{make_engine, CappedAdvance, CountObserver, Engine, EngineKind, EngineSnapshot};
 pub use error::{ConfigError, StabilisationTimeout};
