@@ -59,7 +59,8 @@ impl std::fmt::Display for ExactError {
 
 impl std::error::Error for ExactError {}
 
-type Counts = Vec<u16>;
+/// Occupancy counts of one configuration, indexed by state.
+pub(crate) type Counts = Vec<u16>;
 
 fn counts_of(config: &[State], num_states: usize) -> Counts {
     let mut c = vec![0u16; num_states];
@@ -69,10 +70,14 @@ fn counts_of(config: &[State], num_states: usize) -> Counts {
     c
 }
 
-/// All productive transitions out of a configuration, grouped by target:
-/// `(target counts, number of ordered agent pairs realising it)`.
-fn transitions<P: Protocol + ?Sized>(p: &P, c: &Counts) -> Vec<(Counts, u64)> {
-    let mut out: HashMap<Counts, u64> = HashMap::new();
+/// The configurations one productive interaction leads to from `c`, each
+/// once, with the number of ordered agent pairs realising it, in the
+/// order a scan over the occupied ordered state pairs first reaches them
+/// (a fixed order, so configurations numbered by discovery are numbered
+/// the same on every call). A pair whose rewrite returns to `c` is a
+/// successor too.
+pub(crate) fn successors<P: Protocol + ?Sized>(p: &P, c: &Counts) -> Vec<(Counts, u64)> {
+    let mut out: Vec<(Counts, u64)> = Vec::new();
     let occupied: Vec<usize> = (0..c.len()).filter(|&s| c[s] > 0).collect();
     for &a in &occupied {
         for &b in &occupied {
@@ -90,11 +95,14 @@ fn transitions<P: Protocol + ?Sized>(p: &P, c: &Counts) -> Vec<(Counts, u64)> {
                 next[b] -= 1;
                 next[a2 as usize] += 1;
                 next[b2 as usize] += 1;
-                *out.entry(next).or_insert(0) += pairs;
+                match out.iter_mut().find(|(t, _)| *t == next) {
+                    Some((_, w)) => *w += pairs,
+                    None => out.push((next, pairs)),
+                }
             }
         }
     }
-    out.into_iter().collect()
+    out
 }
 
 /// Exact expected number of interactions to silence from `start`, by
@@ -136,7 +144,7 @@ pub fn expected_interactions<P: Protocol + ?Sized>(
     edges.push(Vec::new());
     queue.push_back(0usize);
     while let Some(i) = queue.pop_front() {
-        let outs = transitions(p, &configs[i].clone());
+        let outs = successors(p, &configs[i]);
         let mut row = Vec::with_capacity(outs.len());
         for (target, w) in outs {
             let next_id = configs.len();
@@ -241,6 +249,7 @@ fn solve_dense(a: &mut [f64], b: &mut [f64], n: usize) -> Option<Vec<f64>> {
 mod tests {
     use super::*;
     use ssr_core::generic::GenericRanking;
+    use ssr_core::line::LineOfTraps;
     use ssr_core::ring::RingOfTraps;
     use ssr_core::tree::TreeRanking;
     use ssr_engine::{CountSimulation, Engine};
@@ -312,6 +321,23 @@ mod tests {
         let sim = simulated_mean(&p, &[0; 4], 30_000);
         let rel = (exact - sim).abs() / exact;
         assert!(rel < 0.03, "exact {exact:.2} vs sim {sim:.2}");
+    }
+
+    /// Configurations are numbered in the order the search finds them,
+    /// which no hash order decides, so repeated calls return the same
+    /// bits.
+    #[test]
+    fn repeated_calls_are_bit_identical() {
+        let (ring, line) = (RingOfTraps::new(8), LineOfTraps::new(6));
+        let cases: [(&dyn Protocol, Vec<State>); 2] =
+            [(&ring, vec![0, 0, 1, 3, 3, 5, 5, 7]), (&line, vec![0; 6])];
+        for (p, start) in cases {
+            let first = expected_interactions(p, &start, 2_000_000).unwrap();
+            for _ in 1..20 {
+                let again = expected_interactions(p, &start, 2_000_000).unwrap();
+                assert_eq!(again.to_bits(), first.to_bits(), "{}", p.name());
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,8 @@
 //! # }
 //! ```
 
-use ssr_engine::protocol::{Protocol, State};
+use crate::exact::{successors, Counts};
+use ssr_engine::protocol::Protocol;
 use std::collections::HashMap;
 
 /// Proof object returned by a successful [`verify_stability`] run.
@@ -117,8 +118,6 @@ impl std::fmt::Display for ModelCheckError {
 
 impl std::error::Error for ModelCheckError {}
 
-type Counts = Vec<u16>;
-
 /// Number of multisets of size `n` over `s` states, `C(n+s−1, n)`,
 /// saturating at `u128::MAX`.
 fn multiset_count(n: usize, s: usize) -> u128 {
@@ -153,32 +152,6 @@ fn fill(counts: &mut [u16], idx: usize, remaining: u16, f: &mut impl FnMut(&[u16
         fill(counts, idx + 1, remaining - v, f);
     }
     counts[idx] = 0;
-}
-
-/// Distinct successor configurations of `c` under one productive
-/// interaction (deduplicated; multiplicities are irrelevant for
-/// reachability).
-fn successors<P: Protocol + ?Sized>(p: &P, c: &Counts) -> Vec<Counts> {
-    let mut out: Vec<Counts> = Vec::new();
-    let occupied: Vec<usize> = (0..c.len()).filter(|&s| c[s] > 0).collect();
-    for &a in &occupied {
-        for &b in &occupied {
-            if a == b && c[a] < 2 {
-                continue;
-            }
-            if let Some((a2, b2)) = p.transition(a as State, b as State) {
-                let mut next = c.clone();
-                next[a] -= 1;
-                next[b] -= 1;
-                next[a2 as usize] += 1;
-                next[b2 as usize] += 1;
-                if !out.contains(&next) {
-                    out.push(next);
-                }
-            }
-        }
-    }
-    out
 }
 
 fn is_perfect_ranking_counts(c: &Counts, num_ranks: usize) -> bool {
@@ -239,7 +212,7 @@ pub fn verify_stability<P: Protocol + ?Sized>(
             return Err(ModelCheckError::PerfectRankingNotSilent);
         }
         transitions += succ.len() as u64;
-        for t in succ {
+        for (t, _) in succ {
             let j = index[&t];
             reverse[j].push(i);
         }
@@ -276,6 +249,7 @@ mod tests {
     use ssr_core::line::LineOfTraps;
     use ssr_core::ring::RingOfTraps;
     use ssr_core::tree::TreeRanking;
+    use ssr_engine::protocol::State;
 
     #[test]
     fn multiset_count_matches_binomials() {
@@ -325,6 +299,32 @@ mod tests {
             let p = TreeRanking::with_buffer(n, 2);
             let cert = verify_stability(&p, 2_000_000).unwrap();
             assert_eq!(cert.silent_configurations, 1, "n = {n}");
+        }
+    }
+
+    /// Each certificate's `(configurations, silent_configurations,
+    /// transitions)`: `transitions` counts distinct successors per
+    /// configuration, a rewrite back to the same configuration included.
+    #[test]
+    fn certificates_are_pinned() {
+        let cases: [(&dyn Protocol, (usize, usize, u64)); 8] = [
+            (&GenericRanking::new(5), (126, 1, 175)),
+            (&GenericRanking::new(6), (462, 1, 756)),
+            (&GenericRanking::new(7), (1716, 1, 3234)),
+            (&RingOfTraps::new(6), (462, 1, 756)),
+            (&RingOfTraps::new(8), (6435, 1, 13728)),
+            (&LineOfTraps::new(5), (252, 1, 406)),
+            (&LineOfTraps::new(6), (924, 1, 1722)),
+            (&TreeRanking::with_buffer(5, 2), (1287, 1, 5045)),
+        ];
+        for (p, want) in cases {
+            let cert = verify_stability(p, 2_000_000).unwrap();
+            let got = (
+                cert.configurations,
+                cert.silent_configurations,
+                cert.transitions,
+            );
+            assert_eq!(got, want, "{} n = {}", p.name(), p.population_size());
         }
     }
 

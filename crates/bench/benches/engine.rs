@@ -417,9 +417,10 @@ fn bench_primitives(c: &mut Criterion) {
     // election (τ = 136) walks each state's partner row twice, once for
     // the drift statistics and once to re-weight both directions of every
     // pair (~τ partners per state, ~2τ pairs). Driven through the public
-    // fault-injection path — each iteration is four
-    // `ClassState::update_count` calls (a move and its inverse, keeping
-    // the configuration fixed).
+    // fault-injection path — each iteration is two one-agent
+    // `ClassState::move_agents` calls (a move and its inverse, keeping
+    // the configuration fixed), each two count changes here, since the
+    // schema has sparse pairs.
     c.bench_function("class_update_count_loose_tau136", |b| {
         let n = 65_536usize;
         let p = LooseLeaderElection::new(n);

@@ -25,11 +25,11 @@
 //!      by recursive **binomial splitting** (the classic trick from
 //!      batched population-protocol simulation, cf. Berenbrink et al.),
 //!      switching to direct weighted descents once a subtree holds ≤ 8
-//!      draws, and finishes each block it reaches with the shared
-//!      multinomial splitter (`classes::chain_split`). That splitter
-//!      places ≤ 64 draws by one uniform offset each, sorted and swept
-//!      across the block's states in one pass; only larger shares fall
-//!      back to chained conditional binomials;
+//!      draws, and finishes each block it reaches with the shared split
+//!      law (`classes::split`): ≤ 64 draws take one uniform offset each,
+//!      placed by a branch-free search over the block's running sums
+//!      (`classes::split::place_in_block`); only larger shares fall back
+//!      to chained conditional binomials;
 //!    * **extra–extra** — hierarchical split over ordered extra-state
 //!      pairs (`O(occupied extras)` chain splits — extra spaces are small
 //!      by design, `O(log n)` for the tree protocol);
@@ -38,8 +38,8 @@
 //!      tree (this is the hypergeometric-style two-population split that
 //!      lets the line/tree reset phases batch);
 //!    * **sparse pairs** — a two-level split through the per-initiator
-//!      group hierarchy (see the sparse section of the `classes`
-//!      module docs): the batch's sparse share is first
+//!      group hierarchy (see the `classes::sparse` module docs): the
+//!      batch's sparse share is first
 //!      chain-split across the occupied groups under the coordinator
 //!      stream, then each group's pair tree splits its own share as an
 //!      independent task. Draw-for-draw this equals one flat split over
@@ -138,8 +138,6 @@ use crate::protocol::{InteractionSchema, State};
 use crate::rng::{derive_seed, Xoshiro256};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-
-pub use crate::classes::WeightTree;
 
 /// Below this safe batch size, batching cannot pay for its overhead and
 /// the engine steps exactly. A class with per-batch split overhead beyond
@@ -522,24 +520,14 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     /// rewrite: the exact step's half after its null gap is drawn.
     fn sample_and_apply(&mut self) -> ((State, State), (State, State)) {
         let (si, sr) = self.state.sample_pair(&mut self.rng);
-        let (mut si2, mut sr2) = self.protocol.transition(si, sr).unwrap_or_else(|| {
-            panic!(
-                "schema declared ({si},{sr}) productive but transition \
-                 returned None (protocol contract violation)"
-            )
-        });
-        match &self.byz {
-            Some(byz) => {
-                let (veto_i, veto_r) = byz.veto(&mut self.rng, &self.state.counts, si, sr);
-                if veto_i {
-                    si2 = si;
-                }
-                if veto_r {
-                    sr2 = sr;
-                }
+        let (mut si2, mut sr2) = self.rewrite((si, sr));
+        if let Some(byz) = &self.byz {
+            let (veto_i, veto_r) = byz.veto(&mut self.rng, &self.state.counts, si, sr);
+            if veto_i {
+                si2 = si;
             }
-            None => {
-                debug_assert!(si2 != si || sr2 != sr, "identity rewrite for ({si},{sr})");
+            if veto_r {
+                sr2 = sr;
             }
         }
         if si != si2 {
@@ -549,6 +537,20 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
             self.state.move_agents(sr, sr2, 1);
         }
         ((si, sr), (si2, sr2))
+    }
+
+    /// The rewrite of a pair the schema declares productive, which the
+    /// protocol contract makes a non-identity `Some`.
+    #[inline]
+    fn rewrite(&self, (a, b): (State, State)) -> (State, State) {
+        let after = self.protocol.transition(a, b).unwrap_or_else(|| {
+            panic!(
+                "schema declared ({a},{b}) productive but transition \
+                 returned None (protocol contract violation)"
+            )
+        });
+        debug_assert!(after != (a, b), "identity rewrite for ({a},{b})");
+        after
     }
 
     /// Drift scale and amortisation threshold of the current
@@ -710,24 +712,11 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         self.key_scratch = keys;
     }
 
-    /// Apply one coalesced group of `k` identical `before` rewrites,
-    /// clipping `k` so every application finds its participants (the
-    /// weights were frozen at batch start, so the tail of a group can
-    /// outrun the supply of agents). Returns the group actually applied.
-    fn apply_group(&mut self, before: (State, State), k: u64) -> Option<BatchGroup> {
-        let (a, b) = before;
-        let (a2, b2) = self.protocol.transition(a, b).unwrap_or_else(|| {
-            panic!(
-                "schema declared ({a},{b}) productive but transition \
-                 returned None (protocol contract violation)"
-            )
-        });
-        debug_assert!(a2 != a || b2 != b, "identity rewrite for ({a},{b})");
-        self.apply_group_to(before, (a2, b2), k, false)
-    }
-
-    /// Apply `k` identical `before → after` rewrites, clipping as in
-    /// [`apply_group`](Self::apply_group), through
+    /// Apply one coalesced group of `k` identical `before → after`
+    /// rewrites, clipping `k` so every application finds its participants
+    /// (the weights were frozen at batch start, so the tail of a group can
+    /// outrun the supply of agents), and return the group actually
+    /// applied. Counts change through
     /// [`ClassState::update_count_deferred`]: the caller flushes before the
     /// next weight read. With `reserve_byz` the clip
     /// additionally reserves the Byzantine occupancy of the drained states
@@ -742,7 +731,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     /// [`ClassState::move_agents_deferred`] — what
     /// [`apply_deltas`](Self::apply_deltas) computes for it, without the
     /// delta dedupe and clip loop.
-    fn apply_group_to(
+    fn apply_group(
         &mut self,
         before: (State, State),
         after: (State, State),
@@ -776,7 +765,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         })
     }
 
-    /// The general form of [`apply_group_to`](Self::apply_group_to) for a
+    /// The general form of [`apply_group`](Self::apply_group) for a
     /// rewrite `before → after ≠ before`: the per-application occupancy
     /// deltas over the ≤ 4 states involved, the clip, and one deferred
     /// count change per state. Returns how many applications fit.
@@ -862,10 +851,11 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
             let byz = self.byz.as_ref().expect("caller checked the overlay");
             (byz.counts[a as usize] as u64, byz.counts[b as usize] as u64)
         };
+        let (a2, b2) = self.rewrite(before);
         if ba == 0 && bb == 0 {
             // No Byzantine mass in either participating state: identical
             // to the plain path, no thinning draws consumed.
-            return match self.apply_group(before, k) {
+            return match self.apply_group(before, (a2, b2), k, false) {
                 Some(g) => {
                     groups.push(g);
                     g.applied
@@ -873,12 +863,6 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
                 None => 0,
             };
         }
-        let (a2, b2) = self.protocol.transition(a, b).unwrap_or_else(|| {
-            panic!(
-                "schema declared ({a},{b}) productive but transition \
-                 returned None (protocol contract violation)"
-            )
-        });
         // Initiator stuck with probability ba/ca, responder with bb/cb
         // (the without-replacement correction for a == b is dropped — the
         // batch already runs on frozen-weight approximations).
@@ -908,7 +892,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
             ((a2, b), k_resp),
             ((a, b), k_both),
         ] {
-            if let Some(g) = self.apply_group_to(before, after, sub_k, true) {
+            if let Some(g) = self.apply_group(before, after, sub_k, true) {
                 applied += g.applied;
                 groups.push(g);
             }
@@ -935,7 +919,7 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
         let mut applied_total = 0u64;
         if self.byz.is_none() {
             for &(before, k) in &keys {
-                if let Some(group) = self.apply_group(before, k) {
+                if let Some(group) = self.apply_group(before, self.rewrite(before), k, false) {
                     applied_total += group.applied;
                     groups.push(group);
                 }
@@ -979,10 +963,6 @@ impl<'a, P: InteractionSchema + ?Sized> CountSimulation<'a, P> {
     /// Consume the simulation and return the final occupancy counts.
     pub fn into_counts(self) -> Vec<u32> {
         self.state.counts
-    }
-
-    pub(crate) fn rng_clone(&self) -> Xoshiro256 {
-        self.rng.clone()
     }
 
     pub(crate) fn restore_parts(
@@ -1135,8 +1115,7 @@ impl<P: InteractionSchema + ?Sized> Engine for CountSimulation<'_, P> {
         if from == to {
             return;
         }
-        self.state.update_count(from, -1);
-        self.state.update_count(to, 1);
+        self.state.move_agents(from, to, 1);
     }
 
     fn snapshot(&self) -> crate::engine::EngineSnapshot {
@@ -1145,7 +1124,7 @@ impl<P: InteractionSchema + ?Sized> Engine for CountSimulation<'_, P> {
             counts: self.state.counts.clone(),
             interactions: self.interactions,
             productive: self.productive,
-            rng: self.rng_clone(),
+            rng: self.rng.clone(),
             count_ctl: Some(crate::engine::CountControl {
                 max_eq_count: self.state.max_eq_bound,
                 max_sparse_partner: self.state.sparse.max_partner_bound,
@@ -1647,9 +1626,9 @@ mod tests {
         }
     }
 
-    /// The one-agent path of `apply_group_to` is the general delta path
+    /// The one-agent path of `apply_group` is the general delta path
     /// for `a + a → a + b′`. Two engines on the same counts apply the
-    /// same groups, one through `apply_group_to`, the other through
+    /// same groups, one through `apply_group`, the other through
     /// `apply_deltas`; after each group (and a flush) they must agree on
     /// the returned group, the counts, both block trees, the live words
     /// and `max_eq_bound`. The groups drain states holding 0 to 3 agents
@@ -1684,7 +1663,7 @@ mod tests {
                 let c_a = fast.state.counts[a as usize] as u64;
                 let k = [1, c_a.saturating_sub(1), c_a, c_a + 1, c_a + 5][rng.below(5) as usize];
                 let (before, after) = ((a, a), (a, to));
-                let got = fast.apply_group_to(before, after, k, false);
+                let got = fast.apply_group(before, after, k, false);
                 let applied = if k == 0 {
                     0
                 } else {
@@ -1704,9 +1683,7 @@ mod tests {
                 general.state.flush_deferred();
                 let (x, y) = (&fast.state, &general.state);
                 assert_eq!(x.counts, y.counts);
-                assert_eq!(x.eq, y.eq);
-                assert_eq!(x.rank_occ, y.rank_occ);
-                assert_eq!(x.eq_live(), y.eq_live());
+                assert_eq!(x.trees(), y.trees());
                 assert_eq!(x.max_eq_bound, y.max_eq_bound);
             }
         }

@@ -61,9 +61,10 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 
 /// Largest trial count at which [`Xoshiro256::binomial`] is exact: at or
 /// below it a binomial counts `n` Bernoulli trials, one uniform each. The
-/// count engine's multinomial splitter (`classes::chain_split`) switches
-/// at the same bound: at or below it, `k` draws cost `k` uniforms by
-/// placing each draw directly, so the two regimes stay aligned.
+/// count engine's multinomial splitter (`classes::split::chain_split`)
+/// switches at the same bound: at or below it, `k` draws cost `k`
+/// uniforms by placing each draw directly, so the two regimes stay
+/// aligned.
 pub(crate) const BERNOULLI_MAX_N: u64 = 64;
 
 /// Xoshiro256++ pseudo-random generator.

@@ -1,43 +1,12 @@
-//! Property tests for the engine primitives: the count engine's weight
-//! tree against a naive reference, RNG range invariants, geometric sampling, and the
-//! configuration generators.
+//! Property tests for the engine primitives: RNG range invariants,
+//! geometric sampling, and the configuration generators.
 
 use proptest::prelude::*;
-use ssr_engine::count::WeightTree;
 use ssr_engine::init;
 use ssr_engine::rng::{derive_seed, Xoshiro256};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The weight tree behaves exactly like a plain weight vector under
-    /// an arbitrary sequence of set operations.
-    #[test]
-    fn weight_tree_matches_reference(
-        len in 1usize..200,
-        ops in prop::collection::vec((0usize..200, 0u64..1000), 1..100),
-    ) {
-        let mut f = WeightTree::new(len);
-        let mut reference = vec![0u64; len];
-        for (idx, w) in ops {
-            let idx = idx % len;
-            f.set(idx, w);
-            reference[idx] = w;
-        }
-        prop_assert_eq!(f.total(), reference.iter().sum::<u64>());
-        for (i, &w) in reference.iter().enumerate() {
-            prop_assert_eq!(f.weight(i), w, "weight at {}", i);
-        }
-        // Every weighted slot is hit by sampling its range boundaries.
-        let mut offset = 0u64;
-        for (i, &w) in reference.iter().enumerate() {
-            if w > 0 {
-                prop_assert_eq!(f.sample(offset), i);
-                prop_assert_eq!(f.sample(offset + w - 1), i);
-                offset += w;
-            }
-        }
-    }
 
     /// `below` stays in range for arbitrary bounds and seeds.
     #[test]
