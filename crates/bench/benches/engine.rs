@@ -436,7 +436,6 @@ fn bench_primitives(c: &mut Criterion) {
 }
 
 fn bench_tree_geometry(c: &mut Criterion) {
-    use ssr_topology::balanced_tree::MaterialisedTree;
     let mut group = c.benchmark_group("tree_geometry");
     // Implicit construction only iterates the level-size sequence —
     // measure it at a size no materialised build could touch (a
@@ -444,25 +443,15 @@ fn bench_tree_geometry(c: &mut Criterion) {
     group.bench_function("implicit_build_n2_30", |b| {
         b.iter(|| black_box(BalancedTree::new(1 << 30)))
     });
-    group.bench_function("materialised_build_n65536", |b| {
-        b.iter(|| black_box(MaterialisedTree::new(65536)))
-    });
     // Query cost: the §5 hot-loop triple (kind, subtree size, parent) at
-    // random nodes — O(log n) descents against the oracle's O(1) array
-    // reads, the price paid for dropping the arrays entirely.
+    // random nodes — O(log n) descents, the price paid for dropping the
+    // per-node arrays entirely.
     let t = BalancedTree::new(1 << 30);
     let mut rng = Xoshiro256::seed_from_u64(5);
     group.bench_function("implicit_queries_n2_30", |b| {
         b.iter(|| {
             let p = rng.below(1 << 30) as usize;
             black_box((t.kind(p), t.subtree_size(p), t.parent(p)))
-        })
-    });
-    let o = MaterialisedTree::new(65536);
-    group.bench_function("materialised_queries_n65536", |b| {
-        b.iter(|| {
-            let p = rng.below(65536) as usize;
-            black_box((o.kind(p), o.subtree_size(p), o.parent(p)))
         })
     });
     // The tree protocol's equal-rank rule as a batch applies it: one

@@ -1,36 +1,13 @@
-//! Criterion micro-benchmarks for the extension layers: scheduler
-//! sampling throughput, fault-recovery cost, exhaustive model checking,
-//! and the bootstrap resampler. These quantify the overhead the
-//! extensions add on top of the core simulators.
+//! Criterion micro-benchmarks for the extension layers: fault-recovery
+//! cost, exhaustive model checking, and the bootstrap resampler. These
+//! quantify the overhead the extensions add on top of the core
+//! simulators.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ssr_analysis::bootstrap::{median_ci, BootstrapOptions};
 use ssr_analysis::modelcheck::verify_stability;
 use ssr_core::{GenericRanking, RingOfTraps};
-use ssr_engine::rng::Xoshiro256;
-use ssr_engine::schedule::{ClusteredScheduler, Scheduler, UniformScheduler, ZipfScheduler};
 use ssr_engine::{Init, Scenario};
-
-fn bench_schedulers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler_sampling");
-    let n = 1024;
-    group.bench_function("uniform", |b| {
-        let mut sched = UniformScheduler::new(n);
-        let mut rng = Xoshiro256::seed_from_u64(1);
-        b.iter(|| std::hint::black_box(sched.next_pair(&mut rng)))
-    });
-    group.bench_function("zipf_1.0", |b| {
-        let mut sched = ZipfScheduler::new(n, 1.0);
-        let mut rng = Xoshiro256::seed_from_u64(2);
-        b.iter(|| std::hint::black_box(sched.next_pair(&mut rng)))
-    });
-    group.bench_function("clustered_0.1", |b| {
-        let mut sched = ClusteredScheduler::new(n, n / 2, 0.1);
-        let mut rng = Xoshiro256::seed_from_u64(3);
-        b.iter(|| std::hint::black_box(sched.next_pair(&mut rng)))
-    });
-    group.finish();
-}
 
 fn bench_fault_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_recovery");
@@ -78,7 +55,6 @@ fn bench_bootstrap(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_schedulers,
     bench_fault_recovery,
     bench_modelcheck,
     bench_bootstrap

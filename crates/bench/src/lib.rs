@@ -12,9 +12,7 @@
 //! | `exp_theorem3` | E3 — tree of ranks, `O(n log n)` with `x = O(log n)` |
 //! | `exp_lemma1`   | L1/L2 — trap release and tidiness timing |
 //! | `exp_figures`  | F1/F2 — routing graph `G` and the tree of ranks |
-//! | `exp_faults`   | EF — transient-fault recovery (Theorem 1, operational) |
 //! | `exp_loose`    | EL — loose stabilisation trade-off (related work) |
-//! | `exp_schedulers` | ES — non-uniform scheduler robustness |
 //! | `exp_scale`    | E3+ — Theorem 3 across two more decades of `n` |
 //! | `exp_ablation` | A1–A3 — ring trap count, line routing, tree buffer |
 //! | `exp_adversary` | AD — timed fault plans, churn and Byzantine agents |

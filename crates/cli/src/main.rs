@@ -21,10 +21,11 @@
 //!
 //! `run` and `submit` read their flags into one [`JobSpec`] (`elect`
 //! reads only its population, protocol, seed and start flags into one).
-//! `run` executes trial 0 of the spec's
+//! `run` and `elect` execute trial 0 of the spec's
 //! [`scenario`](JobSpec::scenario), the builder the daemon's
 //! [`run_job`](ssr_service::run_job) uses too, so `ssr run` and
-//! `ssr submit` give the same run for the same flags.
+//! `ssr submit` give the same run for the same flags, and `ssr elect`
+//! ends at the same clock.
 
 // Audited: CLI argument handling narrows user-supplied f64/u64 sizes to usize/u32; values are validated population sizes well below 2^32.
 #![allow(clippy::cast_possible_truncation)]
@@ -34,8 +35,8 @@ mod args;
 use args::Args;
 use ssr_analysis::sweep::{sweep, SweepOptions};
 use ssr_analysis::Summary;
-use ssr_core::{elect_leader, ranking_protocol, MakeProtocol};
-use ssr_engine::rng::derive_seed;
+use ssr_core::leader::has_unique_leader;
+use ssr_core::{ranking_protocol, MakeProtocol, LEADER_RANK};
 use ssr_engine::{
     CountSimulation, Engine, EngineKind, Init, InteractionSchema, RunOutcome, Scenario,
     StabilisationReport, State,
@@ -220,25 +221,35 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Leader election on the naive engine, run to silence: it reads only the
-/// population, protocol, seed and start flags.
-fn cmd_elect(a: &Args) -> Result<(), String> {
+/// Leader election: the spec's engine, built as `run` builds it, run to
+/// silence, then checked for one agent in [`LEADER_RANK`]. Agents are
+/// anonymous, so that check and the clock are the result. It reads only
+/// the population, protocol, seed and start flags.
+fn elect(a: &Args) -> Result<(String, StabilisationReport), String> {
     let n = a.usize_or("n", 100)?;
     let mut spec = JobSpec::new(&a.str_or("protocol", "ring"), n, a.u64_or("seed", 1)?);
     spec.init = parse_start(a, "k-distant")?;
     spec.validate().map_err(|e| e.to_string())?;
     a.reject_unread()?;
     let p = spec.make_protocol().map_err(|e| e.to_string())?;
-    let start = spec
-        .init
-        .to_init()
-        .config(p.as_ref(), derive_seed(spec.seed, 0));
-    let out = elect_leader(p.as_ref(), start, spec.seed, u64::MAX).map_err(|e| e.to_string())?;
+    let mut engine = spec
+        .scenario(p.as_ref(), spec.threads)
+        .build_engine(0)
+        .map_err(|e| e.to_string())?;
+    let report = engine
+        .run_until_silent(u64::MAX)
+        .map_err(|e| e.to_string())?;
+    if !has_unique_leader(engine.counts()) {
+        return Err(format!("{}: silent without a unique leader", p.name()));
+    }
+    Ok((p.name().to_string(), report))
+}
+
+fn cmd_elect(a: &Args) -> Result<(), String> {
+    let (name, report) = elect(a)?;
     println!(
-        "{}: agent #{} elected leader after parallel time {:.1}",
-        p.name(),
-        out.leader,
-        out.report.parallel_time
+        "{name}: one agent holds the leader rank {LEADER_RANK} after parallel time {:.1}",
+        report.parallel_time
     );
     Ok(())
 }
@@ -511,7 +522,10 @@ commands:
          [--threads T]
                                                time-vs-n table + power fit
   elect  --protocol P --n N [--start ...] [--k K] [--seed S]
-                                               run leader election
+                                               leader election: the run's
+                                               engine to silence, then a
+                                               check that one agent holds
+                                               the leader rank
   exact  --protocol P --n N [--limit L] [--trials T]
                                                exact vs simulated E[time]
   check  --protocol P --n N [--limit L]        exhaustive stability proof
@@ -581,6 +595,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssr_engine::rng::derive_seed;
     use ssr_service::{run_job, CheckpointStore, JobStatusKind, RunConfig, RunDisposition};
 
     fn args(v: &[&str]) -> Args {
@@ -726,8 +741,9 @@ mod tests {
         assert!(err.contains("--k"), "{err}");
     }
 
-    /// `elect` runs to silence on the naive engine: the run flags it has
-    /// no use for are errors, and its own five flags are accepted.
+    /// `elect` runs the default engine to silence with no cap: the run
+    /// flags it has no use for are errors, and its own five flags are
+    /// accepted.
     #[test]
     fn elect_rejects_the_run_flags_it_does_not_use() {
         let err = cmd_elect(&args(&[
@@ -753,6 +769,26 @@ mod tests {
             "2",
         ]))
         .unwrap();
+    }
+
+    /// `elect` runs the engine `run` builds for the same flags: the line
+    /// case of `run_is_the_daemons_run` ends at the daemon's clock.
+    #[test]
+    fn elect_is_the_run() {
+        let (name, report) = elect(&args(&[
+            "elect",
+            "--protocol",
+            "line",
+            "--n",
+            "2000",
+            "--seed",
+            "3",
+            "--start",
+            "uniform",
+        ]))
+        .unwrap();
+        assert!(name.contains("line"), "{name}");
+        assert_eq!(report.interactions_wide, 2_091_921_754);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod trap;
 pub mod tree;
 
 pub use generic::GenericRanking;
-pub use leader::{elect_leader, ElectionOutcome, LEADER_RANK};
+pub use leader::LEADER_RANK;
 pub use line::LineOfTraps;
 pub use loose::LooseLeaderElection;
 pub use ring::RingOfTraps;

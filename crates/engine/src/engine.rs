@@ -6,7 +6,7 @@
 //!
 //! | Engine (kind) | Memory | Cost per unit | Best regime |
 //! |---------------|--------|---------------|-------------|
-//! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, agent-vector snapshots, external schedulers |
+//! | [`Simulation`](crate::sim::Simulation) (`naive`) | `O(n)` | one ordered-pair draw per *interaction*, nulls included | small `n`, agent-vector snapshots |
 //! | [`CountSimulation`], exact mode (`jump`) | `O(#states)` | `O(log #states)` per *productive* interaction; nulls skipped exactly | long runs near silence, `n` below [`EngineKind::AUTO_COUNT_THRESHOLD`] |
 //! | [`CountSimulation`], batched mode (`count`) | `O(#states)` | amortised sub-productive-interaction stepping via batching, exact steps near silence | `n = 10⁴…10⁹`, far-from-silent regimes |
 //!

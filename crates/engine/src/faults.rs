@@ -47,11 +47,9 @@
 //! [`RecoveryTracker`] observer.
 //! [`rank_distance`] is the paper's `k`-distance of a configuration.
 //!
-//! Experiment EF in `exp_faults` corrupts silent rankings with one-shot
-//! bursts to connect Theorem 1's `O(k·n^{3/2})` bound to an operational
-//! fault-tolerance statement; experiment AD in `exp_adversary` drives
-//! timed plans through the count engine's exact and batched modes and
-//! cross-validates their recovery-time distributions.
+//! Experiment AD in `exp_adversary` drives timed plans through the count
+//! engine's exact and batched modes and cross-validates their
+//! recovery-time distributions.
 //!
 //! # Examples
 //!

@@ -34,7 +34,7 @@
 //!
 //! | Engine (kind) | Memory | Cost model | Use when |
 //! |---------------|--------|-----------|----------|
-//! | [`Simulation`] (`naive`) | `O(n)` agent vector | O(1) per *interaction*, nulls included | small `n`; agent-level observers; external [`Scheduler`]s |
+//! | [`Simulation`] (`naive`) | `O(n)` agent vector | O(1) per *interaction*, nulls included | small `n`; agent-level observers |
 //! | [`CountSimulation`], exact mode (`jump`) | `O(#states)` counts | O(log #states) per *productive* interaction; nulls skipped exactly | long runs near silence; `n` below 4096 under `Auto` |
 //! | [`CountSimulation`], batched mode (`count`) | `O(#states)` counts (block sums over derived leaves — ≈ `1.1n` bytes of weight overhead beyond the counts) | amortised **sub-productive-interaction**: far from silence a whole batch of exchangeable steps costs O(occupied) binomial draws, across *every* exchangeable class, fanned out over a thread pool with seed-derived per-task RNG streams | `n = 10⁴…10⁹`; scale experiments |
 //!
@@ -137,7 +137,6 @@ pub mod observer;
 pub mod protocol;
 pub mod rng;
 pub mod runner;
-pub mod schedule;
 pub mod sim;
 pub mod wire;
 
@@ -153,6 +152,5 @@ pub use protocol::{
     Protocol, State,
 };
 pub use runner::{Init, Scenario, TrialResults};
-pub use schedule::{ClusteredScheduler, Scheduler, UniformScheduler, ZipfScheduler};
 pub use sim::{Simulation, StabilisationReport};
 pub use wire::{SnapshotDecodeError, SnapshotShape, SNAPSHOT_WIRE_VERSION};

@@ -7,9 +7,7 @@
 //! [`Engine::advance_to`] and reports
 //! productive interactions to a
 //! [`CountObserver`]; its own surface adds
-//! the agent vector, single [`step`](Simulation::step)s, and runs under
-//! external [`Scheduler`](crate::schedule::Scheduler)s, which the uniform
-//! [`Engine`] model does not cover.
+//! the agent vector and single [`step`](Simulation::step)s.
 //!
 //! For long runs dominated by null interactions prefer the count engine's
 //! exact mode ([`CountSimulation`](crate::count::CountSimulation) with
@@ -45,7 +43,7 @@
 //! ```
 
 use crate::engine::{CappedAdvance, CountObserver, Engine, EngineSnapshot};
-use crate::error::{ConfigError, StabilisationTimeout};
+use crate::error::ConfigError;
 use crate::init;
 use crate::protocol::{Protocol, State};
 use crate::rng::Xoshiro256;
@@ -183,63 +181,6 @@ impl<'a, P: Protocol + ?Sized> Simulation<'a, P> {
         let n = self.protocol.population_size();
         debug_assert!(n >= 2, "population protocols need at least two agents");
         let (i, r) = self.rng.ordered_pair(n);
-        self.apply_pair(i, r)
-    }
-
-    /// Execute one step with the (initiator, responder) pair drawn from an
-    /// external [`Scheduler`] instead of the built-in uniform one. The
-    /// simulation's own RNG drives the scheduler, so runs remain
-    /// deterministic per seed.
-    ///
-    /// [`Scheduler`]: crate::schedule::Scheduler
-    #[inline]
-    pub fn step_scheduled<S: crate::schedule::Scheduler>(
-        &mut self,
-        scheduler: &mut S,
-    ) -> Option<((State, State), (State, State))> {
-        debug_assert_eq!(
-            scheduler.population(),
-            self.protocol.population_size(),
-            "scheduler population mismatch"
-        );
-        let (i, r) = scheduler.next_pair(&mut self.rng);
-        self.apply_pair(i, r)
-    }
-
-    /// Run under an external scheduler until silent or until
-    /// `max_interactions` have been executed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StabilisationTimeout`] when the cap is hit first.
-    pub fn run_until_silent_scheduled<S: crate::schedule::Scheduler>(
-        &mut self,
-        max_interactions: u64,
-        scheduler: &mut S,
-    ) -> Result<StabilisationReport, StabilisationTimeout> {
-        loop {
-            if self.is_silent() {
-                debug_assert!(self.verify_silent());
-                return Ok(StabilisationReport {
-                    interactions: self.interactions,
-                    interactions_wide: self.interactions as u128,
-                    productive_interactions: self.productive,
-                    parallel_time: self.parallel_time(),
-                });
-            }
-            if self.interactions >= max_interactions {
-                return Err(StabilisationTimeout {
-                    interactions: self.interactions,
-                });
-            }
-            self.step_scheduled(scheduler);
-        }
-    }
-
-    /// Apply one interaction to the explicit agent pair, advancing the
-    /// interaction clock. Returns the rewrite if it was productive.
-    #[inline]
-    fn apply_pair(&mut self, i: usize, r: usize) -> Option<((State, State), (State, State))> {
         // Saturate like the count clock: a bare `+= 1` wraps in
         // release at u64::MAX (reachable near silence at extreme n).
         self.interactions = self.interactions.saturating_add(1);
@@ -619,31 +560,6 @@ mod tests {
         let rep_b = sim.run_until_silent(u64::MAX).unwrap();
         assert_eq!(rep_a.interactions, rep_b.interactions);
         assert_eq!(final_a, sim.agents());
-    }
-
-    #[test]
-    fn scheduled_steps_advance_clock_and_stabilise() {
-        use crate::schedule::UniformScheduler;
-        let p = Ag { n: 10 };
-        let mut sim = Simulation::new(&p, vec![0; 10], 37).unwrap();
-        let mut sched = UniformScheduler::new(10);
-        sim.step_scheduled(&mut sched);
-        assert_eq!(sim.interactions(), 1);
-        let rep = sim
-            .run_until_silent_scheduled(u64::MAX, &mut sched)
-            .unwrap();
-        assert!(sim.verify_silent());
-        assert!(rep.interactions >= rep.productive_interactions);
-    }
-
-    #[test]
-    fn scheduled_run_reports_timeout() {
-        use crate::schedule::UniformScheduler;
-        let p = Ag { n: 10 };
-        let mut sim = Simulation::new(&p, vec![0; 10], 41).unwrap();
-        let mut sched = UniformScheduler::new(10);
-        let err = sim.run_until_silent_scheduled(3, &mut sched).unwrap_err();
-        assert!(err.interactions >= 3);
     }
 
     #[test]

@@ -44,8 +44,8 @@
 //!   **O(1) memory regardless of `n`**, where previous revisions
 //!   materialised seven per-node arrays (~21 bytes/node).
 //!
-//! The old materialised build survives as [`MaterialisedTree`], a
-//! test-only oracle the property tests compare against.
+//! The old materialised build survives in the crate's tests as the
+//! oracle the property tests compare against.
 //!
 //! # Examples
 //!
@@ -553,139 +553,6 @@ impl Iterator for RootPath {
     }
 }
 
-const NONE: u32 = u32::MAX;
-
-/// The pre-implicit materialised build: seven per-node arrays filled by an
-/// explicit stack recursion. Kept **only** as the oracle the property
-/// tests compare [`BalancedTree`]'s arithmetic against — production code
-/// must use [`BalancedTree`], which answers the same queries in `O(1)`
-/// memory.
-#[doc(hidden)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaterialisedTree {
-    n: usize,
-    kind: Vec<NodeKind>,
-    left: Vec<u32>,
-    right: Vec<u32>,
-    parent: Vec<u32>,
-    depth: Vec<u32>,
-    subtree: Vec<u32>,
-    height: u32,
-}
-
-impl MaterialisedTree {
-    /// Build the materialised oracle tree of size `n` (`O(n)` memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "a balanced tree needs at least one node");
-        let mut kind = vec![NodeKind::Leaf; n];
-        let mut left = vec![NONE; n];
-        let mut right = vec![NONE; n];
-        let mut parent = vec![NONE; n];
-        let mut depth = vec![0u32; n];
-        let mut subtree = vec![0u32; n];
-        let mut height = 0u32;
-
-        // (preorder id, size, depth, parent)
-        let mut stack: Vec<(usize, usize, u32, u32)> = vec![(0, n, 0, NONE)];
-        while let Some((p, k, d, par)) = stack.pop() {
-            subtree[p] = k as u32;
-            depth[p] = d;
-            parent[p] = par;
-            height = height.max(d);
-            if k == 1 {
-                kind[p] = NodeKind::Leaf;
-            } else if k % 2 == 0 {
-                kind[p] = NodeKind::NonBranching;
-                left[p] = (p + 1) as u32;
-                stack.push((p + 1, k - 1, d + 1, p as u32));
-            } else {
-                kind[p] = NodeKind::Branching;
-                let l = (k - 1) / 2;
-                left[p] = (p + 1) as u32;
-                right[p] = (p + l + 1) as u32;
-                stack.push((p + 1, l, d + 1, p as u32));
-                stack.push((p + l + 1, l, d + 1, p as u32));
-            }
-        }
-
-        MaterialisedTree {
-            n,
-            kind,
-            left,
-            right,
-            parent,
-            depth,
-            subtree,
-            height,
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True only for the impossible empty tree.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Kind of node `p`.
-    pub fn kind(&self, p: usize) -> NodeKind {
-        self.kind[p]
-    }
-
-    /// Children `(left, right)` of node `p`.
-    pub fn children(&self, p: usize) -> (Option<usize>, Option<usize>) {
-        let conv = |v: u32| (v != NONE).then_some(v as usize);
-        (conv(self.left[p]), conv(self.right[p]))
-    }
-
-    /// Parent of `p`, `None` for the root.
-    pub fn parent(&self, p: usize) -> Option<usize> {
-        (self.parent[p] != NONE).then_some(self.parent[p] as usize)
-    }
-
-    /// Distance of `p` from the root.
-    pub fn depth(&self, p: usize) -> u32 {
-        self.depth[p]
-    }
-
-    /// Size of the subtree rooted at `p`.
-    pub fn subtree_size(&self, p: usize) -> usize {
-        self.subtree[p] as usize
-    }
-
-    /// Height of the tree.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Half-size `l` at a branching node `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not a branching node.
-    pub fn branch_half(&self, p: usize) -> usize {
-        assert!(
-            self.kind[p] == NodeKind::Branching,
-            "node {p} is not branching"
-        );
-        (self.subtree[p] as usize - 1) / 2
-    }
-
-    /// All leaf node ids, ascending.
-    pub fn leaves(&self) -> Vec<usize> {
-        (0..self.n)
-            .filter(|&p| self.kind[p] == NodeKind::Leaf)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,25 +710,6 @@ mod tests {
         for leaf in t.leaves_iter() {
             let path: Vec<usize> = t.root_path_iter(leaf).collect();
             assert_eq!(path, t.root_path(leaf));
-        }
-    }
-
-    #[test]
-    fn implicit_matches_materialised_oracle_spot_sizes() {
-        // Full sweep lives in tests/proptest_tree.rs; keep a quick
-        // in-module sanity check.
-        for n in [1usize, 2, 9, 64, 129, 1000] {
-            let t = BalancedTree::new(n);
-            let o = MaterialisedTree::new(n);
-            assert_eq!(t.height(), o.height(), "n={n}");
-            for p in 0..n {
-                assert_eq!(t.kind(p), o.kind(p), "n={n} p={p}");
-                assert_eq!(t.children(p), o.children(p), "n={n} p={p}");
-                assert_eq!(t.parent(p), o.parent(p), "n={n} p={p}");
-                assert_eq!(t.depth(p), o.depth(p), "n={n} p={p}");
-                assert_eq!(t.subtree_size(p), o.subtree_size(p), "n={n} p={p}");
-            }
-            assert_eq!(t.leaves(), o.leaves(), "n={n}");
         }
     }
 }

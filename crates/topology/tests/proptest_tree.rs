@@ -1,9 +1,12 @@
 //! Property tests: the implicit `BalancedTree` arithmetic must agree with
-//! the materialised oracle (`MaterialisedTree`, the pre-implicit seven-array
-//! build) on every geometric query.
+//! the materialised oracle (`MaterialisedTree` in `oracle/`, the
+//! pre-implicit seven-array build) on every geometric query.
 
+mod oracle;
+
+use oracle::MaterialisedTree;
 use proptest::prelude::*;
-use ssr_topology::balanced_tree::{BalancedTree, MaterialisedTree, NodeKind};
+use ssr_topology::balanced_tree::{BalancedTree, NodeKind};
 
 /// Compare every query at node `p` between the implicit tree and the oracle.
 fn assert_node_matches(t: &BalancedTree, o: &MaterialisedTree, n: usize, p: usize) {
@@ -67,10 +70,11 @@ proptest! {
     }
 }
 
-/// Small sizes exhaustively (not sampled): every n in 1..=256, every node.
+/// Small sizes exhaustively (not sampled): every n in 1..=256 and n =
+/// 1000, every node.
 #[test]
 fn implicit_matches_oracle_exhaustive_small() {
-    for n in 1usize..=256 {
+    for n in (1usize..=256).chain([1000]) {
         let t = BalancedTree::new(n);
         let o = MaterialisedTree::new(n);
         assert_eq!(t.height(), o.height(), "n={n}");

@@ -19,10 +19,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 1: elect from an arbitrary k-distant configuration.
     let start = init::k_distant(n, 17, init::DuplicatePlacement::Random, &mut rng);
-    let outcome = elect_leader(&protocol, start, 7, u64::MAX)?;
+    let mut sim = Simulation::new(&protocol, start, 7)?;
+    let report = sim.run_until_silent(u64::MAX)?;
+    let leader = sim
+        .agents()
+        .iter()
+        .position(|&s| s == LEADER_RANK)
+        .expect("silent ranking has a rank-0 agent");
     println!(
-        "elected agent #{} as leader after parallel time {:.0}",
-        outcome.leader, outcome.report.parallel_time
+        "elected agent #{leader} as leader after parallel time {:.0}",
+        report.parallel_time
     );
 
     // Phase 2: transient faults — corrupt 40 random agents, then watch the

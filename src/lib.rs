@@ -69,14 +69,13 @@ pub mod prelude {
     };
     pub use ssr_analysis::{verify_stability, Ecdf, StabilityCertificate};
     pub use ssr_core::{
-        elect_leader, GenericRanking, LineOfTraps, LooseLeaderElection, RingOfTraps, TreeRanking,
-        LEADER_RANK,
+        GenericRanking, LineOfTraps, LooseLeaderElection, RingOfTraps, TreeRanking, LEADER_RANK,
     };
     pub use ssr_engine::{
         init, make_engine, rng::Xoshiro256, run_with_plan, validate_interaction_schema,
-        BurstRecord, ClassSpec, ClusteredScheduler, CountSimulation, CrossDirection, Engine,
-        EngineKind, FaultPlan, Init, InteractionClass, InteractionSchema, Protocol, RunOutcome,
-        Scenario, Scheduler, Simulation, State, UniformScheduler, ZipfScheduler,
+        BurstRecord, ClassSpec, CountSimulation, CrossDirection, Engine, EngineKind, FaultPlan,
+        Init, InteractionClass, InteractionSchema, Protocol, RunOutcome, Scenario, Simulation,
+        State,
     };
     pub use ssr_topology::{BalancedTree, CubicGraph, TrapChain};
 }

@@ -253,25 +253,6 @@ fn naive_to_silence() {
     );
 }
 
-#[test]
-fn zipf_scheduled_naive() {
-    let n = 24;
-    let p = GenericRanking::new(n);
-    let mut sim = Simulation::new(&p, vec![0; n], 71).unwrap();
-    let mut sched = ZipfScheduler::new(n, 1.0);
-    sim.run_until_silent_scheduled(u64::MAX, &mut sched)
-        .unwrap();
-    assert_eq!(
-        naive_fingerprint(&sim),
-        (
-            28_709,
-            276,
-            11_219_404_132_072_788_965,
-            8_402_276_891_733_141_013
-        )
-    );
-}
-
 fn count<'a, P: InteractionSchema>(
     p: &'a P,
     config: Vec<State>,

@@ -1,7 +1,7 @@
 //! Integration tests for the extension layers: exhaustive model checking,
-//! fault-recovery reporting, non-uniform schedulers, loose stabilisation,
-//! and the distributional analysis toolkit — exercised together through
-//! the umbrella `ssr` crate, the way a downstream user would.
+//! fault-recovery reporting, loose stabilisation, and the distributional
+//! analysis toolkit — exercised together through the umbrella `ssr`
+//! crate, the way a downstream user would.
 
 // Audited: tests cast tiny bounded f64/u64 values (n <= 10^4) to usize/u32.
 #![allow(clippy::cast_possible_truncation)]
@@ -110,76 +110,8 @@ fn fault_distance_matches_paper_k_distance_definition() {
 }
 
 // ---------------------------------------------------------------------
-// Scheduler robustness: correctness is scheduler-independent.
-// ---------------------------------------------------------------------
-
-fn stabilises_under<S: Scheduler>(p: &dyn Protocol, mut sched: S, seed: u64) {
-    let n = p.population_size();
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-    let start = init::uniform_random(n, p.num_states(), &mut rng);
-    let mut sim = Simulation::new(p, start, seed).unwrap();
-    sim.run_until_silent_scheduled(u64::MAX, &mut sched)
-        .unwrap_or_else(|e| panic!("{} under {}: {e}", p.name(), sched.describe()));
-    assert!(init::is_perfect_ranking(sim.agents(), n));
-}
-
-#[test]
-fn generic_stabilises_under_skewed_schedulers() {
-    let p = GenericRanking::new(24);
-    stabilises_under(&p, ZipfScheduler::new(24, 1.0), 11);
-    stabilises_under(&p, ClusteredScheduler::new(24, 12, 0.05), 12);
-}
-
-#[test]
-fn ring_stabilises_under_skewed_schedulers() {
-    let p = RingOfTraps::new(24);
-    stabilises_under(&p, ZipfScheduler::new(24, 0.8), 13);
-    stabilises_under(&p, ClusteredScheduler::new(24, 8, 0.1), 14);
-}
-
-#[test]
-fn tree_stabilises_under_skewed_schedulers() {
-    let p = TreeRanking::new(48);
-    stabilises_under(&p, ZipfScheduler::new(48, 1.0), 15);
-    stabilises_under(&p, ClusteredScheduler::new(48, 24, 0.05), 16);
-}
-
-#[test]
-fn uniform_scheduler_trait_matches_builtin_loop() {
-    // `UniformScheduler::next_pair` is `rng.ordered_pair(n)`, the draw
-    // `Simulation::step` makes, so the scheduler-driven loop and the
-    // engine's own run loop walk the identical trajectory per seed.
-    let p = GenericRanking::new(12);
-    for seed in 500..520 {
-        let mut builtin = Simulation::new(&p, vec![0; 12], seed).unwrap();
-        let mut scheduled = Simulation::new(&p, vec![0; 12], seed).unwrap();
-        let a = builtin.run_until_silent(u64::MAX).unwrap();
-        let b = scheduled
-            .run_until_silent_scheduled(u64::MAX, &mut UniformScheduler::new(12))
-            .unwrap();
-        assert_eq!(a, b, "seed {seed}");
-        assert_eq!(builtin.agents(), scheduled.agents(), "seed {seed}");
-    }
-}
-
-// ---------------------------------------------------------------------
 // Loose stabilisation composed with the other extensions.
 // ---------------------------------------------------------------------
-
-#[test]
-fn loose_election_converges_under_clustered_scheduler() {
-    let n = 40;
-    let p = LooseLeaderElection::new(n);
-    let mut sched = ClusteredScheduler::new(n, n / 2, 0.1);
-    let mut sim = Simulation::new(&p, vec![p.leader_state(); n], 21).unwrap();
-    let cap = 5_000_000u64;
-    while p.leader_count(sim.counts()) != 1 {
-        assert!(sim.interactions() < cap, "no convergence under clustering");
-        for _ in 0..64 {
-            sim.step_scheduled(&mut sched);
-        }
-    }
-}
 
 #[test]
 fn loose_election_survives_fault_bursts() {

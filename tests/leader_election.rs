@@ -5,6 +5,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use ssr::prelude::*;
+use ssr::protocols::leader::has_unique_leader;
 
 #[test]
 fn every_protocol_elects_exactly_one_leader() {
@@ -17,9 +18,10 @@ fn every_protocol_elects_exactly_one_leader() {
     let protos: Vec<&dyn Protocol> = vec![&generic, &ring, &line, &tree];
     for p in protos {
         let cfg = init::uniform_random(n, p.num_states(), &mut rng);
-        let out =
-            elect_leader(p, cfg, 21, u64::MAX).unwrap_or_else(|e| panic!("{}: {e}", p.name()));
-        assert!(out.leader < n, "{}", p.name());
+        let mut sim = Simulation::new(p, cfg, 21).unwrap();
+        sim.run_until_silent(u64::MAX)
+            .unwrap_or_else(|e| panic!("{}: {e}", p.name()));
+        assert!(has_unique_leader(sim.counts()), "{}", p.name());
     }
 }
 
@@ -52,11 +54,17 @@ fn repeated_fault_injection_always_recovers() {
 fn leadership_is_stable_once_elected() {
     let n = 25;
     let p = TreeRanking::new(n);
-    let out = elect_leader(&p, vec![0; n], 9, u64::MAX).unwrap();
+    let elect = || {
+        let mut sim = Simulation::new(&p, vec![0; n], 9).unwrap();
+        let report = sim.run_until_silent(u64::MAX).unwrap();
+        let leader = sim.agents().iter().position(|&s| s == LEADER_RANK);
+        (
+            leader.expect("a silent ranking has a rank-0 agent"),
+            report.interactions,
+        )
+    };
     // Re-run the exact same seed: determinism pins the same leader.
-    let out2 = elect_leader(&p, vec![0; n], 9, u64::MAX).unwrap();
-    assert_eq!(out.leader, out2.leader);
-    assert_eq!(out.report.interactions, out2.report.interactions);
+    assert_eq!(elect(), elect());
 }
 
 #[test]

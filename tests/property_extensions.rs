@@ -1,6 +1,6 @@
-//! Property-based tests for the extension layers: fault injection,
-//! schedulers, the loose protocol's transition table, and the ECDF /
-//! bootstrap analysis tools — invariants under arbitrary inputs.
+//! Property-based tests for the extension layers: fault injection, the
+//! loose protocol's transition table, and the ECDF / bootstrap analysis
+//! tools — invariants under arbitrary inputs.
 
 // Audited: tests cast tiny bounded f64/u64 values (n <= 10^4) to usize/u32.
 #![allow(clippy::cast_possible_truncation)]
@@ -57,33 +57,6 @@ proptest! {
             .run_outcome(0);
         let k = out.bursts.first().map_or(0, |b| b.k_after);
         prop_assert!(k <= (faults as usize).min(n));
-    }
-
-    /// Every scheduler yields ordered pairs of distinct in-range agents
-    /// for arbitrary parameters.
-    #[test]
-    fn schedulers_yield_valid_pairs(
-        n in 4usize..120,
-        theta in 0.0f64..2.5,
-        eps_pct in 1u32..100,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let split = n / 2;
-        let eps = f64::from(eps_pct) / 100.0;
-        let mut uniform = UniformScheduler::new(n);
-        let mut zipf = ZipfScheduler::new(n, theta);
-        let mut clustered = ClusteredScheduler::new(n, split, eps);
-        for _ in 0..200 {
-            for (i, r) in [
-                uniform.next_pair(&mut rng),
-                zipf.next_pair(&mut rng),
-                clustered.next_pair(&mut rng),
-            ] {
-                prop_assert!(i < n && r < n);
-                prop_assert_ne!(i, r);
-            }
-        }
     }
 
     /// The loose protocol's transition table never returns identity
@@ -186,21 +159,6 @@ proptest! {
             .run_outcome(0);
         prop_assert!(out.silent);
         prop_assert!(out.bursts[0].k_after <= (faults as usize).min(n));
-    }
-
-    /// The generic protocol stabilises under arbitrary Zipf skew (time
-    /// may inflate, correctness may not).
-    #[test]
-    fn generic_stabilises_under_any_zipf_skew(
-        theta in 0.0f64..1.5,
-        seed in any::<u64>(),
-    ) {
-        let n = 16;
-        let p = GenericRanking::new(n);
-        let mut sched = ZipfScheduler::new(n, theta);
-        let mut sim = Simulation::new(&p, vec![0; n], seed).unwrap();
-        sim.run_until_silent_scheduled(u64::MAX, &mut sched).unwrap();
-        prop_assert!(init::is_perfect_ranking(sim.agents(), n));
     }
 }
 
